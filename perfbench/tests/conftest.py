@@ -1,0 +1,7 @@
+"""Import the benchmark's modules and lqdr from this checkout's src/."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent.parent / "src"), str(HERE.parent)]
