@@ -30,8 +30,7 @@ from .exceptions import (ConvergenceError, LqdrError, RegularityError,
 from .feedforward import solve_closed_form, solve_recursive
 from .model import (CostSpec, DisturbanceProfile, SystemModel,
                     classify_disturbance, discretize_zoh, validate)
-from .riccati import (gare_fixed_point, solve_finite_horizon, solve_gare,
-                      spectral_radius)
+from .riccati import gare_fixed_point, solve_finite_horizon
 from .sim import (brute_force_optimal, costate_residuals, draw_instance,
                   evaluate_cost, predicted_optimal_cost, simulate)
 
@@ -260,22 +259,6 @@ def trajectory_metrics(traj, cost, model, onset, settle_band):
     }
 
 
-def _closed_loop_radius(config, model, cost, steps):
-    try:
-        if config.kind == "stationary":
-            return solve_gare(model, cost, tol=config.gare_tol,
-                              max_iters=config.gare_max_iters).closed_loop_radius
-        if config.kind == "state_feedback_compensation":
-            return spectral_radius(model.A + model.B @ config.k_x)
-        if config.kind in ("finite_horizon", "receding_horizon"):
-            horizon = config.T if config.kind == "receding_horizon" else steps - 1
-            riccati = solve_finite_horizon(model, cost, horizon, strict=config.strict)
-            return spectral_radius(model.A - model.B @ riccati.K[0])
-    except LqdrError:
-        return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # artifact writers
 # ---------------------------------------------------------------------------
@@ -433,8 +416,7 @@ def run_scenario(scenario, out_dir="."):
             continue
         entry.update(trajectory_metrics(traj, scenario.cost, scenario.model,
                                         onset, scenario.settle_band))
-        entry["closed_loop_radius"] = _closed_loop_radius(
-            config, scenario.model, scenario.cost, scenario.steps)
+        entry["closed_loop_radius"] = controller.closed_loop_radius
         if "csv" in scenario.outputs:
             csv_path = out_dir / f"{scenario.name}.{config.label}.csv"
             write_csv(csv_path, traj)

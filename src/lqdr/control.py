@@ -6,19 +6,23 @@ for benchmark comparisons: a state-feedback law with a static disturbance
 compensation gain, and a positional PID acting on the regulated-output
 error.
 
-``build_controller`` turns a declarative ControllerConfig into a stepping
-function ``(k, x, d_k) -> u`` with all solves done up front (except for the
-receding-horizon law, which by construction resolves its backward equations
-at every step).
+``build_controller`` turns a declarative ControllerConfig into a built
+controller: a small object that holds its gains and the spectral radius of
+its state-feedback loop, and is called as ``(k, x, d_k) -> u``.  Every
+solve happens once, at build time.  That includes the receding-horizon
+law: its lookahead Riccati pass never changes between steps and its
+feedforward is linear in the frozen disturbance and the reference, so it
+reduces to the affine law u = -K_0 x - K_d d_k - u_r.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .feedforward import solve_recursive, solve_steady
+from .feedforward import FeedforwardSolution, solve_recursive, solve_steady
 from .model import CostSpec, DisturbanceProfile
-from .riccati import PINV_RCOND, solve_finite_horizon, solve_gare
+from .riccati import (PINV_RCOND, RiccatiSolution, solve_finite_horizon, solve_gare,
+                      spectral_radius)
 
 KINDS = ("finite_horizon", "stationary", "receding_horizon",
          "state_feedback_compensation", "pid")
@@ -96,23 +100,28 @@ def stationary_control(x, gare, h):
     return -gare.K @ x - pinv @ np.asarray(h, dtype=float).reshape(-1)
 
 
-def receding_horizon_control(x, d_now, model, cost, T, P_terminal=None, strict=True):
-    """First input of a T-step lookahead with the disturbance frozen at d_now.
-
-    Solves the backward equations over the lookahead window with d held at
-    its current value and terminal weight ``P_terminal`` (the cost's
-    terminal weight when omitted), then applies only the first input.  The
-    full backward pass is recomputed on every call; at the plant sizes this
-    toolkit targets that is cheap, and it keeps the law a pure function of
-    its arguments.
-    """
+def _lookahead(model, cost, T, P_terminal, strict):
+    """Riccati pass of a T-step lookahead and the cost it was solved for."""
     if T < 1:
         raise ValueError("lookahead T must be >= 1")
     if P_terminal is None:
         inner_cost = cost
     else:
         inner_cost = CostSpec(Q=cost.Q, R=cost.R, P_terminal=P_terminal, r=cost.r)
-    riccati = solve_finite_horizon(model, inner_cost, T, strict=strict)
+    return solve_finite_horizon(model, inner_cost, T, strict=strict), inner_cost
+
+
+def receding_horizon_control(x, d_now, model, cost, T, P_terminal=None, strict=True):
+    """First input of a T-step lookahead with the disturbance frozen at d_now.
+
+    Solves the backward equations over the lookahead window with d held at
+    its current value and terminal weight ``P_terminal`` (the cost's
+    terminal weight when omitted), then applies only the first input.  The
+    full backward pass is recomputed on every call.  This is the reference
+    the built law of ``build_controller`` is tested against; that law does
+    the same solves once and applies u = -K_0 x - K_d d_now - u_r.
+    """
+    riccati, inner_cost = _lookahead(model, cost, T, P_terminal, strict)
     d_now = np.asarray(d_now, dtype=float).reshape(-1)
     frozen = np.tile(d_now, (T + 1, 1))
     ff = solve_recursive(riccati, model, inner_cost, frozen)
@@ -146,60 +155,121 @@ def pid_control(state, error, Ts, kp, ki, kd):
     return u, ControllerState(integral=integral, prev_error=error, step=state.step + 1)
 
 
-def build_controller(config, model, cost, profile, steps):
-    """Make a stepping function ``(k, x, d_k) -> u`` for one configuration.
+@dataclass(frozen=True)
+class AffineController:
+    """Time-invariant law u = -K x - K_d d_k - u_0, with every gain computed once.
 
-    Solver work that can be done once (Riccati, stationary equation,
-    steady feedforward) happens here, so errors surface before the
-    simulation starts.
+    The stationary, receding-horizon and state-feedback-compensation
+    controllers all take this form; ``closed_loop_radius`` is rho(A - B K).
+    """
+
+    K: np.ndarray
+    K_d: np.ndarray
+    u_0: np.ndarray
+    closed_loop_radius: float
+
+    def __post_init__(self):
+        for name in ("K", "K_d", "u_0"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __call__(self, k, x, d_now):
+        return -self.K @ x - self.K_d @ d_now - self.u_0
+
+
+@dataclass(frozen=True)
+class FiniteHorizonController:
+    """Optimal law over the whole run; ``closed_loop_radius`` is rho(A - B K_0)."""
+
+    riccati: RiccatiSolution
+    ff: FeedforwardSolution
+    closed_loop_radius: float
+
+    def __call__(self, k, x, d_now):
+        return finite_horizon_control(k, x, self.riccati, self.ff)
+
+
+@dataclass
+class PidController:
+    """Positional PID on the regulated-output error; it owns its ControllerState."""
+
+    c_o: np.ndarray
+    target: np.ndarray
+    Ts: float
+    kp: float
+    ki: float
+    kd: float
+    state: ControllerState
+    closed_loop_radius: float = None
+
+    def __call__(self, k, x, d_now):
+        error = self.target - self.c_o @ x
+        u, self.state = pid_control(self.state, error, self.Ts,
+                                    self.kp, self.ki, self.kd)
+        return u
+
+
+def build_controller(config, model, cost, profile, steps):
+    """Build the controller of one configuration, callable as ``(k, x, d_k) -> u``.
+
+    All solver work (Riccati, stationary equation, feedforward) happens
+    here, so errors surface before the simulation starts.
     """
     kind = config.kind
+    A, B = model.A, model.B
     if kind == "finite_horizon":
         riccati = solve_finite_horizon(model, cost, steps - 1, strict=config.strict)
         ff = solve_recursive(riccati, model, cost, profile)
+        return FiniteHorizonController(
+            riccati=riccati, ff=ff,
+            closed_loop_radius=spectral_radius(A - B @ riccati.K[0]))
 
-        def step(k, x, d_now):
-            return finite_horizon_control(k, x, riccati, ff)
-
-    elif kind == "stationary":
+    if kind == "stationary":
         gare = solve_gare(model, cost, tol=config.gare_tol,
                           max_iters=config.gare_max_iters)
         d_limit = profile.limit_value() if isinstance(profile, DisturbanceProfile) \
             else np.asarray(profile, dtype=float)[-1]
         h, _ = solve_steady(gare, model, cost, d_limit, cost.r)
+        return AffineController(
+            K=gare.K, K_d=np.zeros((model.m, model.m)),
+            u_0=np.linalg.pinv(gare.Upsilon, rcond=PINV_RCOND) @ h,
+            closed_loop_radius=gare.closed_loop_radius)
 
-        def step(k, x, d_now):
-            return stationary_control(x, gare, h)
-
-    elif kind == "receding_horizon":
+    if kind == "receding_horizon":
         if config.T is None:
             raise ValueError("receding_horizon needs a lookahead length T")
+        T = config.T
+        riccati, inner_cost = _lookahead(model, cost, T, config.P_terminal, config.strict)
+        # h_0 is linear in (d_now, r): one feedforward pass per disturbance
+        # channel with r = 0, and one for r alone
+        no_reference = CostSpec(Q=inner_cost.Q, R=inner_cost.R,
+                                P_terminal=inner_cost.P_terminal, r=np.zeros(model.n))
 
-        def step(k, x, d_now):
-            return receding_horizon_control(x, d_now, model, cost, config.T,
-                                            P_terminal=config.P_terminal,
-                                            strict=config.strict)
+        def first_input(ff_cost, d_now):
+            ff = solve_recursive(riccati, model, ff_cost, np.tile(d_now, (T + 1, 1)))
+            return riccati.upsilon_solve(0, ff.h[0])
 
-    elif kind == "state_feedback_compensation":
+        K_d = np.column_stack([first_input(no_reference, e) for e in np.eye(model.m)])
+        return AffineController(
+            K=riccati.K[0], K_d=K_d, u_0=first_input(inner_cost, np.zeros(model.m)),
+            closed_loop_radius=spectral_radius(A - B @ riccati.K[0]))
+
+    if kind == "state_feedback_compensation":
         if config.k_x is None or config.K_d is None:
             raise ValueError("state_feedback_compensation needs gains k_x and K_d")
+        # u = k_x x + K_d d in the affine form, so K = -k_x
+        K = -np.atleast_2d(np.asarray(config.k_x, dtype=float))
+        return AffineController(
+            K=K, K_d=-np.atleast_2d(np.asarray(config.K_d, dtype=float)),
+            u_0=np.zeros(model.m), closed_loop_radius=spectral_radius(A - B @ K))
 
-        def step(k, x, d_now):
-            return sfc_control(x, d_now, config.k_x, config.K_d)
-
-    else:  # pid
-        if config.Ts is None:
-            raise ValueError("pid needs a sample time Ts")
-        if model.l != model.m:
-            raise ValueError("pid pairs each regulated output with one input; "
-                             f"got l={model.l}, m={model.m}")
-        box = {"state": ControllerState.initial(model.l)}
-        target = model.c_o @ cost.r
-
-        def step(k, x, d_now):
-            error = target - model.c_o @ x
-            u, box["state"] = pid_control(box["state"], error, config.Ts,
-                                          config.kp, config.ki, config.kd)
-            return u
-
-    return step
+    # pid
+    if config.Ts is None:
+        raise ValueError("pid needs a sample time Ts")
+    if model.l != model.m:
+        raise ValueError("pid pairs each regulated output with one input; "
+                         f"got l={model.l}, m={model.m}")
+    return PidController(c_o=model.c_o, target=model.c_o @ cost.r, Ts=config.Ts,
+                         kp=config.kp, ki=config.ki, kd=config.kd,
+                         state=ControllerState.initial(model.l))

@@ -222,6 +222,31 @@ def test_run_records_solver_failure_and_continues(tmp_path):
     assert (tmp_path / "mini.sfc.csv").exists()
 
 
+def _unsolvable_lookaheads(doc):
+    # R = 0 and P_T = 0: the strict lookahead has Upsilon_T = 0
+    doc["cost"]["R"] = [[0.0, 0.0], [0.0, 0.0]]
+    doc["controllers"] = [
+        {"kind": "RecedingHorizon", "T": 10, "label": "strict_lookahead"},
+        {"kind": "RecedingHorizon", "T": 0, "label": "no_lookahead"},
+        {"kind": "RecedingHorizon", "T": 10, "strict": False, "label": "pinv_lookahead"},
+        {"kind": "StateFeedbackCompensation", "k_x": [[-20.0, -4.0]],
+         "K_d": [[-5.0]], "label": "sfc"},
+    ]
+
+
+def test_run_records_receding_build_failures_and_continues(tmp_path):
+    path = write_mini(tmp_path, _unsolvable_lookaheads)
+    _, failures = run_scenario(path, tmp_path)
+    assert set(failures) == {"strict_lookahead", "no_lookahead"}
+    summary = json.loads((tmp_path / "mini.summary.json").read_text())["controllers"]
+    assert "not positive definite" in summary["strict_lookahead"]["error"]
+    assert "lookahead T must be >= 1" in summary["no_lookahead"]["error"]
+    for label in ("pinv_lookahead", "sfc"):
+        assert summary[label]["error"] is None
+        assert (tmp_path / f"mini.{label}.csv").exists()
+    assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 2
+
+
 # ---------------------------------------------------------------------------
 # compare / gare / selftest
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import lqdr.cli
+import lqdr.control
+
 from conftest import (aero_engine_discrete, lqr_textbook_gains, rel_gap,
                       tracking_cost, two_state_bench, uncontrollable_3state)
 from lqdr import (ControllerConfig, ControllerState, CostSpec,
-                  DisturbanceProfile, SystemModel, build_controller,
+                  DisturbanceProfile, SolvabilityError, SystemModel, build_controller,
                   brute_force_optimal, draw_instance, finite_horizon_control,
                   pid_control, receding_horizon_control, sfc_control,
                   simulate, solve_finite_horizon, solve_gare, solve_recursive,
-                  solve_steady, stationary_control)
+                  solve_steady, spectral_radius, stationary_control)
+from lqdr.cli import bundled_scenario_path, load_scenario, run_scenario
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -250,6 +254,23 @@ def test_build_controller_rejects_bad_configs():
         build_controller(ControllerConfig(kind="Stationary"), model, cost, sinus, 10)
 
 
+def test_build_receding_raises_before_any_step():
+    model = two_state_bench()
+    cost = CostSpec(Q=model.c_o.T @ model.c_o, R=np.zeros((2, 2)),
+                    P_terminal=np.zeros((2, 2)), r=np.zeros(2))
+    profile = DisturbanceProfile.constant(1.0)
+    # R = 0 and P_T = 0 leave Upsilon_T = 0: no unique optimal input
+    with pytest.raises(SolvabilityError):
+        build_controller(ControllerConfig(kind="RecedingHorizon", T=10),
+                         model, cost, profile, 20)
+    with pytest.raises(ValueError, match="lookahead"):
+        build_controller(ControllerConfig(kind="RecedingHorizon", T=0),
+                         model, tracking_cost(model), profile, 20)
+    # the pseudo-inverse lookahead is consistent there and builds
+    build_controller(ControllerConfig(kind="RecedingHorizon", T=10, strict=False),
+                     model, cost, profile, 20)
+
+
 def test_build_pid_tracks_regulated_error():
     model = SystemModel(A=[[0.5]], B=[[1.0]], E=[[1.0]], c_o=[[2.0]])
     cost = CostSpec(Q=[[4.0]], R=[[1.0]], P_terminal=[[0.0]], r=[0.5])
@@ -258,3 +279,107 @@ def test_build_pid_tracks_regulated_error():
     # error = c_o r - c_o x = 1 - 2 x
     assert step(0, np.array([0.0]), np.zeros(1)) == pytest.approx(1.0)
     assert step(1, np.array([1.0]), np.zeros(1)) == pytest.approx(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# built receding-horizon law against the per-step reference
+# ---------------------------------------------------------------------------
+
+def _random_plant_with_reference(seed, n=4, m=2):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    model = SystemModel(A=G * (0.9 / np.max(np.abs(np.linalg.eigvals(G)))),
+                        B=rng.standard_normal((n, m)),
+                        E=rng.standard_normal((n, m)), c_o=np.eye(n)[:m])
+    C = rng.standard_normal((n, n))
+    D = rng.standard_normal((n, n))
+    cost = CostSpec(Q=C.T @ C, R=D.T @ D, P_terminal=np.zeros((n, n)),
+                    r=rng.standard_normal(n))
+    Gt = rng.standard_normal((n, n))
+    return model, cost, Gt.T @ Gt, rng
+
+
+@pytest.mark.parametrize("name", ["example_a", "example_b", "example_c"])
+def test_built_receding_law_matches_reference_on_bundled_states(name):
+    scenario = load_scenario(bundled_scenario_path(name))
+    config = next(c for c in scenario.controllers if c.kind == "receding_horizon")
+    controller = build_controller(config, scenario.model, scenario.cost,
+                                  scenario.disturbance, scenario.steps)
+    traj = simulate(scenario.model, scenario.cost, controller, scenario.x0,
+                    scenario.steps, scenario.disturbance)
+    # every 20th step, plus the steps around the disturbance onset
+    onset = scenario.disturbance.start_step
+    checked = sorted(set(range(0, scenario.steps, 20)) | {onset - 1, onset, onset + 1})
+    for k in checked:
+        u_ref = receding_horizon_control(traj.x[k], traj.d[k], scenario.model,
+                                         scenario.cost, config.T,
+                                         P_terminal=config.P_terminal,
+                                         strict=config.strict)
+        assert rel_gap(traj.u[k], u_ref) <= 1e-12
+        assert rel_gap(controller(k, traj.x[k], traj.d[k]), u_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_built_receding_law_matches_reference_with_reference_and_terminal_weight(strict):
+    model, cost, P_T, rng = _random_plant_with_reference(31)
+    T = 25
+    config = ControllerConfig(kind="RecedingHorizon", T=T, P_terminal=P_T, strict=strict)
+    controller = build_controller(config, model, cost,
+                                  DisturbanceProfile.constant(0.0, dim=2), steps=50)
+    for _ in range(8):
+        x = rng.standard_normal(model.n)
+        d_now = rng.standard_normal(model.m)
+        u_ref = receding_horizon_control(x, d_now, model, cost, T,
+                                         P_terminal=P_T, strict=strict)
+        assert rel_gap(controller(0, x, d_now), u_ref) <= 1e-12
+    riccati = solve_finite_horizon(
+        model, CostSpec(Q=cost.Q, R=cost.R, P_terminal=P_T, r=cost.r), T, strict=strict)
+    assert controller.closed_loop_radius == spectral_radius(model.A - model.B @ riccati.K[0])
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_receding_law_solves_once_at_build(monkeypatch):
+    model = two_state_bench()
+    cost = tracking_cost(model)
+    calls = []
+    _count_calls(monkeypatch, lqdr.control, "solve_finite_horizon", calls)
+    controller = build_controller(ControllerConfig(kind="RecedingHorizon", T=40),
+                                  model, cost, DisturbanceProfile.constant(3.0), 100)
+    assert calls == ["solve_finite_horizon"]
+    calls.clear()
+    simulate(model, cost, controller, [1.0, 0.0], 100, DisturbanceProfile.constant(3.0))
+    assert calls == []
+
+
+def test_run_scenario_solves_nothing_after_simulate(monkeypatch, tmp_path):
+    calls = []
+    solvers = ("solve_finite_horizon", "solve_gare", "gare_fixed_point",
+               "solve_recursive", "solve_steady", "solve_closed_form")
+    for module in (lqdr.control, lqdr.cli):
+        for name in solvers:
+            if hasattr(module, name):
+                _count_calls(monkeypatch, module, name, calls)
+    _count_calls(monkeypatch, lqdr.cli, "build_controller", calls)
+    _count_calls(monkeypatch, lqdr.cli, "simulate", calls)
+
+    for name in ("example_b", "example_d"):
+        scenario = load_scenario(bundled_scenario_path(name))
+        scenario.outputs = ["summary"]
+        calls.clear()
+        _, failures = run_scenario(scenario, tmp_path)
+        assert failures == {}
+        assert calls.count("build_controller") == len(scenario.controllers)
+        # build, its solves, simulate; a simulation is followed only by
+        # the next build
+        for i, call in enumerate(calls):
+            if call == "simulate":
+                assert calls[i + 1:i + 2] in ([], ["build_controller"])
+        assert calls[-1] == "simulate"
