@@ -25,17 +25,13 @@ import numpy as np
 from . import __version__
 from .control import (ControllerConfig, build_controller, canonical_kind,
                       finite_horizon_control)
-from .exceptions import (ConvergenceError, LqdrError, RegularityError,
-                         ScenarioError, SolvabilityError, StabilizationError)
+from .exceptions import LqdrError, ScenarioError, SolvabilityError
 from .feedforward import solve_closed_form, solve_recursive
 from .model import (CostSpec, DisturbanceProfile, SystemModel,
                     classify_disturbance, discretize_zoh, validate)
 from .riccati import gare_fixed_point, solve_finite_horizon
 from .sim import (brute_force_optimal, costate_residuals, draw_instance,
                   evaluate_cost, predicted_optimal_cost, simulate)
-
-_SOLVER_ERRORS = (SolvabilityError, RegularityError, ConvergenceError,
-                  StabilizationError)
 
 _TOP_KEYS = {"name", "system", "cost", "x0", "steps", "disturbance",
              "reference", "controllers", "outputs", "settle_band", "display"}
@@ -45,12 +41,42 @@ _DISTURBANCE_KEYS = {"kind", "amplitude", "rate", "limit", "start_step", "values
 _CONTROLLER_KEYS = {"kind", "label", "T", "P_terminal", "strict", "k_x", "K_d",
                     "kp", "ki", "kd", "Ts"}
 _OUTPUT_KINDS = ("csv", "svg", "summary")
+#: What numpy and the model types raise on values that are not numbers.
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - allowed
+def _fields(spec, allowed, where):
+    """``spec`` itself, if it is an object with no field outside ``allowed``."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{where} must be an object")
+    unknown = set(spec) - allowed
     if unknown:
         raise ScenarioError(f"unknown field(s) {sorted(unknown)} in {where}")
+    return spec
+
+
+def _number(value, where, integer=False):
+    """A finite JSON number (an integral one when ``integer``)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) < 1e300 and (not integer or value == int(value))):
+        kind = "an integer" if integer else "a finite number"
+        raise ScenarioError(f"{where} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _array(value, where, shape=None):
+    """A finite float array; a vector or matrix of ``shape`` when given."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except _BAD_VALUE as exc:
+        raise ScenarioError(f"{where} must hold numbers: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{where} must hold finite numbers")
+    if shape is not None:
+        arr = arr.reshape(-1) if len(shape) == 1 else np.atleast_2d(arr)
+        if arr.shape != shape:
+            raise ScenarioError(f"{where} must have shape {shape}, got {arr.shape}")
+    return arr
 
 
 class Scenario:
@@ -72,24 +98,16 @@ class Scenario:
 
 
 def _parse_system(spec):
-    if not isinstance(spec, dict):
-        raise ScenarioError("'system' must be an object")
-    _reject_unknown(spec, _SYSTEM_KEYS, "system")
-    if "continuous" in spec:
-        cont = spec["continuous"]
-        _reject_unknown(cont, {"A", "B", "E"}, "system.continuous")
-        if "Ts" not in spec:
-            raise ScenarioError("a continuous system needs a sample interval 'Ts'")
-        try:
-            return discretize_zoh(cont["A"], cont["B"], cont["E"], float(spec["Ts"]),
-                                  c_o=spec.get("c_o"))
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"bad continuous system: {exc}") from exc
+    _fields(spec, _SYSTEM_KEYS, "system")
     try:
+        if "continuous" in spec:
+            cont = _fields(spec["continuous"], {"A", "B", "E"}, "system.continuous")
+            return discretize_zoh(cont["A"], cont["B"], cont["E"],
+                                  _number(spec["Ts"], "system.Ts"), c_o=spec.get("c_o"))
         return SystemModel(A=spec["A"], B=spec["B"], E=spec["E"], c_o=spec["c_o"])
     except KeyError as exc:
         raise ScenarioError(f"system is missing field {exc}") from exc
-    except ValueError as exc:
+    except _BAD_VALUE as exc:
         raise ScenarioError(f"bad system matrices: {exc}") from exc
 
 
@@ -97,52 +115,48 @@ def _parse_reference(ref, model):
     if ref is None:
         return np.zeros(model.n)
     if isinstance(ref, dict):
-        _reject_unknown(ref, {"regulated"}, "reference")
-        target = np.asarray(ref["regulated"], dtype=float).reshape(-1)
-        if target.shape[0] != model.l:
-            raise ScenarioError(f"regulated reference must have length {model.l}")
+        _fields(ref, {"regulated"}, "reference")
+        target = _array(ref.get("regulated"), "reference.regulated", (model.l,))
         # minimum-norm state reference consistent with c_o r = target
         return np.linalg.pinv(model.c_o) @ target
-    r = np.asarray(ref, dtype=float).reshape(-1)
-    if r.shape[0] != model.n:
-        raise ScenarioError(f"reference must have length {model.n}")
-    return r
+    return _array(ref, "reference", (model.n,))
 
 
 def _parse_cost(spec, model, reference):
-    if not isinstance(spec, dict):
-        raise ScenarioError("'cost' must be an object")
-    _reject_unknown(spec, _COST_KEYS, "cost")
+    _fields(spec, _COST_KEYS, "cost")
     if "R" not in spec:
         raise ScenarioError("cost needs the weight R")
-    Q = np.asarray(spec["Q"], dtype=float) if "Q" in spec \
-        else model.c_o.T @ model.c_o
-    P_terminal = np.asarray(spec["P_terminal"], dtype=float) if "P_terminal" in spec \
-        else np.zeros((model.n, model.n))
     try:
-        return CostSpec(Q=Q, R=spec["R"], P_terminal=P_terminal, r=reference)
-    except ValueError as exc:
+        return CostSpec(Q=spec.get("Q", model.c_o.T @ model.c_o), R=spec["R"],
+                        P_terminal=spec.get("P_terminal", np.zeros((model.n, model.n))),
+                        r=reference)
+    except _BAD_VALUE as exc:
         raise ScenarioError(f"bad cost: {exc}") from exc
 
 
 def _parse_disturbance(spec, model):
-    if not isinstance(spec, dict):
-        raise ScenarioError("'disturbance' must be an object")
-    _reject_unknown(spec, _DISTURBANCE_KEYS, "disturbance")
+    _fields(spec, _DISTURBANCE_KEYS, "disturbance")
     kind = spec.get("kind")
-    start = int(spec.get("start_step", 0))
+    start = _number(spec.get("start_step", 0), "disturbance.start_step", integer=True)
+    num = {key: _number(spec[key], f"disturbance.{key}")
+           for key in ("amplitude", "rate", "limit") if key in spec}
     try:
         if kind == "constant":
-            return DisturbanceProfile.constant(spec["amplitude"], start_step=start,
+            return DisturbanceProfile.constant(num["amplitude"], start_step=start,
                                                dim=model.m)
         if kind == "sinusoid":
-            return DisturbanceProfile.sinusoid(spec["amplitude"], spec["rate"],
+            return DisturbanceProfile.sinusoid(num["amplitude"], num["rate"],
                                                start_step=start, dim=model.m)
         if kind == "ramp":
-            return DisturbanceProfile.ramp(spec["rate"], spec["limit"],
+            return DisturbanceProfile.ramp(num["rate"], num["limit"],
                                            start_step=start, dim=model.m)
         if kind == "table":
-            return DisturbanceProfile.table(spec["values"], start_step=start)
+            profile = DisturbanceProfile.table(_array(spec["values"], "disturbance.values"),
+                                               start_step=start)
+            if profile.dim != model.m:
+                raise ScenarioError(f"disturbance.values must have {model.m} column(s), "
+                                    f"got {profile.dim}")
+            return profile
     except (KeyError, ValueError) as exc:
         raise ScenarioError(f"bad disturbance: {exc}") from exc
     raise ScenarioError(f"unknown disturbance kind {kind!r}")
@@ -151,32 +165,33 @@ def _parse_disturbance(spec, model):
 def _parse_controllers(specs, model):
     if not isinstance(specs, list) or not specs:
         raise ScenarioError("'controllers' must be a non-empty list")
+    n, m = model.n, model.m
     configs = []
     labels = set()
     for i, spec in enumerate(specs):
-        _reject_unknown(spec, _CONTROLLER_KEYS, f"controllers[{i}]")
+        where = f"controllers[{i}]"
+        _fields(spec, _CONTROLLER_KEYS, where)
         if "kind" not in spec:
-            raise ScenarioError(f"controllers[{i}] is missing 'kind'")
+            raise ScenarioError(f"{where} is missing 'kind'")
+        fields = {key: _number(spec[key], f"{where}.{key}")
+                  for key in ("kp", "ki", "kd", "Ts") if key in spec}
+        fields.update({key: _array(spec[key], f"{where}.{key}", shape)
+                       for key, shape in (("P_terminal", (n, n)), ("k_x", (m, n)),
+                                          ("K_d", (m, m))) if key in spec})
+        if "T" in spec:
+            fields["T"] = _number(spec["T"], f"{where}.T", integer=True)
+            if fields["T"] < 1:
+                raise ScenarioError(f"{where}: lookahead T must be >= 1, got {fields['T']}")
+        if not isinstance(spec.get("strict", True), bool):
+            raise ScenarioError(f"{where}.strict must be true or false")
+        if not isinstance(spec.get("label", ""), str):
+            raise ScenarioError(f"{where}.label must be a string")
         try:
-            kind = canonical_kind(spec["kind"])
-            config = ControllerConfig(
-                kind=kind,
-                label=spec.get("label"),
-                T=int(spec["T"]) if "T" in spec else None,
-                P_terminal=np.asarray(spec["P_terminal"], dtype=float)
-                if "P_terminal" in spec else None,
-                strict=bool(spec.get("strict", True)),
-                k_x=np.atleast_2d(np.asarray(spec["k_x"], dtype=float))
-                if "k_x" in spec else None,
-                K_d=np.atleast_2d(np.asarray(spec["K_d"], dtype=float))
-                if "K_d" in spec else None,
-                kp=float(spec.get("kp", 0.0)),
-                ki=float(spec.get("ki", 0.0)),
-                kd=float(spec.get("kd", 0.0)),
-                Ts=float(spec["Ts"]) if "Ts" in spec else None,
-            )
+            config = ControllerConfig(kind=canonical_kind(spec["kind"]),
+                                      label=spec.get("label"),
+                                      strict=spec.get("strict", True), **fields)
         except ValueError as exc:
-            raise ScenarioError(f"bad controllers[{i}]: {exc}") from exc
+            raise ScenarioError(f"bad {where}: {exc}") from exc
         if config.label in labels:
             raise ScenarioError(f"duplicate controller label {config.label!r}")
         labels.add(config.label)
@@ -193,9 +208,7 @@ def load_scenario(path):
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
-    _reject_unknown(raw, _TOP_KEYS, "scenario")
+    _fields(raw, _TOP_KEYS, f"{path}: top level")
     for key in ("name", "system", "cost", "x0", "steps", "disturbance", "controllers"):
         if key not in raw:
             raise ScenarioError(f"{path}: missing required field '{key}'")
@@ -206,16 +219,14 @@ def load_scenario(path):
     disturbance = _parse_disturbance(raw["disturbance"], model)
     controllers = _parse_controllers(raw["controllers"], model)
 
-    steps = int(raw["steps"])
+    steps = _number(raw["steps"], "steps", integer=True)
     if steps < 1:
         raise ScenarioError(f"steps must be >= 1, got {steps}")
-    x0 = np.asarray(raw["x0"], dtype=float).reshape(-1)
-    if x0.shape[0] != model.n:
-        raise ScenarioError(f"x0 must have length {model.n}, got {x0.shape[0]}")
+    x0 = _array(raw["x0"], "x0", (model.n,))
     outputs = raw.get("outputs", list(_OUTPUT_KINDS))
-    if not set(outputs) <= set(_OUTPUT_KINDS):
+    if not isinstance(outputs, list) or not all(o in _OUTPUT_KINDS for o in outputs):
         raise ScenarioError(f"outputs must be a subset of {_OUTPUT_KINDS}")
-    settle_band = float(raw.get("settle_band", 1e-3))
+    settle_band = _number(raw.get("settle_band", 1e-3), "settle_band")
 
     return Scenario(name=raw["name"], model=model, cost=cost, x0=x0, steps=steps,
                     disturbance=disturbance, controllers=controllers,
@@ -649,7 +660,7 @@ def main(argv=None):
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
-    except _SOLVER_ERRORS as exc:
+    except LqdrError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 

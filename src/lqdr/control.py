@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedforward import FeedforwardSolution, solve_recursive, solve_steady
-from .model import CostSpec, DisturbanceProfile
-from .riccati import (PINV_RCOND, RiccatiSolution, solve_finite_horizon, solve_gare,
-                      spectral_radius)
+from .feedforward import FeedforwardSolution, closed_form_terms, solve_recursive, solve_steady
+from .model import CostSpec, DisturbanceProfile, freeze_fields
+from .riccati import RiccatiSolution, solve_finite_horizon, solve_gare, spectral_radius
 
 KINDS = ("finite_horizon", "stationary", "receding_horizon",
          "state_feedback_compensation", "pid")
@@ -78,8 +77,6 @@ class ControllerConfig:
     ki: float = 0.0
     kd: float = 0.0
     Ts: float = None
-    gare_tol: float = 1e-12
-    gare_max_iters: int = 100000
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
@@ -96,8 +93,7 @@ def finite_horizon_control(k, x, riccati, ff):
 
 def stationary_control(x, gare, h):
     """Stabilizing input u = -K x - Upsilon^+ h (pure regulation when h = 0)."""
-    pinv = np.linalg.pinv(gare.Upsilon, rcond=PINV_RCOND)
-    return -gare.K @ x - pinv @ np.asarray(h, dtype=float).reshape(-1)
+    return -gare.K @ x - gare.Upsilon_inv @ np.asarray(h, dtype=float).reshape(-1)
 
 
 def _lookahead(model, cost, T, P_terminal, strict):
@@ -118,8 +114,8 @@ def receding_horizon_control(x, d_now, model, cost, T, P_terminal=None, strict=T
     its current value and terminal weight ``P_terminal`` (the cost's
     terminal weight when omitted), then applies only the first input.  The
     full backward pass is recomputed on every call.  This is the reference
-    the built law of ``build_controller`` is tested against; that law does
-    the same solves once and applies u = -K_0 x - K_d d_now - u_r.
+    the built law of ``build_controller`` is tested against; that law solves
+    once and applies u = -K_0 x - K_d d_now - u_r.
     """
     riccati, inner_cost = _lookahead(model, cost, T, P_terminal, strict)
     d_now = np.asarray(d_now, dtype=float).reshape(-1)
@@ -169,10 +165,7 @@ class AffineController:
     closed_loop_radius: float
 
     def __post_init__(self):
-        for name in ("K", "K_d", "u_0"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, "K", "K_d", "u_0")
 
     def __call__(self, k, x, d_now):
         return -self.K @ x - self.K_d @ d_now - self.u_0
@@ -226,33 +219,29 @@ def build_controller(config, model, cost, profile, steps):
             closed_loop_radius=spectral_radius(A - B @ riccati.K[0]))
 
     if kind == "stationary":
-        gare = solve_gare(model, cost, tol=config.gare_tol,
-                          max_iters=config.gare_max_iters)
+        gare = solve_gare(model, cost)
         d_limit = profile.limit_value() if isinstance(profile, DisturbanceProfile) \
             else np.asarray(profile, dtype=float)[-1]
         h, _ = solve_steady(gare, model, cost, d_limit, cost.r)
         return AffineController(
             K=gare.K, K_d=np.zeros((model.m, model.m)),
-            u_0=np.linalg.pinv(gare.Upsilon, rcond=PINV_RCOND) @ h,
+            u_0=gare.Upsilon_inv @ h,
             closed_loop_radius=gare.closed_loop_radius)
 
     if kind == "receding_horizon":
         if config.T is None:
             raise ValueError("receding_horizon needs a lookahead length T")
-        T = config.T
-        riccati, inner_cost = _lookahead(model, cost, T, config.P_terminal, config.strict)
-        # h_0 is linear in (d_now, r): one feedforward pass per disturbance
-        # channel with r = 0, and one for r alone
-        no_reference = CostSpec(Q=inner_cost.Q, R=inner_cost.R,
-                                P_terminal=inner_cost.P_terminal, r=np.zeros(model.n))
-
-        def first_input(ff_cost, d_now):
-            ff = solve_recursive(riccati, model, ff_cost, np.tile(d_now, (T + 1, 1)))
-            return riccati.upsilon_solve(0, ff.h[0])
-
-        K_d = np.column_stack([first_input(no_reference, e) for e in np.eye(model.m)])
+        riccati, inner_cost = _lookahead(model, cost, config.T, config.P_terminal, config.strict)
+        # with d frozen, f_k = Phi_k d - Rscript_k r, where
+        # Phi_k = Abar_k' Phi_{k+1} + F_k and Phi_{T+1} = 0; then
+        # h_0 = (H_0 + B' Phi_1) d - B' Rscript_1 r
+        terms = closed_form_terms(riccati, model, inner_cost)
+        Phi = np.zeros((model.n, model.m))
+        for k in range(config.T, 0, -1):
+            Phi = terms.Abar[k].T @ Phi + terms.F[k]
         return AffineController(
-            K=riccati.K[0], K_d=K_d, u_0=first_input(inner_cost, np.zeros(model.m)),
+            K=riccati.K[0], K_d=riccati.upsilon_solve(0, terms.H[0] + B.T @ Phi),
+            u_0=-riccati.upsilon_solve(0, B.T @ terms.Rscript[1] @ inner_cost.r),
             closed_loop_radius=spectral_radius(A - B @ riccati.K[0]))
 
     if kind == "state_feedback_compensation":

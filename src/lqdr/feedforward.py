@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import StabilizationError
-from .model import disturbance_sequence
-from .riccati import PINV_RCOND
+from .model import disturbance_sequence, freeze_fields
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,7 @@ class FeedforwardSolution:
     f: np.ndarray
 
     def __post_init__(self):
-        for name in ("h", "f"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, "h", "f")
 
 
 @dataclass(frozen=True)
@@ -162,9 +158,8 @@ def solve_steady(gare, model, cost, d_limit, r=None):
     if d_limit.shape[0] != model.m:
         raise ValueError(f"d_limit must have length {model.m}")
 
-    pinv = np.linalg.pinv(gare.Upsilon, rcond=PINV_RCOND)
     Abar = A - B @ gare.K
-    F = (Abar.T @ gare.P - gare.M.T @ pinv @ B.T @ R) @ E
+    F = (Abar.T @ gare.P - gare.M.T @ gare.Upsilon_inv @ B.T @ R) @ E
     f = np.linalg.solve(np.eye(model.n) - Abar.T, F @ d_limit - Q @ r)
     h = B.T @ (R + gare.P) @ (E @ d_limit) + B.T @ f
     return h, f

@@ -38,6 +38,14 @@ def _freeze(arr):
     return arr
 
 
+def freeze_fields(obj, *names):
+    """Store the named fields of a frozen dataclass as read-only float arrays."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 def _as_matrix(value, name):
     arr = np.atleast_2d(np.asarray(value, dtype=float))
     if arr.ndim != 2:

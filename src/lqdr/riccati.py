@@ -10,15 +10,16 @@ and stores the feedback gains K_k = Upsilon_k^{-1} M_k.  In strict mode each
 Upsilon_k must be positive definite (the solvability condition for a unique
 optimal controller).  In non-strict mode a Moore-Penrose pseudo-inverse is
 used instead, which is legitimate exactly when the consistency condition
-Upsilon_k Upsilon_k^+ M_k = M_k holds at every step.
+Upsilon_k Upsilon_k^+ M_k = M_k holds at every step.  Each solution stores
+the inverse its recursion used as ``Upsilon_inv``.
 
 The stationary equation
 
     P = Q + A' P A - M' Upsilon^+ M
 
-is solved by running the same recursion from P = 0 until the iterates stop
-moving, which mirrors how the infinite-horizon solution arises as the limit
-of finite-horizon ones.
+is solved by running the same backward step, in pseudo-inverse mode, from
+P = 0 until the iterates stop moving, which mirrors how the infinite-horizon
+solution arises as the limit of finite-horizon ones.
 """
 
 import warnings
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, RegularityError, SolvabilityError, StabilizationError
-from .model import check_detectability
+from .model import check_detectability, freeze_fields
 
 #: Relative singular-value cutoff for all pseudo-inverses in this module.
 PINV_RCOND = 1e-10
@@ -46,15 +47,41 @@ def spectral_radius(mat):
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
+def _regularity_defect(Upsilon, Upsilon_inv, M, tol):
+    """(||Upsilon Upsilon^+ M - M||, whether it is <= tol * (1 + ||M||)), Frobenius."""
+    defect = float(np.linalg.norm(Upsilon @ Upsilon_inv @ M - M))
+    return defect, bool(defect <= tol * (1 + np.linalg.norm(M)))
+
+
 def check_regularity(Upsilon, M, tol):
     """True iff ||Upsilon Upsilon^+ M - M|| <= tol * (1 + ||M||) (Frobenius)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     Upsilon = np.atleast_2d(np.asarray(Upsilon, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    pinv = np.linalg.pinv(Upsilon, rcond=PINV_RCOND)
-    residual = np.linalg.norm(Upsilon @ pinv @ M - M)
-    return bool(residual <= tol * (1 + np.linalg.norm(M)))
+    return _regularity_defect(Upsilon, np.linalg.pinv(Upsilon, rcond=PINV_RCOND), M, tol)[1]
+
+
+def _backward_step(P_next, A, B, Q, R, strict, k=None):
+    """One step back from P_{k+1}: (Upsilon, M, Upsilon_inv, K, P).
+
+    Strict mode checks that Upsilon is positive definite, naming step ``k``
+    if not, and inverts it; otherwise Upsilon_inv is the pseudo-inverse.
+    """
+    Upsilon = _sym(B.T @ (R + P_next) @ B)
+    M = B.T @ P_next @ A
+    if strict:
+        min_eig = float(np.min(np.linalg.eigvalsh(Upsilon)))
+        if min_eig <= PD_MIN_EIG:
+            raise SolvabilityError(
+                f"Upsilon_{k} is not positive definite "
+                f"(min eigenvalue {min_eig:.3e}); no unique optimal input",
+                step=k, min_eigenvalue=min_eig)
+        Upsilon_inv = np.linalg.inv(Upsilon)
+    else:
+        Upsilon_inv = np.linalg.pinv(Upsilon, rcond=PINV_RCOND)
+    K = Upsilon_inv @ M
+    return Upsilon, M, Upsilon_inv, K, _sym(Q + A.T @ P_next @ A - M.T @ K)
 
 
 @dataclass(frozen=True)
@@ -66,8 +93,8 @@ class RiccatiSolution:
         P: (N+2, n, n) value matrices, P[N+1] is the terminal weight.
         Upsilon: (N+1, m, m) input-channel Gram matrices.
         M: (N+1, m, n) cross terms.
-        K: (N+1, m, n) feedback gains, Upsilon_k K_k = M_k.
-        regular: (N+1,) per-step consistency flags (all True in strict mode).
+        Upsilon_inv: (N+1, m, m) Upsilon_k^{-1} (Upsilon_k^+ in non-strict mode).
+        K: (N+1, m, n) feedback gains, K_k = Upsilon_inv_k M_k.
         strict: whether gains were computed with true inverses.
     """
 
@@ -75,27 +102,23 @@ class RiccatiSolution:
     P: np.ndarray
     Upsilon: np.ndarray
     M: np.ndarray
+    Upsilon_inv: np.ndarray
     K: np.ndarray
-    regular: np.ndarray
     strict: bool
 
     def __post_init__(self):
-        for name in ("P", "Upsilon", "M", "K", "regular"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, "P", "Upsilon", "M", "Upsilon_inv", "K")
 
     def upsilon_solve(self, k, rhs):
         """Apply Upsilon_k^{-1} (or its pseudo-inverse in non-strict mode)."""
-        if self.strict:
-            return np.linalg.solve(self.Upsilon[k], rhs)
-        return np.linalg.pinv(self.Upsilon[k], rcond=PINV_RCOND) @ rhs
+        return self.Upsilon_inv[k] @ rhs
 
 
 @dataclass(frozen=True)
 class GareSolution:
     """Stationary solution with its feedback gain and convergence evidence.
 
+    ``Upsilon_inv`` is the pseudo-inverse of ``Upsilon``, K = Upsilon_inv M;
     ``residual`` is the elementwise-max defect of P under one more iteration
     map application; ``closed_loop_radius`` is the spectral radius of A - B K.
     """
@@ -103,16 +126,14 @@ class GareSolution:
     P: np.ndarray
     Upsilon: np.ndarray
     M: np.ndarray
+    Upsilon_inv: np.ndarray
     K: np.ndarray
     closed_loop_radius: float
     iterations: int
     residual: float
 
     def __post_init__(self):
-        for name in ("P", "Upsilon", "M", "K"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, "P", "Upsilon", "M", "Upsilon_inv", "K")
 
 
 def solve_finite_horizon(model, cost, N, strict=True):
@@ -143,50 +164,30 @@ def solve_finite_horizon(model, cost, N, strict=True):
     P = np.zeros((N + 2, n, n))
     Upsilon = np.zeros((N + 1, m, m))
     M = np.zeros((N + 1, m, n))
+    Upsilon_inv = np.zeros((N + 1, m, m))
     K = np.zeros((N + 1, m, n))
-    regular = np.zeros(N + 1, dtype=bool)
     P[N + 1] = _sym(cost.P_terminal)
 
     for k in range(N, -1, -1):
-        RP = R + P[k + 1]
-        Upsilon[k] = _sym(B.T @ RP @ B)
-        M[k] = B.T @ P[k + 1] @ A
-        if strict:
-            min_eig = float(np.min(np.linalg.eigvalsh(Upsilon[k])))
-            if min_eig <= PD_MIN_EIG:
-                raise SolvabilityError(
-                    f"Upsilon_{k} is not positive definite "
-                    f"(min eigenvalue {min_eig:.3e}); no unique optimal input",
-                    step=k, min_eigenvalue=min_eig)
-            K[k] = np.linalg.solve(Upsilon[k], M[k])
-            regular[k] = True
-        else:
-            pinv = np.linalg.pinv(Upsilon[k], rcond=PINV_RCOND)
-            defect = np.linalg.norm(Upsilon[k] @ pinv @ M[k] - M[k])
-            if defect > REGULARITY_TOL * (1 + np.linalg.norm(M[k])):
+        Upsilon[k], M[k], Upsilon_inv[k], K[k], P[k] = _backward_step(
+            P[k + 1], A, B, Q, R, strict, k)
+        if not strict:
+            defect, ok = _regularity_defect(Upsilon[k], Upsilon_inv[k], M[k], REGULARITY_TOL)
+            if not ok:
                 raise RegularityError(
                     f"pseudo-inverse solve inconsistent at step {k} "
                     f"(defect {defect:.3e}); the problem is unsolvable",
-                    step=k, residual=float(defect))
-            K[k] = pinv @ M[k]
-            regular[k] = True
-        P[k] = _sym(Q + A.T @ P[k + 1] @ A - M[k].T @ K[k])
+                    step=k, residual=defect)
 
-    return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M, K=K,
-                           regular=regular, strict=strict)
-
-
-def _gare_step(P, A, B, Q, R):
-    Upsilon = _sym(B.T @ (R + P) @ B)
-    M = B.T @ P @ A
-    pinv = np.linalg.pinv(Upsilon, rcond=PINV_RCOND)
-    P_next = _sym(Q + A.T @ P @ A - M.T @ (pinv @ M))
-    return P_next, Upsilon, M, pinv
+    return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M,
+                           Upsilon_inv=Upsilon_inv, K=K, strict=strict)
 
 
 def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     """Iterate the stationary equation from P = 0 until the update stalls.
 
+    Each iterate is the finite-horizon step in pseudo-inverse mode, so the
+    j-th one is ``solve_finite_horizon``'s P_0 over j steps from P = 0.
     Warns when (A, Q^(1/2)) is not detectable, since convergence is then not
     guaranteed.  The returned solution is NOT checked for a contracting
     closed loop; use ``solve_gare`` for the certified variant.
@@ -209,7 +210,7 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     iterations = 0
     delta = np.inf
     while iterations < max_iters:
-        P_next, _, _, _ = _gare_step(P, A, B, Q, R)
+        P_next = _backward_step(P, A, B, Q, R, strict=False)[4]
         delta = float(np.max(np.abs(P_next - P)))
         P = P_next
         iterations += 1
@@ -225,16 +226,15 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
             f"{max_iters} iterations (tol {tol:g})",
             residual=delta, iterations=max_iters)
 
-    P_check, Upsilon, M, pinv = _gare_step(P, A, B, Q, R)
+    Upsilon, M, Upsilon_inv, K, P_check = _backward_step(P, A, B, Q, R, strict=False)
     residual = float(np.max(np.abs(P_check - P)))
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
     if min_eig < -1e-8:
         raise ConvergenceError(
             f"stationary iterate lost semidefiniteness (min eigenvalue {min_eig:.3e})",
             residual=residual, iterations=iterations)
-    K = pinv @ M
     radius = spectral_radius(A - B @ K)
-    return GareSolution(P=P, Upsilon=Upsilon, M=M, K=K,
+    return GareSolution(P=P, Upsilon=Upsilon, M=M, Upsilon_inv=Upsilon_inv, K=K,
                         closed_loop_radius=radius,
                         iterations=iterations, residual=residual)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import LqdrError, SolvabilityError
-from .model import CostSpec, SystemModel, disturbance_sequence
+from .model import CostSpec, SystemModel, disturbance_sequence, freeze_fields
 from .riccati import solve_finite_horizon
 
 #: Normal-equation condition number beyond which the oracle refuses to answer.
@@ -42,10 +42,7 @@ class Trajectory:
     cost_cum: np.ndarray
 
     def __post_init__(self):
-        for name in ("x", "u", "d", "z", "cost_cum"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_fields(self, "x", "u", "d", "z", "cost_cum")
 
     def dynamics_residual(self):
         """Max reconstruction defect of x[k+1] = A x[k] + B u[k] + E d[k]."""
@@ -63,9 +60,7 @@ class OracleResult:
     condition: float
 
     def __post_init__(self):
-        arr = np.asarray(self.u_opt)
-        arr.setflags(write=False)
-        object.__setattr__(self, "u_opt", arr)
+        freeze_fields(self, "u_opt")
 
 
 def simulate(model, cost, controller, x0, steps, d):

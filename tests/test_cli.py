@@ -227,7 +227,6 @@ def _unsolvable_lookaheads(doc):
     doc["cost"]["R"] = [[0.0, 0.0], [0.0, 0.0]]
     doc["controllers"] = [
         {"kind": "RecedingHorizon", "T": 10, "label": "strict_lookahead"},
-        {"kind": "RecedingHorizon", "T": 0, "label": "no_lookahead"},
         {"kind": "RecedingHorizon", "T": 10, "strict": False, "label": "pinv_lookahead"},
         {"kind": "StateFeedbackCompensation", "k_x": [[-20.0, -4.0]],
          "K_d": [[-5.0]], "label": "sfc"},
@@ -237,10 +236,9 @@ def _unsolvable_lookaheads(doc):
 def test_run_records_receding_build_failures_and_continues(tmp_path):
     path = write_mini(tmp_path, _unsolvable_lookaheads)
     _, failures = run_scenario(path, tmp_path)
-    assert set(failures) == {"strict_lookahead", "no_lookahead"}
+    assert set(failures) == {"strict_lookahead"}
     summary = json.loads((tmp_path / "mini.summary.json").read_text())["controllers"]
     assert "not positive definite" in summary["strict_lookahead"]["error"]
-    assert "lookahead T must be >= 1" in summary["no_lookahead"]["error"]
     for label in ("pinv_lookahead", "sfc"):
         assert summary[label]["error"] is None
         assert (tmp_path / f"mini.{label}.csv").exists()
@@ -328,6 +326,22 @@ def test_main_run_ok(tmp_path, capsys):
 def test_main_run_scenario_error(tmp_path, capsys):
     path = write_mini(tmp_path, lambda d: d.update(steps=0))
     assert main(["run", str(path)]) == 1
+    assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(controllers=[5]),
+    lambda d: d.update(steps="ten"),
+    lambda d: d.update(settle_band="x"),
+    lambda d: d.update(x0=["a", 0]),
+    lambda d: d.update(x0=[float("nan"), 0]),
+    lambda d: d.update(disturbance={"kind": "table", "values": [[1.0, 2.0], [3.0, 4.0]]}),
+    lambda d: d["controllers"][0].update(kind="RecedingHorizon", T=0),
+], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
+        "x0_nan", "table_width", "lookahead_zero"])
+def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
+    path = write_mini(tmp_path, mutate)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "scenario error" in capsys.readouterr().err
 
 

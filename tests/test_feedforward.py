@@ -180,8 +180,8 @@ def test_steady_rejects_expanding_loop():
     model = two_state_bench()
     cost = tracking_cost(model)
     g = solve_gare(model, cost)
-    broken = GareSolution(P=g.P, Upsilon=g.Upsilon, M=g.M, K=g.K,
-                          closed_loop_radius=1.2, iterations=g.iterations,
+    broken = GareSolution(P=g.P, Upsilon=g.Upsilon, M=g.M, Upsilon_inv=g.Upsilon_inv,
+                          K=g.K, closed_loop_radius=1.2, iterations=g.iterations,
                           residual=g.residual)
     with pytest.raises(StabilizationError):
         solve_steady(broken, model, cost, [1.0])

