@@ -40,6 +40,10 @@ _COST_KEYS = {"R", "Q", "P_terminal"}
 _DISTURBANCE_KEYS = {"kind", "amplitude", "rate", "limit", "start_step", "values"}
 _CONTROLLER_KEYS = {"kind", "label", "T", "P_terminal", "strict", "k_x", "K_d",
                     "kp", "ki", "kd", "Ts"}
+#: Fields a controller kind cannot be built without.
+_REQUIRED_CONTROLLER_KEYS = {"receding_horizon": ("T",),
+                             "state_feedback_compensation": ("k_x", "K_d"),
+                             "pid": ("Ts",)}
 _OUTPUT_KINDS = ("csv", "svg", "summary")
 #: What numpy and the model types raise on values that are not numbers.
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
@@ -173,8 +177,17 @@ def _parse_controllers(specs, model):
         _fields(spec, _CONTROLLER_KEYS, where)
         if "kind" not in spec:
             raise ScenarioError(f"{where} is missing 'kind'")
+        try:
+            kind = canonical_kind(spec["kind"])
+        except ValueError as exc:
+            raise ScenarioError(f"bad {where}: {exc}") from exc
+        missing = [key for key in _REQUIRED_CONTROLLER_KEYS.get(kind, ()) if key not in spec]
+        if missing:
+            raise ScenarioError(f"{where}: {kind} needs field(s) {missing}")
         fields = {key: _number(spec[key], f"{where}.{key}")
                   for key in ("kp", "ki", "kd", "Ts") if key in spec}
+        if "Ts" in fields and fields["Ts"] <= 0:
+            raise ScenarioError(f"{where}.Ts must be positive, got {fields['Ts']}")
         fields.update({key: _array(spec[key], f"{where}.{key}", shape)
                        for key, shape in (("P_terminal", (n, n)), ("k_x", (m, n)),
                                           ("K_d", (m, m))) if key in spec})
@@ -186,12 +199,8 @@ def _parse_controllers(specs, model):
             raise ScenarioError(f"{where}.strict must be true or false")
         if not isinstance(spec.get("label", ""), str):
             raise ScenarioError(f"{where}.label must be a string")
-        try:
-            config = ControllerConfig(kind=canonical_kind(spec["kind"]),
-                                      label=spec.get("label"),
-                                      strict=spec.get("strict", True), **fields)
-        except ValueError as exc:
-            raise ScenarioError(f"bad {where}: {exc}") from exc
+        config = ControllerConfig(kind=kind, label=spec.get("label"),
+                                  strict=spec.get("strict", True), **fields)
         if config.label in labels:
             raise ScenarioError(f"duplicate controller label {config.label!r}")
         labels.add(config.label)
@@ -202,8 +211,13 @@ def _parse_controllers(specs, model):
 def load_scenario(path):
     """Parse and resolve a scenario file; raises ScenarioError on any defect."""
     path = Path(path)
+
+    def reject_constant(token):
+        # NaN, Infinity and -Infinity are Python's extension, not JSON
+        raise ScenarioError(f"{path}: {token} is not a JSON number; values must be finite")
+
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_constant=reject_constant)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -527,6 +541,7 @@ def gare_report(scenario):
         gare = gare_fixed_point(scenario.model, scenario.cost)
     with np.printoptions(precision=8, suppress=False):
         lines.append(f"iterations: {gare.iterations}")
+        lines.append(f"horizon: {gare.horizon}")
         lines.append(f"residual: {gare.residual:.3e}")
         lines.append(f"closed-loop spectral radius: {gare.closed_loop_radius:.8f}")
         if gare.closed_loop_radius >= 1.0:

@@ -17,9 +17,21 @@ The stationary equation
 
     P = Q + A' P A - M' Upsilon^+ M
 
-is solved by running the same backward step, in pseudo-inverse mode, from
-P = 0 until the iterates stop moving, which mirrors how the infinite-horizon
-solution arises as the limit of finite-horizon ones.
+is solved as the limit of the finite-horizon P_0 from P = 0, which is how the
+infinite-horizon solution arises.  When Rbar = B' R B is positive definite
+the limit is reached by doubling (Anderson & Moore, *Optimal Filtering*;
+Chu, Fan, Lin & Wang 2004): from A_0 = A, G_0 = B Rbar^{-1} B', H_0 = Q,
+
+    W       = I + G_k H_k
+    A_{k+1} = A_k W^{-1} A_k
+    G_{k+1} = G_k + A_k W^{-1} G_k A_k'
+    H_{k+1} = H_k + A_k' H_k W^{-1} A_k
+
+and H_k is P_0 of a 2^k-step pass, so each iterate doubles the horizon.
+When Rbar is singular (free effort, or B = 0) the backward step itself is
+repeated in pseudo-inverse mode, one horizon step per iterate.  Either way
+the iteration stops on a change relative to the iterate's own size, so
+rescaling Q and R together changes neither the path nor the count.
 """
 
 import warnings
@@ -121,6 +133,10 @@ class GareSolution:
     ``Upsilon_inv`` is the pseudo-inverse of ``Upsilon``, K = Upsilon_inv M;
     ``residual`` is the elementwise-max defect of P under one more iteration
     map application; ``closed_loop_radius`` is the spectral radius of A - B K.
+    ``iterations`` counts doublings or backward steps, and ``horizon`` is
+    the finite horizon whose P_0 (from P = 0) was returned: 2^iterations
+    after doubling, ``iterations`` after value iteration (None when the
+    solution was not produced by ``gare_fixed_point``).
     """
 
     P: np.ndarray
@@ -131,6 +147,7 @@ class GareSolution:
     closed_loop_radius: float
     iterations: int
     residual: float
+    horizon: int = None
 
     def __post_init__(self):
         freeze_fields(self, "P", "Upsilon", "M", "Upsilon_inv", "K")
@@ -183,18 +200,29 @@ def solve_finite_horizon(model, cost, N, strict=True):
                            Upsilon_inv=Upsilon_inv, K=K, strict=strict)
 
 
-def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
-    """Iterate the stationary equation from P = 0 until the update stalls.
+def _doubling_step(A_k, G_k, H_k):
+    """(A_{k+1}, G_{k+1}, H_{k+1}): the horizon of H doubles."""
+    n = A_k.shape[0]
+    WinvA, WinvG = np.hsplit(np.linalg.solve(np.eye(n) + G_k @ H_k, np.hstack([A_k, G_k])), 2)
+    return A_k @ WinvA, _sym(G_k + A_k @ WinvG @ A_k.T), _sym(H_k + A_k.T @ H_k @ WinvA)
 
-    Each iterate is the finite-horizon step in pseudo-inverse mode, so the
-    j-th one is ``solve_finite_horizon``'s P_0 over j steps from P = 0.
-    Warns when (A, Q^(1/2)) is not detectable, since convergence is then not
-    guaranteed.  The returned solution is NOT checked for a contracting
-    closed loop; use ``solve_gare`` for the certified variant.
+
+def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
+    """Limit of the finite-horizon P_0 from P = 0, by doubling when it can.
+
+    With Rbar = B' R B positive definite (min eigenvalue above
+    ``PINV_RCOND`` times the largest) iterate k is the P_0 of a 2^k-step pass
+    from P = 0; otherwise iterate k is the backward step in pseudo-inverse
+    mode applied k times, the P_0 of a k-step pass.  Both stop once
+    max|P_next - P| <= tol * max|P_next|.  Warns when (A, Q^(1/2)) is not
+    detectable, since convergence is then not guaranteed.  The returned
+    solution is NOT checked for a contracting closed loop; use
+    ``solve_gare`` for the certified variant.
 
     Raises:
         ConvergenceError: the update never fell below ``tol`` (the last
-            increment is attached), or the limit lost semidefiniteness.
+            increment is attached), the iterates stopped being finite, or
+            the limit lost semidefiniteness.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -206,11 +234,20 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     A, B = model.A, model.B
     Q, R = cost.Q, cost.R
 
-    P = np.zeros((model.n, model.n))
+    Rbar = _sym(B.T @ R @ B)
+    eigs = np.linalg.eigvalsh(Rbar)
+    doubling = eigs[0] > PINV_RCOND * eigs[-1]
+    if doubling:
+        A_k, G_k, P = A, _sym(B @ np.linalg.solve(Rbar, B.T)), _sym(Q)
+    else:
+        P = np.zeros((model.n, model.n))
     iterations = 0
     delta = np.inf
     while iterations < max_iters:
-        P_next = _backward_step(P, A, B, Q, R, strict=False)[4]
+        if doubling:
+            A_k, G_k, P_next = _doubling_step(A_k, G_k, P)
+        else:
+            P_next = _backward_step(P, A, B, Q, R, strict=False)[4]
         delta = float(np.max(np.abs(P_next - P)))
         P = P_next
         iterations += 1
@@ -218,12 +255,12 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
             raise ConvergenceError(
                 f"stationary iteration diverged after {iterations} iterations",
                 residual=delta, iterations=iterations)
-        if delta <= tol:
+        if delta <= tol * float(np.max(np.abs(P))):
             break
     else:
         raise ConvergenceError(
             f"stationary iteration still moving by {delta:.3e} after "
-            f"{max_iters} iterations (tol {tol:g})",
+            f"{max_iters} iterations (tol {tol:g}, relative)",
             residual=delta, iterations=max_iters)
 
     Upsilon, M, Upsilon_inv, K, P_check = _backward_step(P, A, B, Q, R, strict=False)
@@ -235,8 +272,9 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
             residual=residual, iterations=iterations)
     radius = spectral_radius(A - B @ K)
     return GareSolution(P=P, Upsilon=Upsilon, M=M, Upsilon_inv=Upsilon_inv, K=K,
-                        closed_loop_radius=radius,
-                        iterations=iterations, residual=residual)
+                        closed_loop_radius=radius, iterations=iterations,
+                        residual=residual,
+                        horizon=2 ** iterations if doubling else iterations)
 
 
 def solve_gare(model, cost, tol=1e-12, max_iters=100000):

@@ -39,6 +39,16 @@ def aero_engine_discrete(Ts=0.02):
     return discretize_zoh(A_c, B_c, E_c, Ts, c_o=c_o)
 
 
+def sampled_stable_plant(n, m, Ts, seed=0):
+    """ZOH-sampled dense plant whose continuous A has symmetric part below -2 I."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n))
+    K = rng.standard_normal((n, n))
+    A_c = -(S @ S.T / n + 2.0 * np.eye(n)) + 0.5 * (K - K.T)
+    return discretize_zoh(A_c, rng.standard_normal((n, m)), rng.standard_normal((n, m)),
+                          Ts, c_o=np.eye(n)[:m])
+
+
 def tracking_cost(model, r=None):
     """Q = c_o' c_o, R = I, zero terminal weight."""
     return CostSpec.from_model(model, R=np.eye(model.n), r=r)

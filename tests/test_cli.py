@@ -337,12 +337,30 @@ def test_main_run_scenario_error(tmp_path, capsys):
     lambda d: d.update(x0=[float("nan"), 0]),
     lambda d: d.update(disturbance={"kind": "table", "values": [[1.0, 2.0], [3.0, 4.0]]}),
     lambda d: d["controllers"][0].update(kind="RecedingHorizon", T=0),
+    lambda d: d["controllers"][0].update(kind="RecedingHorizon"),
+    lambda d: d["controllers"][1].pop("k_x"),
+    lambda d: d["controllers"][1].pop("K_d"),
+    lambda d: d["controllers"][0].update(kind="PID", kp=1.0),
+    lambda d: d["controllers"][0].update(kind="PID", kp=1.0, Ts=0),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
-        "x0_nan", "table_width", "lookahead_zero"])
+        "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
+        "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token, value", [
+    ("NaN", float("nan")), ("Infinity", float("inf")), ("-Infinity", float("-inf")),
+], ids=["NaN", "Infinity", "-Infinity"])
+def test_main_run_rejects_non_json_number_tokens(tmp_path, capsys, token, value):
+    # json.dumps writes float("nan") and the infinities as these bare tokens
+    path = write_mini(tmp_path, lambda d: d.update(display={"x": value}))
+    assert f'"display": {{"x": {token}}}' in path.read_text()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert token in capsys.readouterr().err
+    assert not (tmp_path / "out" / "mini.summary.json").exists()
 
 
 def test_main_run_solver_failure_exit_code(tmp_path):

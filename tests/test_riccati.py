@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import lqr_textbook_gains, tracking_cost, two_state_bench, uncontrollable_3state
+import scipy.linalg
+
+from conftest import (aero_engine_discrete, lqr_textbook_gains, sampled_stable_plant,
+                      tracking_cost, two_state_bench, uncontrollable_3state)
 from lqdr import (ConvergenceError, CostSpec, RegularityError,
                   SolvabilityError, StabilizationError, SystemModel,
                   check_regularity, finite_horizon_control, gare_fixed_point,
@@ -169,17 +172,83 @@ def test_gare_is_fixed_point():
     assert np.max(np.abs(g.Upsilon @ g.K - g.M)) <= 1e-9
 
 
-@pytest.mark.parametrize("name", ["example_a", "example_b", "example_c", "example_d"])
-def test_gare_is_the_finite_horizon_step_from_zero(name):
-    # the stationary iterate is the finite-horizon step in pseudo-inverse
-    # mode, so after j iterations P equals P_0 of a j-step pass from P = 0
+BUNDLED = ["example_a", "example_b", "example_c", "example_d"]
+
+
+def bundled_model_and_cost(name):
     scenario = load_scenario(bundled_scenario_path(name))
-    model = scenario.model
-    cost = CostSpec(Q=scenario.cost.Q, R=scenario.cost.R,
-                    P_terminal=np.zeros((model.n, model.n)), r=scenario.cost.r)
+    return scenario.model, scenario.cost
+
+
+def zero_terminal_cost(model, Q, R):
+    n = model.n
+    return CostSpec(Q=Q, R=R, P_terminal=np.zeros((n, n)), r=np.zeros(n))
+
+
+def free_effort_plant():
+    """Sampled plant with R = 0, so B' R B is singular and doubling is not used."""
+    model = aero_engine_discrete()
+    return model, zero_terminal_cost(model, np.eye(model.n), np.zeros((model.n, model.n)))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_gare_is_the_finite_horizon_step_from_zero(name):
+    # doubling returns P_0 of a pass of g.horizon steps from P = 0, in a
+    # different order of operations than the backward recursion
+    model, cost = bundled_model_and_cost(name)
+    cost = zero_terminal_cost(model, cost.Q, cost.R)
     g = gare_fixed_point(model, cost)
-    sol = solve_finite_horizon(model, cost, N=g.iterations - 1, strict=False)
+    assert g.horizon == 2 ** g.iterations
+    sol = solve_finite_horizon(model, cost, N=g.horizon - 1, strict=False)
+    assert np.max(np.abs(sol.P[0] - g.P)) <= 1e-12 * np.max(np.abs(g.P))
+
+
+def test_gare_value_iteration_is_the_finite_horizon_step_from_zero():
+    # with B' R B singular each iterate is one backward step in
+    # pseudo-inverse mode, so P is bit-identical to P_0 of a j-step pass
+    model, cost = free_effort_plant()
+    g = gare_fixed_point(model, cost)
+    assert g.horizon == g.iterations > 1
+    sol = solve_finite_horizon(model, cost, N=g.horizon - 1, strict=False)
     assert np.array_equal(sol.P[0], g.P)
+
+
+def dare_cases():
+    cases = [pytest.param(*bundled_model_and_cost(name), id=name) for name in BUNDLED]
+    for n, m in ((2, 1), (8, 2), (32, 4)):
+        for Ts in (0.02, 0.001):
+            model = sampled_stable_plant(n, m, Ts, seed=n)
+            cases.append(pytest.param(model, zero_terminal_cost(model, np.eye(n), np.eye(n)),
+                                      id=f"n{n}_Ts{Ts:g}"))
+    return cases
+
+
+@pytest.mark.parametrize("model, cost", dare_cases())
+def test_gare_matches_scipy_dare(model, cost):
+    g = solve_gare(model, cost)
+    B = model.B
+    X = scipy.linalg.solve_discrete_are(model.A, B, cost.Q, B.T @ cost.R @ B)
+    assert np.max(np.abs(g.P - X)) <= 1e-10 * np.max(np.abs(X))
+
+
+def scale_cases():
+    sampled = sampled_stable_plant(8, 2, 0.001, seed=8)
+    return [
+        pytest.param(*bundled_model_and_cost("example_c"), id="example_c"),
+        pytest.param(sampled, zero_terminal_cost(sampled, np.eye(8), np.eye(8)), id="n8_Ts0.001"),
+        pytest.param(*free_effort_plant(), id="free_effort"),
+    ]
+
+
+@pytest.mark.parametrize("model, cost", scale_cases())
+def test_gare_stop_rule_ignores_weight_scale(model, cost):
+    base = gare_fixed_point(model, cost)
+    for c in (2.0 ** -20, 2.0 ** 20):
+        scaled = gare_fixed_point(model, CostSpec(Q=c * cost.Q, R=c * cost.R,
+                                                  P_terminal=c * cost.P_terminal, r=cost.r))
+        assert (scaled.iterations, scaled.horizon) == (base.iterations, base.horizon)
+        assert np.max(np.abs(scaled.P / c - base.P)) <= 1e-12 * np.max(np.abs(base.P))
+        assert np.max(np.abs(scaled.K - base.K)) <= 1e-12 * max(1.0, np.max(np.abs(base.K)))
 
 
 def test_stored_inverses_are_applied_without_pinv(monkeypatch):
