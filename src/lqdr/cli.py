@@ -230,6 +230,12 @@ def load_scenario(path):
     model = _parse_system(raw["system"])
     reference = _parse_reference(raw.get("reference"), model)
     cost = _parse_cost(raw["cost"], model, reference)
+    report = validate(model, cost)
+    bad = [name for name, ok in report.psd_flags.items() if not ok]
+    if bad:
+        raise ScenarioError("cost weights must be symmetric positive semidefinite: "
+                            + "; ".join(msg for msg in report.messages
+                                        if msg.split()[0] in bad))
     disturbance = _parse_disturbance(raw["disturbance"], model)
     controllers = _parse_controllers(raw["controllers"], model)
 
@@ -409,11 +415,19 @@ def _scenario_echo(scenario):
     return echo
 
 
+def _finite(traj, metrics):
+    """Whether every trajectory array and every float metric is finite."""
+    values = [metrics[key] for key in ("J", "steady_state_error", "peak_error")]
+    return all(np.isfinite(arr).all()
+                for arr in (traj.x, traj.u, traj.z, traj.cost_cum, values))
+
+
 def run_scenario(scenario, out_dir="."):
     """Simulate every configured controller and write the requested artifacts.
 
-    A controller whose solve fails is recorded in the summary and skipped;
-    the remaining controllers still run.  Returns (outputs, failures) where
+    A controller whose solve fails, or whose run leaves the finite floats,
+    is recorded in the summary and skipped; the remaining controllers still
+    run.  Returns (outputs, failures) where
     ``outputs`` maps artifact names to paths.
     """
     if isinstance(scenario, (str, Path)):
@@ -434,13 +448,17 @@ def run_scenario(scenario, out_dir="."):
                                           scenario.disturbance, scenario.steps)
             traj = simulate(scenario.model, scenario.cost, controller,
                             scenario.x0, scenario.steps, scenario.disturbance)
+            metrics = trajectory_metrics(traj, scenario.cost, scenario.model,
+                                         onset, scenario.settle_band)
+            if not _finite(traj, metrics):
+                raise LqdrError("closed loop diverged: the trajectory or its "
+                                "metrics are not finite")
         except (LqdrError, ValueError) as exc:
             entry["error"] = str(exc)
             failures[config.label] = exc
             summary["controllers"][config.label] = entry
             continue
-        entry.update(trajectory_metrics(traj, scenario.cost, scenario.model,
-                                        onset, scenario.settle_band))
+        entry.update(metrics)
         entry["closed_loop_radius"] = controller.closed_loop_radius
         if "csv" in scenario.outputs:
             csv_path = out_dir / f"{scenario.name}.{config.label}.csv"
@@ -458,7 +476,7 @@ def run_scenario(scenario, out_dir="."):
         outputs["svg"] = svg_path
     if "summary" in scenario.outputs:
         summary_path = out_dir / f"{scenario.name}.summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+        summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
         outputs["summary"] = summary_path
     return outputs, failures
 

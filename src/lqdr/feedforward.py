@@ -7,6 +7,11 @@ f_{N+1} = -P_{N+1} r by
     h_k = B' (R + P_{k+1}) E d_k + B' f_{k+1}
     f_k = A' P_{k+1} E d_k + A' f_{k+1} - M_k' Upsilon_k^{-1} h_k - Q r.
 
+``solve_recursive`` forms the products that do not involve f for all steps
+at once, a_k = B' (R + P_{k+1}) E d_k, b_k = A' P_{k+1} E d_k - Q r and
+C_k = M_k' Upsilon_k^{-1}, and its loop runs the two equations as
+h_k = a_k + B' f_{k+1} and f_k = b_k + A' f_{k+1} - C_k h_k.
+
 Eliminating h from the f-equation turns it into the compact recursion
 
     f_k = Abar_k' f_{k+1} + F_k d_k - Q r,       Abar_k = A - B K_k,
@@ -81,6 +86,9 @@ def solve_recursive(riccati, model, cost, d):
     """Backward pass for (h, f) over the horizon of ``riccati``.
 
     ``d`` may be a DisturbanceProfile or an array of at least N + 1 samples.
+    Only the terms in f_{k+1} are formed inside the loop; the others are
+    stacked arrays computed before it, so the rounding differs from a
+    per-step evaluation by about 1e-13 relative.
     """
     A, B, E = model.A, model.B, model.E
     Q, R = cost.Q, cost.R
@@ -88,13 +96,20 @@ def solve_recursive(riccati, model, cost, d):
     N = riccati.horizon
     d_seq = disturbance_sequence(d, N + 1, dim=model.m)
 
+    # row k is step k; R + P_{k+1} is split so that no (N+1) x n x n array
+    # is allocated
+    Ed = d_seq @ E.T
+    PEd = (riccati.P[1:] @ Ed[:, :, None])[:, :, 0]
+    a = Ed @ (B.T @ R).T + PEd @ B
+    b = PEd @ A - Q @ r
+    C = np.swapaxes(riccati.M, 1, 2) @ riccati.Upsilon_inv
+
     h = np.zeros((N + 1, model.m))
     f = np.zeros((N + 2, model.n))
     f[N + 1] = -riccati.P[N + 1] @ r
     for k in range(N, -1, -1):
-        h[k] = B.T @ (R + riccati.P[k + 1]) @ (E @ d_seq[k]) + B.T @ f[k + 1]
-        f[k] = (A.T @ (riccati.P[k + 1] @ (E @ d_seq[k])) + A.T @ f[k + 1]
-                - riccati.M[k].T @ riccati.upsilon_solve(k, h[k]) - Q @ r)
+        h[k] = a[k] + B.T @ f[k + 1]
+        f[k] = b[k] + A.T @ f[k + 1] - C[k] @ h[k]
     return FeedforwardSolution(h=h, f=f)
 
 

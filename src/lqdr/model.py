@@ -268,15 +268,38 @@ def sample_disturbance(profile, k):
     return profile.values[min(t, profile.values.shape[0] - 1)].copy()
 
 
+def _profile_samples(profile, steps):
+    """Steps 0..steps-1 of a profile, equal bit for bit to ``sample_disturbance``."""
+    seq = np.zeros((steps, profile.dim))
+    start = min(profile.start_step, steps)
+    t = np.arange(steps - start)
+    if profile.kind == "table":
+        seq[start:] = profile.values[np.minimum(t, profile.values.shape[0] - 1)]
+        return seq
+    if profile.kind == "constant":
+        value = profile.amplitude
+    elif profile.kind == "sinusoid":
+        # math.sin per sample: np.sin need not round the same on every host
+        value = np.array([profile.amplitude * math.sin(profile.rate * j) for j in t.tolist()])
+    else:
+        value = profile.rate * t
+        # min(value, limit) or max(value, limit), ties resolved as Python does
+        beyond = profile.limit < value if profile.rate >= 0 else profile.limit > value
+        value = np.where(beyond, profile.limit, value)
+    seq[start:] = np.reshape(value, (-1, 1))
+    return seq
+
+
 def disturbance_sequence(d, steps, dim=None):
     """Materialize ``steps`` samples of a profile (or validate a raw array).
 
     Accepts either a DisturbanceProfile or an array-like of shape (steps, m)
     or (steps,), so solvers and the brute-force oracle can share a
-    bit-identical disturbance sequence.
+    bit-identical disturbance sequence.  A profile's samples are computed
+    as arrays, bit-identical to ``sample_disturbance`` step by step.
     """
     if isinstance(d, DisturbanceProfile):
-        seq = np.stack([sample_disturbance(d, k) for k in range(steps)])
+        seq = _profile_samples(d, steps)
     else:
         seq = np.asarray(d, dtype=float)
         if seq.ndim == 1:

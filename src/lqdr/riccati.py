@@ -11,7 +11,10 @@ Upsilon_k must be positive definite (the solvability condition for a unique
 optimal controller).  In non-strict mode a Moore-Penrose pseudo-inverse is
 used instead, which is legitimate exactly when the consistency condition
 Upsilon_k Upsilon_k^+ M_k = M_k holds at every step.  Each solution stores
-the inverse its recursion used as ``Upsilon_inv``.
+the inverse its recursion used as ``Upsilon_inv``.  Once P_k equals P_{k+1}
+bit for bit, every earlier step would repeat the same operations on the same
+input, so the pass stops there and copies step k into steps 0..k-1: the
+infinite-horizon limit, reached exactly inside the finite pass.
 
 The stationary equation
 
@@ -164,6 +167,10 @@ def solve_finite_horizon(model, cost, N, strict=True):
             pseudo-inverse is used and the per-step consistency condition is
             verified instead.
 
+    The pass stops at the first k with P_k == P_{k+1} (bit for bit) and
+    fills steps 0..k-1 with copies of step k, which is exactly what the
+    remaining steps would compute; their checks would pass as step k's did.
+
     Raises:
         SolvabilityError: strict mode and some Upsilon_k is not positive
             definite (the failing step is reported).
@@ -195,6 +202,12 @@ def solve_finite_horizon(model, cost, N, strict=True):
                     f"pseudo-inverse solve inconsistent at step {k} "
                     f"(defect {defect:.3e}); the problem is unsolvable",
                     step=k, residual=defect)
+        if np.array_equal(P[k], P[k + 1]):
+            # exact fixed point: every earlier step repeats this one on the
+            # same input, so it would return the same arrays and verdict
+            for arr in (P, Upsilon, M, Upsilon_inv, K):
+                arr[:k] = arr[k]
+            break
 
     return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M,
                            Upsilon_inv=Upsilon_inv, K=K, strict=strict)

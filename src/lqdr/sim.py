@@ -75,6 +75,9 @@ def simulate(model, cost, controller, x0, steps, d):
         steps: number of inputs to apply (>= 1).
         d: DisturbanceProfile or array of at least ``steps`` samples.
 
+    The loop applies the controller and the state update
+    x_{k+1} = A x_k + (B u_k + E d_k); the stage costs are evaluated for all
+    steps after it, so ``cost_cum`` is a cumulative sum of that array.
     Solver errors raised by the controller are re-raised with the failing
     step index prepended.
     """
@@ -86,11 +89,10 @@ def simulate(model, cost, controller, x0, steps, d):
     d_seq = disturbance_sequence(d, steps, dim=model.m)
 
     n, m = model.n, model.m
+    A, B, E = model.A, model.B, model.E
     x = np.zeros((steps + 1, n))
     u = np.zeros((steps, m))
-    cost_cum = np.zeros(steps)
     x[0] = x0
-    running = 0.0
     for k in range(steps):
         try:
             u_k = np.asarray(controller(k, x[k], d_seq[k]), dtype=float).reshape(-1)
@@ -100,15 +102,15 @@ def simulate(model, cost, controller, x0, steps, d):
             raise ValueError(f"controller returned an input of length {u_k.shape[0]}, "
                              f"expected {m} (step {k})")
         u[k] = u_k
-        w = model.B @ u_k + model.E @ d_seq[k]
-        err = x[k] - cost.r
-        running += float(err @ cost.Q @ err + w @ cost.R @ w)
-        cost_cum[k] = running
-        x[k + 1] = model.A @ x[k] + w
+        x[k + 1] = A @ x[k] + (B @ u_k + E @ d_seq[k])
 
+    err = x[:-1] - cost.r
+    w = u @ B.T + d_seq @ E.T
+    stage = np.einsum("ki,ij,kj->k", err, cost.Q, err) \
+        + np.einsum("ki,ij,kj->k", w, cost.R, w)
     z = x @ model.c_o.T
     return Trajectory(model=model, steps=steps, x=x, u=u, d=d_seq, z=z,
-                      cost_cum=cost_cum)
+                      cost_cum=np.cumsum(stage))
 
 
 def evaluate_cost(traj, cost):

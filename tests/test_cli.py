@@ -342,9 +342,11 @@ def test_main_run_scenario_error(tmp_path, capsys):
     lambda d: d["controllers"][1].pop("K_d"),
     lambda d: d["controllers"][0].update(kind="PID", kp=1.0),
     lambda d: d["controllers"][0].update(kind="PID", kp=1.0, Ts=0),
+    lambda d: d["cost"].update(R=[[-1.0, 0.0], [0.0, -1.0]]),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
         "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
-        "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero"])
+        "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero",
+        "R_negative_definite"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -361,6 +363,27 @@ def test_main_run_rejects_non_json_number_tokens(tmp_path, capsys, token, value)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert token in capsys.readouterr().err
     assert not (tmp_path / "out" / "mini.summary.json").exists()
+
+
+def test_main_run_reports_diverging_controller_in_strict_json(tmp_path, capsys):
+    def mutate(doc):
+        # rho(A + B k_x) = 1.44: the baseline's state overflows to inf, then nan
+        doc["steps"] = 3000
+        doc["controllers"][1]["k_x"] = [[200.0, 40.0]]
+    path = write_mini(tmp_path, mutate)
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "'sfc' failed: closed loop diverged" in capsys.readouterr().err
+
+    def reject(token):
+        raise AssertionError(f"summary holds the non-JSON token {token}")
+
+    text = (tmp_path / "out" / "mini.summary.json").read_text()
+    controllers = json.loads(text, parse_constant=reject)["controllers"]
+    assert "diverged" in controllers["sfc"]["error"]
+    assert "J" not in controllers["sfc"]
+    assert controllers["stationary"]["error"] is None
+    assert not (tmp_path / "out" / "mini.sfc.csv").exists()
 
 
 def test_main_run_solver_failure_exit_code(tmp_path):

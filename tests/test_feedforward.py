@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import tracking_cost, two_state_bench, uncontrollable_3state
+from conftest import (long_horizon_cases, reference_feedforward, tracking_cost,
+                      two_state_bench, uncontrollable_3state)
 from lqdr import (CostSpec, DisturbanceProfile, GareSolution, StabilizationError,
-                  SystemModel, closed_form_terms, draw_instance,
+                  SystemModel, closed_form_terms, disturbance_sequence, draw_instance,
                   solve_closed_form, solve_finite_horizon, solve_gare,
                   solve_recursive, solve_steady)
 
@@ -45,6 +46,36 @@ def test_recursive_satisfies_defining_identity():
         lhs = ff.h[k]
         rhs = B.T @ (R + sol.P[k + 1]) @ (E @ inst.d[k]) + B.T @ ff.f[k + 1]
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_batched_recursion_matches_step_by_step_loop_on_selftest_instances():
+    # the step-independent products are formed for all steps at once, so
+    # the rounding differs from the loop's; 1e-12 relative is the bound
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        inst = draw_instance(rng)
+        sol = solve_finite_horizon(inst.model, inst.cost, inst.N)
+        ff = solve_recursive(sol, inst.model, inst.cost, inst.d)
+        h, f = reference_feedforward(sol, inst.model, inst.cost, inst.d)
+        assert rel_err(ff.h, h) <= 1e-12
+        assert rel_err(ff.f, f) <= 1e-12
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+@pytest.mark.parametrize("model, cost, steps, ramp",
+                         [pytest.param(*case[1:], id=case[0]) for case in long_horizon_cases()])
+def test_batched_recursion_matches_step_by_step_loop_on_long_horizons(model, cost, steps,
+                                                                      ramp, strict):
+    sol = solve_finite_horizon(model, cost, steps - 1, strict=strict)
+    ff = solve_recursive(sol, model, cost, ramp)
+    h, f = reference_feedforward(sol, model, cost,
+                                 disturbance_sequence(ramp, steps, dim=model.m))
+    assert rel_err(ff.h, h) <= 1e-12
+    assert rel_err(ff.f, f) <= 1e-12
 
 
 def test_closed_form_matches_recursion_on_bench():

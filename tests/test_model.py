@@ -253,3 +253,27 @@ def test_disturbance_sequence_matches_samples():
         disturbance_sequence(np.zeros((3, 1)), 5)
     with pytest.raises(ValueError):
         disturbance_sequence(profile, 4, dim=3)
+
+
+@pytest.mark.parametrize("profile", [
+    DisturbanceProfile.constant(3.0, start_step=5),
+    DisturbanceProfile.constant(-1.5, start_step=0, dim=3),
+    DisturbanceProfile.sinusoid(2.0, rate=0.3, start_step=4, dim=2),
+    DisturbanceProfile.ramp(0.1, 2.5, start_step=3),
+    DisturbanceProfile.ramp(0.1, 100.0, start_step=3, dim=2),
+    DisturbanceProfile.ramp(-0.07, -0.5, start_step=2, dim=2),
+    DisturbanceProfile.ramp(-0.1, 0.0),
+    DisturbanceProfile.table([[1.0, -2.0], [3.0, 0.5], [-4.0, 6.0]], start_step=2),
+    DisturbanceProfile.table(np.linspace(0.0, 1.0, 60), start_step=1),
+    DisturbanceProfile.constant(1.0, start_step=40, dim=2),
+], ids=["constant", "constant_dim3", "sinusoid_dim2", "ramp_saturating",
+        "ramp_unsaturated_dim2", "ramp_negative_dim2", "ramp_negative_to_zero",
+        "table_shorter_than_horizon", "table_longer_than_horizon", "onset_after_horizon"])
+def test_disturbance_sequence_is_bit_identical_to_samples(profile):
+    # the array computation must round exactly as the per-sample definition,
+    # signed zeros included, so compare the bytes
+    for steps in (1, 7, 40):
+        seq = disturbance_sequence(profile, steps)
+        expected = np.stack([sample_disturbance(profile, k) for k in range(steps)])
+        assert seq.shape == expected.shape
+        assert seq.tobytes() == expected.tobytes()

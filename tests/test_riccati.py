@@ -3,8 +3,10 @@ import pytest
 
 import scipy.linalg
 
-from conftest import (aero_engine_discrete, lqr_textbook_gains, sampled_stable_plant,
-                      tracking_cost, two_state_bench, uncontrollable_3state)
+import lqdr.riccati
+from conftest import (aero_engine_discrete, long_horizon_cases, lqr_textbook_gains,
+                      reference_finite_horizon, sampled_stable_plant, tracking_cost,
+                      two_state_bench, uncontrollable_3state)
 from lqdr import (ConvergenceError, CostSpec, RegularityError,
                   SolvabilityError, StabilizationError, SystemModel,
                   check_regularity, finite_horizon_control, gare_fixed_point,
@@ -86,6 +88,44 @@ def test_non_strict_rejects_inconsistent_problem():
     with pytest.raises(RegularityError) as info:
         solve_finite_horizon(model, cost, N=0, strict=False)
     assert info.value.step == 0
+
+
+def full_pass_cases():
+    cases = []
+    for name in ("example_a", "example_b", "example_c", "example_d"):
+        scenario = load_scenario(bundled_scenario_path(name))
+        cases.append(pytest.param(scenario.model, scenario.cost, scenario.steps - 1, id=name))
+    for case_id, model, cost, steps, _ in long_horizon_cases():
+        cases.append(pytest.param(model, cost, steps - 1, id=case_id))
+    return cases
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+@pytest.mark.parametrize("model, cost, N", full_pass_cases())
+def test_fixed_point_stop_equals_the_full_pass(model, cost, N, strict):
+    # once P_k == P_{k+1} bit for bit the earlier steps are copies, so every
+    # array must equal the pass that computes each step
+    sol = solve_finite_horizon(model, cost, N, strict=strict)
+    expected = reference_finite_horizon(model, cost, N, strict=strict)
+    for got, want in zip((sol.P, sol.Upsilon, sol.M, sol.Upsilon_inv, sol.K), expected):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+def test_backward_pass_stops_at_its_exact_fixed_point(monkeypatch, strict):
+    scenario = load_scenario(bundled_scenario_path("example_b"))
+    calls = []
+    step = lqdr.riccati._backward_step
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(lqdr.riccati, "_backward_step", counted)
+    sol = solve_finite_horizon(scenario.model, scenario.cost, 999, strict=strict)
+    # steps 999 down to 747 are computed; P_747 == P_748 bit for bit
+    assert calls == list(range(999, 746, -1))
+    assert np.array_equal(sol.P[0], sol.P[747]) and np.array_equal(sol.K[0], sol.K[747])
 
 
 def test_negative_horizon_rejected():

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import rel_gap, tracking_cost, two_state_bench, uncontrollable_3state
+from conftest import (long_horizon_cases, reference_simulate, rel_gap, tracking_cost,
+                      two_state_bench, uncontrollable_3state)
 from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile,
                   SolvabilityError, SystemModel, build_controller,
-                  brute_force_optimal, costate_residuals, draw_instance,
-                  evaluate_cost, finite_horizon_control,
+                  brute_force_optimal, costate_residuals, disturbance_sequence,
+                  draw_instance, evaluate_cost, finite_horizon_control,
                   predicted_optimal_cost, simulate, solve_finite_horizon,
                   solve_gare, solve_recursive, solve_steady,
                   stationary_control)
+from lqdr.cli import bundled_scenario_path, load_scenario
 
 
 def scalar_worked_instance():
@@ -57,6 +59,35 @@ def test_hand_summed_cost():
     # stage: x0^2 = 1; channel zero; terminal: x1^2 = 1
     assert evaluate_cost(traj, cost) == pytest.approx(2.0)
     assert traj.cost_cum[0] == pytest.approx(1.0)
+
+
+def simulate_cases():
+    cases = []
+    for name in ("example_a", "example_b", "example_c", "example_d"):
+        scenario = load_scenario(bundled_scenario_path(name))
+        cases.append(pytest.param(scenario.model, scenario.cost, scenario.controllers,
+                                  scenario.x0, scenario.steps, scenario.disturbance, id=name))
+    _, model, cost, steps, ramp = long_horizon_cases()[2]
+    configs = [ControllerConfig(kind="FiniteHorizon"), ControllerConfig(kind="Stationary")]
+    cases.append(pytest.param(model, cost, configs, np.ones(model.n), steps, ramp, id="n8_Ts0.02"))
+    return cases
+
+
+@pytest.mark.parametrize("model, cost, configs, x0, steps, d", simulate_cases())
+def test_simulate_matches_step_by_step_loop(model, cost, configs, x0, steps, d):
+    # the state update keeps the loop's rounding; only the stage costs are
+    # summed after it, in another order
+    d_seq = disturbance_sequence(d, steps, dim=model.m)
+    for config in configs:
+        # a PID controller carries state, so each rollout gets its own
+        traj = simulate(model, cost, build_controller(config, model, cost, d, steps),
+                        x0, steps, d)
+        x, u, z, cost_cum = reference_simulate(
+            model, cost, build_controller(config, model, cost, d, steps), x0, d_seq)
+        assert np.array_equal(traj.x, x)
+        assert np.array_equal(traj.u, u)
+        assert np.array_equal(traj.z, z)
+        assert np.max(np.abs(traj.cost_cum - cost_cum)) <= 1e-12 * np.max(np.abs(cost_cum))
 
 
 def test_simulate_validates_inputs():
