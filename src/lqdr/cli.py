@@ -28,7 +28,7 @@ from .control import (ControllerConfig, build_controller, canonical_kind,
 from .exceptions import LqdrError, ScenarioError, SolvabilityError
 from .feedforward import solve_closed_form, solve_recursive
 from .model import (CostSpec, DisturbanceProfile, SystemModel,
-                    classify_disturbance, discretize_zoh, validate)
+                    check_weights, classify_disturbance, discretize_zoh, validate)
 from .riccati import gare_fixed_point, solve_finite_horizon
 from .sim import (brute_force_optimal, costate_residuals, draw_instance,
                   evaluate_cost, predicted_optimal_cost, simulate)
@@ -230,12 +230,10 @@ def load_scenario(path):
     model = _parse_system(raw["system"])
     reference = _parse_reference(raw.get("reference"), model)
     cost = _parse_cost(raw["cost"], model, reference)
-    report = validate(model, cost)
-    bad = [name for name, ok in report.psd_flags.items() if not ok]
-    if bad:
+    messages = []
+    if not all(check_weights(cost, messages).values()):
         raise ScenarioError("cost weights must be symmetric positive semidefinite: "
-                            + "; ".join(msg for msg in report.messages
-                                        if msg.split()[0] in bad))
+                            + "; ".join(messages))
     disturbance = _parse_disturbance(raw["disturbance"], model)
     controllers = _parse_controllers(raw["controllers"], model)
 
@@ -410,6 +408,8 @@ def _scenario_echo(scenario):
         },
         "disturbance_class": classify_disturbance(model.B, model.E),
     }
+    if dist.kind == "table":
+        echo["disturbance"]["values"] = dist.values.tolist()
     if scenario.display:
         echo["display"] = scenario.display
     return echo
@@ -586,8 +586,6 @@ def selftest(instances=40, seed=2024, verbose=True):
     used = 0
     while used < instances:
         inst = draw_instance(rng)
-        riccati = solve_finite_horizon(inst.model, inst.cost, inst.N)
-        ff = solve_recursive(riccati, inst.model, inst.cost, inst.d)
         try:
             oracle = brute_force_optimal(inst.model, inst.cost, inst.x0, inst.d, inst.N)
         except SolvabilityError:
@@ -595,6 +593,8 @@ def selftest(instances=40, seed=2024, verbose=True):
         if oracle.condition > 1e6:
             continue
         used += 1
+        riccati = solve_finite_horizon(inst.model, inst.cost, inst.N)
+        ff = solve_recursive(riccati, inst.model, inst.cost, inst.d)
 
         def step(k, x, d_now, riccati=riccati, ff=ff):
             return finite_horizon_control(k, x, riccati, ff)

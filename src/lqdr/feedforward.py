@@ -63,22 +63,21 @@ class ClosedFormTerms:
 
 
 def closed_form_terms(riccati, model, cost):
-    """Assemble the per-step matrices used by the explicit-sum evaluation."""
+    """Assemble the per-step matrices used by the explicit-sum evaluation.
+
+    H, Abar and F are stacked products over all steps; only Rscript, a
+    recursion, is built by a backward loop.
+    """
     A, B, E = model.A, model.B, model.E
-    Q, R = cost.Q, cost.R
     N = riccati.horizon
-    n, m = model.n, model.m
-    H = np.zeros((N + 1, m, m))
-    Abar = np.zeros((N + 1, n, n))
-    F = np.zeros((N + 1, n, m))
-    Rscript = np.zeros((N + 2, n, n))
+    H = B.T @ (cost.R + riccati.P[1:]) @ E
+    Abar = A - B @ riccati.K
+    F = (np.swapaxes(Abar, 1, 2) @ riccati.P[1:] @ E
+         - np.swapaxes(riccati.M, 1, 2) @ (riccati.Upsilon_inv @ (B.T @ cost.R @ E)))
+    Rscript = np.zeros((N + 2, model.n, model.n))
     Rscript[N + 1] = riccati.P[N + 1]
-    BtRE = B.T @ R @ E
     for k in range(N, -1, -1):
-        H[k] = B.T @ (R + riccati.P[k + 1]) @ E
-        Abar[k] = A - B @ riccati.K[k]
-        F[k] = Abar[k].T @ riccati.P[k + 1] @ E - riccati.M[k].T @ riccati.upsilon_solve(k, BtRE)
-        Rscript[k] = Abar[k].T @ Rscript[k + 1] + Q
+        Rscript[k] = Abar[k].T @ Rscript[k + 1] + cost.Q
     return ClosedFormTerms(H=H, Abar=Abar, F=F, Rscript=Rscript)
 
 
@@ -121,29 +120,31 @@ def solve_closed_form(riccati, model, cost, d):
         f_k = sum_{s=k}^{N} (Abar_k' ... Abar_{s-1}') F_s d_s - Rscript_k r
 
     with the empty matrix product read as the identity, and
-    h_k = H_k d_k + B' f_{k+1}.  Agrees with ``solve_recursive`` up to
-    roundoff; the recursion is the arbiter wherever they could differ.
+    h_k = H_k d_k + B' f_{k+1}.  The sum is taken one offset j = s - k at a
+    time for all k at once: the products Abar_k' ... Abar_{k+j-1}' of every
+    k are extended by one factor per offset, so no term depends on f.
+    Agrees with ``solve_recursive`` up to roundoff; the recursion is the
+    arbiter wherever they could differ.
     """
     N = riccati.horizon
     d_seq = disturbance_sequence(d, N + 1, dim=model.m)
     terms = closed_form_terms(riccati, model, cost)
     r = cost.r
-    n = model.n
 
-    f = np.zeros((N + 2, n))
-    f[N + 1] = -riccati.P[N + 1] @ r
     Fd = np.einsum("knm,km->kn", terms.F, d_seq)
-    for k in range(N + 1):
-        acc = -terms.Rscript[k] @ r
-        prod = np.eye(n)
-        for s in range(k, N + 1):
-            acc = acc + prod @ Fd[s]
-            prod = prod @ terms.Abar[s].T
-        f[k] = acc
+    AbarT = np.swapaxes(terms.Abar, 1, 2)
+    # offset 0: the identity product
+    acc = Fd - terms.Rscript[:N + 1] @ r
+    # prod[k] = Abar_k' ... Abar_{k+j-1}' for k = 0..N-j
+    prod = AbarT[:N]
+    for j in range(1, N + 1):
+        acc[:N + 1 - j] += (prod @ Fd[j:, :, None])[:, :, 0]
+        prod = prod[:-1] @ AbarT[j:N]
 
-    h = np.zeros((N + 1, model.m))
-    for k in range(N + 1):
-        h[k] = terms.H[k] @ d_seq[k] + model.B.T @ f[k + 1]
+    f = np.empty((N + 2, model.n))
+    f[:N + 1] = acc
+    f[N + 1] = -riccati.P[N + 1] @ r
+    h = np.einsum("kmn,kn->km", terms.H, d_seq) + f[1:] @ model.B
     return FeedforwardSolution(h=h, f=f)
 
 

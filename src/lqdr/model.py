@@ -355,6 +355,14 @@ def _psd_check(name, mat, messages):
     return True
 
 
+_WEIGHTS = ("Q", "R", "P_terminal")
+
+
+def check_weights(cost, messages):
+    """Symmetric-PSD flag of each cost weight; each failure appends a message."""
+    return {name: _psd_check(name, getattr(cost, name), messages) for name in _WEIGHTS}
+
+
 def sqrtm_psd(mat):
     """Symmetric square root of a (nearly) PSD matrix, negative modes clipped."""
     sym = (mat + mat.T) / 2
@@ -403,11 +411,8 @@ def validate(model, cost):
         dimension_ok = False
         messages.append("disturbance map E must have the input map's shape")
 
-    psd_flags = {
-        "Q": _psd_check("Q", cost.Q, messages) if dimension_ok else False,
-        "R": _psd_check("R", cost.R, messages) if dimension_ok else False,
-        "P_terminal": _psd_check("P_terminal", cost.P_terminal, messages) if dimension_ok else False,
-    }
+    psd_flags = check_weights(cost, messages) if dimension_ok \
+        else dict.fromkeys(_WEIGHTS, False)
 
     detectable = False
     if dimension_ok and psd_flags["Q"]:

@@ -129,22 +129,24 @@ def predicted_optimal_cost(riccati, ff, x0, model, cost, d):
     J* = x0' P_0 x0 + 2 x0' f_0 + r' P_{N+1} r
          + sum_k [ r' Q r + d_k' E'(R + P_{k+1}) E d_k
                    + 2 d_k' E' f_{k+1} - h_k' Upsilon_k^{-1} h_k ].
+
+    The sum is a handful of ``einsum`` contractions over all k; the R and
+    P_{k+1} parts are contracted separately, so no (N+1) x n x n array is
+    allocated.
     """
     N = riccati.horizon
     d_seq = disturbance_sequence(d, N + 1, dim=model.m)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     r = cost.r
-    E, R = model.E, cost.R
+    Ed = d_seq @ model.E.T
 
     total = float(x0 @ riccati.P[0] @ x0 + 2 * x0 @ ff.f[0]
                   + r @ riccati.P[N + 1] @ r)
-    rQr = float(r @ cost.Q @ r)
-    for k in range(N + 1):
-        Ed = E @ d_seq[k]
-        total += rQr
-        total += float(Ed @ (R + riccati.P[k + 1]) @ Ed)
-        total += 2 * float(Ed @ ff.f[k + 1])
-        total -= float(ff.h[k] @ riccati.upsilon_solve(k, ff.h[k]))
+    total += (N + 1) * float(r @ cost.Q @ r)
+    total += float(np.einsum("ki,ij,kj->", Ed, cost.R, Ed)
+                   + np.einsum("ki,kij,kj->", Ed, riccati.P[1:], Ed)
+                   + 2 * np.einsum("ki,ki->", Ed, ff.f[1:])
+                   - np.einsum("ki,kij,kj->", ff.h, riccati.Upsilon_inv, ff.h))
     return total
 
 
@@ -154,6 +156,14 @@ def brute_force_optimal(model, cost, x0, d, N):
     Builds x_k as an affine function of the full input vector
     (u_0, ..., u_N), forms the cost exactly, and solves the normal
     equations.  Completely independent of the Riccati machinery.
+
+    The lifted matrix X, x_k = X[k] u + x_off[k], holds A^(k-1-j) B in
+    block (k, j) for j < k and zeros elsewhere; it is filled from the powers
+    A^j B in one indexed assignment.  With W_k = Q for k <= N and
+    W_{N+1} = P_terminal, H = sum_k X_k' W_k X_k and
+    b = sum_k X_k' W_k (x_off[k] - r) are each one matrix product over the
+    stacked (k, state) rows; the input part of the stage cost adds B'R B to
+    the diagonal blocks of H.
 
     Raises:
         SolvabilityError: the normal matrix is singular or hopelessly
@@ -170,33 +180,37 @@ def brute_force_optimal(model, cost, x0, d, N):
     n, m = model.n, model.m
     dim = (N + 1) * m
 
-    # x_k = X_mat[k] @ u_stacked + x_off[k]
-    X_mat = np.zeros((N + 2, n, dim))
+    # AB[p] = A^p B
+    AB = np.empty((N + 1, n, m))
+    AB[0] = B
+    for p in range(1, N + 1):
+        AB[p] = A @ AB[p - 1]
+    # x_k = X[k] @ u_stacked + x_off[k]
+    lifted = np.zeros((N + 2, n, N + 1, m))
+    ks, js = np.tril_indices(N + 2, -1)
+    lifted[ks, :, js, :] = AB[ks - 1 - js]
+    X = lifted.reshape(N + 2, n, dim)
+    Ed = d_seq @ E.T
     x_off = np.zeros((N + 2, n))
     x_off[0] = x0
     for k in range(N + 1):
-        X_mat[k + 1] = A @ X_mat[k]
-        X_mat[k + 1][:, k * m:(k + 1) * m] += B
-        x_off[k + 1] = A @ x_off[k] + E @ d_seq[k]
+        x_off[k + 1] = A @ x_off[k] + Ed[k]
 
-    H = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    const = 0.0
-    for k in range(N + 1):
-        G, g = X_mat[k], x_off[k] - r
-        H += G.T @ Q @ G
-        b += G.T @ (Q @ g)
-        const += float(g @ Q @ g)
-        V = np.zeros((n, dim))
-        V[:, k * m:(k + 1) * m] = B
-        v = E @ d_seq[k]
-        H += V.T @ R @ V
-        b += V.T @ (R @ v)
-        const += float(v @ R @ v)
-    G, g = X_mat[N + 1], x_off[N + 1] - r
-    H += G.T @ P_T @ G
-    b += G.T @ (P_T @ g)
-    const += float(g @ P_T @ g)
+    g = x_off - r
+    WX = np.empty_like(X)
+    np.matmul(Q, X[:N + 1], out=WX[:N + 1])
+    WX[N + 1] = P_T @ X[N + 1]
+    Wg = np.empty_like(g)
+    Wg[:N + 1] = g[:N + 1] @ Q.T
+    Wg[N + 1] = P_T @ g[N + 1]
+    X2 = X.reshape(-1, dim)
+    H = X2.T @ WX.reshape(-1, dim)
+    b = X2.T @ Wg.reshape(-1)
+    const = float(np.einsum("ki,ki->", g, Wg) + np.einsum("ki,ij,kj->", Ed, R, Ed))
+    # the input channel: B u_k enters the R term of step k only
+    steps = np.arange(N + 1)
+    H.reshape(N + 1, m, N + 1, m)[steps, :, steps, :] += B.T @ R @ B
+    b += (Ed @ (B.T @ R).T).reshape(-1)
 
     H = (H + H.T) / 2
     condition = float(np.linalg.cond(H))
@@ -217,28 +231,26 @@ def costate_residuals(traj, riccati, ff, model, cost):
     lambda_{k-1} = Q (x_k - r) + A' lambda_k.  Returns the largest
     stationarity defect ||B'R B u_k + B' lambda_k + B'R E d_k|| and the
     largest defect of the affine link lambda_{k-1} = P_k x_k + f_k.
+    Only the adjoint recursion loops; both defects are row norms of
+    stacked arrays.
     """
     N = riccati.horizon
     if traj.steps != N + 1:
         raise ValueError(f"trajectory has {traj.steps} steps, horizon wants {N + 1}")
     A, B, E = model.A, model.B, model.E
-    Q, r = cost.Q, cost.r
+    r = cost.r
+    x = traj.x
+    Qe = (x[1:N + 1] - r) @ cost.Q.T
     lam = np.zeros((N + 1, model.n))
-    lam[N] = riccati.P[N + 1] @ (traj.x[N + 1] - r)
+    lam[N] = riccati.P[N + 1] @ (x[N + 1] - r)
     for k in range(N, 0, -1):
-        lam[k - 1] = Q @ (traj.x[k] - r) + A.T @ lam[k]
+        lam[k - 1] = Qe[k - 1] + A.T @ lam[k]
 
-    stationarity = 0.0
-    for k in range(N + 1):
-        resid = B.T @ cost.R @ (B @ traj.u[k]) + B.T @ lam[k] \
-            + B.T @ cost.R @ (E @ traj.d[k])
-        stationarity = max(stationarity, float(np.linalg.norm(resid)))
-
-    link = 0.0
-    for k in range(1, N + 2):
-        resid = lam[k - 1] - riccati.P[k] @ traj.x[k] - ff.f[k]
-        link = max(link, float(np.linalg.norm(resid)))
-    return stationarity, link
+    BtR = B.T @ cost.R
+    stat = (traj.u @ B.T) @ BtR.T + lam @ B + (traj.d @ E.T) @ BtR.T
+    link = lam - (riccati.P[1:] @ x[1:, :, None])[:, :, 0] - ff.f[1:]
+    return (float(np.max(np.linalg.norm(stat, axis=1))),
+            float(np.max(np.linalg.norm(link, axis=1))))
 
 
 @dataclass(frozen=True)
@@ -280,9 +292,7 @@ def draw_instance(rng, n_max=4, m_max=2, N_max=20, max_tries=200):
             riccati = solve_finite_horizon(model, cost, N, strict=True)
         except LqdrError:
             continue
-        min_eig = min(float(np.min(np.linalg.eigvalsh(riccati.Upsilon[k])))
-                      for k in range(N + 1))
-        if min_eig < 1e-6:
+        if float(np.min(np.linalg.eigvalsh(riccati.Upsilon))) < 1e-6:
             continue
         return RandomInstance(model=model, cost=cost,
                               x0=rng.standard_normal(n),

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from lqdr import CostSpec, DisturbanceProfile, SystemModel, discretize_zoh
+from lqdr import (CostSpec, DisturbanceProfile, SystemModel, discretize_zoh,
+                  disturbance_sequence)
 from lqdr.riccati import REGULARITY_TOL, _backward_step, _regularity_defect, _sym
 
 
@@ -71,6 +72,34 @@ def long_horizon_cases():
             ramp = DisturbanceProfile.ramp(0.002, 0.5, start_step=steps // 20, dim=m)
             cases.append((f"n{n}_Ts{Ts:g}", model, cost, steps, ramp))
     return cases
+
+
+def oracle_cases():
+    """(id, model, cost, x0, d_seq, N) for comparing the verification layers.
+
+    The uncontrollable bench at N = 100 with a reference and a late step,
+    and the n = 8, Ts = 20 ms long-horizon plant cut to N = 200: the
+    brute-force oracle's lifted matrix grows as N^2.
+    """
+    model = uncontrollable_3state()
+    cost = tracking_cost(model, r=[0.0, 0.5, 0.0])
+    cases = [("uncontrollable_3state", model, cost, np.array([1.0, 0.5, -0.2]),
+              disturbance_sequence(DisturbanceProfile.constant(3.0, start_step=50), 101),
+              100)]
+    for name, model, cost, _, ramp in long_horizon_cases():
+        if name == "n8_Ts0.02":
+            x0 = np.random.default_rng(8).standard_normal(model.n)
+            cases.append((name, model, cost, x0,
+                          disturbance_sequence(ramp, 201, dim=model.m), 200))
+    return cases
+
+
+def rel_close(got, want, bound):
+    """max|got - want| <= bound * max|want|, or <= bound where want is all zero."""
+    got = np.asarray(got, float)
+    want = np.asarray(want, float)
+    scale = float(np.max(np.abs(want)))
+    return float(np.max(np.abs(got - want))) <= bound * (scale if scale > 0 else 1.0)
 
 
 def tracking_cost(model, r=None):
@@ -157,3 +186,110 @@ def reference_simulate(model, cost, controller, x0, d_seq):
         cost_cum[k] = running
         x[k + 1] = model.A @ x[k] + w
     return x, u, x @ model.c_o.T, cost_cum
+
+
+def reference_brute_force_optimal(model, cost, x0, d_seq, N):
+    """(u_opt, J_opt, condition) from the lifted matrix built step by step.
+
+    Each X_mat[k + 1] is A X_mat[k] with B added in block k, and H, b and
+    the constant are summed one stage at a time.
+    """
+    A, B, E = model.A, model.B, model.E
+    Q, R, P_T, r = cost.Q, cost.R, cost.P_terminal, cost.r
+    n, m = model.n, model.m
+    dim = (N + 1) * m
+    X_mat = np.zeros((N + 2, n, dim))
+    x_off = np.zeros((N + 2, n))
+    x_off[0] = x0
+    for k in range(N + 1):
+        X_mat[k + 1] = A @ X_mat[k]
+        X_mat[k + 1][:, k * m:(k + 1) * m] += B
+        x_off[k + 1] = A @ x_off[k] + E @ d_seq[k]
+    H = np.zeros((dim, dim))
+    b = np.zeros(dim)
+    const = 0.0
+    for k in range(N + 1):
+        G, g = X_mat[k], x_off[k] - r
+        H += G.T @ Q @ G
+        b += G.T @ (Q @ g)
+        const += float(g @ Q @ g)
+        V = np.zeros((n, dim))
+        V[:, k * m:(k + 1) * m] = B
+        v = E @ d_seq[k]
+        H += V.T @ R @ V
+        b += V.T @ (R @ v)
+        const += float(v @ R @ v)
+    G, g = X_mat[N + 1], x_off[N + 1] - r
+    H += G.T @ P_T @ G
+    b += G.T @ (P_T @ g)
+    const += float(g @ P_T @ g)
+    H = (H + H.T) / 2
+    u_opt = np.linalg.solve(H, -b)
+    return u_opt, float(u_opt @ H @ u_opt + 2 * b @ u_opt + const), float(np.linalg.cond(H))
+
+
+def reference_closed_form(riccati, model, cost, d_seq):
+    """(h, f, (H, Abar, F, Rscript)) with every explicit-sum term formed per pair of steps."""
+    A, B, E = model.A, model.B, model.E
+    Q, R, r = cost.Q, cost.R, cost.r
+    N = riccati.horizon
+    n, m = model.n, model.m
+    H = np.zeros((N + 1, m, m))
+    Abar = np.zeros((N + 1, n, n))
+    F = np.zeros((N + 1, n, m))
+    Rscript = np.zeros((N + 2, n, n))
+    Rscript[N + 1] = riccati.P[N + 1]
+    BtRE = B.T @ R @ E
+    for k in range(N, -1, -1):
+        H[k] = B.T @ (R + riccati.P[k + 1]) @ E
+        Abar[k] = A - B @ riccati.K[k]
+        F[k] = Abar[k].T @ riccati.P[k + 1] @ E - riccati.M[k].T @ riccati.upsilon_solve(k, BtRE)
+        Rscript[k] = Abar[k].T @ Rscript[k + 1] + Q
+    f = np.zeros((N + 2, n))
+    f[N + 1] = -riccati.P[N + 1] @ r
+    Fd = np.einsum("knm,km->kn", F, d_seq)
+    for k in range(N + 1):
+        acc = -Rscript[k] @ r
+        prod = np.eye(n)
+        for s in range(k, N + 1):
+            acc = acc + prod @ Fd[s]
+            prod = prod @ Abar[s].T
+        f[k] = acc
+    h = np.zeros((N + 1, m))
+    for k in range(N + 1):
+        h[k] = H[k] @ d_seq[k] + B.T @ f[k + 1]
+    return h, f, (H, Abar, F, Rscript)
+
+
+def reference_costate_residuals(traj, riccati, ff, model, cost):
+    """(stationarity, link) with the adjoint and both defects formed per step."""
+    N = riccati.horizon
+    A, B, E = model.A, model.B, model.E
+    Q, R, r = cost.Q, cost.R, cost.r
+    lam = np.zeros((N + 1, model.n))
+    lam[N] = riccati.P[N + 1] @ (traj.x[N + 1] - r)
+    for k in range(N, 0, -1):
+        lam[k - 1] = Q @ (traj.x[k] - r) + A.T @ lam[k]
+    stationarity = 0.0
+    for k in range(N + 1):
+        resid = B.T @ R @ (B @ traj.u[k]) + B.T @ lam[k] + B.T @ R @ (E @ traj.d[k])
+        stationarity = max(stationarity, float(np.linalg.norm(resid)))
+    link = 0.0
+    for k in range(1, N + 2):
+        resid = lam[k - 1] - riccati.P[k] @ traj.x[k] - ff.f[k]
+        link = max(link, float(np.linalg.norm(resid)))
+    return stationarity, link
+
+
+def reference_predicted_optimal_cost(riccati, ff, x0, model, cost, d_seq):
+    """The analytic optimal value summed one step at a time."""
+    N = riccati.horizon
+    r, E, R = cost.r, model.E, cost.R
+    total = float(x0 @ riccati.P[0] @ x0 + 2 * x0 @ ff.f[0] + r @ riccati.P[N + 1] @ r)
+    for k in range(N + 1):
+        Ed = E @ d_seq[k]
+        total += float(r @ cost.Q @ r)
+        total += float(Ed @ (R + riccati.P[k + 1]) @ Ed)
+        total += 2 * float(Ed @ ff.f[k + 1])
+        total -= float(ff.h[k] @ riccati.upsilon_solve(k, ff.h[k]))
+    return total

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lqdr import ScenarioError
+from lqdr import ScenarioError, SolvabilityError, brute_force_optimal, solve_finite_horizon
 from lqdr.cli import (bundled_scenario_path, compare_summaries, gare_report,
                       load_scenario, main, run_scenario, selftest)
 
@@ -208,6 +208,27 @@ def test_summary_echo_roundtrips_matrices(tmp_path):
     assert echo["disturbance_class"] == "Mismatched"
 
 
+def test_summary_echo_keeps_table_values(tmp_path):
+    rows = [[0.5], [1.25]]
+    path = write_mini(tmp_path, lambda d: d.update(
+        disturbance={"kind": "table", "values": rows, "start_step": 3}))
+    run_scenario(path, tmp_path)
+    summary = json.loads((tmp_path / "mini.summary.json").read_text())
+    echo = summary["scenario"]["disturbance"]
+    assert echo["kind"] == "table"
+    assert echo["values"] == rows
+    assert echo["start_step"] == 3
+
+
+def test_load_scenario_checks_only_the_weights(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("lqdr.model.check_detectability",
+                        lambda *args: calls.append(args) or True)
+    load_scenario(write_mini(tmp_path))
+    load_scenario(bundled_scenario_path("example_d"))
+    assert calls == []
+
+
 def test_run_records_solver_failure_and_continues(tmp_path):
     def mutate(doc):
         # B = 0 makes the optimal solve singular; the baseline still runs
@@ -311,6 +332,27 @@ def test_gare_report_flags_undetectable(tmp_path):
 
 def test_selftest_small():
     assert selftest(instances=5, seed=7, verbose=False)
+
+
+def test_selftest_solves_only_accepted_instances(monkeypatch):
+    oracle_calls, solved = [], []
+
+    def reject_every_other_draw(model, *args):
+        oracle_calls.append(model)
+        if len(oracle_calls) % 2:
+            raise SolvabilityError("rejected")
+        return brute_force_optimal(model, *args)
+
+    def record(model, *args, **kwargs):
+        solved.append(model)
+        return solve_finite_horizon(model, *args, **kwargs)
+
+    monkeypatch.setattr("lqdr.cli.brute_force_optimal", reject_every_other_draw)
+    monkeypatch.setattr("lqdr.cli.solve_finite_horizon", record)
+    assert selftest(instances=4, seed=7, verbose=False)
+    assert len(oracle_calls) == 8
+    assert len(solved) == 4
+    assert all(a is b for a, b in zip(solved, oracle_calls[1::2]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import (long_horizon_cases, reference_feedforward, tracking_cost,
-                      two_state_bench, uncontrollable_3state)
+from conftest import (long_horizon_cases, oracle_cases, reference_closed_form,
+                      reference_feedforward, rel_close, tracking_cost, two_state_bench,
+                      uncontrollable_3state)
 from lqdr import (CostSpec, DisturbanceProfile, GareSolution, StabilizationError,
                   SystemModel, closed_form_terms, disturbance_sequence, draw_instance,
                   solve_closed_form, solve_finite_horizon, solve_gare,
@@ -125,6 +126,46 @@ def test_closed_form_terms_reconstruct():
         assert np.max(np.abs(terms.H[k] - B.T @ (R + sol.P[k + 1]) @ E)) <= 1e-12
         assert np.max(np.abs(terms.Abar[k] - (A - B @ sol.K[k]))) <= 1e-12
     assert np.max(np.abs(terms.Rscript[-1] - sol.P[-1])) == 0.0
+
+
+def assert_closed_form_matches_explicit_sums(sol, model, cost, d_seq):
+    # the sums run one offset at a time over all k; 1e-12 relative is the bound
+    h, f, ref_terms = reference_closed_form(sol, model, cost, d_seq)
+    closed = solve_closed_form(sol, model, cost, d_seq)
+    terms = closed_form_terms(sol, model, cost)
+    assert rel_close(closed.h, h, 1e-12)
+    assert rel_close(closed.f, f, 1e-12)
+    for got, want in zip((terms.H, terms.Abar, terms.F, terms.Rscript), ref_terms):
+        assert rel_close(got, want, 1e-12)
+
+
+def test_closed_form_matches_explicit_sums_on_selftest_instances():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        inst = draw_instance(rng)
+        sol = solve_finite_horizon(inst.model, inst.cost, inst.N)
+        assert_closed_form_matches_explicit_sums(sol, inst.model, inst.cost, inst.d)
+
+
+@pytest.mark.parametrize("model, cost, x0, d_seq, N",
+                         [pytest.param(*case[1:], id=case[0]) for case in oracle_cases()])
+def test_closed_form_matches_explicit_sums(model, cost, x0, d_seq, N):
+    sol = solve_finite_horizon(model, cost, N)
+    assert_closed_form_matches_explicit_sums(sol, model, cost, d_seq)
+
+
+def test_closed_form_never_runs_the_recursion(monkeypatch):
+    rng = np.random.default_rng(12)
+    inst = draw_instance(rng)
+    sol = solve_finite_horizon(inst.model, inst.cost, inst.N)
+    expected = solve_recursive(sol, inst.model, inst.cost, inst.d)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_closed_form must not call solve_recursive")
+
+    monkeypatch.setattr("lqdr.feedforward.solve_recursive", forbidden)
+    closed = solve_closed_form(sol, inst.model, inst.cost, inst.d)
+    assert np.allclose(closed.h, expected.h) and np.allclose(closed.f, expected.f)
 
 
 def test_feedforward_linear_in_signals():

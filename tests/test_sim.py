@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import (long_horizon_cases, reference_simulate, rel_gap, tracking_cost,
+from conftest import (long_horizon_cases, oracle_cases, reference_brute_force_optimal,
+                      reference_costate_residuals, reference_predicted_optimal_cost,
+                      reference_simulate, rel_close, rel_gap, tracking_cost,
                       two_state_bench, uncontrollable_3state)
 from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile,
                   SolvabilityError, SystemModel, build_controller,
@@ -220,6 +222,52 @@ def test_oracle_guards_problem_size():
 # ---------------------------------------------------------------------------
 # first-order optimality residuals
 # ---------------------------------------------------------------------------
+
+def assert_oracles_match_step_by_step_loops(model, cost, x0, d_seq, N):
+    u_ref, J_ref, cond_ref = reference_brute_force_optimal(model, cost, x0, d_seq, N)
+    oracle = brute_force_optimal(model, cost, x0, d_seq, N)
+    assert rel_close(oracle.u_opt, u_ref, 1e-9)
+    assert abs(oracle.condition - cond_ref) <= 1e-9 * cond_ref
+    assert abs(oracle.J_opt - J_ref) <= 1e-9 * max(1.0, abs(J_ref))
+
+    sol = solve_finite_horizon(model, cost, N)
+    ff = solve_recursive(sol, model, cost, d_seq)
+    traj = simulate(model, cost, lambda k, x, dk: finite_horizon_control(k, x, sol, ff),
+                    x0, N + 1, d_seq)
+    J_pred = predicted_optimal_cost(sol, ff, x0, model, cost, d_seq)
+    J_pred_ref = reference_predicted_optimal_cost(sol, ff, x0, model, cost, d_seq)
+    assert abs(J_pred - J_pred_ref) <= 1e-9 * max(1.0, abs(J_pred_ref))
+    stat, link = costate_residuals(traj, sol, ff, model, cost)
+    stat_ref, link_ref = reference_costate_residuals(traj, sol, ff, model, cost)
+    assert abs(stat - stat_ref) <= 1e-12 and abs(link - link_ref) <= 1e-12
+
+
+def test_oracles_match_step_by_step_loops_on_selftest_instances():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        inst = draw_instance(rng)
+        assert_oracles_match_step_by_step_loops(inst.model, inst.cost, inst.x0, inst.d, inst.N)
+
+
+@pytest.mark.parametrize("model, cost, x0, d_seq, N",
+                         [pytest.param(*case[1:], id=case[0]) for case in oracle_cases()])
+def test_oracles_match_step_by_step_loops(model, cost, x0, d_seq, N):
+    assert_oracles_match_step_by_step_loops(model, cost, x0, d_seq, N)
+
+
+def test_brute_force_reads_no_riccati_quantity(monkeypatch):
+    rng = np.random.default_rng(12)
+    inst = draw_instance(rng)
+    expected = brute_force_optimal(inst.model, inst.cost, inst.x0, inst.d, inst.N)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the brute-force oracle must not run a Riccati step")
+
+    monkeypatch.setattr("lqdr.sim.solve_finite_horizon", forbidden)
+    monkeypatch.setattr("lqdr.riccati._backward_step", forbidden)
+    oracle = brute_force_optimal(inst.model, inst.cost, inst.x0, inst.d, inst.N)
+    assert np.array_equal(oracle.u_opt, expected.u_opt)
+
 
 def test_costate_residuals_zero_instance():
     model, _ = scalar_worked_instance()
