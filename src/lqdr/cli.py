@@ -266,6 +266,17 @@ def bundled_scenario_path(name):
 # metrics
 # ---------------------------------------------------------------------------
 
+def _settling_step(post, onset, settle_band):
+    """onset + the start of the final run of ``post`` inside the band, or None.
+
+    None when the window is empty or its last error is outside the band
+    (a NaN error counts as outside).
+    """
+    outside = np.flatnonzero(~(post <= settle_band))
+    start = int(outside[-1]) + 1 if outside.size else 0
+    return onset + start if start < post.shape[0] else None
+
+
 def trajectory_metrics(traj, cost, model, onset, settle_band):
     """Deterministic comparison metrics for one closed-loop run."""
     target = model.c_o @ cost.r
@@ -274,17 +285,11 @@ def trajectory_metrics(traj, cost, model, onset, settle_band):
     onset = min(onset, steps)
     tail_start = int(0.9 * steps)
     post = err[onset:]
-    settled = None
-    below = post <= settle_band
-    for j in range(below.shape[0] - 1, -1, -1):
-        if not below[j]:
-            break
-        settled = onset + j
     return {
         "J": evaluate_cost(traj, cost),
         "steady_state_error": float(np.mean(err[tail_start:])),
         "peak_error": float(np.max(post)),
-        "settling_step": settled,
+        "settling_step": _settling_step(post, onset, settle_band),
     }
 
 
@@ -292,25 +297,21 @@ def trajectory_metrics(traj, cost, model, onset, settle_band):
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value):
-    return f"{value:.17g}"
-
-
 def write_csv(path, traj):
-    """One row per applied input; the final state does not get a row."""
+    """One row per applied input; the final state does not get a row.
+
+    Every value is written as ``%.17g``, one format operation per row.
+    """
     n, m, l = traj.model.n, traj.model.m, traj.model.l
+    steps = traj.steps
     header = (["k"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
               + [f"d{i+1}" for i in range(m)] + [f"z{i+1}" for i in range(l)]
               + ["cost_cum"])
+    rows = np.hstack([traj.x[:steps], traj.u, traj.d, traj.z[:steps],
+                      traj.cost_cum[:, None]]).tolist()
+    fmt = ",".join(["%.17g"] * (len(header) - 1))
     lines = [",".join(header)]
-    for k in range(traj.steps):
-        row = [str(k)]
-        row += [_fmt(v) for v in traj.x[k]]
-        row += [_fmt(v) for v in traj.u[k]]
-        row += [_fmt(v) for v in traj.d[k]]
-        row += [_fmt(v) for v in traj.z[k]]
-        row.append(_fmt(traj.cost_cum[k]))
-        lines.append(",".join(row))
+    lines += [f"{k}," + fmt % tuple(row) for k, row in enumerate(rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -369,7 +370,14 @@ def write_svg(path, title, series, onset=None):
                      f'font-size="11" fill="#666">onset</text>')
     for i, (label, values) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(k):.2f},{sy(float(v)):.2f}" for k, v in enumerate(values))
+        values = np.asarray(values, dtype=float)
+        xs = ml + plot_w * np.arange(len(values)) / max(n_steps - 1, 1)
+        # sy's operations in sy's order; overflow and inf - inf give inf and
+        # nan silently, as they do in Python float arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = mt + plot_h * (hi - values) / (hi - lo)
+        pts = (" ".join(["%.2f,%.2f"] * len(values))
+               % tuple(np.column_stack([xs, ys]).ravel().tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = mt + 16 + 18 * i

@@ -173,6 +173,10 @@ def brute_force_optimal(model, cost, x0, d, N):
         raise ValueError("horizon N must be >= 0")
     if N * model.m > 2000:
         raise ValueError("dense oracle limited to N * m <= 2000")
+    lifted_size = (N + 2) * model.n * (N + 1) * model.m
+    if lifted_size > 2000 ** 2:
+        raise ValueError(f"dense oracle limited to a lifted matrix of 2000^2 elements; "
+                         f"N = {N}, n = {model.n}, m = {model.m} needs {lifted_size}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     d_seq = disturbance_sequence(d, N + 1, dim=model.m)
     A, B, E = model.A, model.B, model.E

@@ -1,9 +1,12 @@
 """Shared builders for the benchmark systems used across the test modules."""
 
+from pathlib import Path
+
 import numpy as np
 
 from lqdr import (CostSpec, DisturbanceProfile, SystemModel, discretize_zoh,
                   disturbance_sequence)
+from lqdr.cli import _PALETTE
 from lqdr.riccati import REGULARITY_TOL, _backward_step, _regularity_defect, _sym
 
 
@@ -293,3 +296,97 @@ def reference_predicted_optimal_cost(riccati, ff, x0, model, cost, d_seq):
         total += 2 * float(Ed @ ff.f[k + 1])
         total -= float(ff.h[k] @ riccati.upsilon_solve(k, ff.h[k]))
     return total
+
+
+def reference_settling_step(post, onset, settle_band):
+    """The settling step found by walking the in-band mask back from the end."""
+    settled = None
+    below = post <= settle_band
+    for j in range(below.shape[0] - 1, -1, -1):
+        if not below[j]:
+            break
+        settled = onset + j
+    return settled
+
+
+def _fmt(value):
+    return f"{value:.17g}"
+
+
+def reference_write_csv(path, traj):
+    """write_csv with every value formatted by its own ``_fmt`` call."""
+    n, m, l = traj.model.n, traj.model.m, traj.model.l
+    header = (["k"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]
+              + [f"d{i+1}" for i in range(m)] + [f"z{i+1}" for i in range(l)]
+              + ["cost_cum"])
+    lines = [",".join(header)]
+    for k in range(traj.steps):
+        row = [str(k)]
+        row += [_fmt(v) for v in traj.x[k]]
+        row += [_fmt(v) for v in traj.u[k]]
+        row += [_fmt(v) for v in traj.d[k]]
+        row += [_fmt(v) for v in traj.z[k]]
+        row.append(_fmt(traj.cost_cum[k]))
+        lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_write_svg(path, title, series, onset=None):
+    """write_svg with every polyline point formatted through ``sx`` and ``sy``."""
+    width, height = 860, 480
+    ml, mr, mt, mb = 70, 160, 40, 50
+    plot_w, plot_h = width - ml - mr, height - mt - mb
+    n_steps = max(len(values) for _, values in series)
+    lo = min(float(np.min(values)) for _, values in series)
+    hi = max(float(np.max(values)) for _, values in series)
+    if hi - lo < 1e-12:
+        hi, lo = hi + 1.0, lo - 1.0
+    pad = 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+
+    def sx(k):
+        return ml + plot_w * k / max(n_steps - 1, 1)
+
+    def sy(v):
+        return mt + plot_h * (hi - v) / (hi - lo)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{ml}" y="24" font-family="sans-serif" font-size="16">{title}</text>',
+        f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
+        f'fill="none" stroke="#888"/>',
+    ]
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        v = lo + frac * (hi - lo)
+        y = sy(v)
+        parts.append(f'<line x1="{ml}" y1="{y:.2f}" x2="{ml + plot_w}" y2="{y:.2f}" '
+                     f'stroke="#ddd"/>')
+        parts.append(f'<text x="{ml - 8}" y="{y + 4:.2f}" text-anchor="end" '
+                     f'font-family="sans-serif" font-size="11">{v:.3g}</text>')
+        k = int(frac * (n_steps - 1))
+        x = sx(k)
+        parts.append(f'<text x="{x:.2f}" y="{mt + plot_h + 18}" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="11">{k}</text>')
+    parts.append(f'<text x="{ml + plot_w / 2}" y="{height - 12}" text-anchor="middle" '
+                 f'font-family="sans-serif" font-size="12">step k</text>')
+    if onset is not None and 0 <= onset < n_steps:
+        x = sx(onset)
+        parts.append(f'<line x1="{x:.2f}" y1="{mt}" x2="{x:.2f}" y2="{mt + plot_h}" '
+                     f'stroke="#999" stroke-dasharray="5,4"/>')
+        parts.append(f'<text x="{x + 4:.2f}" y="{mt + 14}" font-family="sans-serif" '
+                     f'font-size="11" fill="#666">onset</text>')
+    for i, (label, values) in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        pts = " ".join(f"{sx(k):.2f},{sy(float(v)):.2f}" for k, v in enumerate(values))
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     f'stroke-width="1.5"/>')
+        ly = mt + 16 + 18 * i
+        lx = ml + plot_w + 12
+        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                     f'stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
+                     f'font-size="12">{label}</text>')
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n")

@@ -2,10 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lqdr import ScenarioError, SolvabilityError, brute_force_optimal, solve_finite_horizon
-from lqdr.cli import (bundled_scenario_path, compare_summaries, gare_report,
-                      load_scenario, main, run_scenario, selftest)
+import lqdr.cli as cli
+from conftest import reference_settling_step, reference_write_csv, reference_write_svg
+from lqdr import (ScenarioError, SolvabilityError, SystemModel, Trajectory,
+                  brute_force_optimal, build_controller, simulate, solve_finite_horizon)
+from lqdr.cli import (_settling_step, bundled_scenario_path, compare_summaries, gare_report,
+                      load_scenario, main, run_scenario, selftest, trajectory_metrics,
+                      write_csv, write_svg)
 
 MINI = {
     "name": "mini",
@@ -264,6 +271,131 @@ def test_run_records_receding_build_failures_and_continues(tmp_path):
         assert summary[label]["error"] is None
         assert (tmp_path / f"mini.{label}.csv").exists()
     assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# bulk writers and settling search against their per-value references
+# ---------------------------------------------------------------------------
+
+BUNDLED = ("example_a", "example_b", "example_c", "example_d")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_run_writes_the_reference_bytes(name, tmp_path, monkeypatch):
+    ref_dir = tmp_path / "ref"
+    ref_dir.mkdir()
+    written = []
+
+    def csv_both(path, traj):
+        write_csv(path, traj)
+        reference_write_csv(ref_dir / path.name, traj)
+        written.append(path.name)
+
+    def svg_both(path, title, series, onset=None):
+        write_svg(path, title, series, onset=onset)
+        reference_write_svg(ref_dir / path.name, title, series, onset=onset)
+        written.append(path.name)
+
+    monkeypatch.setattr(cli, "write_csv", csv_both)
+    monkeypatch.setattr(cli, "write_svg", svg_both)
+    scenario = load_scenario(bundled_scenario_path(name))
+    _, failures = run_scenario(scenario, tmp_path / "out")
+    assert not failures
+    assert sorted(written) == sorted([f"{name}.{c.label}.csv" for c in scenario.controllers]
+                                     + [f"{name}.svg"])
+    for file_name in written:
+        assert (tmp_path / "out" / file_name).read_bytes() == \
+            (ref_dir / file_name).read_bytes(), file_name
+
+
+_SPECIAL = (-0.0, 5e-324, 2.5e-310, 1e308, -1e308, np.nan, np.inf, -np.inf)
+_VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64))
+
+
+def _array(draw, shape):
+    return draw(arrays(np.float64, shape, elements=_VALUES))
+
+
+@st.composite
+def _trajectories(draw):
+    n, m, l = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    steps = draw(st.integers(0, 6))
+    model = SystemModel(A=np.eye(n), B=np.ones((n, m)), E=np.ones((n, m)),
+                        c_o=np.ones((l, n)))
+    return Trajectory(model, steps, _array(draw, (steps + 1, n)), _array(draw, (steps, m)),
+                      _array(draw, (steps, m)), _array(draw, (steps + 1, l)),
+                      _array(draw, steps))
+
+
+@st.composite
+def _svg_series(draw):
+    series = []
+    for i in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(1, 12))
+        kind = draw(st.sampled_from(("array", "list", "constant")))
+        if kind == "constant":
+            values = np.full(length, draw(_VALUES))
+        else:
+            values = _array(draw, length)
+        series.append((f"c{i}", values.tolist() if kind == "list" else values))
+    return series, draw(st.none() | st.integers(-2, 14))
+
+
+@settings(max_examples=200, deadline=None)
+@given(traj=_trajectories())
+def test_write_csv_matches_the_per_value_reference(traj, tmp_path_factory):
+    out = tmp_path_factory.mktemp("csv")
+    write_csv(out / "got.csv", traj)
+    reference_write_csv(out / "want.csv", traj)
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_svg_series())
+@example(case=([("flat", np.full(5, 0.25))], 2))
+@example(case=([("one", [0.5]), ("two", np.array([-0.0, 1.0]))], 0))
+def test_write_svg_matches_the_per_value_reference(case, tmp_path_factory):
+    series, onset = case
+    out = tmp_path_factory.mktemp("svg")
+    try:
+        reference_write_svg(out / "want.svg", "t", series, onset=onset)
+    except ZeroDivisionError:
+        # a constant series too large to widen by 1: the tick loop divides by zero
+        with pytest.raises(ZeroDivisionError):
+            write_svg(out / "got.svg", "t", series, onset=onset)
+        return
+    write_svg(out / "got.svg", "t", series, onset=onset)
+    assert (out / "got.svg").read_bytes() == (out / "want.svg").read_bytes()
+
+
+@pytest.mark.parametrize("post, onset", [
+    (np.array([]), 4),
+    (np.zeros(6), 2),
+    (np.ones(6), 2),
+    (np.array([1.0, 0.0, 1.0, 0.0, 0.0]), 0),
+    (np.array([0.0, np.nan, 0.0, 0.0]), 3),
+    (np.array([0.0, 0.0, np.nan]), 3),
+], ids=["empty", "all_inside", "none_inside", "re_entry", "nan_inside", "nan_last"])
+def test_settling_step_matches_the_loop(post, onset):
+    got = _settling_step(post, onset, 0.5)
+    assert got == reference_settling_step(post, onset, 0.5)
+    assert got is None or type(got) is int
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_settling_step_matches_the_loop_on_bundled_runs(name):
+    scenario = load_scenario(bundled_scenario_path(name))
+    model, cost, steps = scenario.model, scenario.cost, scenario.steps
+    for config in scenario.controllers:
+        controller = build_controller(config, model, cost, scenario.disturbance, steps)
+        traj = simulate(model, cost, controller, scenario.x0, steps, scenario.disturbance)
+        err = np.max(np.abs(traj.z - model.c_o @ cost.r), axis=1)
+        # the scenario's onset, then onsets at and past the end of the run
+        for onset in (scenario.disturbance.start_step, steps, steps + 3):
+            got = trajectory_metrics(traj, cost, model, onset,
+                                     scenario.settle_band)["settling_step"]
+            start = min(onset, steps)
+            assert got == reference_settling_step(err[start:], start, scenario.settle_band)
 
 
 # ---------------------------------------------------------------------------

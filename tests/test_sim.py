@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import (long_horizon_cases, oracle_cases, reference_brute_force_optimal,
                       reference_costate_residuals, reference_predicted_optimal_cost,
-                      reference_simulate, rel_close, rel_gap, tracking_cost,
-                      two_state_bench, uncontrollable_3state)
+                      reference_simulate, rel_close, rel_gap, sampled_stable_plant,
+                      tracking_cost, two_state_bench, uncontrollable_3state)
 from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile,
                   SolvabilityError, SystemModel, build_controller,
                   brute_force_optimal, costate_residuals, disturbance_sequence,
@@ -217,6 +219,22 @@ def test_oracle_guards_problem_size():
     cost = tracking_cost(model)
     with pytest.raises(ValueError):
         brute_force_optimal(model, cost, [0.0, 0.0], np.zeros((3000, 1)), 2500)
+
+
+def test_oracle_refuses_a_large_lifted_matrix_before_allocating():
+    # N * m = 2000 passes the H guard, but the lifted matrix would hold
+    # 502 * 32 * 501 * 4 ~ 32M doubles, and WX as many again
+    model = sampled_stable_plant(32, 4, 0.02)
+    cost = tracking_cost(model)
+    x0, d = np.zeros(32), np.zeros((501, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="lifted matrix"):
+            brute_force_optimal(model, cost, x0, d, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
