@@ -29,9 +29,8 @@ from .riccati import (GareSolution, RiccatiSolution, check_regularity,
 from .feedforward import (ClosedFormTerms, FeedforwardSolution,
                           closed_form_terms, solve_closed_form,
                           solve_recursive, solve_steady)
-from .control import (ControllerConfig, ControllerState, build_controller,
-                      finite_horizon_control, pid_control,
-                      receding_horizon_control, sfc_control,
+from .control import (ControllerConfig, build_controller,
+                      finite_horizon_control, receding_horizon_control,
                       stationary_control)
 from .sim import (OracleResult, RandomInstance, Trajectory,
                   brute_force_optimal, costate_residuals, draw_instance,
@@ -49,9 +48,8 @@ __all__ = [
     "check_regularity", "spectral_radius", "gare_fixed_point",
     "FeedforwardSolution", "ClosedFormTerms", "closed_form_terms",
     "solve_recursive", "solve_closed_form", "solve_steady",
-    "ControllerConfig", "ControllerState", "build_controller",
+    "ControllerConfig", "build_controller",
     "finite_horizon_control", "stationary_control", "receding_horizon_control",
-    "sfc_control", "pid_control",
     "Trajectory", "OracleResult", "RandomInstance", "simulate",
     "evaluate_cost", "predicted_optimal_cost", "brute_force_optimal",
     "costate_residuals", "draw_instance",

@@ -18,13 +18,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .control import (ControllerConfig, build_controller, canonical_kind,
-                      finite_horizon_control)
+from .control import ControllerConfig, build_controller, finite_horizon_control
 from .exceptions import LqdrError, ScenarioError, SolvabilityError
 from .feedforward import solve_closed_form, solve_recursive
 from .model import (CostSpec, DisturbanceProfile, SystemModel,
@@ -40,10 +40,6 @@ _COST_KEYS = {"R", "Q", "P_terminal"}
 _DISTURBANCE_KEYS = {"kind", "amplitude", "rate", "limit", "start_step", "values"}
 _CONTROLLER_KEYS = {"kind", "label", "T", "P_terminal", "strict", "k_x", "K_d",
                     "kp", "ki", "kd", "Ts"}
-#: Fields a controller kind cannot be built without.
-_REQUIRED_CONTROLLER_KEYS = {"receding_horizon": ("T",),
-                             "state_feedback_compensation": ("k_x", "K_d"),
-                             "pid": ("Ts",)}
 _OUTPUT_KINDS = ("csv", "svg", "summary")
 #: What numpy and the model types raise on values that are not numbers.
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
@@ -83,22 +79,28 @@ def _array(value, where, shape=None):
     return arr
 
 
+def _file_stem(value, where):
+    """``value``, if it is a non-empty string fit to name a file in the output directory."""
+    if not isinstance(value, str) or not value or any(c in value for c in "/\\\0"):
+        raise ScenarioError(f"{where} must be a non-empty string without '/', '\\' "
+                            f"or NUL, got {value!r}")
+    return value
+
+
+@dataclass
 class Scenario:
     """Fully resolved simulation setup parsed from one JSON document."""
 
-    def __init__(self, name, model, cost, x0, steps, disturbance, controllers,
-                 outputs, settle_band, display, raw):
-        self.name = name
-        self.model = model
-        self.cost = cost
-        self.x0 = x0
-        self.steps = steps
-        self.disturbance = disturbance
-        self.controllers = controllers
-        self.outputs = outputs
-        self.settle_band = settle_band
-        self.display = display
-        self.raw = raw
+    name: str
+    model: SystemModel
+    cost: CostSpec
+    x0: np.ndarray
+    steps: int
+    disturbance: DisturbanceProfile
+    controllers: list
+    outputs: list
+    settle_band: float
+    display: dict
 
 
 def _parse_system(spec):
@@ -170,37 +172,24 @@ def _parse_controllers(specs, model):
     if not isinstance(specs, list) or not specs:
         raise ScenarioError("'controllers' must be a non-empty list")
     n, m = model.n, model.m
+    shapes = {"P_terminal": (n, n), "k_x": (m, n), "K_d": (m, m)}
     configs = []
     labels = set()
     for i, spec in enumerate(specs):
         where = f"controllers[{i}]"
-        _fields(spec, _CONTROLLER_KEYS, where)
-        if "kind" not in spec:
+        fields = dict(_fields(spec, _CONTROLLER_KEYS, where))
+        if "kind" not in fields:
             raise ScenarioError(f"{where} is missing 'kind'")
+        for key, value in fields.items():
+            if key in ("T", "kp", "ki", "kd", "Ts"):
+                fields[key] = _number(value, f"{where}.{key}", integer=key == "T")
+            elif key in shapes:
+                fields[key] = _array(value, f"{where}.{key}", shapes[key])
         try:
-            kind = canonical_kind(spec["kind"])
+            config = ControllerConfig(**fields)
         except ValueError as exc:
             raise ScenarioError(f"bad {where}: {exc}") from exc
-        missing = [key for key in _REQUIRED_CONTROLLER_KEYS.get(kind, ()) if key not in spec]
-        if missing:
-            raise ScenarioError(f"{where}: {kind} needs field(s) {missing}")
-        fields = {key: _number(spec[key], f"{where}.{key}")
-                  for key in ("kp", "ki", "kd", "Ts") if key in spec}
-        if "Ts" in fields and fields["Ts"] <= 0:
-            raise ScenarioError(f"{where}.Ts must be positive, got {fields['Ts']}")
-        fields.update({key: _array(spec[key], f"{where}.{key}", shape)
-                       for key, shape in (("P_terminal", (n, n)), ("k_x", (m, n)),
-                                          ("K_d", (m, m))) if key in spec})
-        if "T" in spec:
-            fields["T"] = _number(spec["T"], f"{where}.T", integer=True)
-            if fields["T"] < 1:
-                raise ScenarioError(f"{where}: lookahead T must be >= 1, got {fields['T']}")
-        if not isinstance(spec.get("strict", True), bool):
-            raise ScenarioError(f"{where}.strict must be true or false")
-        if not isinstance(spec.get("label", ""), str):
-            raise ScenarioError(f"{where}.label must be a string")
-        config = ControllerConfig(kind=kind, label=spec.get("label"),
-                                  strict=spec.get("strict", True), **fields)
+        _file_stem(config.label, f"{where}.label")
         if config.label in labels:
             raise ScenarioError(f"duplicate controller label {config.label!r}")
         labels.add(config.label)
@@ -226,6 +215,7 @@ def load_scenario(path):
     for key in ("name", "system", "cost", "x0", "steps", "disturbance", "controllers"):
         if key not in raw:
             raise ScenarioError(f"{path}: missing required field '{key}'")
+    name = _file_stem(raw["name"], "name")
 
     model = _parse_system(raw["system"])
     reference = _parse_reference(raw.get("reference"), model)
@@ -246,10 +236,10 @@ def load_scenario(path):
         raise ScenarioError(f"outputs must be a subset of {_OUTPUT_KINDS}")
     settle_band = _number(raw.get("settle_band", 1e-3), "settle_band")
 
-    return Scenario(name=raw["name"], model=model, cost=cost, x0=x0, steps=steps,
+    return Scenario(name=name, model=model, cost=cost, x0=x0, steps=steps,
                     disturbance=disturbance, controllers=controllers,
                     outputs=outputs, settle_band=settle_band,
-                    display=raw.get("display", {}), raw=raw)
+                    display=raw.get("display", {}))
 
 
 def bundled_scenario_path(name):
@@ -315,6 +305,11 @@ def write_csv(path, traj):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _xml_text(text):
+    """``text`` with ``&``, ``<`` and ``>`` escaped, for an XML text node."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -322,7 +317,9 @@ def write_svg(path, title, series, onset=None):
     """Self-contained overlay line chart of regulated outputs vs step.
 
     ``series`` is a list of (label, values) pairs sharing the step axis; an
-    optional vertical dashed marker shows the disturbance onset.
+    optional vertical dashed marker shows the disturbance onset.  The title
+    and the labels are written as XML text, with ``&``, ``<`` and ``>``
+    escaped.
     """
     width, height = 860, 480
     ml, mr, mt, mb = 70, 160, 40, 50
@@ -331,7 +328,10 @@ def write_svg(path, title, series, onset=None):
     lo = min(float(np.min(values)) for _, values in series)
     hi = max(float(np.max(values)) for _, values in series)
     if hi - lo < 1e-12:
-        hi, lo = hi + 1.0, lo - 1.0
+        # widen a flat range by 1.0, or relative to its size where 1.0 is
+        # below the rounding step of its values (|v| about 1e16 and up)
+        widen = 1.0 if hi + 1.0 != lo - 1.0 else 1e-12 * abs(hi)
+        hi, lo = hi + widen, lo - widen
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
@@ -345,7 +345,7 @@ def write_svg(path, title, series, onset=None):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="24" font-family="sans-serif" font-size="16">{title}</text>',
+        f'<text x="{ml}" y="24" font-family="sans-serif" font-size="16">{_xml_text(title)}</text>',
         f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#888"/>',
     ]
@@ -385,7 +385,7 @@ def write_svg(path, title, series, onset=None):
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{label}</text>')
+                     f'font-size="12">{_xml_text(label)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
@@ -539,7 +539,8 @@ def compare_summaries(paths, out_dir=None):
 
     csv_path = None
     if out_dir is not None:
-        csv_path = Path(out_dir) / f"{name}.comparison.csv"
+        stem = _file_stem(name, "summary scenario name")
+        csv_path = Path(out_dir) / f"{stem}.comparison.csv"
         csv_lines = [",".join(_COMPARE_COLUMNS)]
         csv_lines += [",".join(map(str, row)) for row in rows]
         csv_path.write_text("\n".join(csv_lines) + "\n")

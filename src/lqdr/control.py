@@ -26,35 +26,14 @@ from .riccati import RiccatiSolution, solve_finite_horizon, solve_gare, spectral
 KINDS = ("finite_horizon", "stationary", "receding_horizon",
          "state_feedback_compensation", "pid")
 
-_KIND_ALIASES = {
-    "finitehorizon": "finite_horizon",
-    "recedinghorizon": "receding_horizon",
-    "statefeedbackcompensation": "state_feedback_compensation",
-    "sfc": "state_feedback_compensation",
-}
+#: Each kind by its name lower-cased without "_" or "-", plus the alias "sfc".
+_KIND_NAMES = {**{kind.replace("_", ""): kind for kind in KINDS},
+               "sfc": "state_feedback_compensation"}
 
-
-def canonical_kind(kind):
-    """Map CamelCase or snake_case controller names onto the canonical set."""
-    key = str(kind).replace("_", "").replace("-", "").lower()
-    key = _KIND_ALIASES.get(key, key).replace("_", "")
-    for known in KINDS:
-        if key == known.replace("_", ""):
-            return known
-    raise ValueError(f"unknown controller kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class ControllerState:
-    """PID memory: integral accumulator, previous error, step counter."""
-
-    integral: np.ndarray
-    prev_error: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def initial(cls, dim):
-        return cls(integral=np.zeros(dim), prev_error=np.zeros(dim), step=0)
+#: Fields a controller kind cannot be built without.
+_REQUIRED_FIELDS = {"receding_horizon": ("T",),
+                    "state_feedback_compensation": ("k_x", "K_d"),
+                    "pid": ("Ts",)}
 
 
 @dataclass(frozen=True)
@@ -63,7 +42,12 @@ class ControllerConfig:
 
     Fields are kind-specific: ``T``/``P_terminal``/``strict`` for the
     optimal laws, ``k_x``/``K_d`` for state-feedback compensation, and the
-    three gains plus ``Ts`` for PID.
+    three gains plus ``Ts`` for PID.  Construction is the one place a
+    config is judged: it maps CamelCase, snake_case and ``sfc`` onto the
+    canonical kind and raises ValueError for an unknown kind, a label that
+    is not a string, a ``strict`` that is not a boolean, a missing field of
+    the kind, a lookahead ``T`` below 1 or a sample time ``Ts`` that is not
+    positive.
     """
 
     kind: str
@@ -79,9 +63,24 @@ class ControllerConfig:
     Ts: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", canonical_kind(self.kind))
+        kind = _KIND_NAMES.get(str(self.kind).replace("_", "").replace("-", "").lower())
+        if kind is None:
+            raise ValueError(f"unknown controller kind {self.kind!r}")
+        object.__setattr__(self, "kind", kind)
         if self.label is None:
-            object.__setattr__(self, "label", self.kind)
+            object.__setattr__(self, "label", kind)
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
+        if not isinstance(self.strict, bool):
+            raise ValueError(f"strict must be true or false, got {self.strict!r}")
+        missing = [name for name in _REQUIRED_FIELDS.get(kind, ())
+                   if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"{kind} needs field(s) {missing}")
+        if self.T is not None and self.T < 1:
+            raise ValueError(f"lookahead T must be >= 1, got {self.T}")
+        if self.Ts is not None and not self.Ts > 0:
+            raise ValueError(f"sample time Ts must be positive, got {self.Ts}")
 
 
 def finite_horizon_control(k, x, riccati, ff):
@@ -124,33 +123,6 @@ def receding_horizon_control(x, d_now, model, cost, T, P_terminal=None, strict=T
     return finite_horizon_control(0, x, riccati, ff)
 
 
-def sfc_control(x, d_now, k_x, K_d):
-    """Baseline: state feedback plus static disturbance compensation.
-
-    u = k_x x + K_d d.  The compensating gain is fed the true disturbance
-    (rather than an observer estimate), which can only flatter this
-    baseline in comparisons.
-    """
-    k_x = np.atleast_2d(np.asarray(k_x, dtype=float))
-    K_d = np.atleast_2d(np.asarray(K_d, dtype=float))
-    return k_x @ np.asarray(x, dtype=float) + K_d @ np.asarray(d_now, dtype=float).reshape(-1)
-
-
-def pid_control(state, error, Ts, kp, ki, kd):
-    """Positional discrete PID on the regulated-output error.
-
-    u = kp * e + ki * (accumulated e * Ts) + kd * (e - e_prev) / Ts, with the
-    integral including the current sample.  Returns the input and the
-    updated state; callers own the state and thread it through the loop.
-    """
-    if Ts <= 0:
-        raise ValueError("sample time must be positive")
-    error = np.asarray(error, dtype=float).reshape(-1)
-    integral = state.integral + error * Ts
-    u = kp * error + ki * integral + kd * (error - state.prev_error) / Ts
-    return u, ControllerState(integral=integral, prev_error=error, step=state.step + 1)
-
-
 @dataclass(frozen=True)
 class AffineController:
     """Time-invariant law u = -K x - K_d d_k - u_0, with every gain computed once.
@@ -185,7 +157,12 @@ class FiniteHorizonController:
 
 @dataclass
 class PidController:
-    """Positional PID on the regulated-output error; it owns its ControllerState."""
+    """Positional discrete PID on the regulated-output error.
+
+    u = kp * e + ki * (accumulated e * Ts) + kd * (e - e_prev) / Ts, with the
+    integral including the current sample.  The controller owns its memory,
+    ``integral`` and ``prev_error``, and updates it on every call.
+    """
 
     c_o: np.ndarray
     target: np.ndarray
@@ -193,13 +170,16 @@ class PidController:
     kp: float
     ki: float
     kd: float
-    state: ControllerState
+    integral: np.ndarray
+    prev_error: np.ndarray
     closed_loop_radius: float = None
 
     def __call__(self, k, x, d_now):
         error = self.target - self.c_o @ x
-        u, self.state = pid_control(self.state, error, self.Ts,
-                                    self.kp, self.ki, self.kd)
+        self.integral = self.integral + error * self.Ts
+        u = (self.kp * error + self.ki * self.integral
+             + self.kd * (error - self.prev_error) / self.Ts)
+        self.prev_error = error
         return u
 
 
@@ -229,8 +209,6 @@ def build_controller(config, model, cost, profile, steps):
             closed_loop_radius=gare.closed_loop_radius)
 
     if kind == "receding_horizon":
-        if config.T is None:
-            raise ValueError("receding_horizon needs a lookahead length T")
         riccati, inner_cost = _lookahead(model, cost, config.T, config.P_terminal, config.strict)
         # with d frozen, f_k = Phi_k d - Rscript_k r, where
         # Phi_k = Abar_k' Phi_{k+1} + F_k and Phi_{T+1} = 0; then
@@ -245,20 +223,18 @@ def build_controller(config, model, cost, profile, steps):
             closed_loop_radius=spectral_radius(A - B @ riccati.K[0]))
 
     if kind == "state_feedback_compensation":
-        if config.k_x is None or config.K_d is None:
-            raise ValueError("state_feedback_compensation needs gains k_x and K_d")
-        # u = k_x x + K_d d in the affine form, so K = -k_x
+        # u = k_x x + K_d d in the affine form, so K = -k_x and K_d = -K_d;
+        # the compensating gain is fed the true disturbance (rather than an
+        # observer estimate), which can only flatter this baseline
         K = -np.atleast_2d(np.asarray(config.k_x, dtype=float))
         return AffineController(
             K=K, K_d=-np.atleast_2d(np.asarray(config.K_d, dtype=float)),
             u_0=np.zeros(model.m), closed_loop_radius=spectral_radius(A - B @ K))
 
     # pid
-    if config.Ts is None:
-        raise ValueError("pid needs a sample time Ts")
     if model.l != model.m:
         raise ValueError("pid pairs each regulated output with one input; "
                          f"got l={model.l}, m={model.m}")
     return PidController(c_o=model.c_o, target=model.c_o @ cost.r, Ts=config.Ts,
                          kp=config.kp, ki=config.ki, kd=config.kd,
-                         state=ControllerState.initial(model.l))
+                         integral=np.zeros(model.l), prev_error=np.zeros(model.l))

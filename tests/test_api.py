@@ -1,0 +1,65 @@
+"""The public names of ``lqdr`` and every ``lqdr`` attribute the benchmark uses."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import lqdr
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_attributes():
+    """Sorted (module, name) pairs of the ``lqdr`` attributes perfbench reads.
+
+    Scans every perfbench source file for ``from lqdr.x import name``,
+    ``alias.name`` where ``alias`` is an ``import lqdr.x as alias``, and the
+    string pairs ``("lqdr.x", "name")`` that its instruments wrap, whether
+    written as a tuple or as a call's first two arguments.
+    """
+    found = set()
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases.update({alias.asname or alias.name: alias.name
+                                for alias in node.names if alias.name.startswith("lqdr.")})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lqdr"):
+                found.update((node.module, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                found.add((aliases[node.value.id], node.attr))
+            elif isinstance(node, (ast.Tuple, ast.Call)):
+                pair = [e.value for e in (node.elts if isinstance(node, ast.Tuple)
+                                          else node.args)[:2]
+                        if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+                if len(pair) == 2 and pair[0].startswith("lqdr."):
+                    found.add(tuple(pair))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", lqdr.__all__)
+def test_every_export_resolves(name):
+    assert hasattr(lqdr, name)
+
+
+def test_exports_are_unique():
+    assert len(set(lqdr.__all__)) == len(lqdr.__all__)
+
+
+def test_perfbench_reads_attributes():
+    # the scan must find the benchmark's entry points, or the test below
+    # would pass on an empty list
+    found = _perfbench_attributes()
+    for pair in (("lqdr.cli", "run_scenario"), ("lqdr.control", "build_controller"),
+                 ("lqdr.control", "finite_horizon_control"), ("lqdr.sim", "simulate")):
+        assert pair in found
+
+
+@pytest.mark.parametrize("module, name", _perfbench_attributes())
+def test_perfbench_attribute_exists(module, name):
+    assert hasattr(importlib.import_module(module), name)

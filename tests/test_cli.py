@@ -1,4 +1,5 @@
 import json
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -123,10 +124,11 @@ def test_bundled_scenarios_pin_published_parameters():
     assert c.steps == 2000
 
     d = load_scenario(bundled_scenario_path("example_d"))
-    assert np.allclose(d.raw["system"]["continuous"]["A"], [[-1.76, -1.34], [2.7, -7.21]])
-    assert np.allclose(d.raw["system"]["continuous"]["B"], [[0.57], [0.82]])
-    assert np.allclose(d.raw["system"]["continuous"]["E"], [[0.98], [2.26]])
-    assert d.raw["system"]["Ts"] == 0.02
+    system = json.loads(bundled_scenario_path("example_d").read_text())["system"]
+    assert np.allclose(system["continuous"]["A"], [[-1.76, -1.34], [2.7, -7.21]])
+    assert np.allclose(system["continuous"]["B"], [[0.57], [0.82]])
+    assert np.allclose(system["continuous"]["E"], [[0.98], [2.26]])
+    assert system["Ts"] == 0.02
     assert d.steps == 50
     pid = next(c for c in d.controllers if c.kind == "pid")
     assert (pid.kp, pid.ki, pid.kd, pid.Ts) == (20.0, 600.0, 0.1, 0.02)
@@ -354,18 +356,43 @@ def test_write_csv_matches_the_per_value_reference(traj, tmp_path_factory):
 @given(case=_svg_series())
 @example(case=([("flat", np.full(5, 0.25))], 2))
 @example(case=([("one", [0.5]), ("two", np.array([-0.0, 1.0]))], 0))
+@example(case=([("huge", np.full(5, 1e17))], 2))
 def test_write_svg_matches_the_per_value_reference(case, tmp_path_factory):
     series, onset = case
     out = tmp_path_factory.mktemp("svg")
     try:
         reference_write_svg(out / "want.svg", "t", series, onset=onset)
     except ZeroDivisionError:
-        # a constant series too large to widen by 1: the tick loop divides by zero
-        with pytest.raises(ZeroDivisionError):
-            write_svg(out / "got.svg", "t", series, onset=onset)
+        # a constant series too large to widen by 1: the reference's tick loop
+        # divides by zero, the writer widens relative to the value
+        write_svg(out / "got.svg", "t", series, onset=onset)
+        minidom.parse(str(out / "got.svg"))
         return
     write_svg(out / "got.svg", "t", series, onset=onset)
     assert (out / "got.svg").read_bytes() == (out / "want.svg").read_bytes()
+
+
+def test_write_svg_escapes_title_and_labels(tmp_path):
+    def mutate(doc):
+        doc["name"] = "a&b<c"
+        doc["controllers"][1]["label"] = "s&t"
+    path = write_mini(tmp_path, mutate)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    texts = [node.firstChild.data for node in
+             minidom.parse(str(tmp_path / "out" / "a&b<c.svg")).getElementsByTagName("text")]
+    assert "a&b<c: regulated output" in texts and "s&t" in texts
+
+
+def test_run_plots_a_constant_output_too_large_to_widen_by_one(tmp_path):
+    def mutate(doc):
+        # z stays at 1e17, where 1e17 + 1.0 == 1e17
+        doc["system"]["A"] = [[1.0, 0.0], [0.0, 1.0]]
+        doc["x0"] = [1e17, 0.0]
+        doc["disturbance"] = {"kind": "constant", "amplitude": 0.0}
+        doc["controllers"] = [{"kind": "sfc", "k_x": [[0.0, 0.0]], "K_d": [[0.0]]}]
+    path = write_mini(tmp_path, mutate)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    minidom.parse(str(tmp_path / "out" / "mini.svg"))
 
 
 @pytest.mark.parametrize("post, onset", [
@@ -419,6 +446,17 @@ def test_compare_refuses_mixed_scenarios(tmp_path):
     with pytest.raises(ScenarioError, match="mix"):
         compare_summaries([tmp_path / "x" / "mini.summary.json",
                            tmp_path / "y" / "other.summary.json"])
+
+
+def test_compare_refuses_a_scenario_name_outside_the_output_directory(tmp_path):
+    summary = {"scenario": {"name": "../escaped"},
+               "controllers": {"a": {"error": "no run"}}}
+    path = tmp_path / "s.summary.json"
+    path.write_text(json.dumps(summary))
+    (tmp_path / "out").mkdir()
+    with pytest.raises(ScenarioError, match="scenario name"):
+        compare_summaries([path], tmp_path / "out")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "s.summary.json"]
 
 
 def test_gare_report_mini(tmp_path):
@@ -517,14 +555,24 @@ def test_main_run_scenario_error(tmp_path, capsys):
     lambda d: d["controllers"][0].update(kind="PID", kp=1.0),
     lambda d: d["controllers"][0].update(kind="PID", kp=1.0, Ts=0),
     lambda d: d["cost"].update(R=[[-1.0, 0.0], [0.0, -1.0]]),
+    lambda d: d.update(name="a/b"),
+    lambda d: d.update(name="../escaped"),
+    lambda d: d.update(name="a\\b"),
+    lambda d: d.update(name=["x"]),
+    lambda d: d.update(name=""),
+    lambda d: d["controllers"][1].update(label="s/t"),
+    lambda d: d["controllers"][1].update(label="s\0t"),
+    lambda d: d["controllers"][1].update(label=""),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
         "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
         "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero",
-        "R_negative_definite"])
+        "R_negative_definite", "name_slash", "name_parent_dir", "name_backslash",
+        "name_not_string", "name_empty", "label_slash", "label_nul", "label_empty"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "scenario error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["mini.json"]
 
 
 @pytest.mark.parametrize("token, value", [

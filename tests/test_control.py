@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,12 @@ import lqdr.control
 
 from conftest import (aero_engine_discrete, lqr_textbook_gains, rel_gap,
                       tracking_cost, two_state_bench, uncontrollable_3state)
-from lqdr import (ControllerConfig, ControllerState, CostSpec,
-                  DisturbanceProfile, SolvabilityError, SystemModel, build_controller,
-                  brute_force_optimal, draw_instance, finite_horizon_control,
-                  pid_control, receding_horizon_control, sfc_control,
-                  simulate, solve_finite_horizon, solve_gare, solve_recursive,
-                  solve_steady, spectral_radius, stationary_control)
-from lqdr.cli import bundled_scenario_path, load_scenario, run_scenario
+from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile, SolvabilityError,
+                  SystemModel, build_controller, brute_force_optimal, draw_instance,
+                  finite_horizon_control, receding_horizon_control, simulate,
+                  solve_finite_horizon, solve_gare, solve_recursive, solve_steady,
+                  spectral_radius, stationary_control)
+from lqdr.cli import bundled_scenario_path, load_scenario, main, run_scenario
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -140,34 +141,41 @@ def test_receding_validates_lookahead():
 
 
 def test_sfc_gains():
-    k_x = np.array([[-20.0, -4.0]])
-    K_d = np.array([[-5.0]])
-    assert sfc_control(np.zeros(2), np.zeros(1), k_x, K_d) == pytest.approx(0.0)
-    assert sfc_control(np.array([1.0, 0.0]), np.zeros(1), k_x, K_d) == pytest.approx(-20.0)
-    assert sfc_control(np.zeros(2), np.array([3.0]), k_x, K_d) == pytest.approx(-15.0)
+    model = two_state_bench()
+    config = ControllerConfig(kind="sfc", k_x=[[-20.0, -4.0]], K_d=[[-5.0]])
+    sfc = build_controller(config, model, tracking_cost(model),
+                           DisturbanceProfile.constant(0.0), 10)
+    assert sfc(0, np.zeros(2), np.zeros(1)) == pytest.approx(0.0)
+    assert sfc(0, np.array([1.0, 0.0]), np.zeros(1)) == pytest.approx(-20.0)
+    assert sfc(0, np.zeros(2), np.array([3.0])) == pytest.approx(-15.0)
+
+
+def _built_pid():
+    """The bundled PID gains on a scalar plant whose regulated error is -x."""
+    model = SystemModel(A=[[1.0]], B=[[1.0]], E=[[1.0]], c_o=[[1.0]])
+    cost = CostSpec(Q=[[1.0]], R=[[1.0]], P_terminal=[[0.0]], r=[0.0])
+    config = ControllerConfig(kind="pid", kp=20.0, ki=600.0, kd=0.1, Ts=0.02)
+    return build_controller(config, model, cost, DisturbanceProfile.constant(0.0), 10)
 
 
 def test_pid_zero_error():
-    state = ControllerState.initial(1)
-    for _ in range(5):
-        u, state = pid_control(state, np.zeros(1), 0.02, 20.0, 600.0, 0.1)
-        assert u == pytest.approx(0.0)
+    pid = _built_pid()
+    for k in range(5):
+        assert pid(k, np.zeros(1), np.zeros(1)) == pytest.approx(0.0)
 
 
 def test_pid_first_step_hand_value():
-    state = ControllerState.initial(1)
-    u, state = pid_control(state, np.array([1.0]), 0.02, 20.0, 600.0, 0.1)
+    u = _built_pid()(0, np.array([-1.0]), np.zeros(1))
     assert u == pytest.approx(37.0)  # 20 + 600*0.02 + 0.1/0.02
-    assert state.step == 1
 
 
 def test_pid_constant_error_integrates():
     c = 0.5
-    state = ControllerState.initial(1)
-    u_prev, state = pid_control(state, np.array([c]), 0.02, 20.0, 600.0, 0.1)
-    for _ in range(4):
-        u, state = pid_control(state, np.array([c]), 0.02, 20.0, 600.0, 0.1)
-        assert u - u_prev == pytest.approx(12.0 * c - 0.1 * c / 0.02 if state.step == 2
+    pid = _built_pid()
+    u_prev = pid(0, np.array([-c]), np.zeros(1))
+    for k in range(1, 5):
+        u = pid(k, np.array([-c]), np.zeros(1))
+        assert u - u_prev == pytest.approx(12.0 * c - 0.1 * c / 0.02 if k == 1
                                            else 12.0 * c)
         u_prev = u
 
@@ -176,18 +184,14 @@ def test_pid_is_deterministic():
     errors = np.random.default_rng(2).standard_normal((20, 1))
     outs = []
     for _ in range(2):
-        state = ControllerState.initial(1)
-        seq = []
-        for e in errors:
-            u, state = pid_control(state, e, 0.02, 20.0, 600.0, 0.1)
-            seq.append(u[0])
-        outs.append(seq)
+        pid = _built_pid()
+        outs.append([pid(k, -e, np.zeros(1))[0] for k, e in enumerate(errors)])
     assert outs[0] == outs[1]
 
 
 def test_pid_rejects_bad_sample_time():
-    with pytest.raises(ValueError):
-        pid_control(ControllerState.initial(1), np.zeros(1), 0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="sample time"):
+        ControllerConfig(kind="pid", Ts=0.0)
 
 
 @pytest.mark.parametrize("make_model", [uncontrollable_3state, two_state_bench,
@@ -279,6 +283,32 @@ def test_build_pid_tracks_regulated_error():
     # error = c_o r - c_o x = 1 - 2 x
     assert step(0, np.array([0.0]), np.zeros(1)) == pytest.approx(1.0)
     assert step(1, np.array([1.0]), np.zeros(1)) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "Fuzzy"}, "unknown controller kind"),
+    ({"kind": "Stationary", "label": 5}, "label"),
+    ({"kind": "FiniteHorizon", "strict": "yes"}, "strict"),
+    ({"kind": "RecedingHorizon"}, "T"),
+    ({"kind": "RecedingHorizon", "T": 0}, "lookahead"),
+    ({"kind": "sfc", "K_d": [[-5.0]]}, "k_x"),
+    ({"kind": "StateFeedbackCompensation", "k_x": [[-20.0, -4.0]]}, "K_d"),
+    ({"kind": "PID", "kp": 1.0}, "Ts"),
+    ({"kind": "PID", "kp": 1.0, "Ts": 0.0}, "sample time"),
+    ({"kind": "PID", "kp": 1.0, "Ts": -0.02}, "sample time"),
+], ids=["unknown_kind", "label_not_string", "strict_not_bool", "lookahead_missing",
+        "lookahead_zero", "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts",
+        "pid_Ts_zero", "pid_Ts_negative"])
+def test_invalid_config_is_refused_in_python_and_in_json(fields, message, tmp_path, capsys):
+    with pytest.raises(ValueError, match=message):
+        ControllerConfig(**fields)
+    doc = json.loads(bundled_scenario_path("example_b").read_text())
+    doc["controllers"] = [fields]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "scenario error" in err and message in err
 
 
 # ---------------------------------------------------------------------------
