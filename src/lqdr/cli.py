@@ -80,10 +80,20 @@ def _array(value, where, shape=None):
 
 
 def _file_stem(value, where):
-    """``value``, if it is a non-empty string fit to name a file in the output directory."""
-    if not isinstance(value, str) or not value or any(c in value for c in "/\\\0"):
-        raise ScenarioError(f"{where} must be a non-empty string without '/', '\\' "
-                            f"or NUL, got {value!r}")
+    """``value``, if it is a non-empty string fit to name a file in the output directory.
+
+    Path separators are refused, and so is every character XML 1.0 forbids
+    in the SVG even when escaped: control characters below U+0020 (tab,
+    newline and carriage return, which XML allows, do not belong in a file
+    name either), U+FFFE, U+FFFF and the surrogates U+D800-U+DFFF, which
+    have no UTF-8 encoding.
+    """
+    if (not isinstance(value, str) or not value
+            or any(c in "/\\\ufffe\uffff" or c < " " or "\ud800" <= c <= "\udfff"
+                   for c in value)):
+        raise ScenarioError(f"{where} must be a non-empty string without '/', '\\', "
+                            f"control characters below U+0020, U+FFFE, U+FFFF or "
+                            f"surrogates, got {value!r}")
     return value
 
 

@@ -6,15 +6,25 @@ The finite-horizon solve iterates, from the terminal weight down to k = 0,
     M_k       = B' P_{k+1} A
     P_k       = Q + A' P_{k+1} A - M_k' Upsilon_k^{-1} M_k
 
-and stores the feedback gains K_k = Upsilon_k^{-1} M_k.  In strict mode each
-Upsilon_k must be positive definite (the solvability condition for a unique
-optimal controller).  In non-strict mode a Moore-Penrose pseudo-inverse is
-used instead, which is legitimate exactly when the consistency condition
-Upsilon_k Upsilon_k^+ M_k = M_k holds at every step.  Each solution stores
-the inverse its recursion used as ``Upsilon_inv``.  Once P_k equals P_{k+1}
-bit for bit, every earlier step would repeat the same operations on the same
-input, so the pass stops there and copies step k into steps 0..k-1: the
-infinite-horizon limit, reached exactly inside the finite pass.
+and stores the feedback gains K_k = Upsilon_k^{-1} M_k.  One step is one
+Gram product [A B]' P_{k+1} [A B], whose blocks are A'PA, M_k and B'PB, and
+one symmetric eigendecomposition Upsilon_k = V diag(w) V' (Golub & Van Loan,
+*Matrix Computations*, section 8.1), which gives the solvability test, the
+inverse V diag(1/w) V' and the consistency defect at once.  In strict mode
+each Upsilon_k must be positive definite (the solvability condition for a
+unique optimal controller): its smallest eigenvalue must exceed
+``PINV_RCOND`` times its largest.  In non-strict mode eigenvalues of modulus
+at most ``PINV_RCOND`` times the largest are dropped, which is the
+Moore-Penrose pseudo-inverse with the cutoff ``np.linalg.pinv`` uses
+(section 5.5.4).  It is legitimate exactly when the consistency condition
+Upsilon_k Upsilon_k^+ M_k = M_k holds at every step; its defect is
+||V_dropped' M_k||, accepted up to ``REGULARITY_TOL`` times ||M_k||.  Both
+tests are relative, so rescaling Q, R and P_T together changes no verdict.
+Each solution stores the inverse its recursion used as ``Upsilon_inv`` and
+the ascending eigenvalues of Upsilon as ``Upsilon_eig``.  Once P_k equals
+P_{k+1} bit for bit, every earlier step would repeat the same operations on
+the same input, so the pass stops there and copies step k into steps
+0..k-1: the infinite-horizon limit, reached exactly inside the finite pass.
 
 The stationary equation
 
@@ -38,18 +48,19 @@ rescaling Q and R together changes neither the path nor the count.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from .exceptions import ConvergenceError, RegularityError, SolvabilityError, StabilizationError
 from .model import check_detectability, freeze_fields
 
-#: Relative singular-value cutoff for all pseudo-inverses in this module.
+#: Relative eigenvalue cutoff: Upsilon is positive definite when its smallest
+#: eigenvalue exceeds this times its largest, and the pseudo-inverse drops
+#: eigenvalues of modulus at most this times the largest.
 PINV_RCOND = 1e-10
-#: Smallest eigenvalue of Upsilon_k accepted as positive definite.
-PD_MIN_EIG = 1e-10
-#: Tolerance for the pseudo-inverse consistency check inside solves.
+#: Largest accepted consistency defect, relative to ||M|| (Frobenius).
 REGULARITY_TOL = 1e-9
 
 
@@ -62,41 +73,86 @@ def spectral_radius(mat):
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
-def _regularity_defect(Upsilon, Upsilon_inv, M, tol):
-    """(||Upsilon Upsilon^+ M - M||, whether it is <= tol * (1 + ||M||)), Frobenius."""
-    defect = float(np.linalg.norm(Upsilon @ Upsilon_inv @ M - M))
-    return defect, bool(defect <= tol * (1 + np.linalg.norm(M)))
+def _eigh(Upsilon):
+    """(w, V) with Upsilon = V diag(w) V', w ascending, for symmetric Upsilon.
+
+    LAPACK's ``dsyevd``, the routine behind ``np.linalg.eigh``, called
+    directly: on the m x m matrices of a backward step numpy's wrapper costs
+    several times the decomposition itself.
+    """
+    w, V, info = dsyevd(Upsilon)
+    if info:
+        raise np.linalg.LinAlgError(f"eigendecomposition failed (dsyevd info {info})")
+    return w, V
+
+
+def _eig_inverse(w, V, M):
+    """(Upsilon^+, ||Upsilon Upsilon^+ M - M||) from Upsilon = V diag(w) V', w ascending.
+
+    Eigenvalues of modulus at most ``PINV_RCOND`` times the largest are
+    dropped, the cutoff of ``np.linalg.pinv``; the defect is
+    ||V_dropped' M|| (Frobenius), 0.0 when none is.
+    """
+    if w[0] > PINV_RCOND * w[-1]:
+        # nothing is dropped: the result below, without its indexing and norm
+        return (V / w) @ V.T, 0.0
+    keep = np.abs(w) > PINV_RCOND * np.max(np.abs(w))
+    V_keep = V[:, keep]
+    return (V_keep / w[keep]) @ V_keep.T, float(np.linalg.norm(V[:, ~keep].T @ M))
 
 
 def check_regularity(Upsilon, M, tol):
-    """True iff ||Upsilon Upsilon^+ M - M|| <= tol * (1 + ||M||) (Frobenius)."""
+    """True iff ||Upsilon Upsilon^+ M - M|| <= tol * ||M|| (Frobenius).
+
+    The test is relative, with no floor: scaling M changes no verdict.
+    ``Upsilon`` must be exactly symmetric, as every Upsilon_k is.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     Upsilon = np.atleast_2d(np.asarray(Upsilon, dtype=float))
+    if not np.array_equal(Upsilon, Upsilon.T):
+        raise ValueError("Upsilon must be symmetric")
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    return _regularity_defect(Upsilon, np.linalg.pinv(Upsilon, rcond=PINV_RCOND), M, tol)[1]
+    w, V = _eigh(Upsilon)
+    return bool(_eig_inverse(w, V, M)[1] <= tol * np.linalg.norm(M))
 
 
-def _backward_step(P_next, A, B, Q, R, strict, k=None):
-    """One step back from P_{k+1}: (Upsilon, M, Upsilon_inv, K, P).
+def _step_constants(A, B, Q, R):
+    """The backward step's step-independent products: [A B] and diag(sym(Q), sym(B'RB))."""
+    n, m = B.shape
+    W = np.zeros((n + m, n + m))
+    W[:n, :n] = _sym(Q)
+    W[n:, n:] = _sym(B.T @ R @ B)
+    return np.hstack([A, B]), W
 
-    Strict mode checks that Upsilon is positive definite, naming step ``k``
-    if not, and inverts it; otherwise Upsilon_inv is the pseudo-inverse.
+
+def _backward_step(P_next, AB, W, strict, k=None):
+    """One step back from P_{k+1}: (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P, defect).
+
+    ``AB`` and ``W`` come from ``_step_constants``.  The Gram product
+    G = AB' P_{k+1} AB is symmetrized once; its blocks are A'PA, M = B'PA and
+    B'PB, and W + G holds Q + A'PA and Upsilon = Rbar + B'PB.  Upsilon_eig
+    holds the ascending eigenvalues of Upsilon.  Strict mode raises
+    ``SolvabilityError``, naming step ``k``, unless the smallest exceeds
+    ``PINV_RCOND`` times the largest; otherwise Upsilon_inv is the
+    pseudo-inverse and ``defect`` the consistency defect
+    ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon is inverted whole.
     """
-    Upsilon = _sym(B.T @ (R + P_next) @ B)
-    M = B.T @ P_next @ A
-    if strict:
-        min_eig = float(np.min(np.linalg.eigvalsh(Upsilon)))
-        if min_eig <= PD_MIN_EIG:
-            raise SolvabilityError(
-                f"Upsilon_{k} is not positive definite "
-                f"(min eigenvalue {min_eig:.3e}); no unique optimal input",
-                step=k, min_eigenvalue=min_eig)
-        Upsilon_inv = np.linalg.inv(Upsilon)
-    else:
-        Upsilon_inv = np.linalg.pinv(Upsilon, rcond=PINV_RCOND)
+    n = P_next.shape[0]
+    G = AB.T @ (P_next @ AB)
+    G = (G + G.T) / 2
+    H = W + G
+    M = G[n:, :n]
+    Upsilon = H[n:, n:]
+    w, V = _eigh(Upsilon)
+    if strict and not w[0] > PINV_RCOND * w[-1]:
+        raise SolvabilityError(
+            f"Upsilon_{k} is not positive definite (min eigenvalue {w[0]:.3e}, "
+            f"max {w[-1]:.3e}); no unique optimal input",
+            step=k, min_eigenvalue=float(w[0]))
+    Upsilon_inv, defect = _eig_inverse(w, V, M)
     K = Upsilon_inv @ M
-    return Upsilon, M, Upsilon_inv, K, _sym(Q + A.T @ P_next @ A - M.T @ K)
+    return Upsilon, M, w, Upsilon_inv, K, _sym(H[:n, :n] - M.T @ K), defect
 
 
 @dataclass(frozen=True)
@@ -108,6 +164,8 @@ class RiccatiSolution:
         P: (N+2, n, n) value matrices, P[N+1] is the terminal weight.
         Upsilon: (N+1, m, m) input-channel Gram matrices.
         M: (N+1, m, n) cross terms.
+        Upsilon_eig: (N+1, m) ascending eigenvalues of each Upsilon_k; column 0
+            is the solvability margin.
         Upsilon_inv: (N+1, m, m) Upsilon_k^{-1} (Upsilon_k^+ in non-strict mode).
         K: (N+1, m, n) feedback gains, K_k = Upsilon_inv_k M_k.
         strict: whether gains were computed with true inverses.
@@ -117,12 +175,13 @@ class RiccatiSolution:
     P: np.ndarray
     Upsilon: np.ndarray
     M: np.ndarray
+    Upsilon_eig: np.ndarray
     Upsilon_inv: np.ndarray
     K: np.ndarray
     strict: bool
 
     def __post_init__(self):
-        freeze_fields(self, "P", "Upsilon", "M", "Upsilon_inv", "K")
+        freeze_fields(self, "P", "Upsilon", "M", "Upsilon_eig", "Upsilon_inv", "K")
 
     def upsilon_solve(self, k, rhs):
         """Apply Upsilon_k^{-1} (or its pseudo-inverse in non-strict mode)."""
@@ -139,7 +198,8 @@ class GareSolution:
     ``iterations`` counts doublings or backward steps, and ``horizon`` is
     the finite horizon whose P_0 (from P = 0) was returned: 2^iterations
     after doubling, ``iterations`` after value iteration (None when the
-    solution was not produced by ``gare_fixed_point``).
+    solution was not produced by ``gare_fixed_point``).  ``Upsilon_eig``
+    holds the ascending eigenvalues of ``Upsilon``, computed from it.
     """
 
     P: np.ndarray
@@ -151,9 +211,12 @@ class GareSolution:
     iterations: int
     residual: float
     horizon: int = None
+    Upsilon_eig: np.ndarray = field(init=False)
 
     def __post_init__(self):
         freeze_fields(self, "P", "Upsilon", "M", "Upsilon_inv", "K")
+        object.__setattr__(self, "Upsilon_eig", _eigh(self.Upsilon)[0])
+        freeze_fields(self, "Upsilon_eig")
 
 
 def solve_finite_horizon(model, cost, N, strict=True):
@@ -181,35 +244,34 @@ def solve_finite_horizon(model, cost, N, strict=True):
         raise ValueError("horizon N must be >= 0")
     if cost.n != model.n:
         raise ValueError("cost and model dimensions differ")
-    A, B = model.A, model.B
-    Q, R = cost.Q, cost.R
+    AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
     n, m = model.n, model.m
 
     P = np.zeros((N + 2, n, n))
     Upsilon = np.zeros((N + 1, m, m))
     M = np.zeros((N + 1, m, n))
+    Upsilon_eig = np.zeros((N + 1, m))
     Upsilon_inv = np.zeros((N + 1, m, m))
     K = np.zeros((N + 1, m, n))
     P[N + 1] = _sym(cost.P_terminal)
 
     for k in range(N, -1, -1):
-        Upsilon[k], M[k], Upsilon_inv[k], K[k], P[k] = _backward_step(
-            P[k + 1], A, B, Q, R, strict, k)
-        if not strict:
-            defect, ok = _regularity_defect(Upsilon[k], Upsilon_inv[k], M[k], REGULARITY_TOL)
-            if not ok:
-                raise RegularityError(
-                    f"pseudo-inverse solve inconsistent at step {k} "
-                    f"(defect {defect:.3e}); the problem is unsolvable",
-                    step=k, residual=defect)
-        if np.array_equal(P[k], P[k + 1]):
+        Upsilon[k], M[k], Upsilon_eig[k], Upsilon_inv[k], K[k], P[k], defect = \
+            _backward_step(P[k + 1], AB, W, strict, k)
+        # the defect is exactly 0.0 unless an eigenvalue was dropped
+        if defect and not defect <= REGULARITY_TOL * np.linalg.norm(M[k]):
+            raise RegularityError(
+                f"pseudo-inverse solve inconsistent at step {k} "
+                f"(defect {defect:.3e}); the problem is unsolvable",
+                step=k, residual=defect)
+        if P[k].tobytes() == P[k + 1].tobytes():
             # exact fixed point: every earlier step repeats this one on the
             # same input, so it would return the same arrays and verdict
-            for arr in (P, Upsilon, M, Upsilon_inv, K):
+            for arr in (P, Upsilon, M, Upsilon_eig, Upsilon_inv, K):
                 arr[:k] = arr[k]
             break
 
-    return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M,
+    return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,
                            Upsilon_inv=Upsilon_inv, K=K, strict=strict)
 
 
@@ -245,22 +307,23 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
         warnings.warn("(A, Q^(1/2)) is not detectable; the stationary solve "
                       "may diverge or fail to stabilize", stacklevel=2)
     A, B = model.A, model.B
-    Q, R = cost.Q, cost.R
+    n = model.n
+    AB, W = _step_constants(A, B, cost.Q, cost.R)
+    Q, Rbar = W[:n, :n], W[n:, n:]
 
-    Rbar = _sym(B.T @ R @ B)
     eigs = np.linalg.eigvalsh(Rbar)
     doubling = eigs[0] > PINV_RCOND * eigs[-1]
     if doubling:
-        A_k, G_k, P = A, _sym(B @ np.linalg.solve(Rbar, B.T)), _sym(Q)
+        A_k, G_k, P = A, _sym(B @ np.linalg.solve(Rbar, B.T)), Q
     else:
-        P = np.zeros((model.n, model.n))
+        P = np.zeros((n, n))
     iterations = 0
     delta = np.inf
     while iterations < max_iters:
         if doubling:
             A_k, G_k, P_next = _doubling_step(A_k, G_k, P)
         else:
-            P_next = _backward_step(P, A, B, Q, R, strict=False)[4]
+            P_next = _backward_step(P, AB, W, strict=False)[5]
         delta = float(np.max(np.abs(P_next - P)))
         P = P_next
         iterations += 1
@@ -276,7 +339,7 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
             f"{max_iters} iterations (tol {tol:g}, relative)",
             residual=delta, iterations=max_iters)
 
-    Upsilon, M, Upsilon_inv, K, P_check = _backward_step(P, A, B, Q, R, strict=False)
+    Upsilon, M, _, Upsilon_inv, K, P_check, _ = _backward_step(P, AB, W, strict=False)
     residual = float(np.max(np.abs(P_check - P)))
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
     if min_eig < -1e-8:

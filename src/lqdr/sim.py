@@ -296,7 +296,7 @@ def draw_instance(rng, n_max=4, m_max=2, N_max=20, max_tries=200):
             riccati = solve_finite_horizon(model, cost, N, strict=True)
         except LqdrError:
             continue
-        if float(np.min(np.linalg.eigvalsh(riccati.Upsilon))) < 1e-6:
+        if float(np.min(riccati.Upsilon_eig[:, 0])) < 1e-6:
             continue
         return RandomInstance(model=model, cost=cost,
                               x0=rng.standard_normal(n),

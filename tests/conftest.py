@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 
-from lqdr import (CostSpec, DisturbanceProfile, SystemModel, discretize_zoh,
-                  disturbance_sequence)
+from lqdr import (CostSpec, DisturbanceProfile, RegularityError, SolvabilityError,
+                  SystemModel, discretize_zoh, disturbance_sequence)
 from lqdr.cli import _PALETTE
-from lqdr.riccati import REGULARITY_TOL, _backward_step, _regularity_defect, _sym
+from lqdr.riccati import (PINV_RCOND, REGULARITY_TOL, _backward_step, _step_constants,
+                          _sym)
 
 
 def uncontrollable_3state():
@@ -142,20 +143,48 @@ def rel_gap(a, b):
 # ---------------------------------------------------------------------------
 
 def reference_finite_horizon(model, cost, N, strict=True):
-    """The backward Riccati pass run for every step, with no early stop."""
+    """The backward Riccati pass run for every step, with no early stop.
+
+    Returns (P, Upsilon, M, Upsilon_inv, K, Upsilon_eig).
+    """
     n, m = model.n, model.m
+    AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
     P = np.zeros((N + 2, n, n))
     Upsilon = np.zeros((N + 1, m, m))
     M = np.zeros((N + 1, m, n))
+    Upsilon_eig = np.zeros((N + 1, m))
     Upsilon_inv = np.zeros((N + 1, m, m))
     K = np.zeros((N + 1, m, n))
     P[N + 1] = _sym(cost.P_terminal)
     for k in range(N, -1, -1):
-        Upsilon[k], M[k], Upsilon_inv[k], K[k], P[k] = _backward_step(
-            P[k + 1], model.A, model.B, cost.Q, cost.R, strict, k)
-        if not strict:
-            assert _regularity_defect(Upsilon[k], Upsilon_inv[k], M[k], REGULARITY_TOL)[1]
-    return P, Upsilon, M, Upsilon_inv, K
+        Upsilon[k], M[k], Upsilon_eig[k], Upsilon_inv[k], K[k], P[k], defect = \
+            _backward_step(P[k + 1], AB, W, strict, k)
+        assert defect <= REGULARITY_TOL * np.linalg.norm(M[k])
+    return P, Upsilon, M, Upsilon_inv, K, Upsilon_eig
+
+
+def reference_backward_step(P_next, A, B, Q, R, strict, k=None):
+    """One backward step as separate products: (Upsilon, M, Upsilon_inv, K, P).
+
+    Strict mode tests the smallest eigenvalue of Upsilon against an absolute
+    1e-10 and inverts it with ``np.linalg.inv``; otherwise Upsilon_inv is
+    ``np.linalg.pinv`` and the consistency defect is formed explicitly as
+    ||Upsilon Upsilon^+ M - M||, accepted up to ``REGULARITY_TOL`` (1 + ||M||).
+    """
+    Upsilon = _sym(B.T @ (R + P_next) @ B)
+    M = B.T @ P_next @ A
+    if strict:
+        min_eig = float(np.min(np.linalg.eigvalsh(Upsilon)))
+        if min_eig <= 1e-10:
+            raise SolvabilityError("not positive definite", step=k, min_eigenvalue=min_eig)
+        Upsilon_inv = np.linalg.inv(Upsilon)
+    else:
+        Upsilon_inv = np.linalg.pinv(Upsilon, rcond=PINV_RCOND)
+        defect = float(np.linalg.norm(Upsilon @ Upsilon_inv @ M - M))
+        if defect > REGULARITY_TOL * (1 + np.linalg.norm(M)):
+            raise RegularityError("inconsistent", step=k, residual=defect)
+    K = Upsilon_inv @ M
+    return Upsilon, M, Upsilon_inv, K, _sym(Q + A.T @ P_next @ A - M.T @ K)
 
 
 def reference_feedforward(riccati, model, cost, d_seq):

@@ -575,6 +575,47 @@ def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["mini.json"]
 
 
+FORBIDDEN_CHARACTERS = pytest.mark.parametrize(
+    "char", ["\x01", "\x1f", "\t", "\n", "\ufffe", "\uffff", "\ud800", "\udfff"],
+    ids=["x01", "x1f", "tab", "newline", "ufffe", "uffff", "ud800", "udfff"])
+
+
+@FORBIDDEN_CHARACTERS
+@pytest.mark.parametrize("field", ["name", "label"])
+def test_main_run_rejects_control_characters_in_names(tmp_path, capsys, field, char):
+    # the name or label would name files and appear in the SVG: nothing is written
+    def mutate(doc):
+        if field == "name":
+            doc["name"] = f"ctl{char}x"
+        else:
+            doc["controllers"][1]["label"] = f"s{char}t"
+    path = write_mini(tmp_path, mutate)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "control characters" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["mini.json"]
+
+
+@FORBIDDEN_CHARACTERS
+def test_main_compare_rejects_control_characters_in_the_scenario_name(tmp_path, capsys, char):
+    summary = {"scenario": {"name": f"ctl{char}x"},
+               "controllers": {"a": {"error": "no run"}}}
+    path = tmp_path / "s.summary.json"
+    path.write_text(json.dumps(summary))
+    (tmp_path / "out").mkdir()
+    assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "control characters" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "s.summary.json"]
+
+
+def test_main_run_and_compare_accept_markup_characters_in_the_name(tmp_path):
+    path = write_mini(tmp_path, lambda d: d.update(name="a&b<c"))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    minidom.parse(str(out / "a&b<c.svg"))
+    assert main(["compare", str(out / "a&b<c.summary.json"), "--out", str(out)]) == 0
+    assert (out / "a&b<c.comparison.csv").exists()
+
+
 @pytest.mark.parametrize("token, value", [
     ("NaN", float("nan")), ("Infinity", float("inf")), ("-Infinity", float("-inf")),
 ], ids=["NaN", "Infinity", "-Infinity"])

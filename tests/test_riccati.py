@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ import scipy.linalg
 
 import lqdr.riccati
 from conftest import (aero_engine_discrete, long_horizon_cases, lqr_textbook_gains,
-                      reference_finite_horizon, sampled_stable_plant, tracking_cost,
-                      two_state_bench, uncontrollable_3state)
+                      reference_backward_step, reference_finite_horizon, rel_close,
+                      sampled_stable_plant, tracking_cost, two_state_bench,
+                      uncontrollable_3state)
 from lqdr import (ConvergenceError, CostSpec, RegularityError,
                   SolvabilityError, StabilizationError, SystemModel,
-                  check_regularity, finite_horizon_control, gare_fixed_point,
+                  check_regularity, draw_instance, finite_horizon_control, gare_fixed_point,
                   solve_finite_horizon, solve_gare, solve_recursive, solve_steady,
                   spectral_radius, stationary_control)
 from lqdr.cli import bundled_scenario_path, load_scenario
@@ -123,9 +126,13 @@ def test_backward_pass_stops_at_its_exact_fixed_point(monkeypatch, strict):
 
     monkeypatch.setattr(lqdr.riccati, "_backward_step", counted)
     sol = solve_finite_horizon(scenario.model, scenario.cost, 999, strict=strict)
-    # steps 999 down to 747 are computed; P_747 == P_748 bit for bit
-    assert calls == list(range(999, 746, -1))
-    assert np.array_equal(sol.P[0], sol.P[747]) and np.array_equal(sol.K[0], sol.K[747])
+    # steps 999 down to the first k with P_k == P_{k+1} in the full pass are
+    # computed, and that k is reached before step 0
+    P = reference_finite_horizon(scenario.model, scenario.cost, 999, strict=strict)[0]
+    fixed = next(k for k in range(999, -1, -1) if np.array_equal(P[k], P[k + 1]))
+    assert fixed > 0
+    assert calls == list(range(999, fixed - 1, -1))
+    assert np.array_equal(sol.P[0], sol.P[fixed]) and np.array_equal(sol.K[0], sol.K[fixed])
 
 
 def test_negative_horizon_rejected():
@@ -365,5 +372,181 @@ def test_check_regularity_needs_positive_tol():
         check_regularity(np.eye(2), np.eye(2), tol=0.0)
 
 
+def test_check_regularity_refuses_a_non_symmetric_upsilon():
+    with pytest.raises(ValueError, match="symmetric"):
+        check_regularity(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), tol=1e-9)
+
+
 def test_spectral_radius():
     assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
+
+
+# ---------------------------------------------------------------------------
+# the backward-step kernel
+# ---------------------------------------------------------------------------
+
+def singular_upsilon_problem():
+    """The second input channel has B = 0: every Upsilon_k is singular but consistent."""
+    model = SystemModel(A=np.eye(2), B=[[1.0, 0.0], [0.0, 0.0]],
+                        E=np.zeros((2, 2)), c_o=np.eye(2))
+    return model, CostSpec(Q=np.eye(2), R=np.eye(2), P_terminal=np.eye(2), r=np.zeros(2))
+
+
+def inconsistent_problem():
+    """R = -P_terminal: Upsilon_N = 0 while M_N != 0."""
+    return scalar_model(), scalar_cost(Q=1.0, R=-1.0, P_terminal=1.0)
+
+
+def drawn_instances(count, seed=2024):
+    rng = np.random.default_rng(seed)
+    return [draw_instance(rng) for _ in range(count)]
+
+
+def outcome(solve):
+    """``solve()``, or the (type, step) of the solver error it raises."""
+    try:
+        return solve()
+    except (SolvabilityError, RegularityError) as exc:
+        return type(exc), exc.step
+
+
+def reference_pass_outcome(model, cost, N, strict):
+    """The (type, step) of the error the full pass on ``reference_backward_step`` raises, or None."""
+    def solve():
+        P = lqdr.riccati._sym(cost.P_terminal)
+        for k in range(N, -1, -1):
+            P = reference_backward_step(P, model.A, model.B, cost.Q, cost.R, strict, k)[4]
+    return outcome(solve)
+
+
+def scaled_cost(cost, c):
+    return CostSpec(Q=c * cost.Q, R=c * cost.R, P_terminal=c * cost.P_terminal, r=cost.r)
+
+
+def weight_scale_cases():
+    cases = []
+    for name in BUNDLED:
+        scenario = load_scenario(bundled_scenario_path(name))
+        cases.append(pytest.param(scenario.model, scenario.cost, scenario.steps - 1, id=name))
+    for i, inst in enumerate(drawn_instances(5, seed=77)):
+        cases.append(pytest.param(inst.model, inst.cost, inst.N, id=f"drawn{i}"))
+    cases.append(pytest.param(*singular_upsilon_problem(), 3, id="singular_upsilon"))
+    return cases
+
+
+@pytest.mark.parametrize("c", [2.0 ** -40, 2.0 ** 40], ids=["2^-40", "2^+40"])
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+@pytest.mark.parametrize("model, cost, N", weight_scale_cases())
+def test_solvability_verdicts_ignore_weight_scale(model, cost, N, strict, c):
+    # scaling Q, R and P_T by c scales P, Upsilon and M by c and leaves K:
+    # the strict and the consistency tests are relative, so neither moves
+    base = outcome(lambda: solve_finite_horizon(model, cost, N, strict=strict))
+    scaled = outcome(lambda: solve_finite_horizon(model, scaled_cost(cost, c), N, strict=strict))
+    if isinstance(base, tuple):
+        assert scaled == base
+        return
+    assert not isinstance(scaled, tuple), scaled
+    assert rel_close(scaled.K, base.K, 1e-12)
+    assert rel_close(scaled.P / c, base.P, 1e-12)
+
+
+def kernel_reference_cases():
+    cases = []
+    for name in BUNDLED:
+        scenario = load_scenario(bundled_scenario_path(name))
+        cases.append(pytest.param([(scenario.model, scenario.cost, scenario.steps - 1)], id=name))
+    for case_id, model, cost, steps, _ in long_horizon_cases():
+        cases.append(pytest.param([(model, cost, steps - 1)], id=case_id))
+    draws = [(inst.model, inst.cost, inst.N) for inst in drawn_instances(300)]
+    cases.append(pytest.param(draws, id="draw_instance_300"))
+    cases.append(pytest.param([(*singular_upsilon_problem(), 3)], id="singular_upsilon"))
+    cases.append(pytest.param([(*inconsistent_problem(), 0)], id="inconsistent"))
+    return cases
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+@pytest.mark.parametrize("problems", kernel_reference_cases())
+def test_backward_step_matches_the_separate_product_reference(problems, strict):
+    # every step's Upsilon, M, Upsilon_inv, K and P against the eigvalsh + inv
+    # (strict) or pinv (pseudo-inverse) step applied to the same P_{k+1}; a
+    # rejected problem must be rejected by the reference pass at the same step
+    for model, cost, N in problems:
+        sol = outcome(lambda: solve_finite_horizon(model, cost, N, strict=strict))
+        if isinstance(sol, tuple):
+            assert reference_pass_outcome(model, cost, N, strict) == sol
+            continue
+        seen = set()
+        for k in range(N, -1, -1):
+            key = sol.P[k + 1].tobytes()
+            if key in seen:
+                continue  # same input as a step already compared
+            seen.add(key)
+            want = reference_backward_step(sol.P[k + 1], model.A, model.B, cost.Q, cost.R,
+                                           strict, k)
+            got = (sol.Upsilon[k], sol.M[k], sol.Upsilon_inv[k], sol.K[k], sol.P[k])
+            for name, g, w in zip(("Upsilon", "M", "Upsilon_inv", "K", "P"), got, want):
+                assert rel_close(g, w, 1e-12), (k, name)
+
+
+def penrose_defects(X, Y):
+    """The four Moore-Penrose conditions for Y = X^+, as max-abs defects relative to |X|, |Y|."""
+    x, y = np.max(np.abs(X)), np.max(np.abs(Y))
+    return (np.max(np.abs(X @ Y @ X - X)) / x, np.max(np.abs(Y @ X @ Y - Y)) / y,
+            np.max(np.abs((X @ Y).T - X @ Y)), np.max(np.abs((Y @ X).T - Y @ X)))
+
+
+def test_pseudo_inverse_meets_the_penrose_conditions():
+    model, cost = singular_upsilon_problem()
+    sol = solve_finite_horizon(model, cost, 3, strict=False)
+    plant = sampled_stable_plant(32, 4, 0.001, seed=32)
+    gare = solve_gare(plant, zero_terminal_cost(plant, np.eye(32), np.eye(32)))
+    for X, Y in [*zip(sol.Upsilon, sol.Upsilon_inv), (gare.Upsilon, gare.Upsilon_inv)]:
+        assert max(penrose_defects(X, Y)) <= 1e-12
+        assert rel_close(Y, np.linalg.pinv(X, rcond=1e-10), 1e-12)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+@pytest.mark.parametrize("model, cost, N", full_pass_cases())
+def test_upsilon_eig_is_the_stored_ascending_spectrum(model, cost, N, strict):
+    sol = solve_finite_horizon(model, cost, N, strict=strict)
+    assert sol.Upsilon_eig.shape == (N + 1, model.m)
+    assert not sol.Upsilon_eig.flags.writeable
+    assert np.all(np.diff(sol.Upsilon_eig, axis=1) >= 0)
+    assert rel_close(sol.Upsilon_eig, np.linalg.eigvalsh(sol.Upsilon), 1e-12)
+    # copied across the stretch the pass does not compute, like the other arrays
+    assert np.array_equal(sol.Upsilon_eig,
+                          reference_finite_horizon(model, cost, N, strict=strict)[5])
+
+
+@pytest.mark.parametrize("model, cost", dare_cases())
+def test_gare_keeps_the_upsilon_spectrum(model, cost):
+    g = solve_gare(model, cost)
+    assert g.Upsilon_eig.shape == (model.m,) and not g.Upsilon_eig.flags.writeable
+    assert rel_close(g.Upsilon_eig, np.linalg.eigvalsh(g.Upsilon), 1e-12)
+
+
+def exact_inverse_2x2(U):
+    """The inverse of the float matrix U in exact rational arithmetic, rounded once."""
+    a, b, c, d = (Fraction(float(v)) for v in U.ravel())
+    det = a * d - b * c
+    return np.array([[float(d / det), float(-b / det)], [float(-c / det), float(a / det)]])
+
+
+@pytest.mark.parametrize("spread", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+def test_eigen_inverse_is_as_accurate_as_inv_on_an_ill_conditioned_plant(strict, spread):
+    # two nearly parallel input columns: cond(Upsilon_k) reaches 8e4, 8e6, 8e8.
+    # Any two backward-stable inverses then differ by about cond * eps, so
+    # each is held to that bound against the exact inverse of the same Upsilon
+    plant = sampled_stable_plant(4, 2, 0.02, seed=3)
+    B = plant.B.copy()
+    B[:, 1] = B[:, 0] + spread * B[:, 1]
+    model = SystemModel(A=plant.A, B=B, E=plant.E, c_o=plant.c_o)
+    cost = CostSpec(Q=np.eye(4), R=np.eye(4), P_terminal=np.eye(4), r=np.zeros(4))
+    sol = solve_finite_horizon(model, cost, 200, strict=strict)
+    for k in range(201):
+        exact = exact_inverse_2x2(sol.Upsilon[k])
+        bound = np.linalg.cond(sol.Upsilon[k]) * np.finfo(float).eps
+        assert rel_close(sol.Upsilon_inv[k], exact, bound)
+        assert rel_close(np.linalg.inv(sol.Upsilon[k]), exact, bound)
+        assert rel_close(sol.K[k], exact @ sol.M[k], bound)
