@@ -29,9 +29,7 @@ from .riccati import (GareSolution, RiccatiSolution, check_regularity,
 from .feedforward import (ClosedFormTerms, FeedforwardSolution,
                           closed_form_terms, solve_closed_form,
                           solve_recursive, solve_steady)
-from .control import (ControllerConfig, build_controller,
-                      finite_horizon_control, receding_horizon_control,
-                      stationary_control)
+from .control import ControllerConfig, build_controller, finite_horizon_control
 from .sim import (OracleResult, RandomInstance, Trajectory,
                   brute_force_optimal, costate_residuals, draw_instance,
                   evaluate_cost, predicted_optimal_cost, simulate)
@@ -49,7 +47,7 @@ __all__ = [
     "FeedforwardSolution", "ClosedFormTerms", "closed_form_terms",
     "solve_recursive", "solve_closed_form", "solve_steady",
     "ControllerConfig", "build_controller",
-    "finite_horizon_control", "stationary_control", "receding_horizon_control",
+    "finite_horizon_control",
     "Trajectory", "OracleResult", "RandomInstance", "simulate",
     "evaluate_cost", "predicted_optimal_cost", "brute_force_optimal",
     "costate_residuals", "draw_instance",

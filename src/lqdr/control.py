@@ -7,21 +7,23 @@ compensation gain, and a positional PID acting on the regulated-output
 error.
 
 ``build_controller`` turns a declarative ControllerConfig into a built
-controller: a small object that holds its gains and the spectral radius of
-its state-feedback loop, and is called as ``(k, x, d_k) -> u``.  Every
-solve happens once, at build time.  That includes the receding-horizon
-law: its lookahead Riccati pass never changes between steps and its
-feedforward is linear in the frozen disturbance and the reference, so it
-reduces to the affine law u = -K_0 x - K_d d_k - u_r.
+controller, called as ``(k, x, d_k) -> u``.  Every solve happens once, at
+build time, and every kind but PID is data: an AffineController holding
+u_k = -K[k] x - K_d d_k - u_0[k] and the spectral radius of its
+state-feedback loop.  The finite-horizon law is K[k] = K_k, K_d = 0 and
+u_0[k] = Upsilon_k^{-1} h_k; the stationary law is its infinite-horizon
+limit.  The receding-horizon law holds one gain too: its lookahead Riccati
+pass never changes between steps and its feedforward is linear in the
+frozen disturbance and the reference.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .feedforward import FeedforwardSolution, closed_form_terms, solve_recursive, solve_steady
+from .feedforward import closed_form_terms, solve_recursive, solve_steady
 from .model import CostSpec, DisturbanceProfile, freeze_fields
-from .riccati import RiccatiSolution, solve_finite_horizon, solve_gare, spectral_radius
+from .riccati import solve_finite_horizon, solve_gare, spectral_radius
 
 KINDS = ("finite_horizon", "stationary", "receding_horizon",
          "state_feedback_compensation", "pid")
@@ -87,48 +89,16 @@ def finite_horizon_control(k, x, riccati, ff):
     """Optimal input at step k: u = -K_k x - Upsilon_k^{-1} h_k."""
     if not 0 <= k <= riccati.horizon:
         raise IndexError(f"step {k} outside horizon 0..{riccati.horizon}")
-    return -riccati.K[k] @ x - riccati.upsilon_solve(k, ff.h[k])
-
-
-def stationary_control(x, gare, h):
-    """Stabilizing input u = -K x - Upsilon^+ h (pure regulation when h = 0)."""
-    return -gare.K @ x - gare.Upsilon_inv @ np.asarray(h, dtype=float).reshape(-1)
-
-
-def _lookahead(model, cost, T, P_terminal, strict):
-    """Riccati pass of a T-step lookahead and the cost it was solved for."""
-    if T < 1:
-        raise ValueError("lookahead T must be >= 1")
-    if P_terminal is None:
-        inner_cost = cost
-    else:
-        inner_cost = CostSpec(Q=cost.Q, R=cost.R, P_terminal=P_terminal, r=cost.r)
-    return solve_finite_horizon(model, inner_cost, T, strict=strict), inner_cost
-
-
-def receding_horizon_control(x, d_now, model, cost, T, P_terminal=None, strict=True):
-    """First input of a T-step lookahead with the disturbance frozen at d_now.
-
-    Solves the backward equations over the lookahead window with d held at
-    its current value and terminal weight ``P_terminal`` (the cost's
-    terminal weight when omitted), then applies only the first input.  The
-    full backward pass is recomputed on every call.  This is the reference
-    the built law of ``build_controller`` is tested against; that law solves
-    once and applies u = -K_0 x - K_d d_now - u_r.
-    """
-    riccati, inner_cost = _lookahead(model, cost, T, P_terminal, strict)
-    d_now = np.asarray(d_now, dtype=float).reshape(-1)
-    frozen = np.tile(d_now, (T + 1, 1))
-    ff = solve_recursive(riccati, model, inner_cost, frozen)
-    return finite_horizon_control(0, x, riccati, ff)
+    return -riccati.K[k] @ x - riccati.Upsilon_inv[k] @ ff.h[k]
 
 
 @dataclass(frozen=True)
 class AffineController:
-    """Time-invariant law u = -K x - K_d d_k - u_0, with every gain computed once.
+    """The law u_k = -K[k] x - K_d d_k - u_0[k] over steps k = 0..len(K) - 1.
 
-    The stationary, receding-horizon and state-feedback-compensation
-    controllers all take this form; ``closed_loop_radius`` is rho(A - B K).
+    K has shape (steps, m, n), K_d (m, m) and u_0 (steps, m), all read-only;
+    a time-invariant law holds broadcast views of one gain and one offset.
+    ``closed_loop_radius`` is rho(A - B K[0]).
     """
 
     K: np.ndarray
@@ -140,19 +110,9 @@ class AffineController:
         freeze_fields(self, "K", "K_d", "u_0")
 
     def __call__(self, k, x, d_now):
-        return -self.K @ x - self.K_d @ d_now - self.u_0
-
-
-@dataclass(frozen=True)
-class FiniteHorizonController:
-    """Optimal law over the whole run; ``closed_loop_radius`` is rho(A - B K_0)."""
-
-    riccati: RiccatiSolution
-    ff: FeedforwardSolution
-    closed_loop_radius: float
-
-    def __call__(self, k, x, d_now):
-        return finite_horizon_control(k, x, self.riccati, self.ff)
+        if not 0 <= k < self.K.shape[0]:
+            raise IndexError(f"step {k} outside the law's steps 0..{self.K.shape[0] - 1}")
+        return -self.K[k] @ x - self.K_d @ d_now - self.u_0[k]
 
 
 @dataclass
@@ -183,33 +143,45 @@ class PidController:
         return u
 
 
+def _affine_law(model, steps, K, K_d, u_0):
+    """The AffineController of (K, K_d, u_0) over ``steps`` steps.
+
+    A single gain K (m x n) or offset u_0 (m) is held over every step.
+    """
+    K_0 = K if K.ndim == 2 else K[0]
+    return AffineController(
+        K=np.broadcast_to(K, (steps,) + K_0.shape), K_d=K_d,
+        u_0=np.broadcast_to(u_0, (steps, model.m)),
+        closed_loop_radius=spectral_radius(model.A - model.B @ K_0))
+
+
 def build_controller(config, model, cost, profile, steps):
     """Build the controller of one configuration, callable as ``(k, x, d_k) -> u``.
 
     All solver work (Riccati, stationary equation, feedforward) happens
-    here, so errors surface before the simulation starts.
+    here, so errors surface before the simulation starts.  Every kind but
+    PID is an AffineController over ``steps`` steps.
     """
     kind = config.kind
-    A, B = model.A, model.B
+    B = model.B
     if kind == "finite_horizon":
         riccati = solve_finite_horizon(model, cost, steps - 1, strict=config.strict)
-        ff = solve_recursive(riccati, model, cost, profile)
-        return FiniteHorizonController(
-            riccati=riccati, ff=ff,
-            closed_loop_radius=spectral_radius(A - B @ riccati.K[0]))
+        h = solve_recursive(riccati, model, cost, profile).h
+        return _affine_law(model, steps, riccati.K, np.zeros((model.m, model.m)),
+                           (riccati.Upsilon_inv @ h[:, :, None])[:, :, 0])
 
     if kind == "stationary":
         gare = solve_gare(model, cost)
         d_limit = profile.limit_value() if isinstance(profile, DisturbanceProfile) \
             else np.asarray(profile, dtype=float)[-1]
-        h, _ = solve_steady(gare, model, cost, d_limit, cost.r)
-        return AffineController(
-            K=gare.K, K_d=np.zeros((model.m, model.m)),
-            u_0=gare.Upsilon_inv @ h,
-            closed_loop_radius=gare.closed_loop_radius)
+        h, _ = solve_steady(gare, model, cost, d_limit)
+        return _affine_law(model, steps, gare.K, np.zeros((model.m, model.m)),
+                           gare.Upsilon_inv @ h)
 
     if kind == "receding_horizon":
-        riccati, inner_cost = _lookahead(model, cost, config.T, config.P_terminal, config.strict)
+        inner_cost = cost if config.P_terminal is None else CostSpec(
+            Q=cost.Q, R=cost.R, P_terminal=config.P_terminal, r=cost.r)
+        riccati = solve_finite_horizon(model, inner_cost, config.T, strict=config.strict)
         # with d frozen, f_k = Phi_k d - Rscript_k r, where
         # Phi_k = Abar_k' Phi_{k+1} + F_k and Phi_{T+1} = 0; then
         # h_0 = (H_0 + B' Phi_1) d - B' Rscript_1 r
@@ -217,19 +189,18 @@ def build_controller(config, model, cost, profile, steps):
         Phi = np.zeros((model.n, model.m))
         for k in range(config.T, 0, -1):
             Phi = terms.Abar[k].T @ Phi + terms.F[k]
-        return AffineController(
-            K=riccati.K[0], K_d=riccati.upsilon_solve(0, terms.H[0] + B.T @ Phi),
-            u_0=-riccati.upsilon_solve(0, B.T @ terms.Rscript[1] @ inner_cost.r),
-            closed_loop_radius=spectral_radius(A - B @ riccati.K[0]))
+        Upsilon_inv = riccati.Upsilon_inv[0]
+        return _affine_law(model, steps, riccati.K[0],
+                           Upsilon_inv @ (terms.H[0] + B.T @ Phi),
+                           -(Upsilon_inv @ (B.T @ terms.Rscript[1] @ inner_cost.r)))
 
     if kind == "state_feedback_compensation":
         # u = k_x x + K_d d in the affine form, so K = -k_x and K_d = -K_d;
         # the compensating gain is fed the true disturbance (rather than an
         # observer estimate), which can only flatter this baseline
-        K = -np.atleast_2d(np.asarray(config.k_x, dtype=float))
-        return AffineController(
-            K=K, K_d=-np.atleast_2d(np.asarray(config.K_d, dtype=float)),
-            u_0=np.zeros(model.m), closed_loop_radius=spectral_radius(A - B @ K))
+        return _affine_law(model, steps, -np.atleast_2d(np.asarray(config.k_x, dtype=float)),
+                           -np.atleast_2d(np.asarray(config.K_d, dtype=float)),
+                           np.zeros(model.m))
 
     # pid
     if model.l != model.m:

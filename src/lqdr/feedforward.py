@@ -148,14 +148,14 @@ def solve_closed_form(riccati, model, cost, d):
     return FeedforwardSolution(h=h, f=f)
 
 
-def solve_steady(gare, model, cost, d_limit, r=None):
+def solve_steady(gare, model, cost, d_limit):
     """Stationary (h, f) for a disturbance that settles at ``d_limit``.
 
     Substituting the h-equation into the f-equation under constant signals
-    gives one linear system (I - Abar') f = F d - Q r, which is solvable
-    because the stationary closed loop is a contraction.  The returned pair
-    is the fixed point of the backward equations, i.e. the limit the
-    finite-horizon sequences approach far from the terminal time.
+    gives one linear system (I - Abar') f = F d - Q r, with r = ``cost.r``,
+    which is solvable because the stationary closed loop is a contraction.
+    The returned pair is the fixed point of the backward equations, i.e. the
+    limit the finite-horizon sequences approach far from the terminal time.
 
     Raises:
         StabilizationError: the stationary closed loop is not a contraction,
@@ -166,10 +166,7 @@ def solve_steady(gare, model, cost, d_limit, r=None):
             f"rho(A - B K) = {gare.closed_loop_radius:.6f} >= 1; "
             "no stationary feedforward", spectral_radius=gare.closed_loop_radius)
     A, B, E = model.A, model.B, model.E
-    Q, R = cost.Q, cost.R
-    if r is None:
-        r = cost.r
-    r = np.asarray(r, dtype=float).reshape(-1)
+    Q, R, r = cost.Q, cost.R, cost.r
     d_limit = np.asarray(d_limit, dtype=float).reshape(-1)
     if d_limit.shape[0] != model.m:
         raise ValueError(f"d_limit must have length {model.m}")

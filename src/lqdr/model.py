@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-#: Symmetry tolerance used when flagging weight matrices.
+#: Largest asymmetry max|W - W'| of an accepted weight W, relative to max|W|.
 SYMMETRY_TOL = 1e-12
-#: Eigenvalue floor below which a symmetric matrix is flagged as indefinite.
+#: Eigenvalue floor below which a symmetric weight W is flagged as
+#: indefinite, relative to max|W|.
 PSD_EIG_FLOOR = -1e-10
 #: Singular values below this fraction of the largest one count as zero.
 RANK_REL_TOL = 1e-9
@@ -344,13 +345,15 @@ def classify_disturbance(B, E):
 
 
 def _psd_check(name, mat, messages):
-    sym = np.max(np.abs(mat - mat.T)) <= SYMMETRY_TOL
-    if not sym:
-        messages.append(f"{name} is not symmetric to {SYMMETRY_TOL:g}")
+    """Symmetric-PSD verdict relative to max|mat|: rescaling changes none, and 0 passes."""
+    scale = float(np.max(np.abs(mat)))
+    if not np.max(np.abs(mat - mat.T)) <= SYMMETRY_TOL * scale:
+        messages.append(f"{name} is not symmetric to {SYMMETRY_TOL:g} relative")
         return False
     min_eig = float(np.min(np.linalg.eigvalsh((mat + mat.T) / 2)))
-    if min_eig < PSD_EIG_FLOOR:
-        messages.append(f"{name} has eigenvalue {min_eig:.3e} below the PSD floor")
+    if min_eig < PSD_EIG_FLOOR * scale:
+        messages.append(f"{name} has eigenvalue {min_eig:.3e} below the PSD floor "
+                        f"({PSD_EIG_FLOOR:g} times its largest entry)")
         return False
     return True
 
@@ -402,14 +405,10 @@ def validate(model, cost):
     channel is matched to the input channel.
     """
     messages = []
-    dimension_ok = True
-    n = model.n
-    if cost.n != n:
-        dimension_ok = False
-        messages.append(f"cost matrices are {cost.n}x{cost.n} but the state dimension is {n}")
-    if model.E.shape != model.B.shape:
-        dimension_ok = False
-        messages.append("disturbance map E must have the input map's shape")
+    dimension_ok = cost.n == model.n
+    if not dimension_ok:
+        messages.append(f"cost matrices are {cost.n}x{cost.n} "
+                        f"but the state dimension is {model.n}")
 
     psd_flags = check_weights(cost, messages) if dimension_ok \
         else dict.fromkeys(_WEIGHTS, False)

@@ -48,7 +48,7 @@ rescaling Q and R together changes neither the path nor the count.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dsyevd
@@ -168,7 +168,6 @@ class RiccatiSolution:
             is the solvability margin.
         Upsilon_inv: (N+1, m, m) Upsilon_k^{-1} (Upsilon_k^+ in non-strict mode).
         K: (N+1, m, n) feedback gains, K_k = Upsilon_inv_k M_k.
-        strict: whether gains were computed with true inverses.
     """
 
     horizon: int
@@ -178,14 +177,9 @@ class RiccatiSolution:
     Upsilon_eig: np.ndarray
     Upsilon_inv: np.ndarray
     K: np.ndarray
-    strict: bool
 
     def __post_init__(self):
         freeze_fields(self, "P", "Upsilon", "M", "Upsilon_eig", "Upsilon_inv", "K")
-
-    def upsilon_solve(self, k, rhs):
-        """Apply Upsilon_k^{-1} (or its pseudo-inverse in non-strict mode)."""
-        return self.Upsilon_inv[k] @ rhs
 
 
 @dataclass(frozen=True)
@@ -197,26 +191,23 @@ class GareSolution:
     map application; ``closed_loop_radius`` is the spectral radius of A - B K.
     ``iterations`` counts doublings or backward steps, and ``horizon`` is
     the finite horizon whose P_0 (from P = 0) was returned: 2^iterations
-    after doubling, ``iterations`` after value iteration (None when the
-    solution was not produced by ``gare_fixed_point``).  ``Upsilon_eig``
-    holds the ascending eigenvalues of ``Upsilon``, computed from it.
+    after doubling, ``iterations`` after value iteration.  ``Upsilon_eig``
+    holds the ascending eigenvalues of ``Upsilon``.
     """
 
     P: np.ndarray
     Upsilon: np.ndarray
     M: np.ndarray
+    Upsilon_eig: np.ndarray
     Upsilon_inv: np.ndarray
     K: np.ndarray
     closed_loop_radius: float
     iterations: int
     residual: float
-    horizon: int = None
-    Upsilon_eig: np.ndarray = field(init=False)
+    horizon: int
 
     def __post_init__(self):
-        freeze_fields(self, "P", "Upsilon", "M", "Upsilon_inv", "K")
-        object.__setattr__(self, "Upsilon_eig", _eigh(self.Upsilon)[0])
-        freeze_fields(self, "Upsilon_eig")
+        freeze_fields(self, "P", "Upsilon", "M", "Upsilon_eig", "Upsilon_inv", "K")
 
 
 def solve_finite_horizon(model, cost, N, strict=True):
@@ -272,7 +263,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
             break
 
     return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,
-                           Upsilon_inv=Upsilon_inv, K=K, strict=strict)
+                           Upsilon_inv=Upsilon_inv, K=K)
 
 
 def _doubling_step(A_k, G_k, H_k):
@@ -339,7 +330,8 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
             f"{max_iters} iterations (tol {tol:g}, relative)",
             residual=delta, iterations=max_iters)
 
-    Upsilon, M, _, Upsilon_inv, K, P_check, _ = _backward_step(P, AB, W, strict=False)
+    Upsilon, M, Upsilon_eig, Upsilon_inv, K, P_check, _ = \
+        _backward_step(P, AB, W, strict=False)
     residual = float(np.max(np.abs(P_check - P)))
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
     if min_eig < -1e-8:
@@ -347,7 +339,8 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
             f"stationary iterate lost semidefiniteness (min eigenvalue {min_eig:.3e})",
             residual=residual, iterations=iterations)
     radius = spectral_radius(A - B @ K)
-    return GareSolution(P=P, Upsilon=Upsilon, M=M, Upsilon_inv=Upsilon_inv, K=K,
+    return GareSolution(P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,
+                        Upsilon_inv=Upsilon_inv, K=K,
                         closed_loop_radius=radius, iterations=iterations,
                         residual=residual,
                         horizon=2 ** iterations if doubling else iterations)

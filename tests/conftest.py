@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 
 from lqdr import (CostSpec, DisturbanceProfile, RegularityError, SolvabilityError,
-                  SystemModel, discretize_zoh, disturbance_sequence)
+                  SystemModel, discretize_zoh, disturbance_sequence,
+                  finite_horizon_control, solve_finite_horizon, solve_recursive)
 from lqdr.cli import _PALETTE
 from lqdr.riccati import (PINV_RCOND, REGULARITY_TOL, _backward_step, _step_constants,
                           _sym)
@@ -111,6 +112,17 @@ def tracking_cost(model, r=None):
     return CostSpec.from_model(model, R=np.eye(model.n), r=r)
 
 
+def scaled_weight_probes(scale):
+    """(indefinite, skewed) 2 x 2 weights, each times ``scale``.
+
+    ``indefinite`` is diag(1, -1e-3).  ``skewed`` is a positive definite
+    weight with entries near 1e6 whose off-diagonal pair differs by 50 ulp.
+    """
+    skewed = np.array([[2e6, 1e6], [1e6, 2e6]])
+    skewed[0, 1] += 50 * np.spacing(1e6)
+    return np.diag([1.0, -1e-3]) * scale, skewed * scale
+
+
 def lqr_textbook_gains(A, B, Q, R_u, P_terminal, N):
     """Independent standard LQR recursion with an explicit input weight.
 
@@ -198,8 +210,33 @@ def reference_feedforward(riccati, model, cost, d_seq):
     for k in range(N, -1, -1):
         h[k] = B.T @ (R + riccati.P[k + 1]) @ (E @ d_seq[k]) + B.T @ f[k + 1]
         f[k] = (A.T @ (riccati.P[k + 1] @ (E @ d_seq[k])) + A.T @ f[k + 1]
-                - riccati.M[k].T @ riccati.upsilon_solve(k, h[k]) - Q @ r)
+                - riccati.M[k].T @ (riccati.Upsilon_inv[k] @ h[k]) - Q @ r)
     return h, f
+
+
+def stationary_control(x, gare, h):
+    """Stabilizing input u = -K x - Upsilon^+ h (pure regulation when h = 0)."""
+    return -gare.K @ x - gare.Upsilon_inv @ np.asarray(h, dtype=float).reshape(-1)
+
+
+def receding_horizon_control(x, d_now, model, cost, T, P_terminal=None, strict=True):
+    """First input of a T-step lookahead with the disturbance frozen at d_now.
+
+    Solves the backward equations over the lookahead window with d held at
+    its current value and terminal weight ``P_terminal`` (the cost's
+    terminal weight when omitted), then applies only the first input.  The
+    full backward pass is recomputed on every call; the law that
+    ``build_controller`` builds solves once and applies
+    u = -K_0 x - K_d d_now - u_0.
+    """
+    if T < 1:
+        raise ValueError("lookahead T must be >= 1")
+    if P_terminal is not None:
+        cost = CostSpec(Q=cost.Q, R=cost.R, P_terminal=P_terminal, r=cost.r)
+    riccati = solve_finite_horizon(model, cost, T, strict=strict)
+    d_now = np.asarray(d_now, dtype=float).reshape(-1)
+    ff = solve_recursive(riccati, model, cost, np.tile(d_now, (T + 1, 1)))
+    return finite_horizon_control(0, x, riccati, ff)
 
 
 def reference_simulate(model, cost, controller, x0, d_seq):
@@ -275,7 +312,7 @@ def reference_closed_form(riccati, model, cost, d_seq):
     for k in range(N, -1, -1):
         H[k] = B.T @ (R + riccati.P[k + 1]) @ E
         Abar[k] = A - B @ riccati.K[k]
-        F[k] = Abar[k].T @ riccati.P[k + 1] @ E - riccati.M[k].T @ riccati.upsilon_solve(k, BtRE)
+        F[k] = Abar[k].T @ riccati.P[k + 1] @ E - riccati.M[k].T @ (riccati.Upsilon_inv[k] @ BtRE)
         Rscript[k] = Abar[k].T @ Rscript[k + 1] + Q
     f = np.zeros((N + 2, n))
     f[N + 1] = -riccati.P[N + 1] @ r
@@ -323,7 +360,7 @@ def reference_predicted_optimal_cost(riccati, ff, x0, model, cost, d_seq):
         total += float(r @ cost.Q @ r)
         total += float(Ed @ (R + riccati.P[k + 1]) @ Ed)
         total += 2 * float(Ed @ ff.f[k + 1])
-        total -= float(ff.h[k] @ riccati.upsilon_solve(k, ff.h[k]))
+        total -= float(ff.h[k] @ (riccati.Upsilon_inv[k] @ ff.h[k]))
     return total
 
 

@@ -13,14 +13,15 @@ lines as they print.
 import numpy as np
 import pytest
 
-from conftest import lqr_textbook_gains, rel_gap, tracking_cost, two_state_bench
+from conftest import (lqr_textbook_gains, rel_gap, stationary_control, tracking_cost,
+                      two_state_bench)
 from lqdr import (CostSpec, SolvabilityError, SystemModel,
                   MATCHED, brute_force_optimal, build_controller,
                   classify_disturbance, costate_residuals, draw_instance,
                   evaluate_cost, finite_horizon_control,
                   predicted_optimal_cost, simulate, solve_closed_form,
                   solve_finite_horizon, solve_gare, solve_recursive,
-                  solve_steady, stationary_control)
+                  solve_steady)
 from lqdr.cli import bundled_scenario_path, load_scenario, trajectory_metrics
 
 GOLDEN = (1 + np.sqrt(5)) / 2

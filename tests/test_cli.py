@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lqdr.cli as cli
-from conftest import reference_settling_step, reference_write_csv, reference_write_svg
+from conftest import (reference_settling_step, reference_write_csv, reference_write_svg,
+                      scaled_weight_probes)
 from lqdr import (ScenarioError, SolvabilityError, SystemModel, Trajectory,
                   brute_force_optimal, build_controller, simulate, solve_finite_horizon)
 from lqdr.cli import (_settling_step, bundled_scenario_path, compare_summaries, gare_report,
@@ -236,6 +237,17 @@ def test_load_scenario_checks_only_the_weights(tmp_path, monkeypatch):
     load_scenario(write_mini(tmp_path))
     load_scenario(bundled_scenario_path("example_d"))
     assert calls == []
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** 40], ids=["2^-40", "2^40"])
+def test_load_scenario_weight_verdicts_do_not_depend_on_scale(tmp_path, scale):
+    indefinite, skewed = scaled_weight_probes(scale)
+
+    def with_Q(Q):
+        return write_mini(tmp_path, lambda doc: doc["cost"].update(Q=Q.tolist()))
+    assert np.array_equal(load_scenario(with_Q(skewed)).cost.Q, skewed)
+    with pytest.raises(ScenarioError, match="Q has eigenvalue"):
+        load_scenario(with_Q(indefinite))
 
 
 def test_run_records_solver_failure_and_continues(tmp_path):

@@ -6,13 +6,14 @@ import pytest
 import lqdr.cli
 import lqdr.control
 
-from conftest import (aero_engine_discrete, lqr_textbook_gains, rel_gap,
+from conftest import (aero_engine_discrete, long_horizon_cases, lqr_textbook_gains,
+                      receding_horizon_control, rel_gap, stationary_control,
                       tracking_cost, two_state_bench, uncontrollable_3state)
 from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile, SolvabilityError,
                   SystemModel, build_controller, brute_force_optimal, draw_instance,
-                  finite_horizon_control, receding_horizon_control, simulate,
+                  finite_horizon_control, simulate,
                   solve_finite_horizon, solve_gare, solve_recursive, solve_steady,
-                  spectral_radius, stationary_control)
+                  spectral_radius)
 from lqdr.cli import bundled_scenario_path, load_scenario, main, run_scenario
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -413,3 +414,100 @@ def test_run_scenario_solves_nothing_after_simulate(monkeypatch, tmp_path):
             if call == "simulate":
                 assert calls[i + 1:i + 2] in ([], ["build_controller"])
         assert calls[-1] == "simulate"
+
+
+# ---------------------------------------------------------------------------
+# built laws are data and reproduce their per-step references bit for bit
+# ---------------------------------------------------------------------------
+
+_AFFINE_CONFIGS = (
+    ControllerConfig(kind="FiniteHorizon"),
+    ControllerConfig(kind="FiniteHorizon", strict=False),
+    ControllerConfig(kind="Stationary"),
+    ControllerConfig(kind="RecedingHorizon", T=20),
+    ControllerConfig(kind="sfc", k_x=[[-20.0, -4.0]], K_d=[[-5.0]]),
+)
+
+
+def _finite_horizon_run(name):
+    """(model, cost, x0, steps, d) of example_d or of one long-horizon plant."""
+    if name == "example_d":
+        scenario = load_scenario(bundled_scenario_path(name))
+        return (scenario.model, scenario.cost, scenario.x0, scenario.steps,
+                scenario.disturbance)
+    _, model, cost, steps, ramp = next(c for c in long_horizon_cases() if c[0] == name)
+    return model, cost, np.random.default_rng(model.n).standard_normal(model.n), steps, ramp
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+@pytest.mark.parametrize("name", ["example_d"] + [c[0] for c in long_horizon_cases()])
+def test_built_finite_horizon_law_is_the_per_step_law_bit_for_bit(name, strict):
+    model, cost, x0, steps, d = _finite_horizon_run(name)
+    law = build_controller(ControllerConfig(kind="FiniteHorizon", strict=strict),
+                           model, cost, d, steps)
+    riccati = solve_finite_horizon(model, cost, steps - 1, strict=strict)
+    ff = solve_recursive(riccati, model, cost, d)
+    built = simulate(model, cost, law, x0, steps, d)
+    ref = simulate(model, cost, lambda k, x, dk: finite_horizon_control(k, x, riccati, ff),
+                   x0, steps, d)
+    assert built.u.tobytes() == ref.u.tobytes()
+    assert built.x.tobytes() == ref.x.tobytes()
+    assert law.closed_loop_radius == spectral_radius(model.A - model.B @ riccati.K[0])
+
+
+@pytest.mark.parametrize("make_model", [uncontrollable_3state, two_state_bench,
+                                         aero_engine_discrete])
+@pytest.mark.parametrize("profile", [DisturbanceProfile.constant(0.05, start_step=10),
+                                     np.linspace(0.0, -0.2, 60)[:, None]],
+                         ids=["constant", "samples"])
+def test_built_stationary_law_is_the_per_step_law_bit_for_bit(make_model, profile):
+    model = make_model()
+    cost = tracking_cost(model, r=np.full(model.n, 0.1))
+    steps = 60
+    law = build_controller(ControllerConfig(kind="Stationary"), model, cost, profile, steps)
+    gare = solve_gare(model, cost)
+    d_limit = profile.limit_value() if isinstance(profile, DisturbanceProfile) \
+        else profile[-1]
+    h, _ = solve_steady(gare, model, cost, d_limit)
+    x0 = np.full(model.n, 0.5)
+    built = simulate(model, cost, law, x0, steps, profile)
+    ref = simulate(model, cost, lambda k, x, dk: stationary_control(x, gare, h),
+                   x0, steps, profile)
+    assert built.u.tobytes() == ref.u.tobytes()
+    assert built.x.tobytes() == ref.x.tobytes()
+    assert law.closed_loop_radius == gare.closed_loop_radius
+
+
+def test_built_sfc_law_is_the_baseline_bit_for_bit():
+    model = two_state_bench()
+    cost = tracking_cost(model)
+    k_x, K_d = np.array([[-20.0, -4.0]]), np.array([[-5.0]])
+    d = DisturbanceProfile.sinusoid(1.0, 0.2, start_step=5)
+    law = build_controller(ControllerConfig(kind="sfc", k_x=k_x, K_d=K_d), model, cost, d, 80)
+    built = simulate(model, cost, law, [1.0, -0.5], 80, d)
+    ref = simulate(model, cost, lambda k, x, dk: k_x @ x + K_d @ dk, [1.0, -0.5], 80, d)
+    assert built.u.tobytes() == ref.u.tobytes()
+    assert built.x.tobytes() == ref.x.tobytes()
+    assert law.closed_loop_radius == spectral_radius(model.A + model.B @ k_x)
+
+
+@pytest.mark.parametrize("config", _AFFINE_CONFIGS, ids=lambda c: f"{c.kind}-{c.strict}")
+def test_built_law_is_read_only_data_over_its_steps(config):
+    model = two_state_bench()
+    steps = 30
+    law = build_controller(config, model, tracking_cost(model),
+                           DisturbanceProfile.constant(3.0, start_step=5), steps)
+    assert type(law) is lqdr.control.AffineController
+    assert law.K.shape == (steps, model.m, model.n)
+    assert law.K_d.shape == (model.m, model.m)
+    assert law.u_0.shape == (steps, model.m)
+    for arr in (law.K, law.K_d, law.u_0):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    x, d = np.array([1.0, 0.0]), np.array([2.0])
+    law(0, x, d)
+    law(steps - 1, x, d)
+    for k in (-1, steps):
+        with pytest.raises(IndexError):
+            law(k, x, d)

@@ -202,7 +202,7 @@ def test_steady_zero_signals():
     model = two_state_bench()
     cost = tracking_cost(model)
     g = solve_gare(model, cost)
-    h, f = solve_steady(g, model, cost, np.zeros(1), np.zeros(2))
+    h, f = solve_steady(g, model, cost, np.zeros(1))
     assert np.all(h == 0) and np.all(f == 0)
 
 
@@ -252,9 +252,9 @@ def test_steady_rejects_expanding_loop():
     model = two_state_bench()
     cost = tracking_cost(model)
     g = solve_gare(model, cost)
-    broken = GareSolution(P=g.P, Upsilon=g.Upsilon, M=g.M, Upsilon_inv=g.Upsilon_inv,
-                          K=g.K, closed_loop_radius=1.2, iterations=g.iterations,
-                          residual=g.residual)
+    broken = GareSolution(P=g.P, Upsilon=g.Upsilon, M=g.M, Upsilon_eig=g.Upsilon_eig,
+                          Upsilon_inv=g.Upsilon_inv, K=g.K, closed_loop_radius=1.2,
+                          iterations=g.iterations, residual=g.residual, horizon=g.horizon)
     with pytest.raises(StabilizationError):
         solve_steady(broken, model, cost, [1.0])
 

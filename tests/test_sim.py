@@ -6,14 +6,14 @@ import pytest
 from conftest import (long_horizon_cases, oracle_cases, reference_brute_force_optimal,
                       reference_costate_residuals, reference_predicted_optimal_cost,
                       reference_simulate, rel_close, rel_gap, sampled_stable_plant,
-                      tracking_cost, two_state_bench, uncontrollable_3state)
+                      stationary_control, tracking_cost, two_state_bench,
+                      uncontrollable_3state)
 from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile,
                   SolvabilityError, SystemModel, build_controller,
                   brute_force_optimal, costate_residuals, disturbance_sequence,
                   draw_instance, evaluate_cost, finite_horizon_control,
                   predicted_optimal_cost, simulate, solve_finite_horizon,
-                  solve_gare, solve_recursive, solve_steady,
-                  stationary_control)
+                  solve_gare, solve_recursive, solve_steady)
 from lqdr.cli import bundled_scenario_path, load_scenario
 
 
