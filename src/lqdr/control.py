@@ -89,7 +89,9 @@ def finite_horizon_control(k, x, riccati, ff):
     """Optimal input at step k: u = -K_k x - Upsilon_k^{-1} h_k."""
     if not 0 <= k <= riccati.horizon:
         raise IndexError(f"step {k} outside horizon 0..{riccati.horizon}")
-    return -riccati.K[k] @ x - riccati.Upsilon_inv[k] @ ff.h[k]
+    # ndarray.dot in place of @ but at n = 1, as in sim.simulate
+    dot = np.ndarray.dot if riccati.K.shape[2] > 1 else np.matmul
+    return dot(-riccati.K[k], x) - dot(riccati.Upsilon_inv[k], ff.h[k])
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,12 @@ class AffineController:
 
     K has shape (steps, m, n), K_d (m, m) and u_0 (steps, m), all read-only;
     a time-invariant law holds broadcast views of one gain and one offset.
-    ``closed_loop_radius`` is rho(A - B K[0]).
+    ``closed_loop_radius`` is rho(A - B K[0]).  The gain is negated once,
+    at construction (a broadcast gain before it is broadcast), and a call
+    forms its products with ``ndarray.dot`` (``@`` for a one-state law, as
+    in ``sim.simulate``): the operations and bytes of
+    -K[k] @ x - K_d @ d_k - u_0[k], signed zeros included.  For n > 1 the
+    gain product is never -0.0, so it absorbs the sign of a zero K_d d_k.
     """
 
     K: np.ndarray
@@ -108,11 +115,17 @@ class AffineController:
 
     def __post_init__(self):
         freeze_fields(self, "K", "K_d", "u_0")
+        K = self.K
+        neg_K = np.broadcast_to(-K[:1], K.shape) if K.strides[0] == 0 else -K
+        neg_K.setflags(write=False)
+        object.__setattr__(self, "_neg_K", neg_K)
+        object.__setattr__(self, "_dot", np.ndarray.dot if K.shape[2] > 1 else np.matmul)
 
     def __call__(self, k, x, d_now):
         if not 0 <= k < self.K.shape[0]:
             raise IndexError(f"step {k} outside the law's steps 0..{self.K.shape[0] - 1}")
-        return -self.K[k] @ x - self.K_d @ d_now - self.u_0[k]
+        dot = self._dot
+        return dot(self._neg_K[k], x) - dot(self.K_d, d_now) - self.u_0[k]
 
 
 @dataclass

@@ -106,9 +106,12 @@ def solve_recursive(riccati, model, cost, d):
     h = np.zeros((N + 1, model.m))
     f = np.zeros((N + 2, model.n))
     f[N + 1] = -riccati.P[N + 1] @ r
+    # ndarray.dot in place of @ but at n = 1, as in sim.simulate
+    dot = np.ndarray.dot if model.n > 1 else np.matmul
+    At, Bt = A.T, B.T
     for k in range(N, -1, -1):
-        h[k] = a[k] + B.T @ f[k + 1]
-        f[k] = b[k] + A.T @ f[k + 1] - C[k] @ h[k]
+        h[k] = a[k] + dot(Bt, f[k + 1])
+        f[k] = b[k] + dot(At, f[k + 1]) - dot(C[k], h[k])
     return FeedforwardSolution(h=h, f=f)
 
 

@@ -297,12 +297,15 @@ def disturbance_sequence(d, steps, dim=None):
     Accepts either a DisturbanceProfile or an array-like of shape (steps, m)
     or (steps,), so solvers and the brute-force oracle can share a
     bit-identical disturbance sequence.  A profile's samples are computed
-    as arrays, bit-identical to ``sample_disturbance`` step by step.
+    as arrays, bit-identical to ``sample_disturbance`` step by step.  An
+    array of any other dimension, a scalar included, raises ValueError.
     """
     if isinstance(d, DisturbanceProfile):
         seq = _profile_samples(d, steps)
     else:
         seq = np.asarray(d, dtype=float)
+        if seq.ndim not in (1, 2):
+            raise ValueError(f"disturbance sequence must be 1-d or 2-d, got ndim={seq.ndim}")
         if seq.ndim == 1:
             seq = seq.reshape(-1, 1)
         if seq.shape[0] < steps:

@@ -54,7 +54,7 @@ import numpy as np
 from scipy.linalg.lapack import dsyevd
 
 from .exceptions import ConvergenceError, RegularityError, SolvabilityError, StabilizationError
-from .model import check_detectability, freeze_fields
+from .model import PSD_EIG_FLOOR, check_detectability, freeze_fields
 
 #: Relative eigenvalue cutoff: Upsilon is positive definite when its smallest
 #: eigenvalue exceeds this times its largest, and the pseudo-inverse drops
@@ -93,12 +93,15 @@ def _eig_inverse(w, V, M):
     dropped, the cutoff of ``np.linalg.pinv``; the defect is
     ||V_dropped' M|| (Frobenius), 0.0 when none is.
     """
+    # ndarray.dot, which equals @ to the byte: only the sign of a zero product
+    # of two one-element operands could differ, and at m = 1 the product
+    # (v / w) v is not zero
     if w[0] > PINV_RCOND * w[-1]:
         # nothing is dropped: the result below, without its indexing and norm
-        return (V / w) @ V.T, 0.0
+        return (V / w).dot(V.T), 0.0
     keep = np.abs(w) > PINV_RCOND * np.max(np.abs(w))
     V_keep = V[:, keep]
-    return (V_keep / w[keep]) @ V_keep.T, float(np.linalg.norm(V[:, ~keep].T @ M))
+    return (V_keep / w[keep]).dot(V_keep.T), float(np.linalg.norm(V[:, ~keep].T.dot(M)))
 
 
 def check_regularity(Upsilon, M, tol):
@@ -137,9 +140,14 @@ def _backward_step(P_next, AB, W, strict, k=None):
     ``PINV_RCOND`` times the largest; otherwise Upsilon_inv is the
     pseudo-inverse and ``defect`` the consistency defect
     ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon is inverted whole.
+    Products go through ``ndarray.dot``, the BLAS call of ``@`` without its
+    ufunc dispatch, which at n <= 8 costs about as much as the product; at
+    n = 1 they keep ``@``, whose signed zeros ``ndarray.dot`` does not
+    reproduce for one-element operands (see ``sim.simulate``).
     """
     n = P_next.shape[0]
-    G = AB.T @ (P_next @ AB)
+    dot = np.ndarray.dot if n > 1 else np.matmul
+    G = dot(AB.T, dot(P_next, AB))
     G = (G + G.T) / 2
     H = W + G
     M = G[n:, :n]
@@ -151,8 +159,8 @@ def _backward_step(P_next, AB, W, strict, k=None):
             f"max {w[-1]:.3e}); no unique optimal input",
             step=k, min_eigenvalue=float(w[0]))
     Upsilon_inv, defect = _eig_inverse(w, V, M)
-    K = Upsilon_inv @ M
-    return Upsilon, M, w, Upsilon_inv, K, _sym(H[:n, :n] - M.T @ K), defect
+    K = dot(Upsilon_inv, M)
+    return Upsilon, M, w, Upsilon_inv, K, _sym(H[:n, :n] - dot(M.T, K)), defect
 
 
 @dataclass(frozen=True)
@@ -288,7 +296,9 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     Raises:
         ConvergenceError: the update never fell below ``tol`` (the last
             increment is attached), the iterates stopped being finite, or
-            the limit lost semidefiniteness.
+            the limit lost semidefiniteness: its smallest eigenvalue is below
+            ``model.PSD_EIG_FLOOR`` times its largest eigenvalue modulus,
+            a test no rescaling of the weights changes.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -333,10 +343,12 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     Upsilon, M, Upsilon_eig, Upsilon_inv, K, P_check, _ = \
         _backward_step(P, AB, W, strict=False)
     residual = float(np.max(np.abs(P_check - P)))
-    min_eig = float(np.min(np.linalg.eigvalsh(P)))
-    if min_eig < -1e-8:
+    eigs = np.linalg.eigvalsh(P)
+    min_eig = float(eigs[0])
+    if min_eig < PSD_EIG_FLOOR * float(np.max(np.abs(eigs))):
         raise ConvergenceError(
-            f"stationary iterate lost semidefiniteness (min eigenvalue {min_eig:.3e})",
+            f"stationary iterate lost semidefiniteness (min eigenvalue {min_eig:.3e}, "
+            f"below {PSD_EIG_FLOOR:g} times the largest modulus)",
             residual=residual, iterations=iterations)
     radius = spectral_radius(A - B @ K)
     return GareSolution(P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,

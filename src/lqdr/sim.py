@@ -77,9 +77,18 @@ def simulate(model, cost, controller, x0, steps, d):
 
     The loop applies the controller and the state update
     x_{k+1} = A x_k + (B u_k + E d_k); the stage costs are evaluated for all
-    steps after it, so ``cost_cum`` is a cumulative sum of that array.
-    Solver errors raised by the controller are re-raised with the failing
-    step index prepended.
+    steps after it, so ``cost_cum`` is a cumulative sum of that array.  A
+    controller output that is already a float64 array of shape (m,) is used
+    as it is; any other is converted and its length checked.  Solver errors
+    raised by the controller are re-raised with the failing step index
+    prepended.
+
+    The products go through ``ndarray.dot``, the BLAS call of ``@`` without
+    its ufunc dispatch, and give the same bytes as ``@`` with one exception:
+    for two one-element operands ``ndarray.dot`` keeps the sign of a zero
+    product, where the sum behind ``@`` starts at +0.0 and returns +0.0.  So
+    a one-state plant (n = 1) keeps ``@``; for n > 1, A x is never -0.0 and
+    absorbs the sign of a zero B u + E d, as it does under ``@``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -92,17 +101,24 @@ def simulate(model, cost, controller, x0, steps, d):
     A, B, E = model.A, model.B, model.E
     x = np.zeros((steps + 1, n))
     u = np.zeros((steps, m))
-    x[0] = x0
+    dot = np.ndarray.dot if n > 1 else np.matmul
+    x_k = x[0]
+    x_k[:] = x0
     for k in range(steps):
+        d_k = d_seq[k]
         try:
-            u_k = np.asarray(controller(k, x[k], d_seq[k]), dtype=float).reshape(-1)
+            u_k = controller(k, x_k, d_k)
         except LqdrError as exc:
             raise type(exc)(f"controller failed at step {k}: {exc}") from exc
-        if u_k.shape[0] != m:
-            raise ValueError(f"controller returned an input of length {u_k.shape[0]}, "
-                             f"expected {m} (step {k})")
+        if not (type(u_k) is np.ndarray and u_k.dtype == np.float64 and u_k.shape == (m,)):
+            u_k = np.asarray(u_k, dtype=float).reshape(-1)
+            if u_k.shape[0] != m:
+                raise ValueError(f"controller returned an input of length {u_k.shape[0]}, "
+                                 f"expected {m} (step {k})")
         u[k] = u_k
-        x[k + 1] = A @ x[k] + (B @ u_k + E @ d_seq[k])
+        x_next = x[k + 1]
+        np.add(dot(A, x_k), dot(B, u_k) + dot(E, d_k), out=x_next)
+        x_k = x_next
 
     err = x[:-1] - cost.r
     w = u @ B.T + d_seq @ E.T

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -511,3 +512,64 @@ def test_built_law_is_read_only_data_over_its_steps(config):
     for k in (-1, steps):
         with pytest.raises(IndexError):
             law(k, x, d)
+
+
+def _affine(K, K_d, u_0, steps=None):
+    """An AffineController of per-step arrays, or of one gain and offset broadcast over ``steps``."""
+    K, u_0 = np.asarray(K, dtype=float), np.asarray(u_0, dtype=float)
+    if steps is not None:
+        K = np.broadcast_to(K, (steps,) + K.shape)
+        u_0 = np.broadcast_to(u_0, (steps,) + u_0.shape)
+    return lqdr.control.AffineController(K=K, K_d=K_d, u_0=u_0, closed_loop_radius=0.0)
+
+
+@pytest.mark.parametrize("steps", [None, 4], ids=["time_varying", "time_invariant"])
+def test_law_returns_positive_zero_on_an_exact_cancellation(steps):
+    # -K x = -1 + 1 is +0.0; negating K x + K_d d + u_0 as a whole gives -0.0
+    K, u_0 = ([[1.0, 1.0]], [0.0]) if steps else ([[[1.0, 1.0]]] * 4, [[0.0]] * 4)
+    law = _affine(K, [[0.0]], u_0, steps)
+    for k in range(4):
+        u = law(k, np.array([1.0, -1.0]), np.zeros(1))
+        assert u.tobytes() == np.zeros(1).tobytes()
+        assert not np.signbit(u[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_law_call_is_the_negated_product_byte_for_byte(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    steps = 3
+    # draws from {-1, -0, 0, 1} make exact zeros of either sign common;
+    # normal draws cover general rounding
+    for draw in [lambda *shape: rng.choice([-1.0, -0.0, 0.0, 1.0], shape)] * 12 \
+            + [lambda *shape: rng.standard_normal(shape)] * 2:
+        K, K_d, u_0 = draw(steps, m, n), draw(m, m), draw(steps, m)
+        laws = [(_affine(K, K_d, u_0), K, u_0),
+                (_affine(K[0], K_d, u_0[0], steps), np.broadcast_to(K[0], K.shape),
+                 np.broadcast_to(u_0[0], u_0.shape))]
+        # the per-step law reads K, Upsilon_inv and h only
+        riccati = SimpleNamespace(horizon=steps - 1, K=K, Upsilon_inv=draw(steps, m, m))
+        ff = SimpleNamespace(h=draw(steps, m))
+        for k in range(steps):
+            for _ in range(4):
+                x, d = draw(n), draw(m)
+                for law, K_k, u_0_k in laws:
+                    want = -K_k[k] @ x - K_d @ d - u_0_k[k]
+                    assert law(k, x, d).tobytes() == want.tobytes()
+                want = -K[k] @ x - riccati.Upsilon_inv[k] @ ff.h[k]
+                assert finite_horizon_control(k, x, riccati, ff).tobytes() == want.tobytes()
+
+
+def test_time_invariant_law_negates_one_gain():
+    steps, K = 1_000_000, np.arange(6.0).reshape(2, 3)
+    law = _affine(K, np.eye(2), np.zeros(2), steps)
+    neg_K = law._neg_K
+    # a broadcast view of one m x n gain, not a (steps, m, n) array
+    assert neg_K.shape == (steps, 2, 3) and neg_K.strides[0] == 0
+    assert neg_K.base is not None and neg_K.base.size == K.size
+    assert np.array_equal(neg_K[steps - 1], -K)
+    varying = _affine(np.stack([K, 2 * K]), np.eye(2), np.zeros((2, 2)))
+    for arr in (neg_K, varying._neg_K):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0

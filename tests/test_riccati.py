@@ -296,6 +296,49 @@ def test_gare_stop_rule_ignores_weight_scale(model, cost):
         assert np.max(np.abs(scaled.K - base.K)) <= 1e-12 * max(1.0, np.max(np.abs(base.K)))
 
 
+def test_scalar_plant_keeps_the_signed_zeros_of_matmul():
+    # Upsilon = R = -2 is inverted as -0.5 in pseudo-inverse mode and M = 0,
+    # so K = -0.5 * 0; the sum behind @ starts at +0.0 and returns +0.0,
+    # where ndarray.dot of two one-element operands would return -0.0
+    model = scalar_model(A=0.5)
+    sol = solve_finite_horizon(model, scalar_cost(R=-2.0), 0, strict=False)
+    assert sol.Upsilon_inv[0, 0, 0] == -0.5 and sol.M[0, 0, 0] == 0.0
+    assert sol.K.tobytes() == np.zeros((1, 1, 1)).tobytes()
+
+
+def rank_one_weight_plant(seed):
+    """A = 0.5 I with random 3 x 1 B and E, Q = P_T = v v' for a random v, R = I."""
+    rng = np.random.default_rng(seed)
+    model = SystemModel(A=0.5 * np.eye(3), B=rng.standard_normal((3, 1)),
+                        E=rng.standard_normal((3, 1)), c_o=np.eye(3)[:1])
+    v = rng.standard_normal(3)
+    Q = np.outer(v, v)
+    return model, CostSpec(Q=Q, R=np.eye(3), P_terminal=Q, r=np.zeros(3))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_gare_semidefinite_limit_is_accepted_at_every_weight_scale(seed):
+    # the limit of a rank-one Q is semidefinite, with a smallest eigenvalue
+    # at roundoff level of the largest; an absolute floor refused it at 2^40
+    model, cost = rank_one_weight_plant(seed)
+    for c in (2.0 ** -40, 1.0, 2.0 ** 40):
+        g = gare_fixed_point(model, CostSpec(Q=c * cost.Q, R=c * cost.R,
+                                             P_terminal=c * cost.P_terminal, r=cost.r))
+        eigs = np.linalg.eigvalsh(g.P)
+        assert eigs[0] >= -1e-10 * np.max(np.abs(eigs))
+
+
+def test_gare_indefinite_limit_is_refused_at_every_weight_scale():
+    # the second state is untouched by B, so its P entry is -1 / (1 - 0.25)
+    model = SystemModel(A=0.5 * np.eye(2), B=[[1.0], [0.0]], E=[[0.0], [1.0]],
+                        c_o=[[1.0, 0.0]])
+    for c in (2.0 ** -40, 1.0, 2.0 ** 40):
+        cost = CostSpec(Q=c * np.diag([1.0, -1.0]), R=c * np.eye(2),
+                        P_terminal=np.zeros((2, 2)), r=np.zeros(2))
+        with pytest.raises(ConvergenceError, match="semidefiniteness"):
+            gare_fixed_point(model, cost)
+
+
 def test_stored_inverses_are_applied_without_pinv(monkeypatch):
     model = two_state_bench()
     cost = tracking_cost(model, r=np.array([0.5, 0.0]))

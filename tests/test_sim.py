@@ -2,7 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import lqdr.control
 from conftest import (long_horizon_cases, oracle_cases, reference_brute_force_optimal,
                       reference_costate_residuals, reference_predicted_optimal_cost,
                       reference_simulate, rel_close, rel_gap, sampled_stable_plant,
@@ -117,8 +121,98 @@ def test_controller_failure_reports_step():
             raise SolvabilityError("inner solve went singular")
         return np.zeros(1)
 
-    with pytest.raises(SolvabilityError, match="step 3"):
+    with pytest.raises(SolvabilityError,
+                       match="^controller failed at step 3: inner solve went singular$"):
         simulate(model, cost, flaky, [1.0, 0.0], 10, np.zeros((10, 1)))
+
+
+#: How a generated controller computes or returns its input.
+_CONTROLLER_SHAPES = ("time_varying", "time_invariant", "pid", "list", "float",
+                      "int_array", "column")
+
+
+@st.composite
+def _closed_loops(draw):
+    """(model, cost, make_controller, x0, d) with n <= 6, m <= 3 and up to 20 steps.
+
+    Entries lie in [-2, 2] and include +-0.0 and small integers, so exact
+    cancellations, and with them signed zeros, occur.
+    """
+    shape = draw(st.sampled_from(_CONTROLLER_SHAPES))
+    n = draw(st.integers(1, 6))
+    m = 1 if shape == "float" else draw(st.integers(1, min(3, n)))
+    steps = draw(st.integers(1, 20))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+
+    def mat(*dims):
+        return draw(arrays(np.float64, dims, elements=entries))
+
+    model = SystemModel(A=mat(n, n), B=mat(n, m), E=mat(n, m), c_o=np.eye(n)[:m])
+    cost = CostSpec(Q=np.eye(n), R=np.eye(n), P_terminal=np.eye(n), r=mat(n))
+    K, K_d, u_0 = mat(steps, m, n), mat(m, m), mat(steps, m)
+    G = mat(m, n)
+    if shape == "time_varying":
+        def make():
+            return lqdr.control.AffineController(K=K, K_d=K_d, u_0=u_0, closed_loop_radius=0.0)
+    elif shape == "time_invariant":
+        def make():
+            return lqdr.control.AffineController(
+                K=np.broadcast_to(K[0], K.shape), K_d=K_d,
+                u_0=np.broadcast_to(u_0[0], u_0.shape), closed_loop_radius=0.0)
+    elif shape == "pid":
+        config = ControllerConfig(kind="pid", kp=draw(entries), ki=draw(entries),
+                                  kd=draw(entries), Ts=draw(st.floats(0.01, 1.0)))
+
+        def make():
+            return build_controller(config, model, cost, np.zeros((steps, m)), steps)
+    elif shape == "list":
+        def make():
+            return lambda k, x, d: [float(v) for v in np.tanh(G @ x) + d]
+    elif shape == "float":
+        def make():
+            return lambda k, x, d: float(np.tanh(G @ x)[0] - d[0])
+    elif shape == "int_array":
+        def make():
+            return lambda k, x, d: np.arange(m) - k % 3
+    else:
+        def make():
+            return lambda k, x, d: (np.tanh(G @ x) - d)[:, None]
+    return model, cost, make, mat(n), mat(steps, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_closed_loops())
+def test_simulate_is_the_step_by_step_loop_byte_for_byte(case):
+    model, cost, make, x0, d = case
+    traj = simulate(model, cost, make(), x0, d.shape[0], d)
+    x, u, _, _ = reference_simulate(model, cost, make(), x0, d)
+    assert traj.x.tobytes() == x.tobytes()
+    assert traj.u.tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("output", [[0.0], np.zeros(3), np.zeros((3, 1)), 1.0],
+                         ids=["list", "array", "column", "float"])
+def test_wrong_length_input_names_its_step(output):
+    model = SystemModel(A=np.eye(2), B=np.eye(2), E=np.eye(2), c_o=np.eye(2))
+    cost = tracking_cost(model)
+
+    def late(k, x, d):
+        return output if k == 2 else np.zeros(2)
+
+    with pytest.raises(ValueError, match=r"length \d, expected 2 \(step 2\)"):
+        simulate(model, cost, late, np.zeros(2), 5, np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("d", [0.5, np.array(0.5), np.zeros((5, 1, 1))],
+                         ids=["float", "0d", "3d"])
+def test_disturbance_of_wrong_dimension_is_refused(d):
+    model = two_state_bench()
+    cost = tracking_cost(model)
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        simulate(model, cost, lambda k, x, dk: np.zeros(1), [1.0, 0.0], 3, d)
+    riccati = solve_finite_horizon(model, cost, 2)
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        solve_recursive(riccati, model, cost, d)
 
 
 # ---------------------------------------------------------------------------
