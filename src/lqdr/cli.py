@@ -459,11 +459,14 @@ def run_scenario(scenario, out_dir="."):
     series = []
     onset = scenario.disturbance.start_step
 
+    # every finite-horizon or receding-horizon problem is solved once: its
+    # law is shared by all the configs that pose it
+    laws = {}
     for config in scenario.controllers:
         entry = {"kind": config.kind, "error": None}
         try:
             controller = build_controller(config, scenario.model, scenario.cost,
-                                          scenario.disturbance, scenario.steps)
+                                          scenario.disturbance, scenario.steps, laws)
             traj = simulate(scenario.model, scenario.cost, controller,
                             scenario.x0, scenario.steps, scenario.disturbance)
             metrics = trajectory_metrics(traj, scenario.cost, scenario.model,

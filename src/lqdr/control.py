@@ -15,6 +15,11 @@ u_0[k] = Upsilon_k^{-1} h_k; the stationary law is its infinite-horizon
 limit.  The receding-horizon law holds one gain too: its lookahead Riccati
 pass never changes between steps and its feedforward is linear in the
 frozen disturbance and the reference.
+
+A law is immutable, so one finite-horizon or receding-horizon law can serve
+every controller that poses its problem: ``build_controller`` takes an
+optional mapping of the laws built so far, and ``strict`` then decides only
+whether a law is refused, read off the stored ``Upsilon_eig`` rows.
 """
 
 from dataclasses import dataclass
@@ -23,7 +28,7 @@ import numpy as np
 
 from .feedforward import closed_form_terms, solve_recursive, solve_steady
 from .model import CostSpec, DisturbanceProfile, freeze_fields
-from .riccati import solve_finite_horizon, solve_gare, spectral_radius
+from .riccati import PINV_RCOND, solve_finite_horizon, solve_gare, spectral_radius
 
 KINDS = ("finite_horizon", "stationary", "receding_horizon",
          "state_feedback_compensation", "pid")
@@ -37,6 +42,20 @@ _REQUIRED_FIELDS = {"receding_horizon": ("T",),
                     "state_feedback_compensation": ("k_x", "K_d"),
                     "pid": ("Ts",)}
 
+#: Fields only one kind reads (``strict``: the kinds that solve a finite
+#: horizon), each with the value a config of another kind must leave it at.
+_OWN_FIELDS = {
+    "T": (("receding_horizon",), None),
+    "P_terminal": (("receding_horizon",), None),
+    "k_x": (("state_feedback_compensation",), None),
+    "K_d": (("state_feedback_compensation",), None),
+    "Ts": (("pid",), None),
+    "kp": (("pid",), 0.0),
+    "ki": (("pid",), 0.0),
+    "kd": (("pid",), 0.0),
+    "strict": (("finite_horizon", "receding_horizon"), True),
+}
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -48,8 +67,9 @@ class ControllerConfig:
     config is judged: it maps CamelCase, snake_case and ``sfc`` onto the
     canonical kind and raises ValueError for an unknown kind, a label that
     is not a string, a ``strict`` that is not a boolean, a missing field of
-    the kind, a lookahead ``T`` below 1 or a sample time ``Ts`` that is not
-    positive.
+    the kind, a field the kind does not read (set, or for ``kp``/``ki``/``kd``
+    non-zero, or ``strict=False``), a lookahead ``T`` below 1 or a sample
+    time ``Ts`` that is not positive.
     """
 
     kind: str
@@ -79,10 +99,19 @@ class ControllerConfig:
                    if getattr(self, name) is None]
         if missing:
             raise ValueError(f"{kind} needs field(s) {missing}")
+        unread = [name for name, (kinds, unset) in _OWN_FIELDS.items()
+                  if kind not in kinds and not _is_unset(getattr(self, name), unset)]
+        if unread:
+            raise ValueError(f"{kind} does not read {', '.join(unread)}; leave it unset")
         if self.T is not None and self.T < 1:
             raise ValueError(f"lookahead T must be >= 1, got {self.T}")
         if self.Ts is not None and not self.Ts > 0:
             raise ValueError(f"sample time Ts must be positive, got {self.Ts}")
+
+
+def _is_unset(value, unset):
+    """Whether ``value`` is the field default ``unset``: None, or the scalar 0.0 or True."""
+    return value is None if unset is None else bool(np.ndim(value) == 0 and value == unset)
 
 
 def finite_horizon_control(k, x, riccati, ff):
@@ -168,20 +197,75 @@ def _affine_law(model, steps, K, K_d, u_0):
         closed_loop_radius=spectral_radius(model.A - model.B @ K_0))
 
 
-def build_controller(config, model, cost, profile, steps):
+def _finite_horizon_law(config, model, cost, profile, steps):
+    """(law, riccati) of the finite-horizon problem over ``steps`` steps."""
+    riccati = solve_finite_horizon(model, cost, steps - 1, strict=config.strict)
+    h = solve_recursive(riccati, model, cost, profile).h
+    return _affine_law(model, steps, riccati.K, np.zeros((model.m, model.m)),
+                       (riccati.Upsilon_inv @ h[:, :, None])[:, :, 0]), riccati
+
+
+def _receding_horizon_law(config, model, cost, profile, steps):
+    """(law, riccati) of the receding-horizon problem with lookahead ``config.T``."""
+    inner_cost = cost if config.P_terminal is None else CostSpec(
+        Q=cost.Q, R=cost.R, P_terminal=config.P_terminal, r=cost.r)
+    riccati = solve_finite_horizon(model, inner_cost, config.T, strict=config.strict)
+    # with d frozen, f_k = Phi_k d - Rscript_k r, where
+    # Phi_k = Abar_k' Phi_{k+1} + F_k and Phi_{T+1} = 0; then
+    # h_0 = (H_0 + B' Phi_1) d - B' Rscript_1 r
+    terms = closed_form_terms(riccati, model, inner_cost)
+    Phi = np.zeros((model.n, model.m))
+    for k in range(config.T, 0, -1):
+        Phi = terms.Abar[k].T @ Phi + terms.F[k]
+    Upsilon_inv = riccati.Upsilon_inv[0]
+    B = model.B
+    return _affine_law(model, steps, riccati.K[0],
+                       Upsilon_inv @ (terms.H[0] + B.T @ Phi),
+                       -(Upsilon_inv @ (B.T @ terms.Rscript[1] @ inner_cost.r))), riccati
+
+
+def _problem_key(config):
+    """What a finite-horizon or receding-horizon config reads besides label and strict.
+
+    That is its kind, ``T`` and the bytes of ``P_terminal``; a finite-horizon
+    config holds neither, as ``ControllerConfig`` refuses them there.
+    """
+    P_T = config.P_terminal
+    return (config.kind, config.T,
+            None if P_T is None else (np.shape(P_T), np.asarray(P_T, dtype=float).tobytes()))
+
+
+_HORIZON_LAWS = {"finite_horizon": _finite_horizon_law,
+                 "receding_horizon": _receding_horizon_law}
+
+
+def build_controller(config, model, cost, profile, steps, laws=None):
     """Build the controller of one configuration, callable as ``(k, x, d_k) -> u``.
 
     All solver work (Riccati, stationary equation, feedforward) happens
     here, so errors surface before the simulation starts.  Every kind but
     PID is an AffineController over ``steps`` steps.
+
+    ``laws``, when given, is a dict owned by the caller that must see only
+    calls with this ``model``, ``cost``, ``profile`` and ``steps``.  A
+    finite-horizon or receding-horizon law is stored there, with whether
+    every Upsilon_k of its pass is positive definite, and handed back to a
+    later config posing the same problem: a non-strict one always, a strict
+    one when that verdict holds.  Both modes then run the same arithmetic,
+    so the shared law is the one a fresh build returns; any other request
+    builds, and a strict one raises as it would alone.  A failed build is
+    not stored.
     """
     kind = config.kind
-    B = model.B
-    if kind == "finite_horizon":
-        riccati = solve_finite_horizon(model, cost, steps - 1, strict=config.strict)
-        h = solve_recursive(riccati, model, cost, profile).h
-        return _affine_law(model, steps, riccati.K, np.zeros((model.m, model.m)),
-                           (riccati.Upsilon_inv @ h[:, :, None])[:, :, 0])
+    if kind in _HORIZON_LAWS:
+        key = _problem_key(config)
+        law, every_step_passes = (laws or {}).get(key, (None, False))
+        if law is None or (config.strict and not every_step_passes):
+            law, riccati = _HORIZON_LAWS[kind](config, model, cost, profile, steps)
+            if laws is not None:
+                eig = riccati.Upsilon_eig
+                laws[key] = (law, bool(np.all(eig[:, 0] > PINV_RCOND * eig[:, -1])))
+        return law
 
     if kind == "stationary":
         gare = solve_gare(model, cost)
@@ -190,22 +274,6 @@ def build_controller(config, model, cost, profile, steps):
         h, _ = solve_steady(gare, model, cost, d_limit)
         return _affine_law(model, steps, gare.K, np.zeros((model.m, model.m)),
                            gare.Upsilon_inv @ h)
-
-    if kind == "receding_horizon":
-        inner_cost = cost if config.P_terminal is None else CostSpec(
-            Q=cost.Q, R=cost.R, P_terminal=config.P_terminal, r=cost.r)
-        riccati = solve_finite_horizon(model, inner_cost, config.T, strict=config.strict)
-        # with d frozen, f_k = Phi_k d - Rscript_k r, where
-        # Phi_k = Abar_k' Phi_{k+1} + F_k and Phi_{T+1} = 0; then
-        # h_0 = (H_0 + B' Phi_1) d - B' Rscript_1 r
-        terms = closed_form_terms(riccati, model, inner_cost)
-        Phi = np.zeros((model.n, model.m))
-        for k in range(config.T, 0, -1):
-            Phi = terms.Abar[k].T @ Phi + terms.F[k]
-        Upsilon_inv = riccati.Upsilon_inv[0]
-        return _affine_law(model, steps, riccati.K[0],
-                           Upsilon_inv @ (terms.H[0] + B.T @ Phi),
-                           -(Upsilon_inv @ (B.T @ terms.Rscript[1] @ inner_cost.r)))
 
     if kind == "state_feedback_compensation":
         # u = k_x x + K_d d in the affine form, so K = -k_x and K_d = -K_d;

@@ -44,17 +44,20 @@ and H_k is P_0 of a 2^k-step pass, so each iterate doubles the horizon.
 When Rbar is singular (free effort, or B = 0) the backward step itself is
 repeated in pseudo-inverse mode, one horizon step per iterate.  Either way
 the iteration stops on a change relative to the iterate's own size, so
-rescaling Q and R together changes neither the path nor the count.
+rescaling Q and R together changes neither the path nor the count.  A value
+iteration still moving after ``GROWTH_CHECK_ITERS`` steps is tested once for
+a certificate that P grows without bound (``_grows_without_bound``).
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space, orth
 from scipy.linalg.lapack import dsyevd
 
 from .exceptions import ConvergenceError, RegularityError, SolvabilityError, StabilizationError
-from .model import PSD_EIG_FLOOR, check_detectability, freeze_fields
+from .model import PSD_EIG_FLOOR, RANK_REL_TOL, check_detectability, freeze_fields
 
 #: Relative eigenvalue cutoff: Upsilon is positive definite when its smallest
 #: eigenvalue exceeds this times its largest, and the pseudo-inverse drops
@@ -62,6 +65,8 @@ from .model import PSD_EIG_FLOOR, check_detectability, freeze_fields
 PINV_RCOND = 1e-10
 #: Largest accepted consistency defect, relative to ||M|| (Frobenius).
 REGULARITY_TOL = 1e-9
+#: Value-iteration steps after which a still-moving P is tested for unbounded growth.
+GROWTH_CHECK_ITERS = 256
 
 
 def _sym(mat):
@@ -274,6 +279,41 @@ def solve_finite_horizon(model, cost, N, strict=True):
                            Upsilon_inv=Upsilon_inv, K=K)
 
 
+def _grows_without_bound(A, B, Q, Rbar):
+    """Whether the k-step P_0 from P = 0 provably grows without bound in k.
+
+    With U an orthonormal basis of the reachable subspace, the span of B,
+    AB, ..., A^(n-1) B (rank cutoff ``scipy.linalg.orth``'s, which errs
+    towards reachable), and L one of its orthogonal complement, y = L' x
+    obeys y_{k+1} = S y_k with S = L' A L whatever the input.  Choosing the
+    reachable part of each state freely, an input can at best bring the
+    step cost down to y' Q_s y, Q_s the Schur complement of Q over U.  An
+    eigenvector v of S with |lambda| >= 1 and v* Q_s v above ``RANK_REL_TOL``
+    times max|Q| then makes the k-step cost from x = L v (its real or
+    imaginary part) grow at least like k.  The bound needs Q and Rbar
+    positive semidefinite (down to ``model.PSD_EIG_FLOOR`` times their
+    largest eigenvalue modulus); otherwise there is no certificate.
+    """
+    if not all(eigs[0] >= PSD_EIG_FLOOR * np.max(np.abs(eigs))
+               for eigs in map(np.linalg.eigvalsh, (Q, Rbar))):
+        return False
+    U = orth(B)
+    while U.shape[1] < A.shape[0]:
+        wider = orth(np.hstack([U, A @ U]))
+        if wider.shape[1] == U.shape[1]:
+            break
+        U = wider
+    L = null_space(U.T)
+    if not L.size:
+        return False
+    LQU = L.T @ Q @ U
+    Q_s = L.T @ Q @ L - LQU @ np.linalg.pinv(U.T @ Q @ U) @ LQU.T
+    floor = RANK_REL_TOL * float(np.max(np.abs(Q)))
+    w, V = np.linalg.eig(L.T @ A @ L)
+    return any(abs(lam) >= 1.0 and np.real(v.conj() @ Q_s @ v) > floor
+               for lam, v in zip(w, V.T))
+
+
 def _doubling_step(A_k, G_k, H_k):
     """(A_{k+1}, G_{k+1}, H_{k+1}): the horizon of H doubles."""
     n = A_k.shape[0]
@@ -295,7 +335,9 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
 
     Raises:
         ConvergenceError: the update never fell below ``tol`` (the last
-            increment is attached), the iterates stopped being finite, or
+            increment is attached), value iteration is still moving after
+            ``GROWTH_CHECK_ITERS`` steps on a plant whose P provably grows
+            without bound, the iterates stopped being finite, or
             the limit lost semidefiniteness: its smallest eigenvalue is below
             ``model.PSD_EIG_FLOOR`` times its largest eigenvalue modulus,
             a test no rescaling of the weights changes.
@@ -334,6 +376,13 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
                 residual=delta, iterations=iterations)
         if delta <= tol * float(np.max(np.abs(P))):
             break
+        if iterations == GROWTH_CHECK_ITERS and not doubling \
+                and _grows_without_bound(A, B, Q, Rbar):
+            raise ConvergenceError(
+                f"stationary iteration grows without bound (still moving by "
+                f"{delta:.3e} after {iterations} iterations): a mode no input "
+                "reaches has |eigenvalue| >= 1 and is weighted by Q",
+                residual=delta, iterations=iterations)
     else:
         raise ConvergenceError(
             f"stationary iteration still moving by {delta:.3e} after "

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqdr.cli
 import lqdr.control
@@ -298,9 +300,22 @@ def test_build_pid_tracks_regulated_error():
     ({"kind": "PID", "kp": 1.0}, "Ts"),
     ({"kind": "PID", "kp": 1.0, "Ts": 0.0}, "sample time"),
     ({"kind": "PID", "kp": 1.0, "Ts": -0.02}, "sample time"),
+    ({"kind": "FiniteHorizon", "P_terminal": [[1e3, 0.0], [0.0, 1e3]]},
+     "finite_horizon does not read P_terminal"),
+    ({"kind": "FiniteHorizon", "T": 7}, "does not read T;"),
+    ({"kind": "Stationary", "k_x": [[-20.0, -4.0]]}, "does not read k_x"),
+    ({"kind": "RecedingHorizon", "T": 5, "K_d": [[-5.0]]}, "does not read K_d"),
+    ({"kind": "sfc", "k_x": [[-20.0, -4.0]], "K_d": [[-5.0]], "Ts": 0.02},
+     "does not read Ts"),
+    ({"kind": "FiniteHorizon", "kp": 1.0, "kd": 0.5}, "does not read kp, kd;"),
+    ({"kind": "RecedingHorizon", "T": 5, "ki": -1.0}, "does not read ki"),
+    ({"kind": "Stationary", "strict": False}, "stationary does not read strict"),
+    ({"kind": "PID", "kp": 1.0, "Ts": 0.02, "strict": False}, "pid does not read strict"),
 ], ids=["unknown_kind", "label_not_string", "strict_not_bool", "lookahead_missing",
         "lookahead_zero", "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts",
-        "pid_Ts_zero", "pid_Ts_negative"])
+        "pid_Ts_zero", "pid_Ts_negative", "finite_with_P_terminal", "finite_with_T",
+        "stationary_with_k_x", "receding_with_K_d", "sfc_with_Ts", "finite_with_gains",
+        "receding_with_ki", "stationary_not_strict", "pid_not_strict"])
 def test_invalid_config_is_refused_in_python_and_in_json(fields, message, tmp_path, capsys):
     with pytest.raises(ValueError, match=message):
         ControllerConfig(**fields)
@@ -311,6 +326,13 @@ def test_invalid_config_is_refused_in_python_and_in_json(fields, message, tmp_pa
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "scenario error" in err and message in err
+
+
+def test_config_accepts_unread_fields_at_their_defaults():
+    # a zero PID gain, T=None and strict=True are the defaults: nothing is ignored
+    ControllerConfig(kind="FiniteHorizon", kp=0.0, ki=0, strict=True)
+    ControllerConfig(kind="Stationary", kd=0.0, T=None, strict=True)
+    ControllerConfig(kind="sfc", k_x=[[-20.0, -4.0]], K_d=[[-5.0]], strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -573,3 +595,145 @@ def test_time_invariant_law_negates_one_gain():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# one law per finite-horizon or receding-horizon problem in a scenario
+# ---------------------------------------------------------------------------
+
+def _scenario(model, cost, controllers, steps=30, outputs=("csv", "summary")):
+    return lqdr.cli.Scenario(
+        name="shared", model=model, cost=cost, x0=np.linspace(1.0, -0.5, model.n), steps=steps,
+        disturbance=DisturbanceProfile.constant(0.5, start_step=steps // 3, dim=model.m),
+        controllers=list(controllers), outputs=list(outputs), settle_band=1e-3, display={})
+
+
+def _artifacts(scenario, out_dir):
+    """(CSV bytes by file name, summary entry by label, scenario echo) of one run."""
+    run_scenario(scenario, out_dir)
+    summary = json.loads((out_dir / f"{scenario.name}.summary.json").read_text())
+    csvs = {path.name: path.read_bytes() for path in out_dir.glob("*.csv")}
+    return csvs, summary["controllers"], summary["scenario"]
+
+
+def _small_matrix(draw, shape):
+    # halves in -1.5..1.5: many exact zeros, so singular Upsilons are common
+    return np.array(draw(st.lists(st.integers(-3, 3), min_size=shape[0] * shape[1],
+                                  max_size=shape[0] * shape[1])), dtype=float).reshape(shape) / 2
+
+
+@st.composite
+def _shared_problems(draw):
+    """A plant (n <= 4, m <= 2) and its finite-horizon and receding-horizon configs, shuffled."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    model = SystemModel(A=_small_matrix(draw, (n, n)), B=_small_matrix(draw, (n, m)),
+                        E=_small_matrix(draw, (n, m)), c_o=np.eye(n)[:1])
+    C, D, F = (_small_matrix(draw, (n, n)) for _ in range(3))
+    cost = CostSpec(Q=C.T @ C, R=D.T @ D, P_terminal=np.zeros((n, n)),
+                    r=_small_matrix(draw, (n, 1))[:, 0])
+    configs = [ControllerConfig(kind="FiniteHorizon", strict=strict, label=f"fh_{strict}")
+               for strict in (True, False)]
+    for i, T in enumerate(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))):
+        P_T = draw(st.sampled_from([None, F.T @ F]))
+        configs += [ControllerConfig(kind="RecedingHorizon", T=T, P_terminal=P_T,
+                                     strict=strict, label=f"rh{i}_{strict}")
+                    for strict in (True, False)]
+    return model, cost, draw(st.permutations(configs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_shared_problems())
+def test_shared_laws_write_the_bytes_of_one_scenario_per_controller(problem, tmp_path_factory):
+    model, cost, configs = problem
+    out = tmp_path_factory.mktemp("shared")
+    csvs, entries, echo = _artifacts(_scenario(model, cost, configs), out / "together")
+    for config in configs:
+        alone_csvs, alone, alone_echo = _artifacts(_scenario(model, cost, [config]),
+                                                   out / config.label)
+        assert alone_echo == echo
+        assert json.dumps(entries[config.label]) == json.dumps(alone[config.label])
+        name = f"shared.{config.label}.csv"
+        assert csvs.get(name) == alone_csvs.get(name)
+
+
+def test_long_horizon_plant_solves_each_problem_once(monkeypatch, tmp_path):
+    _, model, cost, steps, ramp = long_horizon_cases()[0]
+    configs = [ControllerConfig(kind="FiniteHorizon", label="finite_horizon"),
+               ControllerConfig(kind="FiniteHorizon", strict=False, label="finite_horizon_pinv"),
+               ControllerConfig(kind="Stationary")]
+    scenario = _scenario(model, cost, configs, steps=steps, outputs=["summary"])
+    scenario.disturbance = ramp
+    calls = []
+    for name in ("solve_finite_horizon", "solve_recursive"):
+        _count_calls(monkeypatch, lqdr.control, name, calls)
+    _, failures = run_scenario(scenario, tmp_path)
+    assert failures == {}
+    assert sorted(calls) == ["solve_finite_horizon", "solve_recursive"]
+
+
+def _singular_upsilon_plant():
+    """two_state_bench with R = 0 and P_T = 0: Upsilon_N = 0, consistent in pseudo-inverse mode."""
+    model = two_state_bench()
+    return model, CostSpec(Q=model.c_o.T @ model.c_o, R=np.zeros((2, 2)),
+                           P_terminal=np.zeros((2, 2)), r=np.zeros(2))
+
+
+@pytest.mark.parametrize("kind, fields", [("FiniteHorizon", {}), ("RecedingHorizon", {"T": 10})],
+                         ids=["finite_horizon", "receding_horizon"])
+@pytest.mark.parametrize("strict_first", [False, True], ids=["pinv_first", "strict_first"])
+def test_strict_build_refuses_a_shared_singular_problem_as_alone(kind, fields, strict_first):
+    model, cost = _singular_upsilon_plant()
+    profile = DisturbanceProfile.constant(1.0)
+    strict = ControllerConfig(kind=kind, label="strict", **fields)
+    pinv = ControllerConfig(kind=kind, strict=False, label="pinv", **fields)
+    with pytest.raises(SolvabilityError) as alone:
+        build_controller(strict, model, cost, profile, 20)
+
+    laws = {}
+    for config in ([strict, pinv] if strict_first else [pinv, strict]):
+        if config is pinv:
+            law = build_controller(pinv, model, cost, profile, 20, laws)
+            continue
+        with pytest.raises(SolvabilityError) as shared:
+            build_controller(strict, model, cost, profile, 20, laws)
+        assert (shared.value.step, shared.value.min_eigenvalue) == \
+            (alone.value.step, alone.value.min_eigenvalue)
+    # only the pseudo-inverse law is stored, with its failed verdict, and it
+    # serves the next non-strict request
+    assert [entry[1] for entry in laws.values()] == [False]
+    assert build_controller(pinv, model, cost, profile, 20, laws) is law
+
+
+def test_run_scenario_builds_then_simulates_each_controller_in_order(monkeypatch, tmp_path):
+    model, cost = _singular_upsilon_plant()
+    configs = [ControllerConfig(kind="FiniteHorizon", strict=False, label="fh_pinv"),
+               ControllerConfig(kind="FiniteHorizon", label="fh_strict"),
+               ControllerConfig(kind="RecedingHorizon", T=10, strict=False, label="rh_pinv"),
+               ControllerConfig(kind="RecedingHorizon", T=10, strict=False, label="rh_again"),
+               ControllerConfig(kind="Stationary"),
+               ControllerConfig(kind="sfc", k_x=[[-20.0, -4.0]], K_d=[[-5.0]])]
+    events, laws = [], {}
+    build, sim = lqdr.cli.build_controller, lqdr.cli.simulate
+
+    def spy_build(config, *args, **kwargs):
+        events.append(("build", config.label))
+        laws[config.label] = build(config, *args, **kwargs)
+        return laws[config.label]
+
+    def spy_simulate(model, cost, controller, *args, **kwargs):
+        events.append(("simulate", id(controller)))
+        return sim(model, cost, controller, *args, **kwargs)
+    monkeypatch.setattr(lqdr.cli, "build_controller", spy_build)
+    monkeypatch.setattr(lqdr.cli, "simulate", spy_simulate)
+
+    _, failures = run_scenario(_scenario(model, cost, configs, outputs=["summary"]), tmp_path)
+    assert list(failures) == ["fh_strict"]
+    # each build is followed by the simulation of the law it returned, a
+    # shared law included; the failed build by the next build
+    expected = []
+    for config in configs:
+        expected.append(("build", config.label))
+        if config.label in laws:
+            expected.append(("simulate", id(laws[config.label])))
+    assert events == expected
+    assert laws["rh_pinv"] is laws["rh_again"]

@@ -368,6 +368,36 @@ def test_gare_reports_non_convergence():
     assert info.value.residual is not None and info.value.residual > 0
 
 
+@pytest.mark.parametrize("A, B, Q", [
+    ([[1.0]], [[0.0]], [[1.0]]),
+    ([[-1.0]], [[0.0]], [[1.0]]),
+    # the first state is reached, the second (eigenvalue 1) is not and is
+    # weighted whatever the first does
+    ([[0.5, 1.0], [0.0, 1.0]], [[1.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]]),
+], ids=["unit", "minus_unit", "unreached_unit_mode"])
+def test_gare_refuses_unbounded_growth_early(A, B, Q):
+    # B' R B = 0 keeps value iteration, where P grows by at least Q's share
+    # of the unreached mode per step; it used to run all 100000 steps
+    n = len(A)
+    model = SystemModel(A=A, B=B, E=np.zeros((n, 1)), c_o=np.eye(n)[:1])
+    cost = CostSpec(Q=Q, R=np.zeros((n, n)) if n > 1 else [[1.0]],
+                    P_terminal=np.zeros((n, n)), r=np.zeros(n))
+    with pytest.raises(ConvergenceError, match="grows without bound") as info:
+        solve_gare(model, cost)
+    assert info.value.iterations <= 1000
+    assert info.value.residual > 0
+
+
+def test_gare_growth_check_keeps_a_slow_value_iteration():
+    # an unreached mode at 0.99 is bounded: the check, run once at
+    # GROWTH_CHECK_ITERS, finds no certificate and the iteration goes on
+    model = scalar_model(A=0.99, B=0.0)
+    g = gare_fixed_point(model, scalar_cost())
+    assert g.iterations > lqdr.riccati.GROWTH_CHECK_ITERS
+    sol = solve_finite_horizon(model, scalar_cost(), N=g.horizon - 1, strict=False)
+    assert np.array_equal(sol.P[0], g.P)
+
+
 def test_gare_detects_non_stabilizing_solution():
     # unit-circle mode invisible to the cost: iteration settles at P = 0 but
     # the closed loop is not a contraction
