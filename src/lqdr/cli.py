@@ -278,15 +278,21 @@ def _settling_step(post, onset, settle_band):
 
 
 def trajectory_metrics(traj, cost, model, onset, settle_band):
-    """Deterministic comparison metrics for one closed-loop run."""
+    """Deterministic comparison metrics for one closed-loop run.
+
+    J is the run's last running cost plus the terminal term, the value
+    ``sim.evaluate_cost`` recomputes from the whole trajectory up to
+    rounding.
+    """
     target = model.c_o @ cost.r
     err = np.max(np.abs(traj.z - target), axis=1)
     steps = traj.steps
     onset = min(onset, steps)
     tail_start = int(0.9 * steps)
     post = err[onset:]
+    tail = traj.x[-1] - cost.r
     return {
-        "J": evaluate_cost(traj, cost),
+        "J": float(traj.cost_cum[-1] + tail @ cost.P_terminal @ tail),
         "steady_state_error": float(np.mean(err[tail_start:])),
         "peak_error": float(np.max(post)),
         "settling_step": _settling_step(post, onset, settle_band),

@@ -76,8 +76,11 @@ def closed_form_terms(riccati, model, cost):
          - np.swapaxes(riccati.M, 1, 2) @ (riccati.Upsilon_inv @ (B.T @ cost.R @ E)))
     Rscript = np.zeros((N + 2, model.n, model.n))
     Rscript[N + 1] = riccati.P[N + 1]
+    # ndarray.dot in place of @ but at n = 1, as in sim.simulate
+    dot = np.ndarray.dot if model.n > 1 else np.matmul
+    AbarT = np.swapaxes(Abar, 1, 2)
     for k in range(N, -1, -1):
-        Rscript[k] = Abar[k].T @ Rscript[k + 1] + cost.Q
+        np.add(dot(AbarT[k], Rscript[k + 1]), cost.Q, out=Rscript[k])
     return ClosedFormTerms(H=H, Abar=Abar, F=F, Rscript=Rscript)
 
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 #: Largest asymmetry max|W - W'| of an accepted weight W, relative to max|W|.
 SYMMETRY_TOL = 1e-12
@@ -447,7 +446,12 @@ def discretize_zoh(A_c, B_c, E_c, Ts, c_o=None):
         Ts: sample interval in seconds, > 0.
         c_o: regulated-output selector carried over unchanged; identity
             when omitted.
+
+    ``scipy.linalg.expm`` is imported here, so only continuous-time plants
+    load scipy.
     """
+    from scipy.linalg import expm
+
     if Ts <= 0:
         raise ValueError(f"sample interval must be positive, got {Ts}")
     A_c = _as_matrix(A_c, "A_c")

@@ -10,9 +10,11 @@ and stores the feedback gains K_k = Upsilon_k^{-1} M_k.  One step is one
 Gram product [A B]' P_{k+1} [A B], whose blocks are A'PA, M_k and B'PB, and
 one symmetric eigendecomposition Upsilon_k = V diag(w) V' (Golub & Van Loan,
 *Matrix Computations*, section 8.1), which gives the solvability test, the
-inverse V diag(1/w) V' and the consistency defect at once.  In strict mode
-each Upsilon_k must be positive definite (the solvability condition for a
-unique optimal controller): its smallest eigenvalue must exceed
+inverse V diag(1/w) V' and the consistency defect at once.  The
+decomposition is LAPACK's ``dsyevd`` on the upper triangle, through
+``np.linalg.eigh``; at m = 1 it is w = Upsilon, V = 1, formed directly.
+In strict mode each Upsilon_k must be positive definite (the solvability
+condition for a unique optimal controller): its smallest eigenvalue must exceed
 ``PINV_RCOND`` times its largest.  In non-strict mode eigenvalues of modulus
 at most ``PINV_RCOND`` times the largest are dropped, which is the
 Moore-Penrose pseudo-inverse with the cutoff ``np.linalg.pinv`` uses
@@ -46,15 +48,14 @@ repeated in pseudo-inverse mode, one horizon step per iterate.  Either way
 the iteration stops on a change relative to the iterate's own size, so
 rescaling Q and R together changes neither the path nor the count.  A value
 iteration still moving after ``GROWTH_CHECK_ITERS`` steps is tested once for
-a certificate that P grows without bound (``_grows_without_bound``).
+a certificate that P grows without bound (``_grows_without_bound``); a
+doubling iteration still moving after ``MAX_DOUBLINGS`` iterates is refused.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space, orth
-from scipy.linalg.lapack import dsyevd
 
 from .exceptions import ConvergenceError, RegularityError, SolvabilityError, StabilizationError
 from .model import PSD_EIG_FLOOR, RANK_REL_TOL, check_detectability, freeze_fields
@@ -67,6 +68,9 @@ PINV_RCOND = 1e-10
 REGULARITY_TOL = 1e-9
 #: Value-iteration steps after which a still-moving P is tested for unbounded growth.
 GROWTH_CHECK_ITERS = 256
+#: Doublings after which a still-moving P is refused: its horizon, 2^64
+#: steps, is beyond any finite-horizon problem.
+MAX_DOUBLINGS = 64
 
 
 def _sym(mat):
@@ -78,17 +82,25 @@ def spectral_radius(mat):
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
+#: The eigenvector matrix of every 1 x 1 matrix, shared read-only.
+_ONE = np.ones((1, 1))
+_ONE.setflags(write=False)
+
+
 def _eigh(Upsilon):
     """(w, V) with Upsilon = V diag(w) V', w ascending, for symmetric Upsilon.
 
-    LAPACK's ``dsyevd``, the routine behind ``np.linalg.eigh``, called
-    directly: on the m x m matrices of a backward step numpy's wrapper costs
-    several times the decomposition itself.
+    LAPACK's ``dsyevd`` through ``np.linalg.eigh``, reading the upper
+    triangle (``UPLO="U"``, the triangle ``scipy.linalg.lapack.dsyevd``
+    reads by default; the lower one rounds differently).  At m = 1 the
+    result is formed directly, as ``dsyevd`` forms it: w = Upsilon[0, 0]
+    and V = 1, without the wrapper's cost.  NaN and inf entries give what
+    ``dsyevd`` gives, or ``np.linalg.LinAlgError`` where it does not
+    converge.
     """
-    w, V, info = dsyevd(Upsilon)
-    if info:
-        raise np.linalg.LinAlgError(f"eigendecomposition failed (dsyevd info {info})")
-    return w, V
+    if Upsilon.shape[0] == 1:
+        return Upsilon[0].copy(), _ONE
+    return np.linalg.eigh(Upsilon, UPLO="U")
 
 
 def _eig_inverse(w, V, M):
@@ -290,13 +302,19 @@ def _grows_without_bound(A, B, Q, Rbar):
     step cost down to y' Q_s y, Q_s the Schur complement of Q over U.  An
     eigenvector v of S with |lambda| >= 1 and v* Q_s v above ``RANK_REL_TOL``
     times max|Q| then makes the k-step cost from x = L v (its real or
-    imaginary part) grow at least like k.  The bound needs Q and Rbar
-    positive semidefinite (down to ``model.PSD_EIG_FLOOR`` times their
-    largest eigenvalue modulus); otherwise there is no certificate.
+    imaginary part) grow at least like k.  A computed |lambda| counts as
+    >= 1 down to 1 - dim(S) eps ||S||_F, the rounding error of a backward
+    stable eigensolver, so a unit-circle mode computed just inside the
+    circle is certified too.  The bound needs Q and Rbar positive
+    semidefinite (down to ``model.PSD_EIG_FLOOR`` times their largest
+    eigenvalue modulus); otherwise there is no certificate.  scipy is
+    imported here, the only place the stationary solve needs it.
     """
     if not all(eigs[0] >= PSD_EIG_FLOOR * np.max(np.abs(eigs))
                for eigs in map(np.linalg.eigvalsh, (Q, Rbar))):
         return False
+    from scipy.linalg import null_space, orth
+
     U = orth(B)
     while U.shape[1] < A.shape[0]:
         wider = orth(np.hstack([U, A @ U]))
@@ -309,8 +327,10 @@ def _grows_without_bound(A, B, Q, Rbar):
     LQU = L.T @ Q @ U
     Q_s = L.T @ Q @ L - LQU @ np.linalg.pinv(U.T @ Q @ U) @ LQU.T
     floor = RANK_REL_TOL * float(np.max(np.abs(Q)))
-    w, V = np.linalg.eig(L.T @ A @ L)
-    return any(abs(lam) >= 1.0 and np.real(v.conj() @ Q_s @ v) > floor
+    S = L.T @ A @ L
+    unit = 1.0 - S.shape[0] * np.finfo(float).eps * float(np.linalg.norm(S))
+    w, V = np.linalg.eig(S)
+    return any(abs(lam) >= unit and np.real(v.conj() @ Q_s @ v) > floor
                for lam, v in zip(w, V.T))
 
 
@@ -328,13 +348,15 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     ``PINV_RCOND`` times the largest) iterate k is the P_0 of a 2^k-step pass
     from P = 0; otherwise iterate k is the backward step in pseudo-inverse
     mode applied k times, the P_0 of a k-step pass.  Both stop once
-    max|P_next - P| <= tol * max|P_next|.  Warns when (A, Q^(1/2)) is not
+    max|P_next - P| <= tol * max|P_next|, doubling after ``MAX_DOUBLINGS``
+    iterates at the latest.  Warns when (A, Q^(1/2)) is not
     detectable, since convergence is then not guaranteed.  The returned
     solution is NOT checked for a contracting closed loop; use
     ``solve_gare`` for the certified variant.
 
     Raises:
-        ConvergenceError: the update never fell below ``tol`` (the last
+        ConvergenceError: the update never fell below ``tol`` within
+            ``max_iters`` iterates, or ``MAX_DOUBLINGS`` doublings (the last
             increment is attached), value iteration is still moving after
             ``GROWTH_CHECK_ITERS`` steps on a plant whose P provably grows
             without bound, the iterates stopped being finite, or
@@ -360,9 +382,10 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
         A_k, G_k, P = A, _sym(B @ np.linalg.solve(Rbar, B.T)), Q
     else:
         P = np.zeros((n, n))
+    limit = min(max_iters, MAX_DOUBLINGS) if doubling else max_iters
     iterations = 0
     delta = np.inf
-    while iterations < max_iters:
+    while iterations < limit:
         if doubling:
             A_k, G_k, P_next = _doubling_step(A_k, G_k, P)
         else:
@@ -386,8 +409,8 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     else:
         raise ConvergenceError(
             f"stationary iteration still moving by {delta:.3e} after "
-            f"{max_iters} iterations (tol {tol:g}, relative)",
-            residual=delta, iterations=max_iters)
+            f"{limit} {'doublings' if doubling else 'iterations'} (tol {tol:g}, relative)",
+            residual=delta, iterations=limit)
 
     Upsilon, M, Upsilon_eig, Upsilon_inv, K, P_check, _ = \
         _backward_step(P, AB, W, strict=False)

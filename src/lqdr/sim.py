@@ -122,8 +122,9 @@ def simulate(model, cost, controller, x0, steps, d):
 
     err = x[:-1] - cost.r
     w = u @ B.T + d_seq @ E.T
-    stage = np.einsum("ki,ij,kj->k", err, cost.Q, err) \
-        + np.einsum("ki,ij,kj->k", w, cost.R, w)
+    # one BLAS product per weight, then a row-wise sum: a three-operand
+    # einsum takes its unoptimized path, about 20 times slower at n = 32
+    stage = np.einsum("ki,ki->k", err @ cost.Q, err) + np.einsum("ki,ki->k", w @ cost.R, w)
     z = x @ model.c_o.T
     return Trajectory(model=model, steps=steps, x=x, u=u, d=d_seq, z=z,
                       cost_cum=np.cumsum(stage))
@@ -200,21 +201,24 @@ def brute_force_optimal(model, cost, x0, d, N):
     n, m = model.n, model.m
     dim = (N + 1) * m
 
+    # ndarray.dot in place of @ but at n = 1, as in simulate
+    dot = np.ndarray.dot if n > 1 else np.matmul
     # AB[p] = A^p B
     AB = np.empty((N + 1, n, m))
     AB[0] = B
     for p in range(1, N + 1):
-        AB[p] = A @ AB[p - 1]
-    # x_k = X[k] @ u_stacked + x_off[k]
+        AB[p] = dot(A, AB[p - 1])
+    # x_k = X[k] @ u_stacked + x_off[k]; (ks, js) index the strictly lower
+    # triangle, as np.tril_indices does at several times the cost
     lifted = np.zeros((N + 2, n, N + 1, m))
-    ks, js = np.tril_indices(N + 2, -1)
+    ks, js = np.nonzero(np.tri(N + 2, k=-1, dtype=bool))
     lifted[ks, :, js, :] = AB[ks - 1 - js]
     X = lifted.reshape(N + 2, n, dim)
     Ed = d_seq @ E.T
     x_off = np.zeros((N + 2, n))
     x_off[0] = x0
     for k in range(N + 1):
-        x_off[k + 1] = A @ x_off[k] + Ed[k]
+        np.add(dot(A, x_off[k]), Ed[k], out=x_off[k + 1])
 
     g = x_off - r
     WX = np.empty_like(X)
@@ -263,8 +267,11 @@ def costate_residuals(traj, riccati, ff, model, cost):
     Qe = (x[1:N + 1] - r) @ cost.Q.T
     lam = np.zeros((N + 1, model.n))
     lam[N] = riccati.P[N + 1] @ (x[N + 1] - r)
+    # ndarray.dot in place of @ but at n = 1, as in simulate
+    dot = np.ndarray.dot if model.n > 1 else np.matmul
+    At = A.T
     for k in range(N, 0, -1):
-        lam[k - 1] = Qe[k - 1] + A.T @ lam[k]
+        np.add(Qe[k - 1], dot(At, lam[k]), out=lam[k - 1])
 
     BtR = B.T @ cost.R
     stat = (traj.u @ B.T) @ BtR.T + lam @ B + (traj.d @ E.T) @ BtR.T

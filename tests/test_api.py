@@ -1,7 +1,12 @@
-"""The public names of ``lqdr`` and every ``lqdr`` attribute the benchmark uses."""
+"""The public names of ``lqdr``, every ``lqdr`` attribute the benchmark uses,
+and the modules that importing lqdr loads."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -63,3 +68,24 @@ def test_perfbench_reads_attributes():
 @pytest.mark.parametrize("module, name", _perfbench_attributes())
 def test_perfbench_attribute_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_scipy_is_loaded_only_by_a_continuous_time_plant(tmp_path):
+    # discrete runs and selftest need no scipy module; ZOH discretization
+    # (example_d is continuous-time) imports it
+    code = textwrap.dedent("""
+        import sys
+        import lqdr, lqdr.cli
+        from lqdr.cli import bundled_scenario_path, load_scenario, run_scenario, selftest
+        for name in ("example_a", "example_b", "example_c"):
+            run_scenario(load_scenario(bundled_scenario_path(name)), sys.argv[1])
+        selftest(instances=10, verbose=False)
+        print("scipy" in sys.modules)
+        load_scenario(bundled_scenario_path("example_d"))
+        print("scipy" in sys.modules)
+    """)
+    src = str(Path(lqdr.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False", "True"]

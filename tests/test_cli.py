@@ -11,7 +11,8 @@ import lqdr.cli as cli
 from conftest import (reference_settling_step, reference_write_csv, reference_write_svg,
                       scaled_weight_probes)
 from lqdr import (ScenarioError, SolvabilityError, SystemModel, Trajectory,
-                  brute_force_optimal, build_controller, simulate, solve_finite_horizon)
+                  brute_force_optimal, build_controller, evaluate_cost, simulate,
+                  solve_finite_horizon)
 from lqdr.cli import (_settling_step, bundled_scenario_path, compare_summaries, gare_report,
                       load_scenario, main, run_scenario, selftest, trajectory_metrics,
                       write_csv, write_svg)
@@ -419,6 +420,19 @@ def test_settling_step_matches_the_loop(post, onset):
     got = _settling_step(post, onset, 0.5)
     assert got == reference_settling_step(post, onset, 0.5)
     assert got is None or type(got) is int
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_metric_J_is_the_independently_summed_cost(name):
+    # J is read off the running cost; evaluate_cost sums the whole run again
+    scenario = load_scenario(bundled_scenario_path(name))
+    model, cost, steps = scenario.model, scenario.cost, scenario.steps
+    for config in scenario.controllers:
+        controller = build_controller(config, model, cost, scenario.disturbance, steps)
+        traj = simulate(model, cost, controller, scenario.x0, steps, scenario.disturbance)
+        J = trajectory_metrics(traj, cost, model, 0, scenario.settle_band)["J"]
+        assert type(J) is float
+        assert J == pytest.approx(evaluate_cost(traj, cost), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scipy.linalg
+from scipy.linalg.lapack import dsyevd
 
 import lqdr.riccati
 from conftest import (aero_engine_discrete, long_horizon_cases, lqr_textbook_gains,
@@ -388,6 +391,33 @@ def test_gare_refuses_unbounded_growth_early(A, B, Q):
     assert info.value.residual > 0
 
 
+def test_gare_refuses_unbounded_growth_in_doubling_mode():
+    # B' R B = 5/16 keeps doubling.  The unreached first state is constant,
+    # and keeping it off the weighted second costs input at every step, so P
+    # grows like the horizon; it used to run all 100000 doublings
+    model = SystemModel(A=[[1.0, 0.0], [1.0, 2.0]], B=[[0.0], [0.5]],
+                        E=np.zeros((2, 1)), c_o=np.eye(2))
+    cost = CostSpec(Q=np.diag([0.0, 1.0]), R=[[4.0, -2.0], [-2.0, 1.25]],
+                    P_terminal=np.zeros((2, 2)), r=np.zeros(2))
+    with pytest.raises(ConvergenceError, match="still moving") as info:
+        gare_fixed_point(model, cost)
+    assert info.value.iterations <= 100
+    assert info.value.residual > 0
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 1.0])
+def test_gare_certifies_a_unit_circle_mode_computed_inside_the_circle(a):
+    # det A = 1 and |a| < 2: both modes have modulus 1 exactly, and the
+    # computed modulus is a rounding below it.  B = 0 leaves them unreached
+    A = np.array([[a, 1.0], [-1.0, 0.0]])
+    assert np.max(np.abs(np.linalg.eig(A).eigenvalues)) < 1.0
+    model = SystemModel(A=A, B=np.zeros((2, 1)), E=np.zeros((2, 1)), c_o=np.eye(2))
+    cost = CostSpec(Q=np.eye(2), R=np.eye(2), P_terminal=np.zeros((2, 2)), r=np.zeros(2))
+    with pytest.raises(ConvergenceError, match="grows without bound") as info:
+        gare_fixed_point(model, cost)
+    assert info.value.iterations == lqdr.riccati.GROWTH_CHECK_ITERS
+
+
 def test_gare_growth_check_keeps_a_slow_value_iteration():
     # an unreached mode at 0.99 is bounded: the check, run once at
     # GROWTH_CHECK_ITERS, finds no certificate and the iteration goes on
@@ -445,6 +475,44 @@ def test_check_regularity_needs_positive_tol():
 def test_check_regularity_refuses_a_non_symmetric_upsilon():
     with pytest.raises(ValueError, match="symmetric"):
         check_regularity(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), tol=1e-9)
+
+
+_EIGH_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, np.nan, np.inf, -np.inf]),
+    st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """m x m symmetric, m = 1..6, entries often 0, +-1, 0.5, 2, NaN or +-inf;
+    sometimes a non-contiguous view, as Upsilon is in a backward step."""
+    m = draw(st.integers(1, 6))
+    upper = np.triu_indices(m)
+    values = draw(st.lists(_EIGH_ENTRIES, min_size=len(upper[0]), max_size=len(upper[0])))
+    S = np.zeros((m, m))
+    S[upper] = values
+    S[upper[::-1]] = values
+    if draw(st.booleans()):
+        H = np.full((m + 2, m + 2), 7.0)
+        H[2:, 2:] = S
+        S = H[2:, 2:]
+    return S
+
+
+@settings(max_examples=400, deadline=None)
+@given(Upsilon=_symmetric_matrices())
+def test_eigh_is_the_bytes_of_lapack_dsyevd(Upsilon):
+    w_ref, V_ref, info = dsyevd(Upsilon)
+    if info:
+        # LAPACK did not converge (a NaN reached the iteration): refused
+        with pytest.raises(np.linalg.LinAlgError):
+            lqdr.riccati._eigh(Upsilon)
+        return
+    w, V = lqdr.riccati._eigh(Upsilon)
+    assert w.dtype == V.dtype == np.float64
+    assert w.shape == w_ref.shape and V.shape == V_ref.shape
+    assert w.tobytes() == w_ref.tobytes()
+    assert V.tobytes() == V_ref.tobytes()
 
 
 def test_spectral_radius():
