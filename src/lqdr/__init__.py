@@ -22,10 +22,9 @@ from .exceptions import (ConvergenceError, LqdrError, RegularityError,
 from .model import (MATCHED, MISMATCHED, CostSpec, DisturbanceProfile,
                     SystemModel, ValidationReport, check_detectability,
                     classify_disturbance, discretize_zoh, disturbance_sequence,
-                    sample_disturbance, validate)
-from .riccati import (GareSolution, RiccatiSolution, check_regularity,
-                      gare_fixed_point, solve_finite_horizon, solve_gare,
-                      spectral_radius)
+                    validate)
+from .riccati import (GareSolution, RiccatiSolution, gare_fixed_point,
+                      solve_finite_horizon, solve_gare, spectral_radius)
 from .feedforward import (ClosedFormTerms, FeedforwardSolution,
                           closed_form_terms, solve_closed_form,
                           solve_recursive, solve_steady)
@@ -41,9 +40,9 @@ __all__ = [
     "SystemModel", "CostSpec", "DisturbanceProfile", "ValidationReport",
     "MATCHED", "MISMATCHED",
     "validate", "check_detectability", "classify_disturbance",
-    "discretize_zoh", "sample_disturbance", "disturbance_sequence",
+    "discretize_zoh", "disturbance_sequence",
     "RiccatiSolution", "GareSolution", "solve_finite_horizon", "solve_gare",
-    "check_regularity", "spectral_radius", "gare_fixed_point",
+    "spectral_radius", "gare_fixed_point",
     "FeedforwardSolution", "ClosedFormTerms", "closed_form_terms",
     "solve_recursive", "solve_closed_form", "solve_steady",
     "ControllerConfig", "build_controller",

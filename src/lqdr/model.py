@@ -247,29 +247,8 @@ class DisturbanceProfile:
         raise ValueError("a sinusoid has no limit value")
 
 
-def sample_disturbance(profile, k):
-    """Evaluate a disturbance profile at step ``k`` (an m-vector)."""
-    if k < 0:
-        raise ValueError("step index must be >= 0")
-    if k < profile.start_step:
-        return np.zeros(profile.dim)
-    t = k - profile.start_step
-    if profile.kind == "constant":
-        return np.full(profile.dim, profile.amplitude)
-    if profile.kind == "sinusoid":
-        return np.full(profile.dim, profile.amplitude * math.sin(profile.rate * t))
-    if profile.kind == "ramp":
-        value = profile.rate * t
-        if profile.rate >= 0:
-            value = min(value, profile.limit)
-        else:
-            value = max(value, profile.limit)
-        return np.full(profile.dim, value)
-    return profile.values[min(t, profile.values.shape[0] - 1)].copy()
-
-
 def _profile_samples(profile, steps):
-    """Steps 0..steps-1 of a profile, equal bit for bit to ``sample_disturbance``."""
+    """Steps 0..steps-1 of a profile, each bit for bit its definition at that step."""
     seq = np.zeros((steps, profile.dim))
     start = min(profile.start_step, steps)
     t = np.arange(steps - start)
@@ -296,8 +275,8 @@ def disturbance_sequence(d, steps, dim=None):
     Accepts either a DisturbanceProfile or an array-like of shape (steps, m)
     or (steps,), so solvers and the brute-force oracle can share a
     bit-identical disturbance sequence.  A profile's samples are computed
-    as arrays, bit-identical to ``sample_disturbance`` step by step.  An
-    array of any other dimension, a scalar included, raises ValueError.
+    as arrays, each bit-identical to the profile's definition at its step.
+    An array of any other dimension, a scalar included, raises ValueError.
     """
     if isinstance(d, DisturbanceProfile):
         seq = _profile_samples(d, steps)
@@ -434,12 +413,54 @@ def validate(model, cost):
     )
 
 
+#: (degree m, theta_m): the [m/m] Padé approximant of exp(X) is accurate to
+#: double precision for ||X||_1 <= theta_m (Higham 2005).
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+               (13, 5.371920351148152e0))
+
+
+def _expm(X):
+    """exp(X) by scaling and squaring a Padé approximant.
+
+    The algorithm of Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005: the
+    lowest degree m whose theta_m bounds ||X||_1, else degree 13 applied to
+    X / 2^s with ||X / 2^s||_1 <= theta_13, squared s times.  The
+    approximant is q(X)^-1 p(X), with p(X) = V + U and q(X) = V - U the
+    even (V) and odd (U) terms of sum_j b_j X^j, b_j = (2m - j)! / (j! (m - j)!).
+    X must be finite; ValueError if ||X||_1 overflows.
+    """
+    norm = np.linalg.norm(X, 1)
+    if norm == np.inf:
+        raise ValueError("the 1-norm of the matrix to exponentiate overflows")
+    squarings = 0
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(norm / theta))
+        X = X / 2.0 ** squarings
+    b = [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+         for j in range(m + 1)]
+    X2 = X @ X
+    even_powers = [np.eye(X.shape[0]), X2]
+    while len(even_powers) <= m // 2:
+        even_powers.append(even_powers[-1] @ X2)
+    U = X @ sum(b[2 * j + 1] * P for j, P in enumerate(even_powers))
+    V = sum(b[2 * j] * P for j, P in enumerate(even_powers))
+    result = np.linalg.solve(V - U, V + U)
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
 def discretize_zoh(A_c, B_c, E_c, Ts, c_o=None):
     """Exact sampled-data model assuming inputs held constant over each interval.
 
     Computes A_d = exp(A_c Ts) and B_d = (int_0^Ts exp(A_c s) ds) B_c through
     the exponential of the augmented block matrix [[A_c, I], [0, 0]] * Ts;
-    the same integral is applied to the disturbance map.
+    the same integral is applied to the disturbance map.  The exponential
+    is ``_expm``'s, numpy alone.
 
     Args:
         A_c, B_c, E_c: continuous-time matrices (n x n, n x m, n x m).
@@ -447,11 +468,9 @@ def discretize_zoh(A_c, B_c, E_c, Ts, c_o=None):
         c_o: regulated-output selector carried over unchanged; identity
             when omitted.
 
-    ``scipy.linalg.expm`` is imported here, so only continuous-time plants
-    load scipy.
+    Raises ValueError, without a floating-point warning, when A_c Ts or its
+    1-norm is not finite, or when its exponential overflows.
     """
-    from scipy.linalg import expm
-
     if Ts <= 0:
         raise ValueError(f"sample interval must be positive, got {Ts}")
     A_c = _as_matrix(A_c, "A_c")
@@ -461,9 +480,15 @@ def discretize_zoh(A_c, B_c, E_c, Ts, c_o=None):
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = A_c
     block[:n, n:] = np.eye(n)
-    exp_block = expm(block * Ts)
-    A_d = exp_block[:n, :n]
-    integral = exp_block[:n, n:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = block * Ts
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"A_c * Ts is not finite (Ts = {Ts})")
+        exp_block = _expm(block)
+        if not np.all(np.isfinite(exp_block)):
+            raise ValueError(f"exp(A_c * Ts) overflows (Ts = {Ts})")
+        integral = exp_block[:n, n:]
+        B_d, E_d = integral @ B_c, integral @ E_c
     if c_o is None:
         c_o = np.eye(n)
-    return SystemModel(A=A_d, B=integral @ B_c, E=integral @ E_c, c_o=c_o)
+    return SystemModel(A=exp_block[:n, :n], B=B_d, E=E_d, c_o=c_o)

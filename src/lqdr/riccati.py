@@ -121,22 +121,6 @@ def _eig_inverse(w, V, M):
     return (V_keep / w[keep]).dot(V_keep.T), float(np.linalg.norm(V[:, ~keep].T.dot(M)))
 
 
-def check_regularity(Upsilon, M, tol):
-    """True iff ||Upsilon Upsilon^+ M - M|| <= tol * ||M|| (Frobenius).
-
-    The test is relative, with no floor: scaling M changes no verdict.
-    ``Upsilon`` must be exactly symmetric, as every Upsilon_k is.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    Upsilon = np.atleast_2d(np.asarray(Upsilon, dtype=float))
-    if not np.array_equal(Upsilon, Upsilon.T):
-        raise ValueError("Upsilon must be symmetric")
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    w, V = _eigh(Upsilon)
-    return bool(_eig_inverse(w, V, M)[1] <= tol * np.linalg.norm(M))
-
-
 def _step_constants(A, B, Q, R):
     """The backward step's step-independent products: [A B] and diag(sym(Q), sym(B'RB))."""
     n, m = B.shape
@@ -291,12 +275,29 @@ def solve_finite_horizon(model, cost, N, strict=True):
                            Upsilon_inv=Upsilon_inv, K=K)
 
 
+def _svd_rank(s, shape):
+    """Singular values above eps max(shape) s_max: ``scipy.linalg.orth``'s cutoff."""
+    return int(np.sum(s > np.finfo(float).eps * max(shape) * np.max(s, initial=0.0)))
+
+
+def _orth(M):
+    """Orthonormal basis of the range of M, the leading left singular vectors."""
+    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    return u[:, :_svd_rank(s, M.shape)]
+
+
+def _null_space(M):
+    """Orthonormal basis of the null space of M, the trailing right singular vectors."""
+    _, s, vh = np.linalg.svd(M)
+    return vh[_svd_rank(s, M.shape):].T
+
+
 def _grows_without_bound(A, B, Q, Rbar):
     """Whether the k-step P_0 from P = 0 provably grows without bound in k.
 
     With U an orthonormal basis of the reachable subspace, the span of B,
-    AB, ..., A^(n-1) B (rank cutoff ``scipy.linalg.orth``'s, which errs
-    towards reachable), and L one of its orthogonal complement, y = L' x
+    AB, ..., A^(n-1) B (``_orth``, whose rank cutoff errs towards
+    reachable), and L one of its orthogonal complement, y = L' x
     obeys y_{k+1} = S y_k with S = L' A L whatever the input.  Choosing the
     reachable part of each state freely, an input can at best bring the
     step cost down to y' Q_s y, Q_s the Schur complement of Q over U.  An
@@ -307,21 +308,18 @@ def _grows_without_bound(A, B, Q, Rbar):
     stable eigensolver, so a unit-circle mode computed just inside the
     circle is certified too.  The bound needs Q and Rbar positive
     semidefinite (down to ``model.PSD_EIG_FLOOR`` times their largest
-    eigenvalue modulus); otherwise there is no certificate.  scipy is
-    imported here, the only place the stationary solve needs it.
+    eigenvalue modulus); otherwise there is no certificate.
     """
     if not all(eigs[0] >= PSD_EIG_FLOOR * np.max(np.abs(eigs))
                for eigs in map(np.linalg.eigvalsh, (Q, Rbar))):
         return False
-    from scipy.linalg import null_space, orth
-
-    U = orth(B)
+    U = _orth(B)
     while U.shape[1] < A.shape[0]:
-        wider = orth(np.hstack([U, A @ U]))
+        wider = _orth(np.hstack([U, A @ U]))
         if wider.shape[1] == U.shape[1]:
             break
         U = wider
-    L = null_space(U.T)
+    L = _null_space(U.T)
     if not L.size:
         return False
     LQU = L.T @ Q @ U

@@ -1,5 +1,6 @@
 """Shared builders for the benchmark systems used across the test modules."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ from lqdr import (CostSpec, DisturbanceProfile, RegularityError, SolvabilityErro
                   SystemModel, discretize_zoh, disturbance_sequence,
                   finite_horizon_control, solve_finite_horizon, solve_recursive)
 from lqdr.cli import _PALETTE
-from lqdr.riccati import (PINV_RCOND, REGULARITY_TOL, _backward_step, _step_constants,
-                          _sym)
+from lqdr.riccati import (PINV_RCOND, REGULARITY_TOL, _backward_step, _eig_inverse, _eigh,
+                          _step_constants, _sym)
 
 
 def uncontrollable_3state():
@@ -46,12 +47,17 @@ def aero_engine_discrete(Ts=0.02):
     return discretize_zoh(A_c, B_c, E_c, Ts, c_o=c_o)
 
 
-def sampled_stable_plant(n, m, Ts, seed=0):
-    """ZOH-sampled dense plant whose continuous A has symmetric part below -2 I."""
-    rng = np.random.default_rng(seed)
+def stable_dense_A_c(n, rng):
+    """Dense continuous-time A whose symmetric part is below -2 I."""
     S = rng.standard_normal((n, n))
     K = rng.standard_normal((n, n))
-    A_c = -(S @ S.T / n + 2.0 * np.eye(n)) + 0.5 * (K - K.T)
+    return -(S @ S.T / n + 2.0 * np.eye(n)) + 0.5 * (K - K.T)
+
+
+def sampled_stable_plant(n, m, Ts, seed=0):
+    """ZOH-sampled dense plant with a ``stable_dense_A_c``."""
+    rng = np.random.default_rng(seed)
+    A_c = stable_dense_A_c(n, rng)
     return discretize_zoh(A_c, rng.standard_normal((n, m)), rng.standard_normal((n, m)),
                           Ts, c_o=np.eye(n)[:m])
 
@@ -147,6 +153,48 @@ def rel_gap(a, b):
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     return float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(a)), np.max(np.abs(b))))
+
+
+# ---------------------------------------------------------------------------
+# per-step definitions that the package computes another way
+# ---------------------------------------------------------------------------
+
+def sample_disturbance(profile, k):
+    """A disturbance profile at step ``k`` (an m-vector), by its definition."""
+    if k < 0:
+        raise ValueError("step index must be >= 0")
+    if k < profile.start_step:
+        return np.zeros(profile.dim)
+    t = k - profile.start_step
+    if profile.kind == "constant":
+        return np.full(profile.dim, profile.amplitude)
+    if profile.kind == "sinusoid":
+        return np.full(profile.dim, profile.amplitude * math.sin(profile.rate * t))
+    if profile.kind == "ramp":
+        value = profile.rate * t
+        if profile.rate >= 0:
+            value = min(value, profile.limit)
+        else:
+            value = max(value, profile.limit)
+        return np.full(profile.dim, value)
+    return profile.values[min(t, profile.values.shape[0] - 1)].copy()
+
+
+def check_regularity(Upsilon, M, tol):
+    """True iff ||Upsilon Upsilon^+ M - M|| <= tol * ||M|| (Frobenius).
+
+    The backward step's consistency test as a function of one pair: the
+    test is relative, with no floor, so scaling M changes no verdict.
+    ``Upsilon`` must be exactly symmetric, as every Upsilon_k is.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    Upsilon = np.atleast_2d(np.asarray(Upsilon, dtype=float))
+    if not np.array_equal(Upsilon, Upsilon.T):
+        raise ValueError("Upsilon must be symmetric")
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    w, V = _eigh(Upsilon)
+    return bool(_eig_inverse(w, V, M)[1] <= tol * np.linalg.norm(M))
 
 
 # ---------------------------------------------------------------------------

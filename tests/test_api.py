@@ -1,5 +1,5 @@
 """The public names of ``lqdr``, every ``lqdr`` attribute the benchmark uses,
-and the modules that importing lqdr loads."""
+and that lqdr runs on numpy alone."""
 
 import ast
 import importlib
@@ -70,22 +70,42 @@ def test_perfbench_attribute_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
-def test_scipy_is_loaded_only_by_a_continuous_time_plant(tmp_path):
-    # discrete runs and selftest need no scipy module; ZOH discretization
-    # (example_d is continuous-time) imports it
+def test_lqdr_runs_where_scipy_cannot_be_imported(tmp_path):
+    # with sys.modules["scipy"] = None any scipy import raises ImportError:
+    # every bundled scenario (example_d is continuous-time, so ZOH runs),
+    # selftest and the growth certificate of a value iteration need numpy alone
     code = textwrap.dedent("""
         import sys
+        sys.modules["scipy"] = None
         import lqdr, lqdr.cli
+        from lqdr import ConvergenceError, CostSpec, SystemModel, gare_fixed_point
         from lqdr.cli import bundled_scenario_path, load_scenario, run_scenario, selftest
-        for name in ("example_a", "example_b", "example_c"):
+        for name in ("example_a", "example_b", "example_c", "example_d"):
             run_scenario(load_scenario(bundled_scenario_path(name)), sys.argv[1])
         selftest(instances=10, verbose=False)
-        print("scipy" in sys.modules)
-        load_scenario(bundled_scenario_path("example_d"))
-        print("scipy" in sys.modules)
+        model = SystemModel(A=[[1.0]], B=[[0.0]], E=[[0.0]], c_o=[[1.0]])
+        cost = CostSpec(Q=[[1.0]], R=[[1.0]], P_terminal=[[0.0]], r=[0.0])
+        try:
+            gare_fixed_point(model, cost)
+        except ConvergenceError as exc:
+            print(exc)
     """)
     src = str(Path(lqdr.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                             env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, check=True)
-    assert result.stdout.split() == ["False", "True"]
+    assert "grows without bound" in result.stdout
+    assert (tmp_path / "example_d.summary.json").is_file()
+
+
+def test_no_lqdr_module_imports_scipy():
+    package = Path(lqdr.__file__).resolve().parent
+    imported = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module))
+    assert ("cli.py", "numpy") in imported  # the scan sees imports
+    assert not [pair for pair in imported if pair[1].split(".")[0] == "scipy"]

@@ -37,6 +37,12 @@ MINI = {
 }
 
 
+def continuous_mini(A, Ts):
+    """MINI's system block as a continuous-time plant with the given A and Ts."""
+    return {"continuous": {"A": A, "B": [[0.0], [0.01]], "E": [[0.01], [0.0]]},
+            "Ts": Ts, "c_o": [[1.0, 0.0]]}
+
+
 def write_mini(tmp_path, mutate=None, name="mini.json"):
     doc = json.loads(json.dumps(MINI))
     if mutate:
@@ -589,15 +595,19 @@ def test_main_run_scenario_error(tmp_path, capsys):
     lambda d: d["controllers"][1].update(label="s/t"),
     lambda d: d["controllers"][1].update(label="s\0t"),
     lambda d: d["controllers"][1].update(label=""),
+    lambda d: d.update(system=continuous_mini([[1000.0, 0.0], [0.0, -1.0]], 1.0)),
+    lambda d: d.update(system=continuous_mini([[1e200, 0.0], [0.0, -1.0]], 1e200)),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
         "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
         "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero",
         "R_negative_definite", "name_slash", "name_parent_dir", "name_backslash",
-        "name_not_string", "name_empty", "label_slash", "label_nul", "label_empty"])
+        "name_not_string", "name_empty", "label_slash", "label_nul", "label_empty",
+        "zoh_exp_overflows", "zoh_A_Ts_overflows"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert "scenario error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["mini.json"]
 
 
