@@ -25,9 +25,8 @@ from .model import (MATCHED, MISMATCHED, CostSpec, DisturbanceProfile,
                     validate)
 from .riccati import (GareSolution, RiccatiSolution, gare_fixed_point,
                       solve_finite_horizon, solve_gare, spectral_radius)
-from .feedforward import (ClosedFormTerms, FeedforwardSolution,
-                          closed_form_terms, solve_closed_form,
-                          solve_recursive, solve_steady)
+from .feedforward import (FeedforwardSolution, solve_closed_form, solve_recursive,
+                          solve_steady)
 from .control import ControllerConfig, build_controller, finite_horizon_control
 from .sim import (OracleResult, RandomInstance, Trajectory,
                   brute_force_optimal, costate_residuals, draw_instance,
@@ -43,8 +42,7 @@ __all__ = [
     "discretize_zoh", "disturbance_sequence",
     "RiccatiSolution", "GareSolution", "solve_finite_horizon", "solve_gare",
     "spectral_radius", "gare_fixed_point",
-    "FeedforwardSolution", "ClosedFormTerms", "closed_form_terms",
-    "solve_recursive", "solve_closed_form", "solve_steady",
+    "FeedforwardSolution", "solve_recursive", "solve_closed_form", "solve_steady",
     "ControllerConfig", "build_controller",
     "finite_horizon_control",
     "Trajectory", "OracleResult", "RandomInstance", "simulate",

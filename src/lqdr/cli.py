@@ -27,7 +27,7 @@ from . import __version__
 from .control import ControllerConfig, build_controller, finite_horizon_control
 from .exceptions import LqdrError, ScenarioError, SolvabilityError
 from .feedforward import solve_closed_form, solve_recursive
-from .model import (CostSpec, DisturbanceProfile, SystemModel,
+from .model import (CostSpec, DisturbanceProfile, SystemModel, _psd_check,
                     check_weights, classify_disturbance, discretize_zoh, validate)
 from .riccati import gare_fixed_point, solve_finite_horizon
 from .sim import (brute_force_optimal, costate_residuals, draw_instance,
@@ -195,6 +195,11 @@ def _parse_controllers(specs, model):
                 fields[key] = _number(value, f"{where}.{key}", integer=key == "T")
             elif key in shapes:
                 fields[key] = _array(value, f"{where}.{key}", shapes[key])
+        messages = []
+        if "P_terminal" in fields and not _psd_check(f"{where}.P_terminal",
+                                                     fields["P_terminal"], messages):
+            raise ScenarioError("terminal weights must be symmetric positive semidefinite: "
+                                + messages[0])
         try:
             config = ControllerConfig(**fields)
         except ValueError as exc:
@@ -245,6 +250,8 @@ def load_scenario(path):
     if not isinstance(outputs, list) or not all(o in _OUTPUT_KINDS for o in outputs):
         raise ScenarioError(f"outputs must be a subset of {_OUTPUT_KINDS}")
     settle_band = _number(raw.get("settle_band", 1e-3), "settle_band")
+    if settle_band <= 0:
+        raise ScenarioError(f"settle_band must be positive, got {settle_band}")
 
     return Scenario(name=name, model=model, cost=cost, x0=x0, steps=steps,
                     disturbance=disturbance, controllers=controllers,

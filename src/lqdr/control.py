@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedforward import closed_form_terms, solve_recursive, solve_steady
+from .feedforward import backward_pass, solve_recursive, solve_steady
 from .model import CostSpec, DisturbanceProfile, freeze_fields
 from .riccati import PINV_RCOND, solve_finite_horizon, solve_gare, spectral_radius
 
@@ -210,18 +210,13 @@ def _receding_horizon_law(config, model, cost, profile, steps):
     inner_cost = cost if config.P_terminal is None else CostSpec(
         Q=cost.Q, R=cost.R, P_terminal=config.P_terminal, r=cost.r)
     riccati = solve_finite_horizon(model, inner_cost, config.T, strict=config.strict)
-    # with d frozen, f_k = Phi_k d - Rscript_k r, where
-    # Phi_k = Abar_k' Phi_{k+1} + F_k and Phi_{T+1} = 0; then
-    # h_0 = (H_0 + B' Phi_1) d - B' Rscript_1 r
-    terms = closed_form_terms(riccati, model, inner_cost)
-    Phi = np.zeros((model.n, model.m))
-    for k in range(config.T, 0, -1):
-        Phi = terms.Abar[k].T @ Phi + terms.F[k]
-    Upsilon_inv = riccati.Upsilon_inv[0]
-    B = model.B
-    return _affine_law(model, steps, riccati.K[0],
-                       Upsilon_inv @ (terms.H[0] + B.T @ Phi),
-                       -(Upsilon_inv @ (B.T @ terms.Rscript[1] @ inner_cost.r))), riccati
+    # with d frozen, h_0 is linear in d and r: one pass solves for the
+    # columns of E as disturbance channels and for the reference alone
+    n, m = model.n, model.m
+    Ed = np.broadcast_to(np.hstack([model.E, np.zeros((n, 1))]), (config.T + 1, n, m + 1))
+    h, _ = backward_pass(riccati, model, inner_cost, Ed, np.eye(m + 1)[m])
+    gains = riccati.Upsilon_inv[0] @ h[0]
+    return _affine_law(model, steps, riccati.K[0], gains[:, :m], gains[:, m]), riccati
 
 
 def _problem_key(config):

@@ -7,19 +7,24 @@ f_{N+1} = -P_{N+1} r by
     h_k = B' (R + P_{k+1}) E d_k + B' f_{k+1}
     f_k = A' P_{k+1} E d_k + A' f_{k+1} - M_k' Upsilon_k^{-1} h_k - Q r.
 
-``solve_recursive`` forms the products that do not involve f for all steps
-at once, a_k = B' (R + P_{k+1}) E d_k, b_k = A' P_{k+1} E d_k - Q r and
-C_k = M_k' Upsilon_k^{-1}, and its loop runs the two equations as
-h_k = a_k + B' f_{k+1} and f_k = b_k + A' f_{k+1} - C_k h_k.
+(h, f) is linear in E d and r, so ``backward_pass``, the one backward loop
+here, solves p problems at once, one per column: each has its own channel
+E d_k and its own multiple of r.  It forms the products that do not involve f
+for all steps at once, a_k = B' (R + P_{k+1}) E d_k,
+b_k = A' P_{k+1} E d_k - Q r and C_k = M_k' Upsilon_k^{-1}, and its loop runs
+the two equations as h_k = a_k + B' f_{k+1} and f_k = b_k + A' f_{k+1} - C_k h_k.
+``solve_recursive`` is the pass with p = 1; the receding-horizon law of
+``control`` is one pass over its lookahead with p = m + 1.
 
 Eliminating h from the f-equation turns it into the compact recursion
 
-    f_k = Abar_k' f_{k+1} + F_k d_k - Q r,       Abar_k = A - B K_k,
+    f_k = Abar_k' f_{k+1} + G_k,   Abar_k = A - B K_k,   G_k = F_k d_k - Q r,
 
-whose unrolled form is a weighted sum of future disturbance samples; that
-explicit sum is what ``solve_closed_form`` evaluates, and its stationary
-fixed point under constant signals is what ``solve_steady`` returns for the
-infinite-horizon controller.
+whose unrolled form is a weighted sum of the drivers G_s and of the terminal
+term f_{N+1}; that explicit sum is what ``solve_closed_form`` evaluates,
+with no loop of the recursion's, and its stationary fixed point under
+constant signals is what ``solve_steady`` returns for the infinite-horizon
+controller.
 """
 
 from dataclasses import dataclass
@@ -45,113 +50,79 @@ class FeedforwardSolution:
         freeze_fields(self, "h", "f")
 
 
-@dataclass(frozen=True)
-class ClosedFormTerms:
-    """Per-step matrices of the unrolled feedforward expression.
+def backward_pass(riccati, model, cost, Ed, r_weight):
+    """(h, f) of p problems over the horizon of ``riccati``, shapes (N+1, m, p), (N+2, n, p).
 
-    H[k] = B' (R + P_{k+1}) E maps the current disturbance into h_k.
-    Abar[k] is the closed-loop matrix A - B K_k.
-    F[k] = (Abar_k' P_{k+1} - M_k' Upsilon_k^{-1} B' R) E drives the
-    f-recursion, and Rscript accumulates the reference weighting backward:
-    Rscript[k] = Abar_k' Rscript[k+1] + Q with Rscript[N+1] = P_{N+1}.
+    Problem j has the channel E d_k = ``Ed[k, :, j]`` (Ed is (N+1, n, p)) and
+    the reference ``r_weight[j] * cost.r``.  a and b are formed with one row
+    per problem and step, so at p = 1 every product is a single problem's.
     """
+    A, B = model.A, model.B
+    Q, R, r = cost.Q, cost.R, cost.r
+    N, n, p = riccati.horizon, model.n, len(r_weight)
 
-    H: np.ndarray
-    Abar: np.ndarray
-    F: np.ndarray
-    Rscript: np.ndarray
+    # R + P_{k+1} is split so that no (N+1) x n x n array is allocated
+    PEd = riccati.P[1:] @ Ed
+    Ed_rows = np.swapaxes(Ed, 1, 2).reshape(-1, n)
+    PEd_rows = np.swapaxes(PEd, 1, 2).reshape(-1, n)
+    a = (Ed_rows @ (B.T @ R).T + PEd_rows @ B).reshape(N + 1, p, model.m)
+    b = (PEd_rows @ A).reshape(N + 1, p, n) - np.multiply.outer(r_weight, Q @ r)
+    a, b = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
+    C = np.swapaxes(riccati.M, 1, 2) @ riccati.Upsilon_inv
 
-
-def closed_form_terms(riccati, model, cost):
-    """Assemble the per-step matrices used by the explicit-sum evaluation.
-
-    H, Abar and F are stacked products over all steps; only Rscript, a
-    recursion, is built by a backward loop.
-    """
-    A, B, E = model.A, model.B, model.E
-    N = riccati.horizon
-    H = B.T @ (cost.R + riccati.P[1:]) @ E
-    Abar = A - B @ riccati.K
-    F = (np.swapaxes(Abar, 1, 2) @ riccati.P[1:] @ E
-         - np.swapaxes(riccati.M, 1, 2) @ (riccati.Upsilon_inv @ (B.T @ cost.R @ E)))
-    Rscript = np.zeros((N + 2, model.n, model.n))
-    Rscript[N + 1] = riccati.P[N + 1]
+    h = np.zeros((N + 1, model.m, p))
+    f = np.zeros((N + 2, n, p))
+    f[N + 1] = -np.multiply.outer(riccati.P[N + 1] @ r, r_weight)
     # ndarray.dot in place of @ but at n = 1, as in sim.simulate
-    dot = np.ndarray.dot if model.n > 1 else np.matmul
-    AbarT = np.swapaxes(Abar, 1, 2)
+    dot = np.ndarray.dot if n > 1 else np.matmul
+    At, Bt = A.T, B.T
     for k in range(N, -1, -1):
-        np.add(dot(AbarT[k], Rscript[k + 1]), cost.Q, out=Rscript[k])
-    return ClosedFormTerms(H=H, Abar=Abar, F=F, Rscript=Rscript)
+        h[k] = a[k] + dot(Bt, f[k + 1])
+        f[k] = b[k] + dot(At, f[k + 1]) - dot(C[k], h[k])
+    return h, f
 
 
 def solve_recursive(riccati, model, cost, d):
     """Backward pass for (h, f) over the horizon of ``riccati``.
 
     ``d`` may be a DisturbanceProfile or an array of at least N + 1 samples.
-    Only the terms in f_{k+1} are formed inside the loop; the others are
-    stacked arrays computed before it, so the rounding differs from a
-    per-step evaluation by about 1e-13 relative.
+    This is ``backward_pass`` for one problem, so the stacked products round
+    differently from a per-step evaluation, by about 1e-13 relative.
     """
-    A, B, E = model.A, model.B, model.E
-    Q, R = cost.Q, cost.R
-    r = cost.r
-    N = riccati.horizon
-    d_seq = disturbance_sequence(d, N + 1, dim=model.m)
-
-    # row k is step k; R + P_{k+1} is split so that no (N+1) x n x n array
-    # is allocated
-    Ed = d_seq @ E.T
-    PEd = (riccati.P[1:] @ Ed[:, :, None])[:, :, 0]
-    a = Ed @ (B.T @ R).T + PEd @ B
-    b = PEd @ A - Q @ r
-    C = np.swapaxes(riccati.M, 1, 2) @ riccati.Upsilon_inv
-
-    h = np.zeros((N + 1, model.m))
-    f = np.zeros((N + 2, model.n))
-    f[N + 1] = -riccati.P[N + 1] @ r
-    # ndarray.dot in place of @ but at n = 1, as in sim.simulate
-    dot = np.ndarray.dot if model.n > 1 else np.matmul
-    At, Bt = A.T, B.T
-    for k in range(N, -1, -1):
-        h[k] = a[k] + dot(Bt, f[k + 1])
-        f[k] = b[k] + dot(At, f[k + 1]) - dot(C[k], h[k])
-    return FeedforwardSolution(h=h, f=f)
+    d_seq = disturbance_sequence(d, riccati.horizon + 1, dim=model.m)
+    h, f = backward_pass(riccati, model, cost, (d_seq @ model.E.T)[:, :, None], np.ones(1))
+    return FeedforwardSolution(h=h[:, :, 0], f=f[:, :, 0])
 
 
 def solve_closed_form(riccati, model, cost, d):
     """Evaluate the unrolled feedforward sums instead of recursing.
 
-    For each k,
-
-        f_k = sum_{s=k}^{N} (Abar_k' ... Abar_{s-1}') F_s d_s - Rscript_k r
-
-    with the empty matrix product read as the identity, and
-    h_k = H_k d_k + B' f_{k+1}.  The sum is taken one offset j = s - k at a
-    time for all k at once: the products Abar_k' ... Abar_{k+j-1}' of every
-    k are extended by one factor per offset, so no term depends on f.
-    Agrees with ``solve_recursive`` up to roundoff; the recursion is the
-    arbiter wherever they could differ.
+    For each k, f_k = sum_{s=k}^{N+1} (Abar_k' ... Abar_{s-1}') G_s, with the
+    empty product read as the identity, G_s = F_s d_s - Q r for s <= N and the
+    terminal term G_{N+1} = f_{N+1} = -P_{N+1} r; h_k = H_k d_k + B' f_{k+1}.
+    Here H_k = B' (R + P_{k+1}) E and F_k = (Abar_k' P_{k+1} - M_k'
+    Upsilon_k^{-1} B' R) E.  The sum is taken one offset j = s - k at a time
+    for all k at once, extending the products Abar_k' ... Abar_{k+j-1}' of
+    every k by one factor per offset, so no term depends on f.  Agrees with
+    ``solve_recursive`` up to roundoff; the recursion is the arbiter.
     """
+    B, E, R, r = model.B, model.E, cost.R, cost.r
     N = riccati.horizon
     d_seq = disturbance_sequence(d, N + 1, dim=model.m)
-    terms = closed_form_terms(riccati, model, cost)
-    r = cost.r
-
-    Fd = np.einsum("knm,km->kn", terms.F, d_seq)
-    AbarT = np.swapaxes(terms.Abar, 1, 2)
+    AbarT = np.swapaxes(model.A - B @ riccati.K, 1, 2)
+    F = (AbarT @ riccati.P[1:] @ E
+         - np.swapaxes(riccati.M, 1, 2) @ (riccati.Upsilon_inv @ (B.T @ R @ E)))
+    G = np.concatenate([np.einsum("knm,km->kn", F, d_seq) - cost.Q @ r,
+                        [-riccati.P[N + 1] @ r]])
     # offset 0: the identity product
-    acc = Fd - terms.Rscript[:N + 1] @ r
-    # prod[k] = Abar_k' ... Abar_{k+j-1}' for k = 0..N-j
-    prod = AbarT[:N]
-    for j in range(1, N + 1):
-        acc[:N + 1 - j] += (prod @ Fd[j:, :, None])[:, :, 0]
-        prod = prod[:-1] @ AbarT[j:N]
-
-    f = np.empty((N + 2, model.n))
-    f[:N + 1] = acc
-    f[N + 1] = -riccati.P[N + 1] @ r
-    h = np.einsum("kmn,kn->km", terms.H, d_seq) + f[1:] @ model.B
-    return FeedforwardSolution(h=h, f=f)
+    f = G.copy()
+    # prod[k] = Abar_k' ... Abar_{k+j-1}' for k = 0..N+1-j
+    prod = AbarT
+    for j in range(1, N + 2):
+        f[:N + 2 - j] += (prod @ G[j:, :, None])[:, :, 0]
+        prod = prod[:-1] @ AbarT[j:]
+    H = B.T @ (R + riccati.P[1:]) @ E
+    return FeedforwardSolution(h=np.einsum("kmn,kn->km", H, d_seq) + f[1:] @ B, f=f)
 
 
 def solve_steady(gare, model, cost, d_limit):

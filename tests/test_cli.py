@@ -597,12 +597,19 @@ def test_main_run_scenario_error(tmp_path, capsys):
     lambda d: d["controllers"][1].update(label=""),
     lambda d: d.update(system=continuous_mini([[1000.0, 0.0], [0.0, -1.0]], 1.0)),
     lambda d: d.update(system=continuous_mini([[1e200, 0.0], [0.0, -1.0]], 1e200)),
+    lambda d: d["controllers"][0].update(kind="RecedingHorizon", T=20,
+                                         P_terminal=[[-1e6, 0.0], [0.0, -1e6]]),
+    lambda d: d["controllers"][0].update(kind="RecedingHorizon", T=20,
+                                         P_terminal=[[1.0, 5.0], [0.0, 1.0]]),
+    lambda d: d.update(settle_band=-1.0),
+    lambda d: d.update(settle_band=0),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
         "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
         "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero",
         "R_negative_definite", "name_slash", "name_parent_dir", "name_backslash",
         "name_not_string", "name_empty", "label_slash", "label_nul", "label_empty",
-        "zoh_exp_overflows", "zoh_A_Ts_overflows"])
+        "zoh_exp_overflows", "zoh_A_Ts_overflows", "controller_P_terminal_negative_definite",
+        "controller_P_terminal_asymmetric", "settle_band_negative", "settle_band_zero"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1

@@ -373,16 +373,28 @@ def test_built_receding_law_matches_reference_on_bundled_states(name):
         assert rel_gap(controller(k, traj.x[k], traj.d[k]), u_ref) <= 1e-12
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_built_receding_law_matches_reference_with_reference_and_terminal_weight(strict):
-    model, cost, P_T, rng = _random_plant_with_reference(31)
+def _one_state_plant_with_reference():
+    """A one-state plant, so the backward pass runs its n = 1 products."""
+    model = SystemModel(A=[[0.95]], B=[[0.4]], E=[[-0.7]], c_o=[[1.0]])
+    cost = CostSpec(Q=[[2.0]], R=[[0.5]], P_terminal=[[0.0]], r=[0.8])
+    return model, cost, np.array([[3.0]]), np.random.default_rng(32)
+
+
+@pytest.mark.parametrize("strict, n", [pytest.param(True, 4, id="True"),
+                                       pytest.param(False, 4, id="False"),
+                                       pytest.param(True, 1, id="one_state-True"),
+                                       pytest.param(False, 1, id="one_state-False")])
+def test_built_receding_law_matches_reference_with_reference_and_terminal_weight(strict, n):
+    model, cost, P_T, rng = (_random_plant_with_reference(31) if n > 1
+                             else _one_state_plant_with_reference())
     T = 25
     config = ControllerConfig(kind="RecedingHorizon", T=T, P_terminal=P_T, strict=strict)
     controller = build_controller(config, model, cost,
-                                  DisturbanceProfile.constant(0.0, dim=2), steps=50)
+                                  DisturbanceProfile.constant(0.0, dim=model.m), steps=50)
     for _ in range(8):
         x = rng.standard_normal(model.n)
-        d_now = rng.standard_normal(model.m)
+        # the one-state law sees a non-zero constant d, the other a fresh d per call
+        d_now = rng.standard_normal(model.m) if n > 1 else np.array([1.5])
         u_ref = receding_horizon_control(x, d_now, model, cost, T,
                                          P_terminal=P_T, strict=strict)
         assert rel_gap(controller(0, x, d_now), u_ref) <= 1e-12

@@ -5,9 +5,8 @@ from conftest import (long_horizon_cases, oracle_cases, reference_closed_form,
                       reference_feedforward, rel_close, tracking_cost, two_state_bench,
                       uncontrollable_3state)
 from lqdr import (CostSpec, DisturbanceProfile, GareSolution, StabilizationError,
-                  SystemModel, closed_form_terms, disturbance_sequence, draw_instance,
-                  solve_closed_form, solve_finite_horizon, solve_gare,
-                  solve_recursive, solve_steady)
+                  SystemModel, disturbance_sequence, draw_instance, solve_closed_form,
+                  solve_finite_horizon, solve_gare, solve_recursive, solve_steady)
 
 
 def scalar_setup(P_terminal=1.0, r=1.0):
@@ -108,35 +107,27 @@ def test_single_step_closed_form_identity():
     d = np.array([[0.7]])
     rec = solve_recursive(sol, model, cost, d)
     closed = solve_closed_form(sol, model, cost, d)
-    terms = closed_form_terms(sol, model, cost)
+    _, _, (H, _, F, Rscript) = reference_closed_form(sol, model, cost, d)
     # empty sum in h, empty product (= identity) in f
-    assert closed.h[0] == pytest.approx(
-        terms.H[0] @ d[0] - model.B.T @ terms.Rscript[1] @ cost.r)
-    assert closed.f[0] == pytest.approx(terms.F[0] @ d[0] - terms.Rscript[0] @ cost.r)
+    assert closed.h[0] == pytest.approx(H[0] @ d[0] - model.B.T @ Rscript[1] @ cost.r)
+    assert closed.f[0] == pytest.approx(F[0] @ d[0] - Rscript[0] @ cost.r)
     assert np.allclose(rec.h, closed.h) and np.allclose(rec.f, closed.f)
-
-
-def test_closed_form_terms_reconstruct():
-    rng = np.random.default_rng(33)
-    inst = draw_instance(rng)
-    sol = solve_finite_horizon(inst.model, inst.cost, inst.N)
-    terms = closed_form_terms(sol, inst.model, inst.cost)
-    A, B, E, R = inst.model.A, inst.model.B, inst.model.E, inst.cost.R
-    for k in range(inst.N + 1):
-        assert np.max(np.abs(terms.H[k] - B.T @ (R + sol.P[k + 1]) @ E)) <= 1e-12
-        assert np.max(np.abs(terms.Abar[k] - (A - B @ sol.K[k]))) <= 1e-12
-    assert np.max(np.abs(terms.Rscript[-1] - sol.P[-1])) == 0.0
 
 
 def assert_closed_form_matches_explicit_sums(sol, model, cost, d_seq):
     # the sums run one offset at a time over all k; 1e-12 relative is the bound
-    h, f, ref_terms = reference_closed_form(sol, model, cost, d_seq)
+    h, f, (H, Abar, F, Rscript) = reference_closed_form(sol, model, cost, d_seq)
     closed = solve_closed_form(sol, model, cost, d_seq)
-    terms = closed_form_terms(sol, model, cost)
     assert rel_close(closed.h, h, 1e-12)
     assert rel_close(closed.f, f, 1e-12)
-    for got, want in zip((terms.H, terms.Abar, terms.F, terms.Rscript), ref_terms):
-        assert rel_close(got, want, 1e-12)
+    # the sum's last term is f_{N+1} = -Rscript_{N+1} r, exactly
+    assert np.array_equal(closed.f[-1], -Rscript[-1] @ cost.r)
+    # h and f obey the compact recursion on the reference's H, Abar and F
+    Abar_f = (np.swapaxes(Abar, 1, 2) @ closed.f[1:, :, None])[:, :, 0]
+    assert rel_close(closed.f[:-1], Abar_f + np.einsum("knm,km->kn", F, d_seq)
+                     - cost.Q @ cost.r, 1e-12)
+    assert rel_close(closed.h, np.einsum("kmn,kn->km", H, d_seq) + closed.f[1:] @ model.B,
+                     1e-12)
 
 
 def test_closed_form_matches_explicit_sums_on_selftest_instances():
@@ -161,9 +152,10 @@ def test_closed_form_never_runs_the_recursion(monkeypatch):
     expected = solve_recursive(sol, inst.model, inst.cost, inst.d)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("solve_closed_form must not call solve_recursive")
+        raise AssertionError("solve_closed_form must not run the backward pass")
 
     monkeypatch.setattr("lqdr.feedforward.solve_recursive", forbidden)
+    monkeypatch.setattr("lqdr.feedforward.backward_pass", forbidden)
     closed = solve_closed_form(sol, inst.model, inst.cost, inst.d)
     assert np.allclose(closed.h, expected.h) and np.allclose(closed.f, expected.f)
 
