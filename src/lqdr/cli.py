@@ -24,13 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .control import ControllerConfig, build_controller, finite_horizon_control
+from .control import ControllerConfig, _solved_law, build_controller
 from .exceptions import LqdrError, ScenarioError, SolvabilityError
 from .feedforward import solve_closed_form, solve_recursive
 from .model import (CostSpec, DisturbanceProfile, SystemModel, _psd_check,
                     check_weights, classify_disturbance, discretize_zoh, validate)
-from .riccati import gare_fixed_point, solve_finite_horizon
-from .sim import (brute_force_optimal, costate_residuals, draw_instance,
+from .riccati import gare_fixed_point
+from .sim import (_draw_solved_instance, brute_force_optimal, costate_residuals,
                   evaluate_cost, predicted_optimal_cost, simulate)
 
 _TOP_KEYS = {"name", "system", "cost", "x0", "steps", "disturbance",
@@ -613,14 +613,16 @@ def selftest(instances=40, seed=2024, verbose=True):
     Draws random strict instances and verifies, per instance, that the
     rolled-out optimal inputs match the brute-force minimizer, that the
     three cost values agree pairwise, that the optimality residuals vanish,
-    and that both feedforward evaluations coincide.
+    and that both feedforward evaluations coincide.  Each instance is solved
+    once: the finite-horizon law is built from the Riccati pass its draw was
+    accepted on.
     """
     rng = np.random.default_rng(seed)
     worst = {"input": 0.0, "cost": 0.0, "stationarity": 0.0, "link": 0.0,
              "closed_form": 0.0}
     used = 0
     while used < instances:
-        inst = draw_instance(rng)
+        inst, riccati = _draw_solved_instance(rng)
         try:
             oracle = brute_force_optimal(inst.model, inst.cost, inst.x0, inst.d, inst.N)
         except SolvabilityError:
@@ -628,13 +630,9 @@ def selftest(instances=40, seed=2024, verbose=True):
         if oracle.condition > 1e6:
             continue
         used += 1
-        riccati = solve_finite_horizon(inst.model, inst.cost, inst.N)
         ff = solve_recursive(riccati, inst.model, inst.cost, inst.d)
-
-        def step(k, x, d_now, riccati=riccati, ff=ff):
-            return finite_horizon_control(k, x, riccati, ff)
-
-        traj = simulate(inst.model, inst.cost, step, inst.x0, inst.N + 1, inst.d)
+        law = _solved_law(inst.model, riccati, ff.h)
+        traj = simulate(inst.model, inst.cost, law, inst.x0, inst.N + 1, inst.d)
         u_flat = traj.u.reshape(-1)
         scale = max(1.0, float(np.max(np.abs(oracle.u_opt))))
         worst["input"] = max(worst["input"],

@@ -128,13 +128,18 @@ class AffineController:
     """The law u_k = -K[k] x - K_d d_k - u_0[k] over steps k = 0..len(K) - 1.
 
     K has shape (steps, m, n), K_d (m, m) and u_0 (steps, m), all read-only;
-    a time-invariant law holds broadcast views of one gain and one offset.
+    construction raises ValueError for any other shapes.  A time-invariant
+    law holds broadcast views of one gain and one offset.
     ``closed_loop_radius`` is rho(A - B K[0]).  The gain is negated once,
-    at construction (a broadcast gain before it is broadcast), and a call
-    forms its products with ``ndarray.dot`` (``@`` for a one-state law, as
-    in ``sim.simulate``): the operations and bytes of
-    -K[k] @ x - K_d @ d_k - u_0[k], signed zeros included.  For n > 1 the
-    gain product is never -0.0, so it absorbs the sign of a zero K_d d_k.
+    at construction (a broadcast gain before it is broadcast), and the rows
+    -K[k] and u_0[k] are read from two lists made then (one view, repeated,
+    for a broadcast row).  A call forms its products with ``ndarray.dot``
+    (``@`` for a one-state law, as in ``sim.simulate``): the operations and
+    bytes of -K[k] @ x - K_d @ d_k - u_0[k], signed zeros included.  The gain
+    product is never -0.0, so it absorbs the sign of a zero K_d d_k; a law
+    whose K_d has no non-zero entry (the finite-horizon and stationary laws)
+    therefore skips that product and returns the same bytes for every
+    finite d_k.
     """
 
     K: np.ndarray
@@ -144,17 +149,34 @@ class AffineController:
 
     def __post_init__(self):
         freeze_fields(self, "K", "K_d", "u_0")
-        K = self.K
+        K, K_d, u_0 = self.K, self.K_d, self.u_0
+        if K.ndim != 3:
+            raise ValueError(f"K must have shape (steps, m, n), got {K.shape}")
+        steps, m, n = K.shape
+        if K_d.shape != (m, m):
+            raise ValueError(f"K_d must have shape {(m, m)}, got {K_d.shape}")
+        if u_0.shape != (steps, m):
+            raise ValueError(f"u_0 must have shape {(steps, m)}, got {u_0.shape}")
         neg_K = np.broadcast_to(-K[:1], K.shape) if K.strides[0] == 0 else -K
         neg_K.setflags(write=False)
-        object.__setattr__(self, "_neg_K", neg_K)
-        object.__setattr__(self, "_dot", np.ndarray.dot if K.shape[2] > 1 else np.matmul)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_neg_K_rows", _rows(neg_K))
+        object.__setattr__(self, "_u_0_rows", _rows(u_0))
+        object.__setattr__(self, "_feeds_d", bool(K_d.any()))
+        object.__setattr__(self, "_dot", np.ndarray.dot if n > 1 else np.matmul)
 
     def __call__(self, k, x, d_now):
-        if not 0 <= k < self.K.shape[0]:
-            raise IndexError(f"step {k} outside the law's steps 0..{self.K.shape[0] - 1}")
+        if not 0 <= k < self._steps:
+            raise IndexError(f"step {k} outside the law's steps 0..{self._steps - 1}")
         dot = self._dot
-        return dot(self._neg_K[k], x) - dot(self.K_d, d_now) - self.u_0[k]
+        if self._feeds_d:
+            return dot(self._neg_K_rows[k], x) - dot(self.K_d, d_now) - self._u_0_rows[k]
+        return dot(self._neg_K_rows[k], x) - self._u_0_rows[k]
+
+
+def _rows(arr):
+    """The rows of ``arr`` as a list; one view, repeated, for a broadcast row."""
+    return [arr[0]] * len(arr) if len(arr) and arr.strides[0] == 0 else list(arr)
 
 
 @dataclass
@@ -197,12 +219,16 @@ def _affine_law(model, steps, K, K_d, u_0):
         closed_loop_radius=spectral_radius(model.A - model.B @ K_0))
 
 
+def _solved_law(model, riccati, h):
+    """The finite-horizon law of a solved pass and its feedforward h, over N + 1 steps."""
+    return _affine_law(model, riccati.horizon + 1, riccati.K, np.zeros((model.m, model.m)),
+                       (riccati.Upsilon_inv @ h[:, :, None])[:, :, 0])
+
+
 def _finite_horizon_law(config, model, cost, profile, steps):
     """(law, riccati) of the finite-horizon problem over ``steps`` steps."""
     riccati = solve_finite_horizon(model, cost, steps - 1, strict=config.strict)
-    h = solve_recursive(riccati, model, cost, profile).h
-    return _affine_law(model, steps, riccati.K, np.zeros((model.m, model.m)),
-                       (riccati.Upsilon_inv @ h[:, :, None])[:, :, 0]), riccati
+    return _solved_law(model, riccati, solve_recursive(riccati, model, cost, profile).h), riccati
 
 
 def _receding_horizon_law(config, model, cost, profile, steps):

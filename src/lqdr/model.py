@@ -17,6 +17,7 @@ removed from the regulated output.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,6 +162,11 @@ class CostSpec:
     @property
     def n(self):
         return self.Q.shape[0]
+
+    @cached_property
+    def _asymmetric(self):
+        """Names of the weights that are not ``_symmetric``, judged once per cost."""
+        return tuple(name for name in _WEIGHTS if not _symmetric(getattr(self, name)))
 
     @classmethod
     def from_model(cls, model, R, P_terminal=None, r=None):
@@ -325,12 +331,32 @@ def classify_disturbance(B, E):
     return MISMATCHED
 
 
+def _symmetric(mat):
+    """Whether max|mat - mat'| is at most SYMMETRY_TOL times max|mat|; NaN is not."""
+    diff = mat - mat.T
+    # an all-zero difference (exact symmetry, the common case) needs no scale;
+    # a non-finite entry leaves a NaN in it and goes on to the relative test
+    return not diff.any() \
+        or bool(np.max(np.abs(diff)) <= SYMMETRY_TOL * float(np.max(np.abs(mat))))
+
+
+def _require_symmetric(cost, names):
+    """Raise ValueError naming a weight in ``names`` that is not ``_symmetric``.
+
+    A solver reads the symmetric part of each weight, so an asymmetric one
+    would be solved as a different problem than the one given.
+    """
+    for name in cost._asymmetric:
+        if name in names:
+            raise ValueError(f"{name} is not symmetric to {SYMMETRY_TOL:g} relative")
+
+
 def _psd_check(name, mat, messages):
     """Symmetric-PSD verdict relative to max|mat|: rescaling changes none, and 0 passes."""
-    scale = float(np.max(np.abs(mat)))
-    if not np.max(np.abs(mat - mat.T)) <= SYMMETRY_TOL * scale:
+    if not _symmetric(mat):
         messages.append(f"{name} is not symmetric to {SYMMETRY_TOL:g} relative")
         return False
+    scale = float(np.max(np.abs(mat)))
     min_eig = float(np.min(np.linalg.eigvalsh((mat + mat.T) / 2)))
     if min_eig < PSD_EIG_FLOOR * scale:
         messages.append(f"{name} has eigenvalue {min_eig:.3e} below the PSD floor "

@@ -58,7 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, RegularityError, SolvabilityError, StabilizationError
-from .model import PSD_EIG_FLOOR, RANK_REL_TOL, check_detectability, freeze_fields
+from .model import (PSD_EIG_FLOOR, RANK_REL_TOL, _require_symmetric, check_detectability,
+                    freeze_fields)
 
 #: Relative eigenvalue cutoff: Upsilon is positive definite when its smallest
 #: eigenvalue exceeds this times its largest, and the pseudo-inverse drops
@@ -235,6 +236,8 @@ def solve_finite_horizon(model, cost, N, strict=True):
     remaining steps would compute; their checks would pass as step k's did.
 
     Raises:
+        ValueError: N < 0, the cost and model dimensions differ, or Q, R or
+            P_terminal is not symmetric to ``model.SYMMETRY_TOL`` relative.
         SolvabilityError: strict mode and some Upsilon_k is not positive
             definite (the failing step is reported).
         RegularityError: non-strict mode and the pseudo-inverse solve is
@@ -244,6 +247,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
         raise ValueError("horizon N must be >= 0")
     if cost.n != model.n:
         raise ValueError("cost and model dimensions differ")
+    _require_symmetric(cost, ("Q", "R", "P_terminal"))
     AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
     n, m = model.n, model.m
 
@@ -353,6 +357,9 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     ``solve_gare`` for the certified variant.
 
     Raises:
+        ValueError: ``tol`` is not positive, the cost and model dimensions
+            differ, or Q or R (the weights it reads) is not symmetric to
+            ``model.SYMMETRY_TOL`` relative.
         ConvergenceError: the update never fell below ``tol`` within
             ``max_iters`` iterates, or ``MAX_DOUBLINGS`` doublings (the last
             increment is attached), value iteration is still moving after
@@ -366,6 +373,7 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
         raise ValueError("tol must be positive")
     if cost.n != model.n:
         raise ValueError("cost and model dimensions differ")
+    _require_symmetric(cost, ("Q", "R"))
     if not check_detectability(model.A, cost.Q):
         warnings.warn("(A, Q^(1/2)) is not detectable; the stationary solve "
                       "may diverge or fail to stabilize", stacklevel=2)

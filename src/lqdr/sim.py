@@ -104,8 +104,8 @@ def simulate(model, cost, controller, x0, steps, d):
     dot = np.ndarray.dot if n > 1 else np.matmul
     x_k = x[0]
     x_k[:] = x0
-    for k in range(steps):
-        d_k = d_seq[k]
+    # one flat zip: enumerate over a zip of pairs would build a tuple per step
+    for k, d_k, x_next in zip(range(steps), d_seq, x[1:]):
         try:
             u_k = controller(k, x_k, d_k)
         except LqdrError as exc:
@@ -116,7 +116,6 @@ def simulate(model, cost, controller, x0, steps, d):
                 raise ValueError(f"controller returned an input of length {u_k.shape[0]}, "
                                  f"expected {m} (step {k})")
         u[k] = u_k
-        x_next = x[k + 1]
         np.add(dot(A, x_k), dot(B, u_k) + dot(E, d_k), out=x_next)
         x_k = x_next
 
@@ -300,6 +299,11 @@ def draw_instance(rng, n_max=4, m_max=2, N_max=20, max_tries=200):
     eigenvalue at least 1e-6, which keeps both the recursion and the
     brute-force oracle well posed.
     """
+    return _draw_solved_instance(rng, n_max, m_max, N_max, max_tries)[0]
+
+
+def _draw_solved_instance(rng, n_max=4, m_max=2, N_max=20, max_tries=200):
+    """``draw_instance``'s (instance, strict RiccatiSolution it was accepted on)."""
     for _ in range(max_tries):
         n = int(rng.integers(1, n_max + 1))
         m = int(rng.integers(1, min(m_max, n) + 1))
@@ -323,5 +327,5 @@ def draw_instance(rng, n_max=4, m_max=2, N_max=20, max_tries=200):
             continue
         return RandomInstance(model=model, cost=cost,
                               x0=rng.standard_normal(n),
-                              d=rng.standard_normal((N + 1, m)), N=N)
+                              d=rng.standard_normal((N + 1, m)), N=N), riccati
     raise RuntimeError("could not draw a well-posed instance; loosen the bounds")

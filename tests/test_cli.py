@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -12,10 +13,11 @@ from conftest import (reference_settling_step, reference_write_csv, reference_wr
                       scaled_weight_probes)
 from lqdr import (ScenarioError, SolvabilityError, SystemModel, Trajectory,
                   brute_force_optimal, build_controller, evaluate_cost, simulate,
-                  solve_finite_horizon)
+                  solve_finite_horizon, solve_recursive)
 from lqdr.cli import (_settling_step, bundled_scenario_path, compare_summaries, gare_report,
                       load_scenario, main, run_scenario, selftest, trajectory_metrics,
                       write_csv, write_svg)
+from lqdr.control import _solved_law
 
 MINI = {
     "name": "mini",
@@ -329,6 +331,41 @@ def test_bundled_run_writes_the_reference_bytes(name, tmp_path, monkeypatch):
             (ref_dir / file_name).read_bytes(), file_name
 
 
+#: The benchmark's recorded trajectories of the bundled scenarios.
+BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference/bundled.npz"
+
+
+@pytest.fixture(scope="module")
+def benchmark_reference():
+    with np.load(BENCHMARK_REFERENCE) as data:
+        return {key: data[key] for key in data.files}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_run_reproduces_the_benchmark_reference(name, benchmark_reference, tmp_path,
+                                                        monkeypatch):
+    # the benchmark gates these trajectories at 1e-12 relative; hold Tier-1 to it too
+    trajectories = []
+
+    def record(*args, **kwargs):
+        trajectories.append(simulate(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(cli, "simulate", record)
+    scenario = load_scenario(bundled_scenario_path(name))
+    _, failures = run_scenario(scenario, tmp_path)
+    assert not failures
+    labels = [config.label for config in scenario.controllers]
+    assert {key.split(".")[1] for key in benchmark_reference
+            if key.startswith(f"{name}.")} == set(labels)
+    for label, traj in zip(labels, trajectories, strict=True):
+        for field in ("x", "u", "z", "cost_cum"):
+            want = benchmark_reference[f"{name}.{label}.{field}"]
+            got = getattr(traj, field)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (label, field)
+
+
 _SPECIAL = (-0.0, 5e-324, 2.5e-310, 1e308, -1e308, np.nan, np.inf, -np.inf)
 _VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64))
 
@@ -536,8 +573,10 @@ def test_selftest_small():
     assert selftest(instances=5, seed=7, verbose=False)
 
 
-def test_selftest_solves_only_accepted_instances(monkeypatch):
-    oracle_calls, solved = [], []
+def test_selftest_solves_each_instance_once(monkeypatch):
+    # the one Riccati pass of an instance is the one its draw was accepted
+    # on; the feedforward and the law follow only for draws the oracle keeps
+    oracle_calls, solved, fed, laws = [], [], [], []
 
     def reject_every_other_draw(model, *args):
         oracle_calls.append(model)
@@ -545,16 +584,29 @@ def test_selftest_solves_only_accepted_instances(monkeypatch):
             raise SolvabilityError("rejected")
         return brute_force_optimal(model, *args)
 
-    def record(model, *args, **kwargs):
-        solved.append(model)
-        return solve_finite_horizon(model, *args, **kwargs)
+    def record_solve(model, *args, **kwargs):
+        solved.append((model, solve_finite_horizon(model, *args, **kwargs)))
+        return solved[-1][1]
+
+    def record_feedforward(riccati, model, *args):
+        fed.append(model)
+        return solve_recursive(riccati, model, *args)
+
+    def record_law(model, riccati, h):
+        laws.append((model, riccati))
+        return _solved_law(model, riccati, h)
 
     monkeypatch.setattr("lqdr.cli.brute_force_optimal", reject_every_other_draw)
-    monkeypatch.setattr("lqdr.cli.solve_finite_horizon", record)
+    monkeypatch.setattr("lqdr.sim.solve_finite_horizon", record_solve)
+    monkeypatch.setattr("lqdr.cli.solve_recursive", record_feedforward)
+    monkeypatch.setattr("lqdr.cli._solved_law", record_law)
     assert selftest(instances=4, seed=7, verbose=False)
-    assert len(oracle_calls) == 8
-    assert len(solved) == 4
-    assert all(a is b for a, b in zip(solved, oracle_calls[1::2]))
+    accepted = oracle_calls[1::2]
+    assert len(oracle_calls) == 8 and len(accepted) == 4
+    assert all(a is b for a, b in zip(fed, accepted, strict=True))
+    for model, (law_model, law_riccati) in zip(accepted, laws, strict=True):
+        passes = [riccati for solved_model, riccati in solved if solved_model is model]
+        assert law_model is model and len(passes) == 1 and passes[0] is law_riccati
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,14 @@ def test_receding_approaches_stationary_law_for_constant_disturbance():
         assert np.max(np.abs(traj.u[k] - u_ss)) <= 1e-6
 
 
+def test_receding_refuses_an_asymmetric_terminal_weight():
+    # the lookahead pass reads only its symmetric part, [[1, 2.5], [2.5, 1]]
+    model = load_scenario(bundled_scenario_path("example_b")).model
+    config = ControllerConfig(kind="RecedingHorizon", T=20, P_terminal=[[1.0, 5.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="^P_terminal is not symmetric"):
+        build_controller(config, model, tracking_cost(model), 0.0, 30)
+
+
 def test_receding_validates_lookahead():
     model = two_state_bench()
     cost = tracking_cost(model)
@@ -577,33 +585,58 @@ def test_law_call_is_the_negated_product_byte_for_byte(n, m):
     # normal draws cover general rounding
     for draw in [lambda *shape: rng.choice([-1.0, -0.0, 0.0, 1.0], shape)] * 12 \
             + [lambda *shape: rng.standard_normal(shape)] * 2:
-        K, K_d, u_0 = draw(steps, m, n), draw(m, m), draw(steps, m)
-        laws = [(_affine(K, K_d, u_0), K, u_0),
-                (_affine(K[0], K_d, u_0[0], steps), np.broadcast_to(K[0], K.shape),
-                 np.broadcast_to(u_0[0], u_0.shape))]
+        K, u_0 = draw(steps, m, n), draw(steps, m)
+        laws = []
+        # a drawn K_d, and a zero one of either sign, which the law skips
+        for K_d in (draw(m, m), rng.choice([-0.0, 0.0], (m, m))):
+            laws += [(_affine(K, K_d, u_0), K, K_d, u_0),
+                     (_affine(K[0], K_d, u_0[0], steps), np.broadcast_to(K[0], K.shape), K_d,
+                      np.broadcast_to(u_0[0], u_0.shape))]
         # the per-step law reads K, Upsilon_inv and h only
         riccati = SimpleNamespace(horizon=steps - 1, K=K, Upsilon_inv=draw(steps, m, m))
         ff = SimpleNamespace(h=draw(steps, m))
         for k in range(steps):
             for _ in range(4):
                 x, d = draw(n), draw(m)
-                for law, K_k, u_0_k in laws:
+                for law, K_k, K_d, u_0_k in laws:
                     want = -K_k[k] @ x - K_d @ d - u_0_k[k]
                     assert law(k, x, d).tobytes() == want.tobytes()
                 want = -K[k] @ x - riccati.Upsilon_inv[k] @ ff.h[k]
                 assert finite_horizon_control(k, x, riccati, ff).tobytes() == want.tobytes()
 
 
+def test_zero_K_d_law_does_not_read_the_disturbance():
+    # 0 * nan is nan: only a law with a non-zero K_d passes a NaN d_k on to u
+    K, u_0, x, d = np.ones((2, 1, 2)), np.zeros((2, 1)), np.ones(2), np.array([np.nan])
+    assert np.array_equal(_affine(K, [[-0.0]], u_0)(1, x, d), [-2.0])
+    assert np.isnan(_affine(K, [[1e-300]], u_0)(1, x, d)).all()
+
+
+@pytest.mark.parametrize("K, K_d, u_0, message", [
+    (np.ones((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)), "K must have shape"),
+    (np.ones((3, 1, 2)), np.zeros((1, 1)), np.zeros((2, 1)), r"u_0 must have shape \(3, 1\)"),
+    (np.ones((3, 1, 2)), np.zeros((1, 1)), np.zeros((3, 2)), r"u_0 must have shape \(3, 1\)"),
+    (np.ones((3, 1, 2)), np.zeros(1), np.zeros((3, 1)), r"K_d must have shape \(1, 1\)"),
+    (np.ones((3, 1, 2)), np.eye(2), np.zeros((3, 1)), r"K_d must have shape \(1, 1\)"),
+    (np.ones((3, 2, 2)), np.zeros((2, 2)), np.zeros(3), r"u_0 must have shape \(3, 2\)"),
+], ids=["K_not_stacked", "u_0_short", "u_0_wide", "K_d_flat", "K_d_too_large", "u_0_flat"])
+def test_law_refuses_inconsistent_shapes(K, K_d, u_0, message):
+    with pytest.raises(ValueError, match=message):
+        lqdr.control.AffineController(K=K, K_d=K_d, u_0=u_0, closed_loop_radius=0.0)
+
+
 def test_time_invariant_law_negates_one_gain():
     steps, K = 1_000_000, np.arange(6.0).reshape(2, 3)
     law = _affine(K, np.eye(2), np.zeros(2), steps)
-    neg_K = law._neg_K
-    # a broadcast view of one m x n gain, not a (steps, m, n) array
-    assert neg_K.shape == (steps, 2, 3) and neg_K.strides[0] == 0
-    assert neg_K.base is not None and neg_K.base.size == K.size
-    assert np.array_equal(neg_K[steps - 1], -K)
+    rows = law._neg_K_rows
+    # one m x n view of one negated gain, at every step: no (steps, m, n) array
+    assert len(rows) == steps and rows[steps - 1] is rows[0]
+    assert law._u_0_rows[steps - 1] is law._u_0_rows[0]
+    assert rows[0].shape == (2, 3) and rows[0].base.size == K.size
+    assert np.array_equal(rows[steps - 1], -K)
     varying = _affine(np.stack([K, 2 * K]), np.eye(2), np.zeros((2, 2)))
-    for arr in (neg_K, varying._neg_K):
+    assert np.array_equal(varying._neg_K_rows[1], -2 * K)
+    for arr in (rows[0], varying._neg_K_rows[1]):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0.0

@@ -17,7 +17,7 @@ from lqdr import (ConvergenceError, CostSpec, RegularityError,
                   SolvabilityError, StabilizationError, SystemModel,
                   draw_instance, finite_horizon_control, gare_fixed_point,
                   solve_finite_horizon, solve_gare, solve_recursive, solve_steady,
-                  spectral_radius)
+                  spectral_radius, validate)
 from lqdr.cli import bundled_scenario_path, load_scenario
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -469,6 +469,43 @@ def test_gare_warns_when_not_detectable():
 def test_gare_rejects_bad_tol():
     with pytest.raises(ValueError):
         solve_gare(scalar_model(), scalar_cost(), tol=0.0)
+
+
+def _skewed_cost(name, skew, scale):
+    """Weights ``scale`` I, with ``skew * scale`` added to entry (0, 1) of weight ``name``."""
+    weights = {w: scale * np.eye(2) for w in ("Q", "R", "P_terminal")}
+    weights[name] = weights[name] + [[0.0, skew * scale], [0.0, 0.0]]
+    return CostSpec(r=np.zeros(2), **weights)
+
+
+_SKEW_PLANT = SystemModel(A=[[0.9, 0.1], [0.0, 0.8]], B=[[0.0], [1.0]], E=[[1.0], [0.0]],
+                          c_o=np.eye(2))
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+@pytest.mark.parametrize("skew", [1e-11, 5.0])
+@pytest.mark.parametrize("name", ["Q", "R", "P_terminal"])
+def test_solvers_refuse_an_asymmetric_weight_by_name(name, skew, scale):
+    # a solve reads only the symmetric part, which poses another problem
+    cost = _skewed_cost(name, skew, scale)
+    assert validate(_SKEW_PLANT, cost).psd_flags[name] is False
+    with pytest.raises(ValueError, match=f"^{name} is not symmetric to 1e-12 relative$"):
+        solve_finite_horizon(_SKEW_PLANT, cost, 5)
+    if name == "P_terminal":
+        # the stationary solve never reads the terminal weight
+        gare_fixed_point(_SKEW_PLANT, cost)
+    else:
+        with pytest.raises(ValueError, match=f"^{name} is not symmetric"):
+            gare_fixed_point(_SKEW_PLANT, cost)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+@pytest.mark.parametrize("name", ["Q", "R", "P_terminal"])
+def test_solvers_accept_a_weight_symmetric_to_the_tolerance(name, scale):
+    cost = _skewed_cost(name, 1e-13, scale)
+    assert validate(_SKEW_PLANT, cost).psd_flags[name] is True
+    solve_finite_horizon(_SKEW_PLANT, cost, 5)
+    gare_fixed_point(_SKEW_PLANT, cost)
 
 
 # ---------------------------------------------------------------------------
