@@ -523,34 +523,61 @@ _COMPARE_COLUMNS = ("controller", "J", "steady_state_error", "peak_error",
                     "settling_step")
 
 
+def _summary_object(value, path, where):
+    """``value``, which must be a JSON object; ``where`` names it in the error."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"summary {path}: {where} must be an object, "
+                            f"got {type(value).__name__}")
+    return value
+
+
+def _summary_cell(entry, key, path, label):
+    """The table cell of ``entry[key]``; a missing or non-numeric metric is refused."""
+    value = entry.get(key)
+    if key == "settling_step":
+        if value is None:
+            return "-"
+        if type(value) is int:
+            return str(value)
+    elif type(value) in (int, float):
+        return f"{value:.6e}"
+    elif key not in entry:
+        raise ScenarioError(f"summary {path}: controller {label!r} has no {key!r}")
+    raise ScenarioError(f"summary {path}: controller {label!r} {key} is {value!r}, "
+                        "not a number")
+
+
 def compare_summaries(paths, out_dir=None):
     """Merge summaries of one scenario into a comparison table.
 
-    Returns (text, csv_path); refuses to mix scenarios.
+    Returns (text, csv_path); refuses to mix scenarios.  A summary that is
+    not an object of controller objects, each with numeric J,
+    steady_state_error and peak_error and an integer or null
+    settling_step, raises ``ScenarioError`` naming the file and the entry.
     """
     rows = []
     name = None
     for path in paths:
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: malformed JSON or text that is not UTF-8
             raise ScenarioError(f"cannot read summary {path}: {exc}") from exc
-        this = data.get("scenario", {}).get("name")
+        _summary_object(data, path, "the top level")
+        this = _summary_object(data.get("scenario", {}), path, "'scenario'").get("name")
         if name is None:
             name = this
         elif this != name:
             raise ScenarioError(
                 f"summaries mix scenarios {name!r} and {this!r}; refusing to compare")
-        for label, entry in data.get("controllers", {}).items():
+        controllers = _summary_object(data.get("controllers", {}), path, "'controllers'")
+        for label, entry in controllers.items():
+            _summary_object(entry, path, f"controller {label!r}")
             if entry.get("error"):
-                rows.append((label, "failed: " + entry["error"], "", "", ""))
+                rows.append((label, "failed: " + str(entry["error"]), "", "", ""))
                 continue
-            rows.append((label,
-                         f"{entry['J']:.6e}",
-                         f"{entry['steady_state_error']:.6e}",
-                         f"{entry['peak_error']:.6e}",
-                         "-" if entry.get("settling_step") is None
-                         else str(entry["settling_step"])))
+            rows.append((label, *(_summary_cell(entry, key, path, label)
+                                  for key in _COMPARE_COLUMNS[1:])))
     if not rows:
         raise ScenarioError("no controller entries found in the given summaries")
 
@@ -617,6 +644,8 @@ def selftest(instances=40, seed=2024, verbose=True):
     once: the finite-horizon law is built from the Riccati pass its draw was
     accepted on.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     rng = np.random.default_rng(seed)
     worst = {"input": 0.0, "cost": 0.0, "stationarity": 0.0, "link": 0.0,
              "closed_form": 0.0}
@@ -674,6 +703,17 @@ def selftest(instances=40, seed=2024, verbose=True):
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _resolve_out(arg):
     if arg:
         return arg
@@ -701,7 +741,7 @@ def main(argv=None):
     p_gare.add_argument("scenario")
 
     p_self = sub.add_parser("selftest", help="run the oracle cross-check suite")
-    p_self.add_argument("--instances", type=int, default=40)
+    p_self.add_argument("--instances", type=_positive_int, default=40)
     p_self.add_argument("--seed", type=int, default=2024)
 
     args = parser.parse_args(argv)

@@ -56,6 +56,9 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
     Problem j has the channel E d_k = ``Ed[k, :, j]`` (Ed is (N+1, n, p)) and
     the reference ``r_weight[j] * cost.r``.  a and b are formed with one row
     per problem and step, so at p = 1 every product is a single problem's.
+    The loop walks the rows of step k from N down to 0 and writes h_k and f_k
+    into their rows of the stacks in place, as a_k + B' f_{k+1} and
+    (b_k + A' f_{k+1}) - C_k h_k.
     """
     A, B = model.A, model.B
     Q, R, r = cost.Q, cost.R, cost.r
@@ -76,9 +79,11 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
     # ndarray.dot in place of @ but at n = 1, as in sim.simulate
     dot = np.ndarray.dot if n > 1 else np.matmul
     At, Bt = A.T, B.T
-    for k in range(N, -1, -1):
-        h[k] = a[k] + dot(Bt, f[k + 1])
-        f[k] = b[k] + dot(At, f[k + 1]) - dot(C[k], h[k])
+    f_next = f[N + 1]
+    for a_k, b_k, C_k, h_k, f_k in zip(a[::-1], b[::-1], C[::-1], h[::-1], f[N::-1]):
+        np.add(a_k, dot(Bt, f_next), out=h_k)
+        np.subtract(b_k + dot(At, f_next), dot(C_k, h_k), out=f_k)
+        f_next = f_k
     return h, f
 
 

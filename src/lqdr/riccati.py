@@ -74,8 +74,16 @@ GROWTH_CHECK_ITERS = 256
 MAX_DOUBLINGS = 64
 
 
-def _sym(mat):
-    return (mat + mat.T) / 2
+def _sym(mat, out=None):
+    """(mat + mat') / 2 to the byte, into ``out`` when given.
+
+    The transpose is copied before the sum, which costs less than adding a
+    transposed view, and the halving is a product by 0.5, which rounds as
+    the division by 2 does and costs less.
+    """
+    half = np.add(mat, mat.T.copy(), out=out)
+    half *= 0.5
+    return half
 
 
 def spectral_radius(mat):
@@ -104,22 +112,25 @@ def _eigh(Upsilon):
     return np.linalg.eigh(Upsilon, UPLO="U")
 
 
-def _eig_inverse(w, V, M):
+def _eig_inverse(w, V, M, definite, out=None):
     """(Upsilon^+, ||Upsilon Upsilon^+ M - M||) from Upsilon = V diag(w) V', w ascending.
 
-    Eigenvalues of modulus at most ``PINV_RCOND`` times the largest are
-    dropped, the cutoff of ``np.linalg.pinv``; the defect is
-    ||V_dropped' M|| (Frobenius), 0.0 when none is.
+    ``definite`` is the verdict w[0] > ``PINV_RCOND`` w[-1]: then Upsilon
+    is inverted whole and the defect is 0.0.  Otherwise eigenvalues of
+    modulus at most ``PINV_RCOND`` times the largest are dropped, the cutoff
+    of ``np.linalg.pinv``, and the defect is ||V_dropped' M|| (Frobenius),
+    0.0 when none is.  The inverse is written into ``out`` when given.
     """
     # ndarray.dot, which equals @ to the byte: only the sign of a zero product
     # of two one-element operands could differ, and at m = 1 the product
     # (v / w) v is not zero
-    if w[0] > PINV_RCOND * w[-1]:
+    if definite:
         # nothing is dropped: the result below, without its indexing and norm
-        return (V / w).dot(V.T), 0.0
+        return (V / w).dot(V.T, out=out), 0.0
     keep = np.abs(w) > PINV_RCOND * np.max(np.abs(w))
     V_keep = V[:, keep]
-    return (V_keep / w[keep]).dot(V_keep.T), float(np.linalg.norm(V[:, ~keep].T.dot(M)))
+    return ((V_keep / w[keep]).dot(V_keep.T, out=out),
+            float(np.linalg.norm(V[:, ~keep].T.dot(M))))
 
 
 def _step_constants(A, B, Q, R):
@@ -131,17 +142,25 @@ def _step_constants(A, B, Q, R):
     return np.hstack([A, B]), W
 
 
-def _backward_step(P_next, AB, W, strict, k=None):
+def _backward_step(P_next, AB, W, strict, k=None, out=None):
     """One step back from P_{k+1}: (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P, defect).
 
     ``AB`` and ``W`` come from ``_step_constants``.  The Gram product
     G = AB' P_{k+1} AB is symmetrized once; its blocks are A'PA, M = B'PA and
     B'PB, and W + G holds Q + A'PA and Upsilon = Rbar + B'PB.  Upsilon_eig
-    holds the ascending eigenvalues of Upsilon.  Strict mode raises
-    ``SolvabilityError``, naming step ``k``, unless the smallest exceeds
-    ``PINV_RCOND`` times the largest; otherwise Upsilon_inv is the
-    pseudo-inverse and ``defect`` the consistency defect
-    ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon is inverted whole.
+    holds the ascending eigenvalues of Upsilon.  The positive-definite
+    verdict, smallest eigenvalue above ``PINV_RCOND`` times the largest, is
+    decided once: strict mode raises ``SolvabilityError``, naming step
+    ``k``, without it; otherwise Upsilon_inv is the pseudo-inverse and
+    ``defect`` the consistency defect ||Upsilon Upsilon_inv M - M||, 0.0
+    when Upsilon is inverted whole.  P is Q + A'PA - M'K symmetrized.
+
+    ``out``, when given, is six arrays of the result's shapes, the rows of
+    step k in a pass's stacks, in the order above: the step fills them in
+    place, writing Upsilon_inv, K and P as its products' outputs, and
+    returns them with the defect.  They hold the bytes the step returns
+    without ``out``.
+
     Products go through ``ndarray.dot``, the BLAS call of ``@`` without its
     ufunc dispatch, which at n <= 8 costs about as much as the product; at
     n = 1 they keep ``@``, whose signed zeros ``ndarray.dot`` does not
@@ -149,20 +168,27 @@ def _backward_step(P_next, AB, W, strict, k=None):
     """
     n = P_next.shape[0]
     dot = np.ndarray.dot if n > 1 else np.matmul
-    G = dot(AB.T, dot(P_next, AB))
-    G = (G + G.T) / 2
+    G = _sym(dot(AB.T, dot(P_next, AB)))
     H = W + G
     M = G[n:, :n]
     Upsilon = H[n:, n:]
     w, V = _eigh(Upsilon)
-    if strict and not w[0] > PINV_RCOND * w[-1]:
+    definite = w[0] > PINV_RCOND * w[-1]
+    if strict and not definite:
         raise SolvabilityError(
             f"Upsilon_{k} is not positive definite (min eigenvalue {w[0]:.3e}, "
             f"max {w[-1]:.3e}); no unique optimal input",
             step=k, min_eigenvalue=float(w[0]))
-    Upsilon_inv, defect = _eig_inverse(w, V, M)
-    K = dot(Upsilon_inv, M)
-    return Upsilon, M, w, Upsilon_inv, K, _sym(H[:n, :n] - dot(M.T, K)), defect
+    rows = out or (None,) * 6
+    Upsilon_inv, defect = _eig_inverse(w, V, M, definite, out=rows[3])
+    K = dot(Upsilon_inv, M, out=rows[4])
+    P = _sym(H[:n, :n] - dot(M.T, K), out=rows[5])
+    if out is None:
+        return Upsilon, M, w, Upsilon_inv, K, P, defect
+    out[0][...] = Upsilon
+    out[1][...] = M
+    out[2][...] = w
+    return (*out, defect)
 
 
 @dataclass(frozen=True)
@@ -231,9 +257,11 @@ def solve_finite_horizon(model, cost, N, strict=True):
             pseudo-inverse is used and the per-step consistency condition is
             verified instead.
 
-    The pass stops at the first k with P_k == P_{k+1} (bit for bit) and
-    fills steps 0..k-1 with copies of step k, which is exactly what the
-    remaining steps would compute; their checks would pass as step k's did.
+    Each step writes its rows of the six stacks in place (the ``out`` of
+    ``_backward_step``).  The pass stops at the first k with
+    P_k == P_{k+1} (bit for bit) and fills steps 0..k-1 with copies of
+    step k, which is exactly what the remaining steps would compute; their
+    checks would pass as step k's did.
 
     Raises:
         ValueError: N < 0, the cost and model dimensions differ, or Q, R or
@@ -259,21 +287,27 @@ def solve_finite_horizon(model, cost, N, strict=True):
     K = np.zeros((N + 1, m, n))
     P[N + 1] = _sym(cost.P_terminal)
 
-    for k in range(N, -1, -1):
-        Upsilon[k], M[k], Upsilon_eig[k], Upsilon_inv[k], K[k], P[k], defect = \
-            _backward_step(P[k + 1], AB, W, strict, k)
+    stacks = (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P)
+    P_next = P[N + 1]
+    next_bytes = P_next.tobytes()
+    # the rows of step k in every stack, N down to 0
+    for k, rows in zip(range(N, -1, -1), zip(*(arr[N::-1] for arr in stacks))):
+        defect = _backward_step(P_next, AB, W, strict, k, out=rows)[6]
         # the defect is exactly 0.0 unless an eigenvalue was dropped
-        if defect and not defect <= REGULARITY_TOL * np.linalg.norm(M[k]):
+        if defect and not defect <= REGULARITY_TOL * np.linalg.norm(rows[1]):
             raise RegularityError(
                 f"pseudo-inverse solve inconsistent at step {k} "
                 f"(defect {defect:.3e}); the problem is unsolvable",
                 step=k, residual=defect)
-        if P[k].tobytes() == P[k + 1].tobytes():
+        P_next = rows[5]
+        P_bytes = P_next.tobytes()
+        if P_bytes == next_bytes:
             # exact fixed point: every earlier step repeats this one on the
             # same input, so it would return the same arrays and verdict
-            for arr in (P, Upsilon, M, Upsilon_eig, Upsilon_inv, K):
+            for arr in stacks:
                 arr[:k] = arr[k]
             break
+        next_bytes = P_bytes
 
     return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,
                            Upsilon_inv=Upsilon_inv, K=K)

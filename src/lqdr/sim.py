@@ -21,6 +21,9 @@ from .riccati import solve_finite_horizon
 
 #: Normal-equation condition number beyond which the oracle refuses to answer.
 ORACLE_COND_LIMIT = 1e14
+#: The native float64 dtype, which numpy keeps as one object: ``simulate``
+#: tests a controller output's dtype by identity against it.
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -75,13 +78,17 @@ def simulate(model, cost, controller, x0, steps, d):
         steps: number of inputs to apply (>= 1).
         d: DisturbanceProfile or array of at least ``steps`` samples.
 
-    The loop applies the controller and the state update
-    x_{k+1} = A x_k + (B u_k + E d_k); the stage costs are evaluated for all
-    steps after it, so ``cost_cum`` is a cumulative sum of that array.  A
-    controller output that is already a float64 array of shape (m,) is used
-    as it is; any other is converted and its length checked.  Solver errors
-    raised by the controller are re-raised with the failing step index
-    prepended.
+    E d_k is formed for all steps before the loop as one stacked product,
+    ``np.matmul(E, d_seq[:, :, None])``, whose rows equal each per-step
+    E d_k byte for byte; ``d_seq @ E.T``, one gemm, rounds differently at
+    m >= 2 and is kept for the stage costs only.  The loop applies the
+    controller, writes u_k into its row of ``u`` and x_{k+1} into its row of
+    ``x`` in place, as A x_k + (B u_k + E d_k); the stage costs are
+    evaluated for all steps after it, so ``cost_cum`` is a cumulative sum of
+    that array.  A controller output that is already a float64 array of
+    shape (m,) is used as it is; any other is converted and its length
+    checked.  Solver errors raised by the controller are re-raised with the
+    failing step index prepended.
 
     The products go through ``ndarray.dot``, the BLAS call of ``@`` without
     its ufunc dispatch, and give the same bytes as ``@`` with one exception:
@@ -102,21 +109,22 @@ def simulate(model, cost, controller, x0, steps, d):
     x = np.zeros((steps + 1, n))
     u = np.zeros((steps, m))
     dot = np.ndarray.dot if n > 1 else np.matmul
+    Ed = np.matmul(E, d_seq[:, :, None])[:, :, 0]
     x_k = x[0]
     x_k[:] = x0
     # one flat zip: enumerate over a zip of pairs would build a tuple per step
-    for k, d_k, x_next in zip(range(steps), d_seq, x[1:]):
+    for k, d_k, Ed_k, u_row, x_next in zip(range(steps), d_seq, Ed, u, x[1:]):
         try:
             u_k = controller(k, x_k, d_k)
         except LqdrError as exc:
             raise type(exc)(f"controller failed at step {k}: {exc}") from exc
-        if not (type(u_k) is np.ndarray and u_k.dtype == np.float64 and u_k.shape == (m,)):
+        if not (type(u_k) is np.ndarray and u_k.dtype is _FLOAT64 and u_k.shape == (m,)):
             u_k = np.asarray(u_k, dtype=float).reshape(-1)
             if u_k.shape[0] != m:
                 raise ValueError(f"controller returned an input of length {u_k.shape[0]}, "
                                  f"expected {m} (step {k})")
-        u[k] = u_k
-        np.add(dot(A, x_k), dot(B, u_k) + dot(E, d_k), out=x_next)
+        u_row[...] = u_k
+        np.add(dot(A, x_k), dot(B, u_k) + Ed_k, out=x_next)
         x_k = x_next
 
     err = x[:-1] - cost.r

@@ -194,7 +194,7 @@ def check_regularity(Upsilon, M, tol):
         raise ValueError("Upsilon must be symmetric")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     w, V = _eigh(Upsilon)
-    return bool(_eig_inverse(w, V, M)[1] <= tol * np.linalg.norm(M))
+    return bool(_eig_inverse(w, V, M, w[0] > PINV_RCOND * w[-1])[1] <= tol * np.linalg.norm(M))
 
 
 # ---------------------------------------------------------------------------

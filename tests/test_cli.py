@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 from xml.dom import minidom
 
@@ -331,8 +332,12 @@ def test_bundled_run_writes_the_reference_bytes(name, tmp_path, monkeypatch):
             (ref_dir / file_name).read_bytes(), file_name
 
 
-#: The benchmark's recorded trajectories of the bundled scenarios.
+#: The benchmark's recorded trajectories and summary metrics of the bundled scenarios.
 BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference/bundled.npz"
+BENCHMARK_SUMMARY = BENCHMARK_REFERENCE.with_name("bundled_summary.json")
+#: The summary metrics the benchmark gates.
+SUMMARY_METRICS = ("J", "steady_state_error", "peak_error", "settling_step",
+                   "closed_loop_radius")
 
 
 @pytest.fixture(scope="module")
@@ -341,10 +346,17 @@ def benchmark_reference():
         return {key: data[key] for key in data.files}
 
 
+@pytest.fixture(scope="module")
+def benchmark_summary():
+    return json.loads(BENCHMARK_SUMMARY.read_text())
+
+
 @pytest.mark.parametrize("name", BUNDLED)
-def test_bundled_run_reproduces_the_benchmark_reference(name, benchmark_reference, tmp_path,
+def test_bundled_run_reproduces_the_benchmark_reference(name, benchmark_reference,
+                                                        benchmark_summary, tmp_path,
                                                         monkeypatch):
-    # the benchmark gates these trajectories at 1e-12 relative; hold Tier-1 to it too
+    # the benchmark gates these trajectories and the summary metrics at 1e-12
+    # relative, a null settling step staying null; hold Tier-1 to it too
     trajectories = []
 
     def record(*args, **kwargs):
@@ -364,6 +376,16 @@ def test_bundled_run_reproduces_the_benchmark_reference(name, benchmark_referenc
             got = getattr(traj, field)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (label, field)
+    summary = json.loads((tmp_path / f"{scenario.name}.summary.json").read_text())
+    assert set(benchmark_summary[name]) == set(labels)
+    for label in labels:
+        entry, want = summary["controllers"][label], benchmark_summary[name][label]
+        for metric in SUMMARY_METRICS:
+            got = entry[metric]
+            if want[metric] is None:
+                assert got is None, (label, metric)
+            else:
+                assert abs(got - want[metric]) <= 1e-12 * abs(want[metric]), (label, metric)
 
 
 _SPECIAL = (-0.0, 5e-324, 2.5e-310, 1e308, -1e308, np.nan, np.inf, -np.inf)
@@ -528,6 +550,31 @@ def test_compare_refuses_a_scenario_name_outside_the_output_directory(tmp_path):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "s.summary.json"]
 
 
+_METRICS = {"error": None, "J": 1.5, "steady_state_error": 0.1, "peak_error": 0.2,
+            "settling_step": 3}
+
+
+@pytest.mark.parametrize("content, names", [
+    (json.dumps([{"scenario": {"name": "mini"}}]).encode(), "the top level"),
+    (json.dumps({"scenario": {"name": "mini"},
+                 "controllers": {"opt": {k: v for k, v in _METRICS.items() if k != "J"}}}
+                ).encode(), "controller 'opt' has no 'J'"),
+    (json.dumps({"scenario": {"name": "mini"},
+                 "controllers": {"opt": {**_METRICS, "J": "1.5"}}}).encode(),
+     "controller 'opt' J is '1.5'"),
+    (b'\xff\xfe{"scenario": {}}', "'utf-8' codec can't decode"),
+], ids=["top_level_list", "entry_without_J", "non_numeric_J", "not_utf8"])
+def test_main_compare_refuses_a_malformed_summary(tmp_path, capsys, content, names):
+    path = tmp_path / "s.summary.json"
+    path.write_bytes(content)
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: {names}")):
+        compare_summaries([path])
+    assert main(["compare", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("scenario error: ") and names in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.summary.json"]
+
+
 def test_gare_report_mini(tmp_path):
     text = gare_report(write_mini(tmp_path))
     assert "detectable: True" in text
@@ -571,6 +618,13 @@ def test_gare_report_flags_undetectable(tmp_path):
 
 def test_selftest_small():
     assert selftest(instances=5, seed=7, verbose=False)
+
+
+@pytest.mark.parametrize("instances", [0, -1])
+def test_selftest_refuses_fewer_than_one_instance(instances):
+    # with no instance every check would pass vacuously
+    with pytest.raises(ValueError, match="instances must be >= 1"):
+        selftest(instances=instances, verbose=False)
 
 
 def test_selftest_solves_each_instance_once(monkeypatch):
@@ -777,6 +831,16 @@ def test_main_selftest_exit_code(capsys):
     assert main(["selftest", "--instances", "3", "--seed", "11"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "two"])
+def test_main_selftest_refuses_a_count_below_one_as_a_usage_error(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--instances", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "--instances" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_main_compare_roundtrip(tmp_path, capsys):

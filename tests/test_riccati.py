@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import scipy.linalg
 from scipy.linalg.lapack import dsyevd
@@ -680,6 +681,53 @@ def test_backward_step_matches_the_separate_product_reference(problems, strict):
             got = (sol.Upsilon[k], sol.M[k], sol.Upsilon_inv[k], sol.K[k], sol.P[k])
             for name, g, w in zip(("Upsilon", "M", "Upsilon_inv", "K", "P"), got, want):
                 assert rel_close(g, w, 1e-12), (k, name)
+
+
+def step_out_cases():
+    """(model, cost, strict) on the strict, pseudo-inverse, m = 1 and n = 1 step paths."""
+    n2_m1, _, n8_m2 = long_horizon_cases()[:3]
+    return [
+        pytest.param(*n8_m2[1:3], True, id="strict_n8_m2"),
+        pytest.param(*n8_m2[1:3], False, id="pinv_definite_n8_m2"),
+        pytest.param(*singular_upsilon_problem(), False, id="pinv_dropped"),
+        pytest.param(*n2_m1[1:3], True, id="strict_m1"),
+        pytest.param(*n2_m1[1:3], False, id="pinv_m1"),
+        pytest.param(scalar_model(A=-0.5), scalar_cost(r=1.0), True, id="strict_n1"),
+        pytest.param(*inconsistent_problem(), False, id="pinv_dropped_n1"),
+    ]
+
+
+@pytest.mark.parametrize("model, cost, strict", step_out_cases())
+def test_backward_step_fills_its_out_rows_with_the_bytes_it_returns(model, cost, strict):
+    # solve_finite_horizon passes the rows of step k in its stacks as out;
+    # the step must write exactly what it returns without out, and only there
+    AB, W = lqdr.riccati._step_constants(model.A, model.B, cost.Q, cost.R)
+    rng = np.random.default_rng(model.n)
+    X = rng.standard_normal((model.n, model.n))
+    for P_next in (lqdr.riccati._sym(cost.P_terminal), X @ X.T, np.zeros_like(X)):
+        want = lqdr.riccati._backward_step(P_next, AB, W, strict, 4)
+        stacks = [np.full((3, *np.shape(a)), np.nan) for a in want[:6]]
+        rows = tuple(stack[1] for stack in stacks)
+        got = lqdr.riccati._backward_step(P_next, AB, W, strict, 4, out=rows)
+        assert len(got) == 7 and all(g is row for g, row in zip(got, rows))
+        assert got[6] == want[6]
+        for g, w, stack in zip(got, want, stacks):
+            assert g.tobytes() == np.asarray(w).tobytes()
+            assert np.isnan(stack[[0, 2]]).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=st.integers(1, 6).flatmap(lambda m: arrays(
+    np.float64, (m, m), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 0.5, np.nan]),
+        st.floats(-1e300, 1e300)))))
+def test_sym_is_the_bytes_of_the_halved_sum(mat):
+    # _sym copies the transpose and multiplies by 0.5; neither may move a bit
+    # of (mat + mat') / 2, signed zeros, subnormals and NaN payloads included
+    want = (mat + mat.T) / 2
+    assert lqdr.riccati._sym(mat).tobytes() == want.tobytes()
+    out = np.empty_like(mat)
+    assert lqdr.riccati._sym(mat, out=out) is out and out.tobytes() == want.tobytes()
 
 
 def penrose_defects(X, Y):

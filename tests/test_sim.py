@@ -190,6 +190,29 @@ def test_simulate_is_the_step_by_step_loop_byte_for_byte(case):
     assert traj.u.tobytes() == u.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+def test_stacked_disturbance_product_is_the_per_step_product_byte_for_byte(n, m):
+    # simulate forms every E d_k before its loop as one stacked matmul; each
+    # row must be the bytes of E @ d_k, in any memory layout of E and d.  One
+    # gemm, d_seq @ E.T, rounds differently at m >= 2 and is no substitute.
+    rng = np.random.default_rng(100 * n + m)
+    for draw in range(40):
+        steps = int(rng.integers(1, 30))
+        E = rng.standard_normal((n, m))
+        d_seq = rng.standard_normal((steps, m))
+        d_seq[rng.random(d_seq.shape) < 0.2] = -0.0
+        if draw % 4 == 1:
+            E = np.asfortranarray(E)
+        elif draw % 4 == 2:
+            d_seq = np.repeat(d_seq, 2, axis=1)[:, ::2]
+        elif draw % 4 == 3:
+            d_seq = np.asfortranarray(d_seq)
+        stacked = np.matmul(E, d_seq[:, :, None])[:, :, 0]
+        for row, d_k in zip(stacked, d_seq, strict=True):
+            assert row.tobytes() == (E @ d_k).tobytes()
+
+
 @pytest.mark.parametrize("output", [[0.0], np.zeros(3), np.zeros((3, 1)), 1.0],
                          ids=["list", "array", "column", "float"])
 def test_wrong_length_input_names_its_step(output):
