@@ -221,9 +221,11 @@ def load_scenario(path):
         raise ScenarioError(f"{path}: {token} is not a JSON number; values must be finite")
 
     try:
-        raw = json.loads(path.read_text(), parse_constant=reject_constant)
+        raw = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _fields(raw, _TOP_KEYS, f"{path}: top level")
@@ -252,11 +254,14 @@ def load_scenario(path):
     settle_band = _number(raw.get("settle_band", 1e-3), "settle_band")
     if settle_band <= 0:
         raise ScenarioError(f"settle_band must be positive, got {settle_band}")
+    display = raw.get("display", {})
+    if not isinstance(display, dict):
+        raise ScenarioError(f"display must be an object, got {display!r}")
 
     return Scenario(name=name, model=model, cost=cost, x0=x0, steps=steps,
                     disturbance=disturbance, controllers=controllers,
                     outputs=outputs, settle_band=settle_band,
-                    display=raw.get("display", {}))
+                    display=display)
 
 
 def bundled_scenario_path(name):
@@ -747,7 +752,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            outputs, failures = run_scenario(args.scenario, _resolve_out(args.out))
+            try:
+                outputs, failures = run_scenario(args.scenario, _resolve_out(args.out))
+            except MemoryError as exc:
+                # a horizon or step count too large to allocate
+                detail = f": {exc}" if str(exc) else ""
+                raise ScenarioError(f"{args.scenario} is too large to run{detail}") from None
             for key in sorted(outputs):
                 print(f"wrote {outputs[key]}")
             for label, exc in failures.items():

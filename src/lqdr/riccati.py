@@ -23,10 +23,12 @@ Upsilon_k Upsilon_k^+ M_k = M_k holds at every step; its defect is
 ||V_dropped' M_k||, accepted up to ``REGULARITY_TOL`` times ||M_k||.  Both
 tests are relative, so rescaling Q, R and P_T together changes no verdict.
 Each solution stores the inverse its recursion used as ``Upsilon_inv`` and
-the ascending eigenvalues of Upsilon as ``Upsilon_eig``.  Once P_k equals
-P_{k+1} bit for bit, every earlier step would repeat the same operations on
-the same input, so the pass stops there and copies step k into steps
-0..k-1: the infinite-horizon limit, reached exactly inside the finite pass.
+the ascending eigenvalues of Upsilon as ``Upsilon_eig``.  Each step writes
+its results into its rows of the pass's stacks.  In floating point the pass
+reaches its infinite-horizon limit exactly: P_k equals P_{k+1} bit for bit,
+or rounding settles P into a cycle of a few steps.  Once P_k equals a later
+P_j bit for bit, every earlier step repeats one of steps k..j-1 on the same
+input, so the pass stops there and fills steps 0..k-1 from that cycle.
 
 The stationary equation
 
@@ -75,11 +77,11 @@ MAX_DOUBLINGS = 64
 
 
 def _sym(mat, out=None):
-    """(mat + mat') / 2 to the byte, into ``out`` when given.
+    """(mat + mat') / 2 to the byte, into ``out`` when given, which may be ``mat``.
 
     The transpose is copied before the sum, which costs less than adding a
-    transposed view, and the halving is a product by 0.5, which rounds as
-    the division by 2 does and costs less.
+    transposed view and makes the sum safe in place, and the halving is a
+    product by 0.5, which rounds as the division by 2 does and costs less.
     """
     half = np.add(mat, mat.T.copy(), out=out)
     half *= 0.5
@@ -146,20 +148,22 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None):
     """One step back from P_{k+1}: (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P, defect).
 
     ``AB`` and ``W`` come from ``_step_constants``.  The Gram product
-    G = AB' P_{k+1} AB is symmetrized once; its blocks are A'PA, M = B'PA and
-    B'PB, and W + G holds Q + A'PA and Upsilon = Rbar + B'PB.  Upsilon_eig
-    holds the ascending eigenvalues of Upsilon.  The positive-definite
-    verdict, smallest eigenvalue above ``PINV_RCOND`` times the largest, is
-    decided once: strict mode raises ``SolvabilityError``, naming step
-    ``k``, without it; otherwise Upsilon_inv is the pseudo-inverse and
-    ``defect`` the consistency defect ||Upsilon Upsilon_inv M - M||, 0.0
-    when Upsilon is inverted whole.  P is Q + A'PA - M'K symmetrized.
+    G = AB' P_{k+1} AB is symmetrized in place; its blocks are A'PA, M = B'PA
+    and B'PB.  W is then added into G, which holds Q + A'PA and
+    Upsilon = Rbar + B'PB.  Upsilon_eig holds the ascending eigenvalues of
+    Upsilon.  The positive-definite verdict, smallest eigenvalue above
+    ``PINV_RCOND`` times the largest, is decided once: strict mode raises
+    ``SolvabilityError``, naming step ``k``, without it; otherwise
+    Upsilon_inv is the pseudo-inverse and ``defect`` the consistency defect
+    ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon is inverted whole.  P
+    is (Q + A'PA) - M'K symmetrized.
 
     ``out``, when given, is six arrays of the result's shapes, the rows of
     step k in a pass's stacks, in the order above: the step fills them in
-    place, writing Upsilon_inv, K and P as its products' outputs, and
-    returns them with the defect.  They hold the bytes the step returns
-    without ``out``.
+    place and returns them with the defect.  Without ``out`` it allocates
+    the six arrays it returns.  Beyond those it allocates only the products
+    P_{k+1} AB, G and M'K, the transpose copies that symmetrize, and the
+    eigendecomposition.
 
     Products go through ``ndarray.dot``, the BLAS call of ``@`` without its
     ufunc dispatch, which at n <= 8 costs about as much as the product; at
@@ -168,10 +172,18 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None):
     """
     n = P_next.shape[0]
     dot = np.ndarray.dot if n > 1 else np.matmul
-    G = _sym(dot(AB.T, dot(P_next, AB)))
-    H = W + G
-    M = G[n:, :n]
-    Upsilon = H[n:, n:]
+    if out is None:
+        m = AB.shape[1] - n
+        out = (np.empty((m, m)), np.empty((m, n)), np.empty(m), np.empty((m, m)),
+               np.empty((m, n)), np.empty((n, n)))
+    Upsilon, M, Upsilon_eig, Upsilon_inv, K, P = out
+    G = dot(AB.T, dot(P_next, AB))
+    _sym(G, out=G)
+    M[...] = G[n:, :n]
+    # G becomes W + G, whose blocks hold Q + A'PA and Upsilon; M is read first,
+    # since adding W's zero block would turn a -0.0 in it into +0.0
+    np.add(W, G, out=G)
+    Upsilon[...] = G[n:, n:]
     w, V = _eigh(Upsilon)
     definite = w[0] > PINV_RCOND * w[-1]
     if strict and not definite:
@@ -179,15 +191,11 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None):
             f"Upsilon_{k} is not positive definite (min eigenvalue {w[0]:.3e}, "
             f"max {w[-1]:.3e}); no unique optimal input",
             step=k, min_eigenvalue=float(w[0]))
-    rows = out or (None,) * 6
-    Upsilon_inv, defect = _eig_inverse(w, V, M, definite, out=rows[3])
-    K = dot(Upsilon_inv, M, out=rows[4])
-    P = _sym(H[:n, :n] - dot(M.T, K), out=rows[5])
-    if out is None:
-        return Upsilon, M, w, Upsilon_inv, K, P, defect
-    out[0][...] = Upsilon
-    out[1][...] = M
-    out[2][...] = w
+    Upsilon_eig[...] = w
+    defect = _eig_inverse(w, V, M, definite, out=Upsilon_inv)[1]
+    dot(Upsilon_inv, M, out=K)
+    np.subtract(G[:n, :n], dot(M.T, K), out=P)
+    _sym(P, out=P)
     return (*out, defect)
 
 
@@ -258,10 +266,13 @@ def solve_finite_horizon(model, cost, N, strict=True):
             verified instead.
 
     Each step writes its rows of the six stacks in place (the ``out`` of
-    ``_backward_step``).  The pass stops at the first k with
-    P_k == P_{k+1} (bit for bit) and fills steps 0..k-1 with copies of
-    step k, which is exactly what the remaining steps would compute; their
-    checks would pass as step k's did.
+    ``_backward_step``).  The step of every P computed is kept by the hash
+    of its bytes, P_{N+1} included.  The pass stops at the first k whose
+    P_k equals a stored P_j bit for bit (a hash hit is confirmed on the
+    bytes) and fills each step i < k with step k + ((i - k) mod (j - k)) of
+    the cycle k..j-1, which is exactly what the remaining steps would
+    compute; their checks would pass as those steps' did.  j = k + 1 is an
+    exact fixed point.
 
     Raises:
         ValueError: N < 0, the cost and model dimensions differ, or Q, R or
@@ -289,7 +300,8 @@ def solve_finite_horizon(model, cost, N, strict=True):
 
     stacks = (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P)
     P_next = P[N + 1]
-    next_bytes = P_next.tobytes()
+    # the step of every P computed so far, by the hash of its bytes
+    seen = {hash(P_next.tobytes()): N + 1}
     # the rows of step k in every stack, N down to 0
     for k, rows in zip(range(N, -1, -1), zip(*(arr[N::-1] for arr in stacks))):
         defect = _backward_step(P_next, AB, W, strict, k, out=rows)[6]
@@ -301,13 +313,14 @@ def solve_finite_horizon(model, cost, N, strict=True):
                 step=k, residual=defect)
         P_next = rows[5]
         P_bytes = P_next.tobytes()
-        if P_bytes == next_bytes:
-            # exact fixed point: every earlier step repeats this one on the
-            # same input, so it would return the same arrays and verdict
+        # a hash shared by two different P keeps the first: the stop comes later
+        j = seen.setdefault(hash(P_bytes), k)
+        if j != k and P_bytes == P[j].tobytes():
+            # P_k == P_j: every earlier step repeats one of steps k..j-1 on
+            # the same input, so it would return the same arrays and verdict
             for arr in stacks:
-                arr[:k] = arr[k]
+                arr[:k] = arr[k + np.arange(-k, 0) % (j - k)]
             break
-        next_bytes = P_bytes
 
     return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,
                            Upsilon_inv=Upsilon_inv, K=K)

@@ -223,6 +223,31 @@ def reference_finite_horizon(model, cost, N, strict=True):
     return P, Upsilon, M, Upsilon_inv, K, Upsilon_eig
 
 
+def reference_gram_step(P_next, AB, W, strict, k=None):
+    """``_backward_step`` with a fresh array per sum and product, M a view of G.
+
+    Returns (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P, defect): the bytes
+    the kernel, which writes into its output rows and adds W into G in
+    place, must reproduce.
+    """
+    n = P_next.shape[0]
+    dot = np.ndarray.dot if n > 1 else np.matmul
+    G = _sym(dot(AB.T, dot(P_next, AB)))
+    H = W + G
+    M = G[n:, :n]
+    Upsilon = H[n:, n:]
+    w, V = _eigh(Upsilon)
+    definite = w[0] > PINV_RCOND * w[-1]
+    if strict and not definite:
+        raise SolvabilityError(
+            f"Upsilon_{k} is not positive definite (min eigenvalue {w[0]:.3e}, "
+            f"max {w[-1]:.3e}); no unique optimal input",
+            step=k, min_eigenvalue=float(w[0]))
+    Upsilon_inv, defect = _eig_inverse(w, V, M, definite)
+    K = dot(Upsilon_inv, M)
+    return Upsilon, M, w, Upsilon_inv, K, _sym(H[:n, :n] - dot(M.T, K)), defect
+
+
 def reference_backward_step(P_next, A, B, Q, R, strict, k=None):
     """One backward step as separate products: (Upsilon, M, Upsilon_inv, K, P).
 

@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 from pathlib import Path
@@ -47,12 +48,20 @@ def continuous_mini(A, Ts):
 
 
 def write_mini(tmp_path, mutate=None, name="mini.json"):
+    """MINI as a file; ``mutate`` edits the document, or returns the bytes to write instead."""
     doc = json.loads(json.dumps(MINI))
-    if mutate:
-        mutate(doc)
+    raw = mutate(doc) if mutate else None
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    if isinstance(raw, bytes):
+        path.write_bytes(raw)
+    else:
+        path.write_text(json.dumps(doc))
     return path
+
+
+def utf16(doc):
+    """The document in UTF-16 with its byte-order mark: the file starts with FF FE."""
+    return codecs.BOM_UTF16_LE + json.dumps(doc).encode("utf-16-le")
 
 
 # ---------------------------------------------------------------------------
@@ -709,19 +718,47 @@ def test_main_run_scenario_error(tmp_path, capsys):
                                          P_terminal=[[1.0, 5.0], [0.0, 1.0]]),
     lambda d: d.update(settle_band=-1.0),
     lambda d: d.update(settle_band=0),
+    utf16,
+    lambda d: d.update(display=[1, 2]),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
         "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
         "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero",
         "R_negative_definite", "name_slash", "name_parent_dir", "name_backslash",
         "name_not_string", "name_empty", "label_slash", "label_nul", "label_empty",
         "zoh_exp_overflows", "zoh_A_Ts_overflows", "controller_P_terminal_negative_definite",
-        "controller_P_terminal_asymmetric", "settle_band_negative", "settle_band_zero"])
+        "controller_P_terminal_asymmetric", "settle_band_negative", "settle_band_zero",
+        "not_utf8", "display_not_object"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["mini.json"]
+
+
+def test_main_gare_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = write_mini(tmp_path, utf16)
+    assert main(["gare", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {path} is not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(steps=10 ** 15),
+    lambda d: d["controllers"][0].update(T=10 ** 15),
+], ids=["steps", "lookahead"])
+def test_main_run_reports_a_horizon_too_large_to_allocate(tmp_path, capsys, mutate):
+    # 10^15 rows exceed a 47-bit address space, so the allocation fails at
+    # once on any host; never test a size that could be allocated
+    doc = json.loads(bundled_scenario_path("example_b").read_text())
+    mutate(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {path} is too large to run")
+    assert err.count("\n") == 1
+    assert not list((tmp_path / "out").rglob("*"))
 
 
 FORBIDDEN_CHARACTERS = pytest.mark.parametrize(

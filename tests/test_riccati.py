@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,9 @@ from scipy.linalg.lapack import dsyevd
 import lqdr.riccati
 from conftest import (aero_engine_discrete, check_regularity, long_horizon_cases,
                       lqr_textbook_gains, reference_backward_step, reference_finite_horizon,
-                      rel_close, sampled_stable_plant, stationary_control, tracking_cost,
-                      two_state_bench, uncontrollable_3state)
+                      reference_gram_step, rel_close, sampled_stable_plant,
+                      stationary_control, tracking_cost, two_state_bench,
+                      uncontrollable_3state)
 from lqdr import (ConvergenceError, CostSpec, RegularityError,
                   SolvabilityError, StabilizationError, SystemModel,
                   draw_instance, finite_horizon_control, gare_fixed_point,
@@ -108,17 +110,33 @@ def full_pass_cases():
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
 @pytest.mark.parametrize("model, cost, N", full_pass_cases())
 def test_fixed_point_stop_equals_the_full_pass(model, cost, N, strict):
-    # once P_k == P_{k+1} bit for bit the earlier steps are copies, so every
-    # array must equal the pass that computes each step
+    # once P_k repeats a later P_j bit for bit the earlier steps are copies of
+    # steps k..j-1, so every array must equal the pass that computes each step
     sol = solve_finite_horizon(model, cost, N, strict=strict)
     expected = reference_finite_horizon(model, cost, N, strict=strict)
-    for got, want in zip((sol.P, sol.Upsilon, sol.M, sol.Upsilon_inv, sol.K), expected):
+    for got, want in zip((sol.P, sol.Upsilon, sol.M, sol.Upsilon_inv, sol.K, sol.Upsilon_eig),
+                         expected, strict=True):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
-def test_backward_pass_stops_at_its_exact_fixed_point(monkeypatch, strict):
+def repeat_stop_cases():
     scenario = load_scenario(bundled_scenario_path("example_b"))
+    cases = [pytest.param(scenario.model, scenario.cost, 999, id="example_b")]
+    for case_id, model, cost, steps, _ in long_horizon_cases():
+        if case_id in ("n2_Ts0.02", "n8_Ts0.02"):
+            cases.append(pytest.param(model, cost, steps - 1, id=case_id))
+    return cases
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+@pytest.mark.parametrize("model, cost, N", repeat_stop_cases())
+def test_backward_pass_stops_at_the_first_repeated_p(monkeypatch, model, cost, N, strict):
+    # example_b reaches P_k == P_{k+1}; the two sampled plants settle into a
+    # rounding cycle instead, and stop where P_k first equals a later P_j
+    P = reference_finite_horizon(model, cost, N, strict=strict)[0]
+    later = {}
+    first = next(k for k in range(N + 1, -1, -1) if later.setdefault(P[k].tobytes(), k) != k)
+    assert first > 0
     calls = []
     step = lqdr.riccati._backward_step
 
@@ -127,14 +145,9 @@ def test_backward_pass_stops_at_its_exact_fixed_point(monkeypatch, strict):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(lqdr.riccati, "_backward_step", counted)
-    sol = solve_finite_horizon(scenario.model, scenario.cost, 999, strict=strict)
-    # steps 999 down to the first k with P_k == P_{k+1} in the full pass are
-    # computed, and that k is reached before step 0
-    P = reference_finite_horizon(scenario.model, scenario.cost, 999, strict=strict)[0]
-    fixed = next(k for k in range(999, -1, -1) if np.array_equal(P[k], P[k + 1]))
-    assert fixed > 0
-    assert calls == list(range(999, fixed - 1, -1))
-    assert np.array_equal(sol.P[0], sol.P[fixed]) and np.array_equal(sol.K[0], sol.K[fixed])
+    sol = solve_finite_horizon(model, cost, N, strict=strict)
+    assert calls == list(range(N, first - 1, -1))
+    assert np.array_equal(sol.P, P)
 
 
 def test_negative_horizon_rejected():
@@ -714,6 +727,62 @@ def test_backward_step_fills_its_out_rows_with_the_bytes_it_returns(model, cost,
         for g, w, stack in zip(got, want, stacks):
             assert g.tobytes() == np.asarray(w).tobytes()
             assert np.isnan(stack[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+@pytest.mark.parametrize("model, cost, N", full_pass_cases())
+def test_every_step_of_a_pass_is_the_bytes_of_the_gram_step(model, cost, N, strict):
+    # each stored row, the copied ones included, is what the step with fresh
+    # arrays for its sums and products returns on that row's P_{k+1}
+    sol = solve_finite_horizon(model, cost, N, strict=strict)
+    AB, W = lqdr.riccati._step_constants(model.A, model.B, cost.Q, cost.R)
+    stacks = (sol.Upsilon, sol.M, sol.Upsilon_eig, sol.Upsilon_inv, sol.K, sol.P)
+    for k in range(N, -1, -1):
+        want = reference_gram_step(sol.P[k + 1], AB, W, strict, k)
+        for arr, w in zip(stacks, want[:6]):
+            assert arr[k].tobytes() == w.tobytes(), k
+
+
+def random_step_problem(rng):
+    """(P_next, AB, W) of a random plant with n <= 5, m <= 3 and PSD weights.
+
+    Half the draws repeat an input column, so Upsilon is singular and the
+    pseudo-inverse drops an eigenvalue.
+    """
+    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+    if m > 1 and rng.random() < 0.5:
+        B[:, -1] = B[:, 0]
+    C, D, X = (rng.standard_normal((n, n)) for _ in range(3))
+    AB, W = lqdr.riccati._step_constants(A, B, C.T @ C, D.T @ D)
+    return X @ X.T, AB, W
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_backward_step_is_the_bytes_of_the_gram_step_on_random_plants(seed):
+    rng = np.random.default_rng(seed)
+    shapes, dropped = set(), 0
+    for _ in range(100):
+        P_next, AB, W = random_step_problem(rng)
+        n = P_next.shape[0]
+        shapes.add((n == 1, AB.shape[1] - n == 1))
+        for strict in (True, False):
+            try:
+                want = reference_gram_step(P_next, AB, W, strict, 3)
+            except SolvabilityError as exc:
+                with pytest.raises(SolvabilityError, match=re.escape(str(exc))):
+                    lqdr.riccati._backward_step(P_next, AB, W, strict, 3)
+                continue
+            w = want[2]
+            dropped += not w[0] > lqdr.riccati.PINV_RCOND * w[-1]
+            got = lqdr.riccati._backward_step(P_next, AB, W, strict, 3)
+            rows = tuple(np.full_like(w, np.nan) for w in want[:6])
+            into = lqdr.riccati._backward_step(P_next, AB, W, strict, 3, out=rows)
+            assert got[6] == into[6] == want[6]
+            for g, i, r in zip(got, into, want[:6]):
+                assert g.tobytes() == i.tobytes() == r.tobytes()
+    # the strict, dropped-eigenvalue, m = 1 and n = 1 paths are all taken
+    assert dropped and shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 @settings(max_examples=300, deadline=None)
