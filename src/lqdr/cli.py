@@ -9,9 +9,9 @@ digits so values round-trip losslessly), plus a combined ``<name>.svg``
 overlay of the regulated outputs and a ``<name>.summary.json`` with the
 comparison metrics.
 
-Exit codes: 0 success, 1 scenario/validation problem, 2 solver failure.
-The output directory is ``--out`` when given, else ``$LQDR_OUT``, else the
-working directory.
+Exit codes: 0 success, 1 scenario/validation problem or an output that
+cannot be written, 2 solver failure.  The output directory is ``--out`` when
+given, else ``$LQDR_OUT``, else the working directory.
 """
 
 import argparse
@@ -463,13 +463,16 @@ def run_scenario(scenario, out_dir="."):
 
     A controller whose solve fails, or whose run leaves the finite floats,
     is recorded in the summary and skipped; the remaining controllers still
-    run.  Returns (outputs, failures) where
-    ``outputs`` maps artifact names to paths.
+    run.  Returns (outputs, failures) where ``outputs`` maps artifact names
+    to paths.  ``out_dir`` is made with the first artifact, so a run that
+    writes none leaves no directory behind.
     """
     if isinstance(scenario, (str, Path)):
         scenario = load_scenario(scenario)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def artifact(filename):
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        return Path(out_dir) / filename
 
     outputs = {}
     failures = {}
@@ -500,7 +503,7 @@ def run_scenario(scenario, out_dir="."):
         entry.update(metrics)
         entry["closed_loop_radius"] = controller.closed_loop_radius
         if "csv" in scenario.outputs:
-            csv_path = out_dir / f"{scenario.name}.{config.label}.csv"
+            csv_path = artifact(f"{scenario.name}.{config.label}.csv")
             write_csv(csv_path, traj)
             outputs[f"csv:{config.label}"] = csv_path
             entry["csv"] = csv_path.name
@@ -510,11 +513,11 @@ def run_scenario(scenario, out_dir="."):
         summary["controllers"][config.label] = entry
 
     if "svg" in scenario.outputs and series:
-        svg_path = out_dir / f"{scenario.name}.svg"
+        svg_path = artifact(f"{scenario.name}.svg")
         write_svg(svg_path, f"{scenario.name}: regulated output", series, onset=onset)
         outputs["svg"] = svg_path
     if "summary" in scenario.outputs:
-        summary_path = out_dir / f"{scenario.name}.summary.json"
+        summary_path = artifact(f"{scenario.name}.summary.json")
         summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
         outputs["summary"] = summary_path
     return outputs, failures
@@ -598,6 +601,7 @@ def compare_summaries(paths, out_dir=None):
     csv_path = None
     if out_dir is not None:
         stem = _file_stem(name, "summary scenario name")
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         csv_path = Path(out_dir) / f"{stem}.comparison.csv"
         csv_lines = [",".join(_COMPARE_COLUMNS)]
         csv_lines += [",".join(map(str, row)) for row in rows]
@@ -639,7 +643,7 @@ def gare_report(scenario):
     return "\n".join(lines)
 
 
-def selftest(instances=40, seed=2024, verbose=True):
+def selftest(instances=40, seed=2024):
     """Cross-check the three cost oracles and the optimality system.
 
     Draws random strict instances and verifies, per instance, that the
@@ -698,9 +702,8 @@ def selftest(instances=40, seed=2024, verbose=True):
     for label, value, tol in checks:
         passed = value <= tol
         ok = ok and passed
-        if verbose:
-            print(f"{'PASS' if passed else 'FAIL'}  {label}: max {value:.3e} "
-                  f"(tol {tol:g}, {instances} instances)")
+        print(f"{'PASS' if passed else 'FAIL'}  {label}: max {value:.3e} "
+              f"(tol {tol:g}, {instances} instances)")
     return ok
 
 
@@ -708,21 +711,21 @@ def selftest(instances=40, seed=2024, verbose=True):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _positive_int(text):
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_from(low):
+    """argparse type of an integer that must be at least ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _resolve_out(arg):
-    if arg:
-        return arg
-    return os.environ.get("LQDR_OUT", ".")
+    return arg or os.environ.get("LQDR_OUT", ".")
 
 
 def main(argv=None):
@@ -746,8 +749,8 @@ def main(argv=None):
     p_gare.add_argument("scenario")
 
     p_self = sub.add_parser("selftest", help="run the oracle cross-check suite")
-    p_self.add_argument("--instances", type=_positive_int, default=40)
-    p_self.add_argument("--seed", type=int, default=2024)
+    p_self.add_argument("--instances", type=_int_from(1), default=40)
+    p_self.add_argument("--seed", type=_int_from(0), default=2024)
 
     args = parser.parse_args(argv)
     try:
@@ -779,6 +782,10 @@ def main(argv=None):
     except LqdrError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # an output that cannot be written: inputs are read with their own errors
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

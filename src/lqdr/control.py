@@ -16,10 +16,8 @@ limit.  The receding-horizon law holds one gain too: its lookahead Riccati
 pass never changes between steps and its feedforward is linear in the
 frozen disturbance and the reference.
 
-A law is immutable, so one finite-horizon or receding-horizon law can serve
-every controller that poses its problem: ``build_controller`` takes an
-optional mapping of the laws built so far, and ``strict`` then decides only
-whether a law is refused, read off the stored ``Upsilon_eig`` rows.
+A law is immutable, so ``build_controller`` can share one finite-horizon or
+receding-horizon law among the controllers that pose its problem.
 """
 
 from dataclasses import dataclass
@@ -27,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feedforward import backward_pass, solve_recursive, solve_steady
-from .model import CostSpec, DisturbanceProfile, freeze_fields
-from .riccati import PINV_RCOND, solve_finite_horizon, solve_gare, spectral_radius
+from .model import CostSpec, DisturbanceProfile, _dot_for, freeze_fields
+from .riccati import _definite, solve_finite_horizon, solve_gare, spectral_radius
 
 KINDS = ("finite_horizon", "stationary", "receding_horizon",
          "state_feedback_compensation", "pid")
@@ -118,8 +116,7 @@ def finite_horizon_control(k, x, riccati, ff):
     """Optimal input at step k: u = -K_k x - Upsilon_k^{-1} h_k."""
     if not 0 <= k <= riccati.horizon:
         raise IndexError(f"step {k} outside horizon 0..{riccati.horizon}")
-    # ndarray.dot in place of @ but at n = 1, as in sim.simulate
-    dot = np.ndarray.dot if riccati.K.shape[2] > 1 else np.matmul
+    dot = _dot_for(riccati.K.shape[2])
     return dot(-riccati.K[k], x) - dot(riccati.Upsilon_inv[k], ff.h[k])
 
 
@@ -133,13 +130,11 @@ class AffineController:
     ``closed_loop_radius`` is rho(A - B K[0]).  The gain is negated once,
     at construction (a broadcast gain before it is broadcast), and the rows
     -K[k] and u_0[k] are read from two lists made then (one view, repeated,
-    for a broadcast row).  A call forms its products with ``ndarray.dot``
-    (``@`` for a one-state law, as in ``sim.simulate``): the operations and
-    bytes of -K[k] @ x - K_d @ d_k - u_0[k], signed zeros included.  The gain
-    product is never -0.0, so it absorbs the sign of a zero K_d d_k; a law
+    for a broadcast row).  A call forms its products with ``model._dot_for``:
+    the operations and bytes of -K[k] @ x - K_d @ d_k - u_0[k], signed zeros
+    included.  The gain product absorbs the sign of a zero K_d d_k, so a law
     whose K_d has no non-zero entry (the finite-horizon and stationary laws)
-    therefore skips that product and returns the same bytes for every
-    finite d_k.
+    skips that product and returns the same bytes for every finite d_k.
     """
 
     K: np.ndarray
@@ -163,7 +158,7 @@ class AffineController:
         object.__setattr__(self, "_neg_K_rows", _rows(neg_K))
         object.__setattr__(self, "_u_0_rows", _rows(u_0))
         object.__setattr__(self, "_feeds_d", bool(K_d.any()))
-        object.__setattr__(self, "_dot", np.ndarray.dot if n > 1 else np.matmul)
+        object.__setattr__(self, "_dot", _dot_for(n))
 
     def __call__(self, k, x, d_now):
         if not 0 <= k < self._steps:
@@ -270,7 +265,7 @@ def build_controller(config, model, cost, profile, steps, laws=None):
     ``laws``, when given, is a dict owned by the caller that must see only
     calls with this ``model``, ``cost``, ``profile`` and ``steps``.  A
     finite-horizon or receding-horizon law is stored there, with whether
-    every Upsilon_k of its pass is positive definite, and handed back to a
+    every Upsilon_k of its pass is ``riccati._definite``, and handed back to a
     later config posing the same problem: a non-strict one always, a strict
     one when that verdict holds.  Both modes then run the same arithmetic,
     so the shared law is the one a fresh build returns; any other request
@@ -284,8 +279,7 @@ def build_controller(config, model, cost, profile, steps, laws=None):
         if law is None or (config.strict and not every_step_passes):
             law, riccati = _HORIZON_LAWS[kind](config, model, cost, profile, steps)
             if laws is not None:
-                eig = riccati.Upsilon_eig
-                laws[key] = (law, bool(np.all(eig[:, 0] > PINV_RCOND * eig[:, -1])))
+                laws[key] = (law, bool(np.all(_definite(riccati.Upsilon_eig))))
         return law
 
     if kind == "stationary":

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import StabilizationError
-from .model import disturbance_sequence, freeze_fields
+from .model import _dot_for, disturbance_sequence, freeze_fields
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
     h = np.zeros((N + 1, model.m, p))
     f = np.zeros((N + 2, n, p))
     f[N + 1] = -np.multiply.outer(riccati.P[N + 1] @ r, r_weight)
-    # ndarray.dot in place of @ but at n = 1, as in sim.simulate
-    dot = np.ndarray.dot if n > 1 else np.matmul
+    dot = _dot_for(n)
     At, Bt = A.T, B.T
     f_next = f[N + 1]
     for a_k, b_k, C_k, h_k, f_k in zip(a[::-1], b[::-1], C[::-1], h[::-1], f[N::-1]):

@@ -33,6 +33,29 @@ MATCHED = "Matched"
 MISMATCHED = "Mismatched"
 
 
+def _dot_for(n):
+    """The product of an n-state loop: ``ndarray.dot``, or ``np.matmul`` at n = 1.
+
+    ``ndarray.dot``, ``@``'s BLAS call without its ufunc dispatch, gives its
+    bytes but for one-element operands: it keeps the sign of a zero product,
+    where ``@`` sums from +0.0 and returns +0.0.  For n > 1 a product with a
+    state is never -0.0, so it absorbs the sign of a zero term added to it.
+    """
+    return np.ndarray.dot if n > 1 else np.matmul
+
+
+def _sym(mat, out=None):
+    """(mat + mat') / 2 to the byte, into ``out`` when given, which may be ``mat``.
+
+    The transpose is copied before the sum, which costs less than adding a
+    transposed view and makes the sum safe in place, and the halving is a
+    product by 0.5, which rounds as the division by 2 does and costs less.
+    """
+    half = np.add(mat, mat.T.copy(), out=out)
+    half *= 0.5
+    return half
+
+
 def _freeze(arr):
     arr = np.array(arr, dtype=float, copy=True)
     arr.setflags(write=False)
@@ -357,7 +380,7 @@ def _psd_check(name, mat, messages):
         messages.append(f"{name} is not symmetric to {SYMMETRY_TOL:g} relative")
         return False
     scale = float(np.max(np.abs(mat)))
-    min_eig = float(np.min(np.linalg.eigvalsh((mat + mat.T) / 2)))
+    min_eig = float(np.min(np.linalg.eigvalsh(_sym(mat))))
     if min_eig < PSD_EIG_FLOOR * scale:
         messages.append(f"{name} has eigenvalue {min_eig:.3e} below the PSD floor "
                         f"({PSD_EIG_FLOOR:g} times its largest entry)")
@@ -375,8 +398,7 @@ def check_weights(cost, messages):
 
 def sqrtm_psd(mat):
     """Symmetric square root of a (nearly) PSD matrix, negative modes clipped."""
-    sym = (mat + mat.T) / 2
-    w, V = np.linalg.eigh(sym)
+    w, V = np.linalg.eigh(_sym(mat))
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 

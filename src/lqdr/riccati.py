@@ -13,31 +13,27 @@ one symmetric eigendecomposition Upsilon_k = V diag(w) V' (Golub & Van Loan,
 inverse V diag(1/w) V' and the consistency defect at once.  The
 decomposition is LAPACK's ``dsyevd`` on the upper triangle, through
 ``np.linalg.eigh``; at m = 1 it is w = Upsilon, V = 1, formed directly.
-In strict mode each Upsilon_k must be positive definite (the solvability
-condition for a unique optimal controller): its smallest eigenvalue must exceed
-``PINV_RCOND`` times its largest.  In non-strict mode eigenvalues of modulus
-at most ``PINV_RCOND`` times the largest are dropped, which is the
+In strict mode each Upsilon_k must be positive definite, the solvability
+condition for a unique optimal controller, as ``_definite`` judges it:
+smallest eigenvalue above ``PINV_RCOND`` times the largest.  In non-strict
+mode eigenvalues whose modulus is at most that bound are dropped, which is the
 Moore-Penrose pseudo-inverse with the cutoff ``np.linalg.pinv`` uses
 (section 5.5.4).  It is legitimate exactly when the consistency condition
 Upsilon_k Upsilon_k^+ M_k = M_k holds at every step; its defect is
 ||V_dropped' M_k||, accepted up to ``REGULARITY_TOL`` times ||M_k||.  Both
 tests are relative, so rescaling Q, R and P_T together changes no verdict.
-Each solution stores the inverse its recursion used as ``Upsilon_inv`` and
-the ascending eigenvalues of Upsilon as ``Upsilon_eig``.  Each step writes
-its results into its rows of the pass's stacks.  In floating point the pass
-reaches its infinite-horizon limit exactly: P_k equals P_{k+1} bit for bit,
-or rounding settles P into a cycle of a few steps.  Once P_k equals a later
-P_j bit for bit, every earlier step repeats one of steps k..j-1 on the same
-input, so the pass stops there and fills steps 0..k-1 from that cycle.
+Every step symmetrizes by ``model._sym`` and multiplies by ``model._dot_for``.
+In floating point the pass reaches its infinite-horizon limit exactly (P
+repeats bit for bit), and it stops there (``solve_finite_horizon``).
 
 The stationary equation
 
     P = Q + A' P A - M' Upsilon^+ M
 
 is solved as the limit of the finite-horizon P_0 from P = 0, which is how the
-infinite-horizon solution arises.  When Rbar = B' R B is positive definite
-the limit is reached by doubling (Anderson & Moore, *Optimal Filtering*;
-Chu, Fan, Lin & Wang 2004): from A_0 = A, G_0 = B Rbar^{-1} B', H_0 = Q,
+infinite-horizon solution arises.  When Rbar = B' R B is ``_definite`` the
+limit is reached by doubling (Anderson & Moore, *Optimal Filtering*; Chu,
+Fan, Lin & Wang 2004): from A_0 = A, G_0 = B Rbar^{-1} B', H_0 = Q,
 
     W       = I + G_k H_k
     A_{k+1} = A_k W^{-1} A_k
@@ -48,10 +44,9 @@ and H_k is P_0 of a 2^k-step pass, so each iterate doubles the horizon.
 When Rbar is singular (free effort, or B = 0) the backward step itself is
 repeated in pseudo-inverse mode, one horizon step per iterate.  Either way
 the iteration stops on a change relative to the iterate's own size, so
-rescaling Q and R together changes neither the path nor the count.  A value
-iteration still moving after ``GROWTH_CHECK_ITERS`` steps is tested once for
-a certificate that P grows without bound (``_grows_without_bound``); a
-doubling iteration still moving after ``MAX_DOUBLINGS`` iterates is refused.
+rescaling Q and R together changes neither the path nor the count.
+``gare_fixed_point`` lists the refusals, among them a P certified to grow
+without bound (``_grows_without_bound``).
 """
 
 import warnings
@@ -60,12 +55,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, RegularityError, SolvabilityError, StabilizationError
-from .model import (PSD_EIG_FLOOR, RANK_REL_TOL, _require_symmetric, check_detectability,
-                    freeze_fields)
+from .model import (PSD_EIG_FLOOR, RANK_REL_TOL, _dot_for, _require_symmetric, _sym,
+                    check_detectability, freeze_fields)
 
-#: Relative eigenvalue cutoff: Upsilon is positive definite when its smallest
-#: eigenvalue exceeds this times its largest, and the pseudo-inverse drops
-#: eigenvalues of modulus at most this times the largest.
+#: Relative eigenvalue cutoff of ``_definite`` and of the pseudo-inverse.
 PINV_RCOND = 1e-10
 #: Largest accepted consistency defect, relative to ||M|| (Frobenius).
 REGULARITY_TOL = 1e-9
@@ -74,18 +67,16 @@ GROWTH_CHECK_ITERS = 256
 #: Doublings after which a still-moving P is refused: its horizon, 2^64
 #: steps, is beyond any finite-horizon problem.
 MAX_DOUBLINGS = 64
+#: Why P grows without bound when ``_grows_without_bound`` certifies it.
+_GROWTH = "a mode no input reaches has |eigenvalue| >= 1 and is weighted by Q"
 
 
-def _sym(mat, out=None):
-    """(mat + mat') / 2 to the byte, into ``out`` when given, which may be ``mat``.
+def _definite(w):
+    """The solvability verdict on ascending eigenvalues w: w[0] > ``PINV_RCOND`` w[-1].
 
-    The transpose is copied before the sum, which costs less than adding a
-    transposed view and makes the sum safe in place, and the halving is a
-    product by 0.5, which rounds as the division by 2 does and costs less.
+    ``w`` is one row, or a stack of rows with one verdict each; NaN fails.
     """
-    half = np.add(mat, mat.T.copy(), out=out)
-    half *= 0.5
-    return half
+    return w.T[0] > PINV_RCOND * w.T[-1]
 
 
 def spectral_radius(mat):
@@ -117,15 +108,13 @@ def _eigh(Upsilon):
 def _eig_inverse(w, V, M, definite, out=None):
     """(Upsilon^+, ||Upsilon Upsilon^+ M - M||) from Upsilon = V diag(w) V', w ascending.
 
-    ``definite`` is the verdict w[0] > ``PINV_RCOND`` w[-1]: then Upsilon
-    is inverted whole and the defect is 0.0.  Otherwise eigenvalues of
-    modulus at most ``PINV_RCOND`` times the largest are dropped, the cutoff
-    of ``np.linalg.pinv``, and the defect is ||V_dropped' M|| (Frobenius),
-    0.0 when none is.  The inverse is written into ``out`` when given.
+    ``definite`` is ``_definite(w)``: then Upsilon is inverted whole and the
+    defect is 0.0.  Otherwise eigenvalues of modulus at most ``PINV_RCOND``
+    times the largest are dropped, the cutoff of ``np.linalg.pinv``, and the
+    defect is ||V_dropped' M|| (Frobenius), 0.0 when none is.  The inverse is
+    written into ``out`` when given.
     """
-    # ndarray.dot, which equals @ to the byte: only the sign of a zero product
-    # of two one-element operands could differ, and at m = 1 the product
-    # (v / w) v is not zero
+    # ndarray.dot even at m = 1, where (v / w) v is not zero: no sign to keep
     if definite:
         # nothing is dropped: the result below, without its indexing and norm
         return (V / w).dot(V.T, out=out), 0.0
@@ -151,8 +140,7 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None):
     G = AB' P_{k+1} AB is symmetrized in place; its blocks are A'PA, M = B'PA
     and B'PB.  W is then added into G, which holds Q + A'PA and
     Upsilon = Rbar + B'PB.  Upsilon_eig holds the ascending eigenvalues of
-    Upsilon.  The positive-definite verdict, smallest eigenvalue above
-    ``PINV_RCOND`` times the largest, is decided once: strict mode raises
+    Upsilon.  The verdict ``_definite`` is decided once: strict mode raises
     ``SolvabilityError``, naming step ``k``, without it; otherwise
     Upsilon_inv is the pseudo-inverse and ``defect`` the consistency defect
     ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon is inverted whole.  P
@@ -164,14 +152,9 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None):
     the six arrays it returns.  Beyond those it allocates only the products
     P_{k+1} AB, G and M'K, the transpose copies that symmetrize, and the
     eigendecomposition.
-
-    Products go through ``ndarray.dot``, the BLAS call of ``@`` without its
-    ufunc dispatch, which at n <= 8 costs about as much as the product; at
-    n = 1 they keep ``@``, whose signed zeros ``ndarray.dot`` does not
-    reproduce for one-element operands (see ``sim.simulate``).
     """
     n = P_next.shape[0]
-    dot = np.ndarray.dot if n > 1 else np.matmul
+    dot = _dot_for(n)
     if out is None:
         m = AB.shape[1] - n
         out = (np.empty((m, m)), np.empty((m, n)), np.empty(m), np.empty((m, m)),
@@ -185,7 +168,7 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None):
     np.add(W, G, out=G)
     Upsilon[...] = G[n:, n:]
     w, V = _eigh(Upsilon)
-    definite = w[0] > PINV_RCOND * w[-1]
+    definite = _definite(w)
     if strict and not definite:
         raise SolvabilityError(
             f"Upsilon_{k} is not positive definite (min eigenvalue {w[0]:.3e}, "
@@ -393,8 +376,7 @@ def _doubling_step(A_k, G_k, H_k):
 def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     """Limit of the finite-horizon P_0 from P = 0, by doubling when it can.
 
-    With Rbar = B' R B positive definite (min eigenvalue above
-    ``PINV_RCOND`` times the largest) iterate k is the P_0 of a 2^k-step pass
+    With Rbar = B' R B ``_definite`` iterate k is the P_0 of a 2^k-step pass
     from P = 0; otherwise iterate k is the backward step in pseudo-inverse
     mode applied k times, the P_0 of a k-step pass.  Both stop once
     max|P_next - P| <= tol * max|P_next|, doubling after ``MAX_DOUBLINGS``
@@ -411,10 +393,10 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
             ``max_iters`` iterates, or ``MAX_DOUBLINGS`` doublings (the last
             increment is attached), value iteration is still moving after
             ``GROWTH_CHECK_ITERS`` steps on a plant whose P provably grows
-            without bound, the iterates stopped being finite, or
-            the limit lost semidefiniteness: its smallest eigenvalue is below
-            ``model.PSD_EIG_FLOOR`` times its largest eigenvalue modulus,
-            a test no rescaling of the weights changes.
+            without bound, a doubling step's I + G_k H_k is singular, the
+            iterates stopped being finite, or the limit lost semidefiniteness
+            (smallest eigenvalue below ``model.PSD_EIG_FLOOR`` times the
+            largest modulus, a test no rescaling of the weights changes).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -429,8 +411,7 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     AB, W = _step_constants(A, B, cost.Q, cost.R)
     Q, Rbar = W[:n, :n], W[n:, n:]
 
-    eigs = np.linalg.eigvalsh(Rbar)
-    doubling = eigs[0] > PINV_RCOND * eigs[-1]
+    doubling = _definite(np.linalg.eigvalsh(Rbar))
     if doubling:
         A_k, G_k, P = A, _sym(B @ np.linalg.solve(Rbar, B.T)), Q
     else:
@@ -440,7 +421,15 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     delta = np.inf
     while iterations < limit:
         if doubling:
-            A_k, G_k, P_next = _doubling_step(A_k, G_k, P)
+            try:
+                A_k, G_k, P_next = _doubling_step(A_k, G_k, P)
+            except np.linalg.LinAlgError:
+                where = f"the solve of doubling step {iterations + 1} is singular"
+                raise ConvergenceError(
+                    f"stationary iteration grows without bound ({where}): {_GROWTH}"
+                    if _grows_without_bound(A, B, Q, Rbar)
+                    else f"stationary iteration stopped: {where}",
+                    residual=delta, iterations=iterations) from None
         else:
             P_next = _backward_step(P, AB, W, strict=False)[5]
         delta = float(np.max(np.abs(P_next - P)))
@@ -456,8 +445,7 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
                 and _grows_without_bound(A, B, Q, Rbar):
             raise ConvergenceError(
                 f"stationary iteration grows without bound (still moving by "
-                f"{delta:.3e} after {iterations} iterations): a mode no input "
-                "reaches has |eigenvalue| >= 1 and is weighted by Q",
+                f"{delta:.3e} after {iterations} iterations): {_GROWTH}",
                 residual=delta, iterations=iterations)
     else:
         raise ConvergenceError(

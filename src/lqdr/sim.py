@@ -8,7 +8,8 @@ optimality system along a trajectory: the input-channel stationarity
 condition and the affine relation between the adjoint sequence and the
 state.  ``predicted_optimal_cost`` evaluates the analytic optimal value, so
 simulated cost, predicted cost, and brute-force minimum can be compared
-pairwise.
+pairwise.  Every loop here takes its product from ``model._dot_for``, and
+the oracle's normal matrix is symmetrized by ``model._sym``.
 """
 
 from dataclasses import dataclass
@@ -16,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import LqdrError, SolvabilityError
-from .model import CostSpec, SystemModel, disturbance_sequence, freeze_fields
+from .model import CostSpec, SystemModel, _dot_for, _sym, disturbance_sequence, freeze_fields
 from .riccati import solve_finite_horizon
 
 #: Normal-equation condition number beyond which the oracle refuses to answer.
 ORACLE_COND_LIMIT = 1e14
+#: ``draw_instance``'s bounds on n, m (also at most n) and N, and on its draws.
+_N_STATES, _M_INPUTS, _HORIZON, _TRIES = 4, 2, 20, 200
 #: The native float64 dtype, which numpy keeps as one object: ``simulate``
 #: tests a controller output's dtype by identity against it.
 _FLOAT64 = np.dtype(np.float64)
@@ -89,13 +92,6 @@ def simulate(model, cost, controller, x0, steps, d):
     shape (m,) is used as it is; any other is converted and its length
     checked.  Solver errors raised by the controller are re-raised with the
     failing step index prepended.
-
-    The products go through ``ndarray.dot``, the BLAS call of ``@`` without
-    its ufunc dispatch, and give the same bytes as ``@`` with one exception:
-    for two one-element operands ``ndarray.dot`` keeps the sign of a zero
-    product, where the sum behind ``@`` starts at +0.0 and returns +0.0.  So
-    a one-state plant (n = 1) keeps ``@``; for n > 1, A x is never -0.0 and
-    absorbs the sign of a zero B u + E d, as it does under ``@``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -108,7 +104,7 @@ def simulate(model, cost, controller, x0, steps, d):
     A, B, E = model.A, model.B, model.E
     x = np.zeros((steps + 1, n))
     u = np.zeros((steps, m))
-    dot = np.ndarray.dot if n > 1 else np.matmul
+    dot = _dot_for(n)
     Ed = np.matmul(E, d_seq[:, :, None])[:, :, 0]
     x_k = x[0]
     x_k[:] = x0
@@ -208,8 +204,7 @@ def brute_force_optimal(model, cost, x0, d, N):
     n, m = model.n, model.m
     dim = (N + 1) * m
 
-    # ndarray.dot in place of @ but at n = 1, as in simulate
-    dot = np.ndarray.dot if n > 1 else np.matmul
+    dot = _dot_for(n)
     # AB[p] = A^p B
     AB = np.empty((N + 1, n, m))
     AB[0] = B
@@ -243,7 +238,7 @@ def brute_force_optimal(model, cost, x0, d, N):
     H.reshape(N + 1, m, N + 1, m)[steps, :, steps, :] += B.T @ R @ B
     b += (Ed @ (B.T @ R).T).reshape(-1)
 
-    H = (H + H.T) / 2
+    _sym(H, out=H)
     condition = float(np.linalg.cond(H))
     if not np.isfinite(condition) or condition > ORACLE_COND_LIMIT:
         raise SolvabilityError(
@@ -274,8 +269,7 @@ def costate_residuals(traj, riccati, ff, model, cost):
     Qe = (x[1:N + 1] - r) @ cost.Q.T
     lam = np.zeros((N + 1, model.n))
     lam[N] = riccati.P[N + 1] @ (x[N + 1] - r)
-    # ndarray.dot in place of @ but at n = 1, as in simulate
-    dot = np.ndarray.dot if model.n > 1 else np.matmul
+    dot = _dot_for(model.n)
     At = A.T
     for k in range(N, 0, -1):
         np.add(Qe[k - 1], dot(At, lam[k]), out=lam[k - 1])
@@ -298,7 +292,7 @@ class RandomInstance:
     N: int
 
 
-def draw_instance(rng, n_max=4, m_max=2, N_max=20, max_tries=200):
+def draw_instance(rng):
     """Draw a random instance inside the strict (unique-optimum) regime.
 
     A is scaled to a spectral radius in [0.3, 1.2]; B and E have unit-normal
@@ -307,15 +301,15 @@ def draw_instance(rng, n_max=4, m_max=2, N_max=20, max_tries=200):
     eigenvalue at least 1e-6, which keeps both the recursion and the
     brute-force oracle well posed.
     """
-    return _draw_solved_instance(rng, n_max, m_max, N_max, max_tries)[0]
+    return _draw_solved_instance(rng)[0]
 
 
-def _draw_solved_instance(rng, n_max=4, m_max=2, N_max=20, max_tries=200):
+def _draw_solved_instance(rng):
     """``draw_instance``'s (instance, strict RiccatiSolution it was accepted on)."""
-    for _ in range(max_tries):
-        n = int(rng.integers(1, n_max + 1))
-        m = int(rng.integers(1, min(m_max, n) + 1))
-        N = int(rng.integers(0, N_max + 1))
+    for _ in range(_TRIES):
+        n = int(rng.integers(1, _N_STATES + 1))
+        m = int(rng.integers(1, min(_M_INPUTS, n) + 1))
+        N = int(rng.integers(0, _HORIZON + 1))
         G = rng.standard_normal((n, n))
         radius = max(np.max(np.abs(np.linalg.eigvals(G))), 1e-9)
         A = G * (rng.uniform(0.3, 1.2) / radius)
@@ -336,4 +330,4 @@ def _draw_solved_instance(rng, n_max=4, m_max=2, N_max=20, max_tries=200):
         return RandomInstance(model=model, cost=cost,
                               x0=rng.standard_normal(n),
                               d=rng.standard_normal((N + 1, m)), N=N), riccati
-    raise RuntimeError("could not draw a well-posed instance; loosen the bounds")
+    raise RuntimeError(f"no well-posed instance in {_TRIES} draws")

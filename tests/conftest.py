@@ -23,6 +23,23 @@ def uncontrollable_3state():
     )
 
 
+def singular_doubling_plant():
+    """(model, cost) whose doubling step meets a singular I + G_k H_k, Q = R = I.
+
+    Its mode at 1.3046 is reached by no input and weighted by Q, so the
+    stationary P grows without bound.
+    """
+    model = SystemModel(
+        A=[[-2.2543129687547703, -0.16872094474238428, 3.8187934677611115],
+           [-0.3802834258071921, -1.369457236475394, 1.1423932343928556],
+           [-1.3177605827394792, -0.49062978524448553, 2.8369618207809775]],
+        B=[[2.880494729887745], [-2.0121949570396005], [0.6925761510836785]],
+        E=[[1.0], [0.0], [0.0]],
+        c_o=np.eye(3),
+    )
+    return model, CostSpec.from_model(model, R=np.eye(3))
+
+
 def two_state_bench(c_scale=1.0):
     """Controllable two-state plant with the disturbance on the other channel."""
     return SystemModel(

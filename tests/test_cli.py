@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import lqdr.cli as cli
 from conftest import (reference_settling_step, reference_write_csv, reference_write_svg,
-                      scaled_weight_probes)
+                      scaled_weight_probes, singular_doubling_plant)
 from lqdr import (ScenarioError, SolvabilityError, SystemModel, Trajectory,
                   brute_force_optimal, build_controller, evaluate_cost, simulate,
                   solve_finite_horizon, solve_recursive)
@@ -626,14 +626,14 @@ def test_gare_report_flags_undetectable(tmp_path):
 
 
 def test_selftest_small():
-    assert selftest(instances=5, seed=7, verbose=False)
+    assert selftest(instances=5, seed=7)
 
 
 @pytest.mark.parametrize("instances", [0, -1])
 def test_selftest_refuses_fewer_than_one_instance(instances):
     # with no instance every check would pass vacuously
     with pytest.raises(ValueError, match="instances must be >= 1"):
-        selftest(instances=instances, verbose=False)
+        selftest(instances=instances)
 
 
 def test_selftest_solves_each_instance_once(monkeypatch):
@@ -663,7 +663,7 @@ def test_selftest_solves_each_instance_once(monkeypatch):
     monkeypatch.setattr("lqdr.sim.solve_finite_horizon", record_solve)
     monkeypatch.setattr("lqdr.cli.solve_recursive", record_feedforward)
     monkeypatch.setattr("lqdr.cli._solved_law", record_law)
-    assert selftest(instances=4, seed=7, verbose=False)
+    assert selftest(instances=4, seed=7)
     accepted = oracle_calls[1::2]
     assert len(oracle_calls) == 8 and len(accepted) == 4
     assert all(a is b for a, b in zip(fed, accepted, strict=True))
@@ -758,7 +758,57 @@ def test_main_run_reports_a_horizon_too_large_to_allocate(tmp_path, capsys, muta
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: {path} is too large to run")
     assert err.count("\n") == 1
-    assert not list((tmp_path / "out").rglob("*"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["run_out_is_a_file", "compare_out_is_a_file",
+                                  "run_file_is_a_directory"])
+def test_main_reports_an_output_that_cannot_be_written(tmp_path, capsys, case):
+    # one line naming the path and exit 1, where a traceback used to end the run
+    path = write_mini(tmp_path)
+    out = tmp_path / "out"
+    if case == "compare_out_is_a_file":
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "mini.summary.json"
+    if case == "run_file_is_a_directory":
+        blocked = out / "mini.summary.json"
+        blocked.mkdir(parents=True)
+    else:
+        out.write_text("a file")
+        blocked = out
+    capsys.readouterr()
+    assert main([case.split("_")[0], str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(blocked) in err
+    assert err.count("\n") == 1
+    assert out.is_dir() if case == "run_file_is_a_directory" else out.read_text() == "a file"
+
+
+def test_main_compare_makes_its_output_directory(tmp_path):
+    path = write_mini(tmp_path)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    out = tmp_path / "new" / "dir"
+    assert main(["compare", str(tmp_path / "mini.summary.json"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["mini.comparison.csv"]
+
+
+def test_main_gare_reports_a_singular_doubling_step(tmp_path, capsys):
+    model, cost = singular_doubling_plant()
+    doc = {"name": "singular",
+           "system": {key: getattr(model, key).tolist() for key in ("A", "B", "E", "c_o")},
+           "cost": {"R": cost.R.tolist()}, "x0": [0.0, 0.0, 0.0], "steps": 10,
+           "disturbance": {"kind": "constant", "amplitude": 1.0},
+           "controllers": [{"kind": "Stationary"}]}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gare", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: stationary iteration grows without bound")
+    assert err.count("\n") == 1
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("controller 'stationary' failed: stationary iteration grows")
+    assert err.count("\n") == 1
 
 
 FORBIDDEN_CHARACTERS = pytest.mark.parametrize(
@@ -868,6 +918,18 @@ def test_main_selftest_exit_code(capsys):
     assert main(["selftest", "--instances", "3", "--seed", "11"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("seed", ["-1", "seven"])
+def test_main_selftest_refuses_a_negative_seed_as_a_usage_error(capsys, seed):
+    # numpy would refuse a negative seed with a traceback; argparse refuses it first
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "--seed" in captured.err
+    assert "PASS" not in captured.out
+    assert main(["selftest", "--instances", "1", "--seed", "0"]) == 0
 
 
 @pytest.mark.parametrize("count", ["0", "-2", "two"])

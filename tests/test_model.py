@@ -10,7 +10,7 @@ from conftest import (aero_engine_continuous, sample_disturbance, scaled_weight_
 from lqdr import (MATCHED, MISMATCHED, CostSpec, DisturbanceProfile,
                   SystemModel, check_detectability, classify_disturbance,
                   discretize_zoh, disturbance_sequence, validate)
-from lqdr.model import _PADE_THETA, _expm, check_weights
+from lqdr.model import _PADE_THETA, _dot_for, _expm, check_weights
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,19 @@ def test_cost_spec_shapes():
         CostSpec(Q=np.eye(2), R=np.eye(2), P_terminal=np.zeros((2, 2)), r=[0, 0, 0])
     # indefinite weights are allowed at construction; validate() flags them
     CostSpec(Q=np.eye(2), R=-np.eye(2), P_terminal=np.zeros((2, 2)), r=[0, 0])
+
+
+def test_dot_for_gives_the_bytes_of_matmul_signed_zeros_included():
+    assert _dot_for(1) is np.matmul
+    assert _dot_for(2) is _dot_for(32) is np.ndarray.dot
+    # a one-state zero product with a sign: ndarray.dot keeps -0.0, @ gives
+    # +0.0, so choosing ndarray.dot at n = 1 would change the bytes
+    A, x = np.array([[1.0]]), np.array([-0.0])
+    assert _dot_for(1)(A, x).tobytes() == (A @ x).tobytes() == np.array([0.0]).tobytes()
+    assert np.ndarray.dot(A, x).tobytes() != (A @ x).tobytes()
+    # from two states on, the row sums of ndarray.dot start at +0.0 as @'s do
+    A, x = np.eye(2), np.array([-0.0, -0.0])
+    assert _dot_for(2)(A, x).tobytes() == (A @ x).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ from hypothesis.extra.numpy import arrays
 import scipy.linalg
 from scipy.linalg.lapack import dsyevd
 
+import lqdr.model
 import lqdr.riccati
 from conftest import (aero_engine_discrete, check_regularity, long_horizon_cases,
                       lqr_textbook_gains, reference_backward_step, reference_finite_horizon,
                       reference_gram_step, rel_close, sampled_stable_plant,
-                      stationary_control, tracking_cost, two_state_bench,
-                      uncontrollable_3state)
-from lqdr import (ConvergenceError, CostSpec, RegularityError,
+                      singular_doubling_plant, stationary_control, tracking_cost,
+                      two_state_bench, uncontrollable_3state)
+from lqdr import (ConvergenceError, CostSpec, LqdrError, RegularityError,
                   SolvabilityError, StabilizationError, SystemModel,
                   draw_instance, finite_horizon_control, gare_fixed_point,
                   solve_finite_horizon, solve_gare, solve_recursive, solve_steady,
@@ -432,6 +433,26 @@ def test_gare_certifies_a_unit_circle_mode_computed_inside_the_circle(a):
     assert info.value.iterations == lqdr.riccati.GROWTH_CHECK_ITERS
 
 
+def test_gare_refuses_a_singular_doubling_step_as_unbounded_growth():
+    # I + G_k H_k turns singular at doubling step 8; np.linalg.solve used to
+    # raise its LinAlgError out of solve_gare
+    model, cost = singular_doubling_plant()
+    with pytest.raises(LqdrError) as info:
+        solve_gare(model, cost)
+    assert type(info.value) is ConvergenceError
+    assert str(info.value) == (
+        "stationary iteration grows without bound (the solve of doubling step 8 is "
+        "singular): a mode no input reaches has |eigenvalue| >= 1 and is weighted by Q")
+    assert info.value.iterations == 7 and info.value.residual > 0
+
+
+def test_gare_refuses_a_singular_doubling_step_without_a_growth_certificate(monkeypatch):
+    monkeypatch.setattr(lqdr.riccati, "_grows_without_bound", lambda *args: False)
+    with pytest.raises(ConvergenceError, match="^stationary iteration stopped: the solve "
+                       "of doubling step 8 is singular$"):
+        gare_fixed_point(*singular_doubling_plant())
+
+
 def test_gare_growth_check_keeps_a_slow_value_iteration():
     # an unreached mode at 0.99 is bounded: the check, run once at
     # GROWTH_CHECK_ITERS, finds no certificate and the iteration goes on
@@ -794,9 +815,33 @@ def test_sym_is_the_bytes_of_the_halved_sum(mat):
     # _sym copies the transpose and multiplies by 0.5; neither may move a bit
     # of (mat + mat') / 2, signed zeros, subnormals and NaN payloads included
     want = (mat + mat.T) / 2
-    assert lqdr.riccati._sym(mat).tobytes() == want.tobytes()
-    out = np.empty_like(mat)
-    assert lqdr.riccati._sym(mat, out=out) is out and out.tobytes() == want.tobytes()
+    for sym in (lqdr.model._sym, lqdr.riccati._sym):
+        assert sym(mat).tobytes() == want.tobytes()
+        out = np.empty_like(mat)
+        assert sym(mat, out=out) is out and out.tobytes() == want.tobytes()
+
+
+#: Ascending eigenvalue rows, each with its verdict: the threshold itself,
+#: zeros, signs, NaN and infinities.
+DEFINITE_ROWS = [
+    ([3.0 * lqdr.riccati.PINV_RCOND, 3.0], False), ([3.1 * lqdr.riccati.PINV_RCOND, 3.0], True),
+    ([0.0, 0.0], False), ([-0.0, 1.0], False), ([-1.0, 1.0], False), ([1.0, 2.0], True),
+    ([np.nan, 1.0], False), ([1.0, np.nan], False), ([np.nan, np.nan], False),
+    ([-np.inf, 1.0], False), ([1.0, np.inf], False), ([np.inf, np.inf], False),
+    ([-np.inf, np.inf], False), ([-np.inf, -np.inf], False),
+]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_definite_is_the_inline_verdict_on_a_row_and_a_stack(m):
+    # rows of width 1 take their one entry as both ends; width 3 adds a middle
+    rows = np.array([[w[0]] * (m - 1) + [w[1]] if m > 1 else [w[0]]
+                     for w, _ in DEFINITE_ROWS])
+    inline = [w[0] > lqdr.riccati.PINV_RCOND * w[-1] for w in rows]
+    assert [bool(lqdr.riccati._definite(w)) for w in rows] == inline
+    assert lqdr.riccati._definite(rows).tolist() == inline
+    if m > 1:
+        assert inline == [want for _, want in DEFINITE_ROWS]
 
 
 def penrose_defects(X, Y):
