@@ -7,7 +7,8 @@ a list of controllers to run side by side, and the requested artifacts.
 ``k,x1..xn,u1..um,d1..dm,z1..zl,cost_cum``, one row per step, 17 significant
 digits so values round-trip losslessly), plus a combined ``<name>.svg``
 overlay of the regulated outputs and a ``<name>.summary.json`` with the
-comparison metrics.
+comparison metrics and, as ``scenario``, the document it ran
+(``Scenario.to_dict``), which runs again to the same files.
 
 Exit codes: 0 success, 1 scenario/validation problem or an output that
 cannot be written, 2 solver failure.  The output directory is ``--out`` when
@@ -18,13 +19,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .control import ControllerConfig, _solved_law, build_controller
+from .control import _READS, ControllerConfig, _solved_law, build_controller
 from .exceptions import LqdrError, ScenarioError, SolvabilityError
 from .feedforward import solve_closed_form, solve_recursive
 from .model import (CostSpec, DisturbanceProfile, SystemModel, _psd_check,
@@ -35,11 +36,11 @@ from .sim import (_draw_solved_instance, brute_force_optimal, costate_residuals,
 
 _TOP_KEYS = {"name", "system", "cost", "x0", "steps", "disturbance",
              "reference", "controllers", "outputs", "settle_band", "display"}
-_SYSTEM_KEYS = {"A", "B", "E", "c_o", "continuous", "Ts"}
-_COST_KEYS = {"R", "Q", "P_terminal"}
-_DISTURBANCE_KEYS = {"kind", "amplitude", "rate", "limit", "start_step", "values"}
-_CONTROLLER_KEYS = {"kind", "label", "T", "P_terminal", "strict", "k_x", "K_d",
-                    "kp", "ki", "kd", "Ts"}
+_DISCRETE_KEYS = ("A", "B", "E", "c_o")
+_CONTINUOUS_KEYS = ("continuous", "Ts", "c_o")
+_COST_KEYS = ("Q", "R", "P_terminal")
+#: Each ControllerConfig field by its declared type, which says how it is parsed.
+_CONTROLLER_TYPES = {field.name: field.type for field in fields(ControllerConfig)}
 _OUTPUT_KINDS = ("csv", "svg", "summary")
 #: What numpy and the model types raise on values that are not numbers.
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
@@ -49,7 +50,7 @@ def _fields(spec, allowed, where):
     """``spec`` itself, if it is an object with no field outside ``allowed``."""
     if not isinstance(spec, dict):
         raise ScenarioError(f"{where} must be an object")
-    unknown = set(spec) - allowed
+    unknown = set(spec).difference(allowed)
     if unknown:
         raise ScenarioError(f"unknown field(s) {sorted(unknown)} in {where}")
     return spec
@@ -112,11 +113,44 @@ class Scenario:
     settle_band: float
     display: dict
 
+    def to_dict(self):
+        """The scenario document that ``load_scenario`` reads back to this scenario.
+
+        The plant is written in discrete time (a continuous-time plant after
+        its zero-order hold), the weights Q and P_terminal and the state
+        reference r in full, and the disturbance and each controller with the
+        fields of their kind alone.  Keys come in a fixed order, so the same
+        scenario gives the same bytes.
+        """
+        fields_of_kind = DisturbanceProfile.FIELDS[self.disturbance.kind]
+        return {
+            "name": self.name,
+            "system": _plain(self.model, _DISCRETE_KEYS),
+            "cost": _plain(self.cost, _COST_KEYS),
+            "reference": self.cost.r.tolist(),
+            "x0": self.x0.tolist(),
+            "steps": self.steps,
+            "disturbance": _plain(self.disturbance, ("kind", *fields_of_kind, "start_step")),
+            "controllers": [_plain(config, ("kind", "label", *_READS[config.kind]))
+                            for config in self.controllers],
+            "outputs": list(self.outputs),
+            "settle_band": self.settle_band,
+            "display": self.display,
+        }
+
+
+def _plain(obj, names):
+    """The named attributes of ``obj`` that are set, as JSON values, in that order."""
+    return {name: np.asarray(getattr(obj, name)).tolist() for name in names
+            if getattr(obj, name) is not None}
+
 
 def _parse_system(spec):
-    _fields(spec, _SYSTEM_KEYS, "system")
+    continuous = "continuous" in _fields(spec, _DISCRETE_KEYS + _CONTINUOUS_KEYS, "system")
+    _fields(spec, _CONTINUOUS_KEYS if continuous else _DISCRETE_KEYS,
+            f"system {'with' if continuous else 'without'} 'continuous'")
     try:
-        if "continuous" in spec:
+        if continuous:
             cont = _fields(spec["continuous"], {"A", "B", "E"}, "system.continuous")
             return discretize_zoh(cont["A"], cont["B"], cont["E"],
                                   _number(spec["Ts"], "system.Ts"), c_o=spec.get("c_o"))
@@ -151,31 +185,27 @@ def _parse_cost(spec, model, reference):
 
 
 def _parse_disturbance(spec, model):
-    _fields(spec, _DISTURBANCE_KEYS, "disturbance")
+    if not isinstance(spec, dict):
+        raise ScenarioError("disturbance must be an object")
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in DisturbanceProfile.FIELDS:
+        raise ScenarioError(f"unknown disturbance kind {kind!r}")
+    names = DisturbanceProfile.FIELDS[kind]
+    _fields(spec, {"kind", "start_step", *names}, f"disturbance of kind {kind!r}")
+    missing = [name for name in names if name not in spec]
+    if missing:
+        raise ScenarioError(f"disturbance of kind {kind!r} needs field(s) {missing}")
+    read = {name: (_array if name == "values" else _number)(spec[name], f"disturbance.{name}")
+            for name in names}
     start = _number(spec.get("start_step", 0), "disturbance.start_step", integer=True)
-    num = {key: _number(spec[key], f"disturbance.{key}")
-           for key in ("amplitude", "rate", "limit") if key in spec}
     try:
-        if kind == "constant":
-            return DisturbanceProfile.constant(num["amplitude"], start_step=start,
-                                               dim=model.m)
-        if kind == "sinusoid":
-            return DisturbanceProfile.sinusoid(num["amplitude"], num["rate"],
-                                               start_step=start, dim=model.m)
-        if kind == "ramp":
-            return DisturbanceProfile.ramp(num["rate"], num["limit"],
-                                           start_step=start, dim=model.m)
-        if kind == "table":
-            profile = DisturbanceProfile.table(_array(spec["values"], "disturbance.values"),
-                                               start_step=start)
-            if profile.dim != model.m:
-                raise ScenarioError(f"disturbance.values must have {model.m} column(s), "
-                                    f"got {profile.dim}")
-            return profile
-    except (KeyError, ValueError) as exc:
+        profile = DisturbanceProfile(kind=kind, start_step=start, dim=model.m, **read)
+    except ValueError as exc:
         raise ScenarioError(f"bad disturbance: {exc}") from exc
-    raise ScenarioError(f"unknown disturbance kind {kind!r}")
+    if profile.dim != model.m:
+        raise ScenarioError(f"disturbance.values must have {model.m} column(s), "
+                            f"got {profile.dim}")
+    return profile
 
 
 def _parse_controllers(specs, model):
@@ -187,21 +217,22 @@ def _parse_controllers(specs, model):
     labels = set()
     for i, spec in enumerate(specs):
         where = f"controllers[{i}]"
-        fields = dict(_fields(spec, _CONTROLLER_KEYS, where))
-        if "kind" not in fields:
+        read = dict(_fields(spec, _CONTROLLER_TYPES, where))
+        if "kind" not in read:
             raise ScenarioError(f"{where} is missing 'kind'")
-        for key, value in fields.items():
-            if key in ("T", "kp", "ki", "kd", "Ts"):
-                fields[key] = _number(value, f"{where}.{key}", integer=key == "T")
+        for key, value in read.items():
+            typ = _CONTROLLER_TYPES[key]
+            if typ in (int, float):
+                read[key] = _number(value, f"{where}.{key}", integer=typ is int)
             elif key in shapes:
-                fields[key] = _array(value, f"{where}.{key}", shapes[key])
+                read[key] = _array(value, f"{where}.{key}", shapes[key])
         messages = []
-        if "P_terminal" in fields and not _psd_check(f"{where}.P_terminal",
-                                                     fields["P_terminal"], messages):
+        if "P_terminal" in read and not _psd_check(f"{where}.P_terminal",
+                                                   read["P_terminal"], messages):
             raise ScenarioError("terminal weights must be symmetric positive semidefinite: "
                                 + messages[0])
         try:
-            config = ControllerConfig(**fields)
+            config = ControllerConfig(**read)
         except ValueError as exc:
             raise ScenarioError(f"bad {where}: {exc}") from exc
         _file_stem(config.label, f"{where}.label")
@@ -418,39 +449,6 @@ def write_svg(path, title, series, onset=None):
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def _scenario_echo(scenario):
-    model, cost = scenario.model, scenario.cost
-    dist = scenario.disturbance
-    echo = {
-        "name": scenario.name,
-        "steps": scenario.steps,
-        "settle_band": scenario.settle_band,
-        "A": model.A.tolist(),
-        "B": model.B.tolist(),
-        "E": model.E.tolist(),
-        "c_o": model.c_o.tolist(),
-        "Q": cost.Q.tolist(),
-        "R": cost.R.tolist(),
-        "P_terminal": cost.P_terminal.tolist(),
-        "r": cost.r.tolist(),
-        "reference_regulated": (model.c_o @ cost.r).tolist(),
-        "x0": scenario.x0.tolist(),
-        "disturbance": {
-            "kind": dist.kind,
-            "amplitude": dist.amplitude,
-            "rate": dist.rate,
-            "limit": dist.limit,
-            "start_step": dist.start_step,
-        },
-        "disturbance_class": classify_disturbance(model.B, model.E),
-    }
-    if dist.kind == "table":
-        echo["disturbance"]["values"] = dist.values.tolist()
-    if scenario.display:
-        echo["display"] = scenario.display
-    return echo
-
-
 def _finite(traj, metrics):
     """Whether every trajectory array and every float metric is finite."""
     values = [metrics[key] for key in ("J", "steady_state_error", "peak_error")]
@@ -476,8 +474,14 @@ def run_scenario(scenario, out_dir="."):
 
     outputs = {}
     failures = {}
-    summary = {"scenario": _scenario_echo(scenario), "controllers": {}}
+    summary = {"scenario": scenario.to_dict(),
+               "disturbance_class": classify_disturbance(scenario.model.B, scenario.model.E),
+               "reference_regulated": (scenario.model.c_o @ scenario.cost.r).tolist(),
+               "controllers": {}}
     series = []
+    # (label, file name, trajectory) of each CSV, written once every
+    # controller has run: a run refused partway writes none
+    csvs = []
     onset = scenario.disturbance.start_step
 
     # every finite-horizon or receding-horizon problem is solved once: its
@@ -503,15 +507,16 @@ def run_scenario(scenario, out_dir="."):
         entry.update(metrics)
         entry["closed_loop_radius"] = controller.closed_loop_radius
         if "csv" in scenario.outputs:
-            csv_path = artifact(f"{scenario.name}.{config.label}.csv")
-            write_csv(csv_path, traj)
-            outputs[f"csv:{config.label}"] = csv_path
-            entry["csv"] = csv_path.name
+            entry["csv"] = f"{scenario.name}.{config.label}.csv"
+            csvs.append((config.label, entry["csv"], traj))
         for i in range(scenario.model.l):
             label = config.label if scenario.model.l == 1 else f"{config.label} z{i+1}"
             series.append((label, traj.z[:, i]))
         summary["controllers"][config.label] = entry
 
+    for label, filename, traj in csvs:
+        outputs[f"csv:{label}"] = artifact(filename)
+        write_csv(outputs[f"csv:{label}"], traj)
     if "svg" in scenario.outputs and series:
         svg_path = artifact(f"{scenario.name}.svg")
         write_svg(svg_path, f"{scenario.name}: regulated output", series, onset=onset)

@@ -20,7 +20,7 @@ A law is immutable, so ``build_controller`` can share one finite-horizon or
 receding-horizon law among the controllers that pose its problem.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,31 +28,22 @@ from .feedforward import backward_pass, solve_recursive, solve_steady
 from .model import CostSpec, DisturbanceProfile, _dot_for, freeze_fields
 from .riccati import _definite, solve_finite_horizon, solve_gare, spectral_radius
 
-KINDS = ("finite_horizon", "stationary", "receding_horizon",
-         "state_feedback_compensation", "pid")
+#: The fields each controller kind reads besides ``kind`` and ``label``, in
+#: field order; a config of a kind leaves every other field at its default.
+_READS = {"finite_horizon": ("strict",),
+          "stationary": (),
+          "receding_horizon": ("T", "P_terminal", "strict"),
+          "state_feedback_compensation": ("k_x", "K_d"),
+          "pid": ("kp", "ki", "kd", "Ts")}
+
+#: The fields a kind cannot be built without.
+_REQUIRED = {"receding_horizon": ("T",),
+             "state_feedback_compensation": ("k_x", "K_d"),
+             "pid": ("Ts",)}
 
 #: Each kind by its name lower-cased without "_" or "-", plus the alias "sfc".
-_KIND_NAMES = {**{kind.replace("_", ""): kind for kind in KINDS},
+_KIND_NAMES = {**{kind.replace("_", ""): kind for kind in _READS},
                "sfc": "state_feedback_compensation"}
-
-#: Fields a controller kind cannot be built without.
-_REQUIRED_FIELDS = {"receding_horizon": ("T",),
-                    "state_feedback_compensation": ("k_x", "K_d"),
-                    "pid": ("Ts",)}
-
-#: Fields only one kind reads (``strict``: the kinds that solve a finite
-#: horizon), each with the value a config of another kind must leave it at.
-_OWN_FIELDS = {
-    "T": (("receding_horizon",), None),
-    "P_terminal": (("receding_horizon",), None),
-    "k_x": (("state_feedback_compensation",), None),
-    "K_d": (("state_feedback_compensation",), None),
-    "Ts": (("pid",), None),
-    "kp": (("pid",), 0.0),
-    "ki": (("pid",), 0.0),
-    "kd": (("pid",), 0.0),
-    "strict": (("finite_horizon", "receding_horizon"), True),
-}
 
 
 @dataclass(frozen=True)
@@ -93,12 +84,12 @@ class ControllerConfig:
             raise ValueError(f"label must be a string, got {self.label!r}")
         if not isinstance(self.strict, bool):
             raise ValueError(f"strict must be true or false, got {self.strict!r}")
-        missing = [name for name in _REQUIRED_FIELDS.get(kind, ())
-                   if getattr(self, name) is None]
+        missing = [name for name in _REQUIRED.get(kind, ()) if getattr(self, name) is None]
         if missing:
             raise ValueError(f"{kind} needs field(s) {missing}")
-        unread = [name for name, (kinds, unset) in _OWN_FIELDS.items()
-                  if kind not in kinds and not _is_unset(getattr(self, name), unset)]
+        unread = [field.name for field in fields(self)
+                  if field.name not in ("kind", "label", *_READS[kind])
+                  and not _is_default(getattr(self, field.name), field.default)]
         if unread:
             raise ValueError(f"{kind} does not read {', '.join(unread)}; leave it unset")
         if self.T is not None and self.T < 1:
@@ -107,9 +98,9 @@ class ControllerConfig:
             raise ValueError(f"sample time Ts must be positive, got {self.Ts}")
 
 
-def _is_unset(value, unset):
-    """Whether ``value`` is the field default ``unset``: None, or the scalar 0.0 or True."""
-    return value is None if unset is None else bool(np.ndim(value) == 0 and value == unset)
+def _is_default(value, default):
+    """Whether ``value`` is the field default: None, or the scalar 0.0 or True."""
+    return value is None if default is None else bool(np.ndim(value) == 0 and value == default)
 
 
 def finite_horizon_control(k, x, riccati, ff):

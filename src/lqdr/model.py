@@ -224,10 +224,12 @@ class DisturbanceProfile:
     dim: int = 1
     values: np.ndarray = None
 
-    _KINDS = ("constant", "sinusoid", "ramp", "table")
+    #: The fields each kind reads besides ``kind``, ``start_step`` and ``dim``.
+    FIELDS = {"constant": ("amplitude",), "sinusoid": ("amplitude", "rate"),
+              "ramp": ("rate", "limit"), "table": ("values",)}
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.FIELDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.start_step < 0:
             raise ValueError("start_step must be >= 0")

@@ -229,12 +229,12 @@ def test_summary_echo_roundtrips_matrices(tmp_path):
     run_scenario(path, tmp_path)
     summary = json.loads((tmp_path / "mini.summary.json").read_text())
     echo = summary["scenario"]
-    assert echo["A"] == MINI["system"]["A"]
-    assert echo["B"] == MINI["system"]["B"]
-    assert echo["E"] == MINI["system"]["E"]
-    assert echo["R"] == MINI["cost"]["R"]
+    assert echo["system"]["A"] == MINI["system"]["A"]
+    assert echo["system"]["B"] == MINI["system"]["B"]
+    assert echo["system"]["E"] == MINI["system"]["E"]
+    assert echo["cost"]["R"] == MINI["cost"]["R"]
     assert echo["x0"] == MINI["x0"]
-    assert echo["disturbance_class"] == "Mismatched"
+    assert summary["disturbance_class"] == "Mismatched"
 
 
 def test_summary_echo_keeps_table_values(tmp_path):
@@ -247,6 +247,101 @@ def test_summary_echo_keeps_table_values(tmp_path):
     assert echo["kind"] == "table"
     assert echo["values"] == rows
     assert echo["start_step"] == 3
+
+
+_ENTRIES = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def _scenario_documents(draw):
+    """A scenario: a discrete or ZOH plant (n <= 3, m = l <= 2), any disturbance kind,
+    each controller kind at most once, optional fields present or absent."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, min(n, 2)))
+
+    def matrix(shape):
+        return draw(arrays(np.float64, shape, elements=_ENTRIES))
+
+    def halves(shape):
+        return draw(arrays(np.float64, shape, elements=st.integers(-3, 3))) / 2
+
+    def weight():
+        # C' C of halves is exactly symmetric
+        C = halves((n, n))
+        return (C.T @ C).tolist()
+
+    # a full-rank B, so every Upsilon is definite and no stationary solve iterates long
+    plant = {"A": matrix((n, n)).tolist(), "B": (matrix((n, m)) + 4 * np.eye(n, m)).tolist(),
+             "E": matrix((n, m)).tolist()}
+    # halves: a regulated reference maps through pinv(c_o), which a tiny c_o
+    # would blow up to a state whose cost overflows
+    c_o = halves((m, n)).tolist()
+    if draw(st.booleans()):
+        system = {"continuous": plant, "Ts": draw(st.sampled_from([0.02, 0.5])), "c_o": c_o}
+    else:
+        system = {**plant, "c_o": c_o}
+    cost = {"R": (np.array(weight()) + np.eye(n)).tolist()}
+    cost.update({key: weight() for key in ("Q", "P_terminal") if draw(st.booleans())})
+    kind = draw(st.sampled_from(["constant", "sinusoid", "ramp", "table"]))
+    number = st.floats(-2.0, 2.0)
+    disturbance = {"kind": kind, **{
+        "constant": lambda: {"amplitude": draw(number)},
+        "sinusoid": lambda: {"amplitude": draw(number), "rate": draw(number)},
+        "ramp": lambda: {"rate": draw(number), "limit": draw(number)},
+        "table": lambda: {"values": matrix((draw(st.integers(1, 4)), m)).tolist()},
+    }[kind]()}
+    if draw(st.booleans()):
+        disturbance["start_step"] = draw(st.integers(0, 5))
+    receding = {"T": draw(st.integers(1, 5)), "strict": draw(st.booleans())}
+    if draw(st.booleans()):
+        receding["P_terminal"] = weight()
+    controllers = {
+        "FiniteHorizon": {"strict": draw(st.booleans())},
+        "Stationary": {},
+        "RecedingHorizon": receding,
+        "sfc": {"k_x": matrix((m, n)).tolist(), "K_d": matrix((m, m)).tolist()},
+        "PID": {"kp": draw(number), "ki": draw(number), "kd": draw(number),
+                "Ts": draw(st.floats(0.05, 1.0))},
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(controllers)), min_size=1, unique=True))
+    doc = {"name": "trip", "system": system, "cost": cost,
+           "x0": matrix((n,)).tolist(), "steps": draw(st.integers(1, 12)),
+           "disturbance": disturbance,
+           "controllers": [{"kind": kind, "label": f"c{i}", **controllers[kind]}
+                           for i, kind in enumerate(kinds)]}
+    reference = draw(st.sampled_from(["absent", "state", "regulated"]))
+    if reference != "absent":
+        doc["reference"] = (matrix((n,)).tolist() if reference == "state"
+                            else {"regulated": matrix((m,)).tolist()})
+    if draw(st.booleans()):
+        doc["display"] = {"unit": "m", "scale": [1, 2.5]}
+    if draw(st.booleans()):
+        doc["settle_band"] = draw(st.floats(1e-6, 1.0))
+    return doc
+
+
+# a Stationary controller on a plant whose Q leaves a mode unseen warns, as it should
+@pytest.mark.filterwarnings("ignore:.*is not detectable:UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(doc=_scenario_documents())
+def test_summary_scenario_runs_again_to_the_same_files(doc, tmp_path_factory):
+    # the summary's scenario block is a scenario document: run as one, it
+    # writes the same bytes, its summary included, and reloads to itself
+    tmp = tmp_path_factory.mktemp("trip")
+    first, second = tmp / "first.json", tmp / "second.json"
+    first.write_text(json.dumps(doc))
+    _, failures = run_scenario(first, tmp / "first")
+    summary = json.loads((tmp / "first" / "trip.summary.json").read_text())
+    second.write_text(json.dumps(summary["scenario"]))
+    _, again = run_scenario(second, tmp / "second")
+    assert {label: str(exc) for label, exc in again.items()} \
+        == {label: str(exc) for label, exc in failures.items()}
+    written = sorted(path.name for path in (tmp / "first").iterdir())
+    assert written == sorted(path.name for path in (tmp / "second").iterdir())
+    for name in written:
+        assert (tmp / "first" / name).read_bytes() == (tmp / "second" / name).read_bytes()
+    assert load_scenario(second).to_dict() == load_scenario(first).to_dict() \
+        == summary["scenario"]
 
 
 def test_load_scenario_checks_only_the_weights(tmp_path, monkeypatch):
@@ -720,6 +815,10 @@ def test_main_run_scenario_error(tmp_path, capsys):
     lambda d: d.update(settle_band=0),
     utf16,
     lambda d: d.update(display=[1, 2]),
+    lambda d: d.update(system={**continuous_mini([[-1.0, 0.0], [0.0, -1.0]], 0.02),
+                               "A": d["system"]["A"]}),
+    lambda d: d["system"].update(Ts=0.02),
+    lambda d: d["disturbance"].update(rate=0.5),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
         "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
         "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero",
@@ -727,7 +826,8 @@ def test_main_run_scenario_error(tmp_path, capsys):
         "name_not_string", "name_empty", "label_slash", "label_nul", "label_empty",
         "zoh_exp_overflows", "zoh_A_Ts_overflows", "controller_P_terminal_negative_definite",
         "controller_P_terminal_asymmetric", "settle_band_negative", "settle_band_zero",
-        "not_utf8", "display_not_object"])
+        "not_utf8", "display_not_object", "continuous_with_discrete_A", "discrete_with_Ts",
+        "constant_with_rate"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -746,7 +846,9 @@ def test_main_gare_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update(steps=10 ** 15),
     lambda d: d["controllers"][0].update(T=10 ** 15),
-], ids=["steps", "lookahead"])
+    # the refusal comes after another controller has run: its CSV is not written
+    lambda d: d.update(controllers=[d["controllers"][1], {**d["controllers"][0], "T": 10 ** 15}]),
+], ids=["steps", "lookahead", "lookahead_after_a_run"])
 def test_main_run_reports_a_horizon_too_large_to_allocate(tmp_path, capsys, mutate):
     # 10^15 rows exceed a 47-bit address space, so the allocation fails at
     # once on any host; never test a size that could be allocated

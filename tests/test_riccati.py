@@ -482,6 +482,53 @@ def test_subspace_bases_are_scipys():
                 assert (ours @ ours.T).tobytes() == (theirs @ theirs.T).tobytes()
 
 
+def kalman_decomposed_plant(rng):
+    """(model, cost, s, cond(T)): a plant in Kalman form mapped by T, Q = R = I.
+
+    A controllable companion block (n_c <= 3, m = 1) is coupled to n_u <= 2
+    uncontrollable modes s ~ U(-1.4, 1.4), each at least 0.05 from the unit
+    circle, and the whole plant is mapped by a random T with cond(T) <= 50.
+    """
+    n_c, n_u = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    n = n_c + n_u
+    s = rng.uniform(-1.4, 1.4, n_u)
+    while np.any(np.abs(np.abs(s) - 1.0) < 0.05):
+        s = rng.uniform(-1.4, 1.4, n_u)
+    A = np.zeros((n, n))
+    A[:n_c, :n_c] = np.diag(np.ones(n_c - 1), 1)
+    A[n_c - 1, :n_c] = rng.uniform(-1.5, 1.5, n_c)
+    A[:n_c, n_c:] = rng.standard_normal((n_c, n_u))
+    A[n_c:, n_c:] = np.diag(s)
+    B = np.eye(n)[:, n_c - 1:n_c]
+    T = rng.standard_normal((n, n))
+    while np.linalg.cond(T) > 50:
+        T = rng.standard_normal((n, n))
+    model = SystemModel(A=T @ A @ np.linalg.inv(T), B=T @ B,
+                        E=T @ rng.standard_normal((n, 1)), c_o=np.eye(n))
+    cost = CostSpec(Q=np.eye(n), R=np.eye(n), P_terminal=np.zeros((n, n)), r=np.zeros(n))
+    return model, cost, s, np.linalg.cond(T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_gare_accepts_exactly_the_plants_whose_uncontrollable_modes_are_stable(seed):
+    # the paper's setting: no input moves an uncontrollable mode, and Q = I
+    # sees every mode, so a stationary law exists exactly when each |s| < 1
+    model, cost, s, cond = kalman_decomposed_plant(np.random.default_rng(seed))
+    if np.any(np.abs(s) > 1.0):
+        with pytest.raises(LqdrError):
+            solve_gare(model, cost)
+        return
+    closed = model.A - model.B @ solve_gare(model, cost).K
+    # each s is an eigenvalue of the computed A - B K up to a backward error
+    # of 4 eps cond(T) ||A - B K||; 20,000 seeded draws reached 1.36.  The
+    # distance to the nearest computed eigenvalue is no fit: a closed-loop
+    # eigenvalue near s magnifies it (10^4 eps cond(T) in the same draws)
+    for mode in s:
+        sigma_min = np.linalg.svd(closed - mode * np.eye(model.n), compute_uv=False)[-1]
+        assert sigma_min <= 4 * np.finfo(float).eps * cond * np.linalg.norm(closed, 2)
+
+
 def test_gare_detects_non_stabilizing_solution():
     # unit-circle mode invisible to the cost: iteration settles at P = 0 but
     # the closed loop is not a contraction
