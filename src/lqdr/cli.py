@@ -279,6 +279,15 @@ def load_scenario(path):
     if steps < 1:
         raise ScenarioError(f"steps must be >= 1, got {steps}")
     x0 = _array(raw["x0"], "x0", (model.n,))
+    # a reference far from x0 (a tiny c_o maps a regulated one far out)
+    # would overflow the cost of every run
+    with np.errstate(all="ignore"):
+        offset = x0 - cost.r
+        overflows = [name for name in ("Q", "P_terminal")
+                     if not np.isfinite(offset @ getattr(cost, name) @ offset)]
+    if overflows:
+        raise ScenarioError(f"the cost of x0 against the reference is not finite: "
+                            f"(x0 - r)' {overflows[0]} (x0 - r) overflows")
     outputs = raw.get("outputs", list(_OUTPUT_KINDS))
     if not isinstance(outputs, list) or not all(o in _OUTPUT_KINDS for o in outputs):
         raise ScenarioError(f"outputs must be a subset of {_OUTPUT_KINDS}")
@@ -618,8 +627,9 @@ def gare_report(scenario):
     """Text report of the stationary solution for a scenario's plant.
 
     A non-contracting closed loop is reported and flagged rather than
-    raised, so undetectable setups still get their diagnostic; a
-    non-converging iteration does raise (with its last residual).
+    raised, so undetectable setups still get their diagnostic; every
+    refusal of ``gare_fixed_point`` does raise, a plant certified to grow
+    without bound among them.
     """
     if isinstance(scenario, (str, Path)):
         scenario = load_scenario(scenario)

@@ -45,10 +45,11 @@ When Rbar is singular (free effort, or B = 0) the backward step itself is
 repeated in pseudo-inverse mode, one horizon step per iterate.  Either way
 the iteration stops on a change relative to the iterate's own size, so
 rescaling Q and R together changes neither the path nor the count.
-``gare_fixed_point`` lists the refusals, among them a P certified to grow
-without bound (``_grows_without_bound``).
+``gare_fixed_point`` refuses by one rule, which names unbounded growth
+whenever ``_grows_without_bound`` certifies it.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -62,8 +63,6 @@ from .model import (PSD_EIG_FLOOR, RANK_REL_TOL, _dot_for, _require_symmetric, _
 PINV_RCOND = 1e-10
 #: Largest accepted consistency defect, relative to ||M|| (Frobenius).
 REGULARITY_TOL = 1e-9
-#: Value-iteration steps after which a still-moving P is tested for unbounded growth.
-GROWTH_CHECK_ITERS = 256
 #: Doublings after which a still-moving P is refused: its horizon, 2^64
 #: steps, is beyond any finite-horizon problem.
 MAX_DOUBLINGS = 64
@@ -381,22 +380,26 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     mode applied k times, the P_0 of a k-step pass.  Both stop once
     max|P_next - P| <= tol * max|P_next|, doubling after ``MAX_DOUBLINGS``
     iterates at the latest.  Warns when (A, Q^(1/2)) is not
-    detectable, since convergence is then not guaranteed.  The returned
-    solution is NOT checked for a contracting closed loop; use
-    ``solve_gare`` for the certified variant.
+    detectable, since convergence is then not guaranteed.  A limit with
+    rho(A - B K) >= 1 is returned unless the plant is certified to have
+    none; ``solve_gare`` is the certified variant.
 
     Raises:
         ValueError: ``tol`` is not positive, the cost and model dimensions
             differ, or Q or R (the weights it reads) is not symmetric to
             ``model.SYMMETRY_TOL`` relative.
-        ConvergenceError: the update never fell below ``tol`` within
-            ``max_iters`` iterates, or ``MAX_DOUBLINGS`` doublings (the last
-            increment is attached), value iteration is still moving after
-            ``GROWTH_CHECK_ITERS`` steps on a plant whose P provably grows
-            without bound, a doubling step's I + G_k H_k is singular, the
-            iterates stopped being finite, or the limit lost semidefiniteness
+        ConvergenceError: by one rule, "grows without bound (why): <cause>"
+            when ``_grows_without_bound`` holds, else "stopped: why".  The
+            certificate is asked at most once: by value iteration before its
+            first step, by doubling only where it refuses.  Why: a doubling
+            step's I + G_k H_k is singular, an iterate is not finite, the
+            update never fell below ``tol`` within ``max_iters`` iterates or
+            ``MAX_DOUBLINGS`` doublings, the limit lost semidefiniteness
             (smallest eigenvalue below ``model.PSD_EIG_FLOOR`` times the
-            largest modulus, a test no rescaling of the weights changes).
+            largest modulus, a test no rescaling of the weights changes), or
+            rho(A - B K) >= 1 on a certified plant.  ``residual`` is the last
+            update (inf before the first step), or the limit's defect under
+            one more backward step.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -410,48 +413,44 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     n = model.n
     AB, W = _step_constants(A, B, cost.Q, cost.R)
     Q, Rbar = W[:n, :n], W[n:, n:]
+    # the certificate is asked at most once, and only where the solve may refuse
+    grows = functools.cache(lambda: _grows_without_bound(A, B, Q, Rbar))
+    iterations, residual = 0, np.inf
+
+    def refusal(why):
+        """The solve's one refusal, with the ``iterations`` and ``residual`` reached."""
+        return ConvergenceError(
+            f"stationary iteration grows without bound ({why}): {_GROWTH}" if grows()
+            else f"stationary iteration stopped: {why}",
+            residual=residual, iterations=iterations)
 
     doubling = _definite(np.linalg.eigvalsh(Rbar))
     if doubling:
         A_k, G_k, P = A, _sym(B @ np.linalg.solve(Rbar, B.T)), Q
+    elif grows():
+        raise refusal("before the first value-iteration step")
     else:
         P = np.zeros((n, n))
     limit = min(max_iters, MAX_DOUBLINGS) if doubling else max_iters
-    iterations = 0
-    delta = np.inf
     while iterations < limit:
         if doubling:
             try:
                 A_k, G_k, P_next = _doubling_step(A_k, G_k, P)
             except np.linalg.LinAlgError:
-                where = f"the solve of doubling step {iterations + 1} is singular"
-                raise ConvergenceError(
-                    f"stationary iteration grows without bound ({where}): {_GROWTH}"
-                    if _grows_without_bound(A, B, Q, Rbar)
-                    else f"stationary iteration stopped: {where}",
-                    residual=delta, iterations=iterations) from None
+                raise refusal(f"the solve of doubling step {iterations + 1} "
+                              f"is singular") from None
         else:
             P_next = _backward_step(P, AB, W, strict=False)[5]
-        delta = float(np.max(np.abs(P_next - P)))
+        residual = float(np.max(np.abs(P_next - P)))
         P = P_next
         iterations += 1
         if not np.isfinite(P).all():
-            raise ConvergenceError(
-                f"stationary iteration diverged after {iterations} iterations",
-                residual=delta, iterations=iterations)
-        if delta <= tol * float(np.max(np.abs(P))):
+            raise refusal(f"iterate {iterations} is not finite")
+        if residual <= tol * float(np.max(np.abs(P))):
             break
-        if iterations == GROWTH_CHECK_ITERS and not doubling \
-                and _grows_without_bound(A, B, Q, Rbar):
-            raise ConvergenceError(
-                f"stationary iteration grows without bound (still moving by "
-                f"{delta:.3e} after {iterations} iterations): {_GROWTH}",
-                residual=delta, iterations=iterations)
     else:
-        raise ConvergenceError(
-            f"stationary iteration still moving by {delta:.3e} after "
-            f"{limit} {'doublings' if doubling else 'iterations'} (tol {tol:g}, relative)",
-            residual=delta, iterations=limit)
+        raise refusal(f"still moving by {residual:.3e} after {limit} "
+                      f"{'doublings' if doubling else 'iterations'} (tol {tol:g}, relative)")
 
     Upsilon, M, Upsilon_eig, Upsilon_inv, K, P_check, _ = \
         _backward_step(P, AB, W, strict=False)
@@ -459,11 +458,11 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     eigs = np.linalg.eigvalsh(P)
     min_eig = float(eigs[0])
     if min_eig < PSD_EIG_FLOOR * float(np.max(np.abs(eigs))):
-        raise ConvergenceError(
-            f"stationary iterate lost semidefiniteness (min eigenvalue {min_eig:.3e}, "
-            f"below {PSD_EIG_FLOOR:g} times the largest modulus)",
-            residual=residual, iterations=iterations)
+        raise refusal(f"the limit lost semidefiniteness (min eigenvalue {min_eig:.3e}, "
+                      f"below {PSD_EIG_FLOOR:g} times the largest modulus)")
     radius = spectral_radius(A - B @ K)
+    if radius >= 1.0 and grows():
+        raise refusal(f"the limit's closed loop has rho(A - B K) = {radius:.6f} >= 1")
     return GareSolution(P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,
                         Upsilon_inv=Upsilon_inv, K=K,
                         closed_loop_radius=radius, iterations=iterations,

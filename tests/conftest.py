@@ -40,6 +40,33 @@ def singular_doubling_plant():
     return model, CostSpec.from_model(model, R=np.eye(3))
 
 
+def kalman_decomposed_plant(rng):
+    """(model, cost, s, cond(T)): a plant in Kalman form mapped by T, Q = R = I.
+
+    A controllable companion block (n_c <= 3, m = 1) is coupled to n_u <= 2
+    uncontrollable modes s ~ U(-1.4, 1.4), each at least 0.05 from the unit
+    circle, and the whole plant is mapped by a random T with cond(T) <= 50.
+    """
+    n_c, n_u = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    n = n_c + n_u
+    s = rng.uniform(-1.4, 1.4, n_u)
+    while np.any(np.abs(np.abs(s) - 1.0) < 0.05):
+        s = rng.uniform(-1.4, 1.4, n_u)
+    A = np.zeros((n, n))
+    A[:n_c, :n_c] = np.diag(np.ones(n_c - 1), 1)
+    A[n_c - 1, :n_c] = rng.uniform(-1.5, 1.5, n_c)
+    A[:n_c, n_c:] = rng.standard_normal((n_c, n_u))
+    A[n_c:, n_c:] = np.diag(s)
+    B = np.eye(n)[:, n_c - 1:n_c]
+    T = rng.standard_normal((n, n))
+    while np.linalg.cond(T) > 50:
+        T = rng.standard_normal((n, n))
+    model = SystemModel(A=T @ A @ np.linalg.inv(T), B=T @ B,
+                        E=T @ rng.standard_normal((n, 1)), c_o=np.eye(n))
+    cost = CostSpec(Q=np.eye(n), R=np.eye(n), P_terminal=np.zeros((n, n)), r=np.zeros(n))
+    return model, cost, s, np.linalg.cond(T)
+
+
 def two_state_bench(c_scale=1.0):
     """Controllable two-state plant with the disturbance on the other channel."""
     return SystemModel(

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lqdr.cli as cli
-from conftest import (reference_settling_step, reference_write_csv, reference_write_svg,
-                      scaled_weight_probes, singular_doubling_plant)
+from conftest import (kalman_decomposed_plant, reference_settling_step, reference_write_csv,
+                      reference_write_svg, scaled_weight_probes, singular_doubling_plant)
 from lqdr import (ScenarioError, SolvabilityError, SystemModel, Trajectory,
                   brute_force_optimal, build_controller, evaluate_cost, simulate,
                   solve_finite_horizon, solve_recursive)
@@ -492,6 +492,112 @@ def test_bundled_run_reproduces_the_benchmark_reference(name, benchmark_referenc
                 assert abs(got - want[metric]) <= 1e-12 * abs(want[metric]), (label, metric)
 
 
+def _csv_columns(path):
+    """A written CSV as {column name: the column's printed values}."""
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+def _numbers(columns, prefix):
+    """The columns named ``prefix`` and a number, as one float array."""
+    return np.array([columns[key] for key in columns if re.fullmatch(prefix + r"\d+", key)],
+                    dtype=float)
+
+
+def _run_document(doc, out):
+    """``doc`` run into ``out``: (summary controller entries, {label: CSV columns}, failures)."""
+    path = out.with_suffix(".json")
+    path.write_text(json.dumps(doc))
+    outputs, failures = run_scenario(path, out)
+    summary = json.loads(outputs["summary"].read_text())
+    return (summary["controllers"],
+            {key.removeprefix("csv:"): _csv_columns(csv) for key, csv in outputs.items()
+             if key.startswith("csv:")},
+            failures)
+
+
+def _weights_scaled(path, e):
+    """The document at ``path`` with Q (written out), R and every P_terminal times 2^e."""
+    doc, cost = json.loads(path.read_text()), load_scenario(path).cost
+    doc["cost"] = {key: np.ldexp(getattr(cost, key), e).tolist()
+                   for key in ("Q", "R", "P_terminal")}
+    for spec in doc["controllers"]:
+        if "P_terminal" in spec:
+            spec["P_terminal"] = np.ldexp(spec["P_terminal"], e).tolist()
+    return doc
+
+
+@pytest.fixture(scope="module")
+def bundled_runs(tmp_path_factory):
+    """Each bundled scenario's run, by name, as ``_run_document`` returns it."""
+    out = tmp_path_factory.mktemp("bundled")
+    return {name: _run_document(json.loads(bundled_scenario_path(name).read_text()), out / name)
+            for name in BUNDLED}
+
+
+@pytest.mark.parametrize("e", [-40, 40])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_run_with_weights_scaled_by_a_power_of_two(name, e, bundled_runs, tmp_path):
+    # every Riccati quantity scales by 2^e exactly: x, u, d and z keep their
+    # bytes, cost_cum and J are 2^e times the unscaled, the other metrics equal
+    base, base_csvs, _ = bundled_runs[name]
+    scaled, csvs, failures = _run_document(
+        _weights_scaled(bundled_scenario_path(name), e), tmp_path / "scaled")
+    assert not failures and scaled.keys() == base.keys()
+    for label, entry in base.items():
+        assert scaled[label] == {**entry, "J": np.ldexp(entry["J"], e)}
+        columns = dict(base_csvs[label])
+        cost_cum = np.array(columns.pop("cost_cum"), dtype=float)
+        assert np.array_equal(np.array(csvs[label].pop("cost_cum"), dtype=float),
+                              np.ldexp(cost_cum, e))
+        assert csvs[label] == columns
+
+
+# a Stationary controller on a plant whose Q leaves a mode unseen warns, as it should
+@pytest.mark.filterwarnings("ignore:.*is not detectable:UserWarning")
+@settings(max_examples=15, deadline=None)
+@given(doc=_scenario_documents(), e=st.sampled_from([-40, 40]))
+def test_weights_scaled_by_a_power_of_two_keep_verdicts_and_u(doc, e, tmp_path_factory):
+    # 300 such draws (709 controller runs) kept every u byte for byte
+    tmp = tmp_path_factory.mktemp("scaled")
+    base, base_csvs, base_failures = _run_document(doc, tmp / "base")
+    _, csvs, failures = _run_document(_weights_scaled(tmp / "base.json", e), tmp / "scaled")
+    assert {label: type(exc) for label, exc in failures.items()} \
+        == {label: type(exc) for label, exc in base_failures.items()}
+    assert csvs.keys() == base_csvs.keys()
+    for label, columns in base_csvs.items():
+        u = _numbers(columns, "u")
+        assert np.max(np.abs(_numbers(csvs[label], "u") - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("mode", [0.5, -0.9])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_run_ignores_a_mode_nothing_touches(name, mode, bundled_runs, tmp_path):
+    # one more state, started at 0, that no input or disturbance drives, no
+    # output reads and no weight sees: the finite-horizon and receding-horizon
+    # laws keep u and z.  Measured: example_b..d byte-identical, example_a
+    # within 1.75 eps of max|u| in u and 0.73 eps of max|z| in z
+    doc = load_scenario(bundled_scenario_path(name)).to_dict()
+    system = doc["system"]
+    for key, (rows, cols) in {"A": (1, 1), "B": (1, 0), "E": (1, 0), "c_o": (0, 1)}.items():
+        system[key] = np.pad(system[key], ((0, rows), (0, cols))).tolist()
+    system["A"][-1][-1] = mode
+    doc["controllers"] = [spec for spec in doc["controllers"]
+                          if spec["kind"] in ("finite_horizon", "receding_horizon")]
+    for weights in (doc["cost"], *doc["controllers"]):
+        for key in set(weights) & {"Q", "R", "P_terminal"}:
+            weights[key] = np.pad(weights[key], (0, 1)).tolist()
+    doc["reference"].append(0.0)
+    doc["x0"].append(0.0)
+    _, csvs, failures = _run_document(doc, tmp_path / "appended")
+    assert not failures and csvs
+    for label, columns in csvs.items():
+        for prefix in ("u", "z"):
+            want = _numbers(bundled_runs[name][1][label], prefix)
+            assert np.max(np.abs(_numbers(columns, prefix) - want)) \
+                <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+
 _SPECIAL = (-0.0, 5e-324, 2.5e-310, 1e308, -1e308, np.nan, np.inf, -np.inf)
 _VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64))
 
@@ -819,6 +925,9 @@ def test_main_run_scenario_error(tmp_path, capsys):
                                "A": d["system"]["A"]}),
     lambda d: d["system"].update(Ts=0.02),
     lambda d: d["disturbance"].update(rate=0.5),
+    lambda d: d.update(system={**d["system"], "c_o": [[4.69e-303, 0.0]]},
+                       reference={"regulated": [1.0]},
+                       cost={**d["cost"], "P_terminal": [[0.25, 0.0], [0.0, 0.25]]}),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
         "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
         "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero",
@@ -827,7 +936,7 @@ def test_main_run_scenario_error(tmp_path, capsys):
         "zoh_exp_overflows", "zoh_A_Ts_overflows", "controller_P_terminal_negative_definite",
         "controller_P_terminal_asymmetric", "settle_band_negative", "settle_band_zero",
         "not_utf8", "display_not_object", "continuous_with_discrete_A", "discrete_with_Ts",
-        "constant_with_rate"])
+        "constant_with_rate", "reference_cost_overflows"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -911,6 +1020,27 @@ def test_main_gare_reports_a_singular_doubling_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("controller 'stationary' failed: stationary iteration grows")
     assert err.count("\n") == 1
+
+
+def test_main_gare_refuses_a_certified_plant_whose_limit_does_not_contract(tmp_path, capsys):
+    # doubling settles after 9 steps on a limit with rho(A - B K) = 1.5046;
+    # the unreached mode at |s| > 1 is weighted by Q, so P has no limit and
+    # the refusal names growth, where a P flagged "NOT CERTIFIED" was printed
+    model, _, s, _ = kalman_decomposed_plant(np.random.default_rng(1))
+    assert np.max(np.abs(s)) > 1.0
+    doc = {"name": "unreached",
+           "system": {key: getattr(model, key).tolist() for key in ("A", "B", "E", "c_o")},
+           "cost": {"R": np.eye(model.n).tolist()}, "x0": [0.0] * model.n, "steps": 10,
+           "disturbance": {"kind": "constant", "amplitude": 1.0},
+           "controllers": [{"kind": "Stationary"}]}
+    path = tmp_path / "unreached.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gare", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"solver error: stationary iteration grows without bound "
+                        r"\(the limit's closed loop has rho\(A - B K\) = 1\.50\d+ >= 1\): "
+                        r"a mode no input reaches .*\n", captured.err)
 
 
 FORBIDDEN_CHARACTERS = pytest.mark.parametrize(

@@ -12,11 +12,11 @@ from scipy.linalg.lapack import dsyevd
 
 import lqdr.model
 import lqdr.riccati
-from conftest import (aero_engine_discrete, check_regularity, long_horizon_cases,
-                      lqr_textbook_gains, reference_backward_step, reference_finite_horizon,
-                      reference_gram_step, rel_close, sampled_stable_plant,
-                      singular_doubling_plant, stationary_control, tracking_cost,
-                      two_state_bench, uncontrollable_3state)
+from conftest import (aero_engine_discrete, check_regularity, kalman_decomposed_plant,
+                      long_horizon_cases, lqr_textbook_gains, reference_backward_step,
+                      reference_finite_horizon, reference_gram_step, rel_close,
+                      sampled_stable_plant, singular_doubling_plant, stationary_control,
+                      tracking_cost, two_state_bench, uncontrollable_3state)
 from lqdr import (ConvergenceError, CostSpec, LqdrError, RegularityError,
                   SolvabilityError, StabilizationError, SystemModel,
                   draw_instance, finite_horizon_control, gare_fixed_point,
@@ -430,7 +430,8 @@ def test_gare_certifies_a_unit_circle_mode_computed_inside_the_circle(a):
     cost = CostSpec(Q=np.eye(2), R=np.eye(2), P_terminal=np.zeros((2, 2)), r=np.zeros(2))
     with pytest.raises(ConvergenceError, match="grows without bound") as info:
         gare_fixed_point(model, cost)
-    assert info.value.iterations == lqdr.riccati.GROWTH_CHECK_ITERS
+    # value iteration asks the certificate before its first step
+    assert info.value.iterations == 0
 
 
 def test_gare_refuses_a_singular_doubling_step_as_unbounded_growth():
@@ -453,12 +454,19 @@ def test_gare_refuses_a_singular_doubling_step_without_a_growth_certificate(monk
         gare_fixed_point(*singular_doubling_plant())
 
 
-def test_gare_growth_check_keeps_a_slow_value_iteration():
-    # an unreached mode at 0.99 is bounded: the check, run once at
-    # GROWTH_CHECK_ITERS, finds no certificate and the iteration goes on
+def test_gare_growth_check_keeps_a_slow_value_iteration(monkeypatch):
+    # an unreached mode at 0.99 is bounded: the check, run once before the
+    # first step, finds no certificate and the iteration goes on
+    certificate, verdicts = lqdr.riccati._grows_without_bound, []
+
+    def counted(*args):
+        verdicts.append(certificate(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(lqdr.riccati, "_grows_without_bound", counted)
     model = scalar_model(A=0.99, B=0.0)
     g = gare_fixed_point(model, scalar_cost())
-    assert g.iterations > lqdr.riccati.GROWTH_CHECK_ITERS
+    assert verdicts == [False] and g.iterations > 1000
     sol = solve_finite_horizon(model, scalar_cost(), N=g.horizon - 1, strict=False)
     assert np.array_equal(sol.P[0], g.P)
 
@@ -482,33 +490,6 @@ def test_subspace_bases_are_scipys():
                 assert (ours @ ours.T).tobytes() == (theirs @ theirs.T).tobytes()
 
 
-def kalman_decomposed_plant(rng):
-    """(model, cost, s, cond(T)): a plant in Kalman form mapped by T, Q = R = I.
-
-    A controllable companion block (n_c <= 3, m = 1) is coupled to n_u <= 2
-    uncontrollable modes s ~ U(-1.4, 1.4), each at least 0.05 from the unit
-    circle, and the whole plant is mapped by a random T with cond(T) <= 50.
-    """
-    n_c, n_u = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-    n = n_c + n_u
-    s = rng.uniform(-1.4, 1.4, n_u)
-    while np.any(np.abs(np.abs(s) - 1.0) < 0.05):
-        s = rng.uniform(-1.4, 1.4, n_u)
-    A = np.zeros((n, n))
-    A[:n_c, :n_c] = np.diag(np.ones(n_c - 1), 1)
-    A[n_c - 1, :n_c] = rng.uniform(-1.5, 1.5, n_c)
-    A[:n_c, n_c:] = rng.standard_normal((n_c, n_u))
-    A[n_c:, n_c:] = np.diag(s)
-    B = np.eye(n)[:, n_c - 1:n_c]
-    T = rng.standard_normal((n, n))
-    while np.linalg.cond(T) > 50:
-        T = rng.standard_normal((n, n))
-    model = SystemModel(A=T @ A @ np.linalg.inv(T), B=T @ B,
-                        E=T @ rng.standard_normal((n, 1)), c_o=np.eye(n))
-    cost = CostSpec(Q=np.eye(n), R=np.eye(n), P_terminal=np.zeros((n, n)), r=np.zeros(n))
-    return model, cost, s, np.linalg.cond(T)
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_gare_accepts_exactly_the_plants_whose_uncontrollable_modes_are_stable(seed):
@@ -516,8 +497,12 @@ def test_gare_accepts_exactly_the_plants_whose_uncontrollable_modes_are_stable(s
     # sees every mode, so a stationary law exists exactly when each |s| < 1
     model, cost, s, cond = kalman_decomposed_plant(np.random.default_rng(seed))
     if np.any(np.abs(s) > 1.0):
-        with pytest.raises(LqdrError):
+        with pytest.raises(LqdrError) as info:
             solve_gare(model, cost)
+        # a plant certified to grow says so, whichever step refused it
+        if lqdr.riccati._grows_without_bound(model.A, model.B, cost.Q,
+                                             model.B.T @ cost.R @ model.B):
+            assert "grows without bound" in str(info.value)
         return
     closed = model.A - model.B @ solve_gare(model, cost).K
     # each s is an eigenvalue of the computed A - B K up to a backward error
