@@ -22,9 +22,10 @@ Eliminating h from the f-equation turns it into the compact recursion
 
 whose unrolled form is a weighted sum of the drivers G_s and of the terminal
 term f_{N+1}; that explicit sum is what ``solve_closed_form`` evaluates,
-with no loop of the recursion's, and its stationary fixed point under
-constant signals is what ``solve_steady`` returns for the infinite-horizon
-controller.
+with no loop of the recursion's: by recursive doubling, in
+ceil(log2(N + 2)) rounds of stacked products, O(N log N n^3) work.  Its
+stationary fixed point under constant signals is what ``solve_steady``
+returns for the infinite-horizon controller.
 """
 
 from dataclasses import dataclass
@@ -105,10 +106,15 @@ def solve_closed_form(riccati, model, cost, d):
     empty product read as the identity, G_s = F_s d_s - Q r for s <= N and the
     terminal term G_{N+1} = f_{N+1} = -P_{N+1} r; h_k = H_k d_k + B' f_{k+1}.
     Here H_k = B' (R + P_{k+1}) E and F_k = (Abar_k' P_{k+1} - M_k'
-    Upsilon_k^{-1} B' R) E.  The sum is taken one offset j = s - k at a time
-    for all k at once, extending the products Abar_k' ... Abar_{k+j-1}' of
-    every k by one factor per offset, so no term depends on f.  Agrees with
-    ``solve_recursive`` up to roundoff; the recursion is the arbiter.
+    Upsilon_k^{-1} B' R) E.  The sums of all k are taken at once by
+    recursive doubling: the round with offset L = 1, 2, 4, ... adds to each
+    partial sum S_k, which holds the terms j = s - k < L, the product
+    Abar_k' ... Abar_{k+L-1}' times S_{k+L}, so S_k then holds the terms
+    j < 2L; the products are squared the same way, prod_k <- prod_k
+    prod_{k+L}.  That is ceil(log2(N + 2)) rounds of two stacked products,
+    O(N log N n^3) work, and no term depends on f.  Row N + 1 is never
+    added to, so f_{N+1} is exact.  Agrees with ``solve_recursive`` up to
+    roundoff; the recursion is the arbiter.
     """
     B, E, R, r = model.B, model.E, cost.R, cost.r
     N = riccati.horizon
@@ -118,13 +124,17 @@ def solve_closed_form(riccati, model, cost, d):
          - np.swapaxes(riccati.M, 1, 2) @ (riccati.Upsilon_inv @ (B.T @ R @ E)))
     G = np.concatenate([np.einsum("knm,km->kn", F, d_seq) - cost.Q @ r,
                         [-riccati.P[N + 1] @ r]])
-    # offset 0: the identity product
-    f = G.copy()
-    # prod[k] = Abar_k' ... Abar_{k+j-1}' for k = 0..N+1-j
+    # after the round with offset L, f[k] holds the terms j < 2L of its sum
+    # and prod[k] = Abar_k' ... Abar_{k+2L-1}'
+    f = G[:, :, None]
     prod = AbarT
-    for j in range(1, N + 2):
-        f[:N + 2 - j] += (prod @ G[j:, :, None])[:, :, 0]
-        prod = prod[:-1] @ AbarT[j:]
+    L = 1
+    while L < N + 2:
+        f[:N + 2 - L] += prod @ f[L:]
+        if 2 * L < N + 2:
+            prod = prod[:-L] @ prod[L:]
+        L *= 2
+    f = f[:, :, 0]
     H = B.T @ (R + riccati.P[1:]) @ E
     return FeedforwardSolution(h=np.einsum("kmn,kn->km", H, d_seq) + f[1:] @ B, f=f)
 

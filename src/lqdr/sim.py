@@ -137,8 +137,8 @@ def evaluate_cost(traj, cost):
     """Exact finite-horizon cost of a trajectory, terminal term included."""
     err = traj.x[:-1] - cost.r
     w = traj.u @ traj.model.B.T + traj.d @ traj.model.E.T
-    stage = np.einsum("ki,ij,kj->", err, cost.Q, err) \
-        + np.einsum("ki,ij,kj->", w, cost.R, w)
+    # one product per weight, then a two-operand sum, as in ``simulate``
+    stage = np.einsum("ki,ki->", err @ cost.Q, err) + np.einsum("ki,ki->", w @ cost.R, w)
     tail = traj.x[-1] - cost.r
     return float(stage + tail @ cost.P_terminal @ tail)
 
@@ -150,9 +150,10 @@ def predicted_optimal_cost(riccati, ff, x0, model, cost, d):
          + sum_k [ r' Q r + d_k' E'(R + P_{k+1}) E d_k
                    + 2 d_k' E' f_{k+1} - h_k' Upsilon_k^{-1} h_k ].
 
-    The sum is a handful of ``einsum`` contractions over all k; the R and
-    P_{k+1} parts are contracted separately, so no (N+1) x n x n array is
-    allocated.
+    The sum is one stacked product per weight followed by two-operand
+    ``einsum`` sums over all k; the R and P_{k+1} parts are contracted
+    separately, and P_{k+1} and Upsilon_k^{-1} act on stacked vectors, so no
+    (N+1) x n x n array is allocated.
     """
     N = riccati.horizon
     d_seq = disturbance_sequence(d, N + 1, dim=model.m)
@@ -163,10 +164,12 @@ def predicted_optimal_cost(riccati, ff, x0, model, cost, d):
     total = float(x0 @ riccati.P[0] @ x0 + 2 * x0 @ ff.f[0]
                   + r @ riccati.P[N + 1] @ r)
     total += (N + 1) * float(r @ cost.Q @ r)
-    total += float(np.einsum("ki,ij,kj->", Ed, cost.R, Ed)
-                   + np.einsum("ki,kij,kj->", Ed, riccati.P[1:], Ed)
+    PEd = (riccati.P[1:] @ Ed[:, :, None])[:, :, 0]
+    Uh = (riccati.Upsilon_inv @ ff.h[:, :, None])[:, :, 0]
+    total += float(np.einsum("ki,ki->", Ed @ cost.R, Ed)
+                   + np.einsum("ki,ki->", PEd, Ed)
                    + 2 * np.einsum("ki,ki->", Ed, ff.f[1:])
-                   - np.einsum("ki,kij,kj->", ff.h, riccati.Upsilon_inv, ff.h))
+                   - np.einsum("ki,ki->", Uh, ff.h))
     return total
 
 
@@ -178,16 +181,23 @@ def brute_force_optimal(model, cost, x0, d, N):
     equations.  Completely independent of the Riccati machinery.
 
     The lifted matrix X, x_k = X[k] u + x_off[k], holds A^(k-1-j) B in
-    block (k, j) for j < k and zeros elsewhere; it is filled from the powers
-    A^j B in one indexed assignment.  With W_k = Q for k <= N and
-    W_{N+1} = P_terminal, H = sum_k X_k' W_k X_k and
+    block (k, j) for j < k and zeros elsewhere.  One loop of products by A
+    builds the table T[p] = [A^p B | x_off[p]], p = 0..N+1, where x_off is
+    the free response x_off[p] = A x_off[p-1] + E d_{p-1} from x0; X is
+    filled from its powers in one indexed assignment.  With W_k = Q for
+    k <= N and W_{N+1} = P_terminal, H = sum_k X_k' W_k X_k and
     b = sum_k X_k' W_k (x_off[k] - r) are each one matrix product over the
     stacked (k, state) rows; the input part of the stage cost adds B'R B to
-    the diagonal blocks of H.
+    the diagonal blocks of H.  The condition number is the 2-norm one,
+    max|w| / min|w| over the eigenvalues w of the symmetrized H, whose
+    singular values they are in magnitude; inf when min|w| = 0.
 
     Raises:
         SolvabilityError: the normal matrix is singular or hopelessly
-            ill-conditioned, i.e. the minimizer is not unique.
+            ill-conditioned, i.e. the minimizer is not unique; or the powers
+            of A overflow, so the normal equations are not finite.  The lift
+            is built with floating-point warnings silenced and refused
+            before the eigen-solve.
     """
     if N < 0:
         raise ValueError("horizon N must be >= 0")
@@ -205,42 +215,47 @@ def brute_force_optimal(model, cost, x0, d, N):
     dim = (N + 1) * m
 
     dot = _dot_for(n)
-    # AB[p] = A^p B
-    AB = np.empty((N + 1, n, m))
-    AB[0] = B
-    for p in range(1, N + 1):
-        AB[p] = dot(A, AB[p - 1])
-    # x_k = X[k] @ u_stacked + x_off[k]; (ks, js) index the strictly lower
-    # triangle, as np.tril_indices does at several times the cost
-    lifted = np.zeros((N + 2, n, N + 1, m))
-    ks, js = np.nonzero(np.tri(N + 2, k=-1, dtype=bool))
-    lifted[ks, :, js, :] = AB[ks - 1 - js]
-    X = lifted.reshape(N + 2, n, dim)
     Ed = d_seq @ E.T
-    x_off = np.zeros((N + 2, n))
-    x_off[0] = x0
-    for k in range(N + 1):
-        np.add(dot(A, x_off[k]), Ed[k], out=x_off[k + 1])
+    # T[p] = [A^p B | x_off[p]]; powers that overflow are refused below, by
+    # the non-finite normal equations they leave
+    T = np.empty((N + 2, n, m + 1))
+    T[0, :, :m] = B
+    T[0, :, m] = x0
+    with np.errstate(all="ignore"):
+        for p in range(1, N + 2):
+            dot(A, T[p - 1], out=T[p])
+            T[p, :, m] += Ed[p - 1]
+        # x_k = X[k] @ u_stacked + x_off[k]; (ks, js) index the strictly lower
+        # triangle, as np.tril_indices does at several times the cost
+        lifted = np.zeros((N + 2, n, N + 1, m))
+        ks, js = np.nonzero(np.tri(N + 2, k=-1, dtype=bool))
+        lifted[ks, :, js, :] = T[ks - 1 - js, :, :m]
+        X = lifted.reshape(N + 2, n, dim)
 
-    g = x_off - r
-    WX = np.empty_like(X)
-    np.matmul(Q, X[:N + 1], out=WX[:N + 1])
-    WX[N + 1] = P_T @ X[N + 1]
-    Wg = np.empty_like(g)
-    Wg[:N + 1] = g[:N + 1] @ Q.T
-    Wg[N + 1] = P_T @ g[N + 1]
-    X2 = X.reshape(-1, dim)
-    H = X2.T @ WX.reshape(-1, dim)
-    b = X2.T @ Wg.reshape(-1)
-    const = float(np.einsum("ki,ki->", g, Wg) + np.einsum("ki,ij,kj->", Ed, R, Ed))
-    # the input channel: B u_k enters the R term of step k only
-    steps = np.arange(N + 1)
-    H.reshape(N + 1, m, N + 1, m)[steps, :, steps, :] += B.T @ R @ B
-    b += (Ed @ (B.T @ R).T).reshape(-1)
-
-    _sym(H, out=H)
-    condition = float(np.linalg.cond(H))
-    if not np.isfinite(condition) or condition > ORACLE_COND_LIMIT:
+        g = T[:, :, m] - r
+        WX = np.empty_like(X)
+        np.matmul(Q, X[:N + 1], out=WX[:N + 1])
+        WX[N + 1] = P_T @ X[N + 1]
+        Wg = np.empty_like(g)
+        Wg[:N + 1] = g[:N + 1] @ Q.T
+        Wg[N + 1] = P_T @ g[N + 1]
+        X2 = X.reshape(-1, dim)
+        H = X2.T @ WX.reshape(-1, dim)
+        b = X2.T @ Wg.reshape(-1)
+        const = float(np.einsum("ki,ki->", g, Wg) + np.einsum("ki,ki->", Ed @ R, Ed))
+        # the input channel: B u_k enters the R term of step k only
+        steps = np.arange(N + 1)
+        H.reshape(N + 1, m, N + 1, m)[steps, :, steps, :] += B.T @ R @ B
+        b += (Ed @ (B.T @ R).T).reshape(-1)
+        _sym(H, out=H)
+    if not (np.isfinite(H).all() and np.isfinite(b).all() and np.isfinite(const)):
+        raise SolvabilityError("normal equations are not finite: the lifted states "
+                               "overflow, or an input is not finite")
+    # a symmetric matrix's singular values are its eigenvalues' magnitudes
+    w = np.abs(np.linalg.eigvalsh(H))
+    # Python floats: a quotient past the float range is inf, with no warning
+    condition = float(w.max()) / float(w.min()) if w.min() > 0 else np.inf
+    if condition > ORACLE_COND_LIMIT:
         raise SolvabilityError(
             f"normal equations have condition {condition:.3e}; "
             "the minimizer is not unique at working precision")

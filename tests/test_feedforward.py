@@ -101,6 +101,19 @@ def test_closed_form_matches_recursion_random():
         assert np.max(np.abs(rec.f - closed.f)) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("model, cost, steps, ramp",
+                         [pytest.param(*case[1:], id=case[0]) for case in long_horizon_cases()])
+def test_closed_form_matches_recursion_on_long_horizons(model, cost, steps, ramp):
+    # the doubling rounds cover offsets up to 2000 here
+    sol = solve_finite_horizon(model, cost, steps - 1)
+    rec = solve_recursive(sol, model, cost, ramp)
+    closed = solve_closed_form(sol, model, cost, ramp)
+    scale = 1 + max(np.max(np.abs(rec.h)), np.max(np.abs(rec.f)))
+    assert np.max(np.abs(rec.h - closed.h)) <= 1e-9 * scale
+    assert np.max(np.abs(rec.f - closed.f)) <= 1e-9 * scale
+    assert np.array_equal(closed.f[-1], -sol.P[-1] @ cost.r)
+
+
 def test_single_step_closed_form_identity():
     model, cost = scalar_setup()
     sol = solve_finite_horizon(model, cost, N=0)
@@ -115,7 +128,7 @@ def test_single_step_closed_form_identity():
 
 
 def assert_closed_form_matches_explicit_sums(sol, model, cost, d_seq):
-    # the sums run one offset at a time over all k; 1e-12 relative is the bound
+    # the sums are taken by recursive doubling over all k; 1e-12 relative is the bound
     h, f, (H, Abar, F, Rscript) = reference_closed_form(sol, model, cost, d_seq)
     closed = solve_closed_form(sol, model, cost, d_seq)
     assert rel_close(closed.h, h, 1e-12)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,17 @@ def test_oracle_rejects_degenerate_quadratic():
                     P_terminal=np.zeros((2, 2)), r=np.zeros(2))
     with pytest.raises(SolvabilityError):
         brute_force_optimal(model, cost, [1.0, 0.0], np.zeros((4, 1)), 3)
+
+
+def test_oracle_refuses_overflowing_powers_without_a_warning():
+    # A^2 overflows, so the lifted states and the normal matrix are not finite
+    model = SystemModel(A=[[1e200, 0.0], [0.0, 0.5]], B=[[1.0], [1.0]],
+                        E=[[1.0], [1.0]], c_o=np.eye(2))
+    cost = CostSpec(Q=np.eye(2), R=np.eye(2), P_terminal=np.eye(2), r=np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolvabilityError, match="not finite"):
+            brute_force_optimal(model, cost, [1.0, 1.0], np.zeros((4, 1)), 3)
 
 
 def test_oracle_guards_problem_size():
