@@ -171,7 +171,8 @@ class PidController:
 
     u = kp * e + ki * (accumulated e * Ts) + kd * (e - e_prev) / Ts, with the
     integral including the current sample.  The controller owns its memory,
-    ``integral`` and ``prev_error``, and updates it on every call.
+    ``integral`` and ``prev_error``, updates it on every call and clears it
+    at k = 0, so every rollout of one built law starts from the same state.
     """
 
     c_o: np.ndarray
@@ -185,6 +186,9 @@ class PidController:
     closed_loop_radius: float = None
 
     def __call__(self, k, x, d_now):
+        if k == 0:
+            self.integral = np.zeros_like(self.integral)
+            self.prev_error = np.zeros_like(self.prev_error)
         error = self.target - self.c_o @ x
         self.integral = self.integral + error * self.Ts
         u = (self.kp * error + self.ki * self.integral
@@ -193,16 +197,20 @@ class PidController:
         return u
 
 
-def _affine_law(model, steps, K, K_d, u_0):
+def _affine_law(model, steps, K, K_d, u_0, closed_loop_radius=None):
     """The AffineController of (K, K_d, u_0) over ``steps`` steps.
 
     A single gain K (m x n) or offset u_0 (m) is held over every step.
+    ``closed_loop_radius``, rho(A - B K_0), is computed unless the solve
+    that produced K has it.
     """
     K_0 = K if K.ndim == 2 else K[0]
+    if closed_loop_radius is None:
+        closed_loop_radius = spectral_radius(model.A - model.B @ K_0)
     return AffineController(
         K=np.broadcast_to(K, (steps,) + K_0.shape), K_d=K_d,
         u_0=np.broadcast_to(u_0, (steps, model.m)),
-        closed_loop_radius=spectral_radius(model.A - model.B @ K_0))
+        closed_loop_radius=closed_loop_radius)
 
 
 def _solved_law(model, riccati, h):
@@ -279,7 +287,7 @@ def build_controller(config, model, cost, profile, steps, laws=None):
             else np.asarray(profile, dtype=float)[-1]
         h, _ = solve_steady(gare, model, cost, d_limit)
         return _affine_law(model, steps, gare.K, np.zeros((model.m, model.m)),
-                           gare.Upsilon_inv @ h)
+                           gare.Upsilon_inv @ h, gare.closed_loop_radius)
 
     if kind == "state_feedback_compensation":
         # u = k_x x + K_d d in the affine form, so K = -k_x and K_d = -K_d;

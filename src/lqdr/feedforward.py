@@ -70,13 +70,13 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
     Ed_rows = np.swapaxes(Ed, 1, 2).reshape(-1, n)
     PEd_rows = np.swapaxes(PEd, 1, 2).reshape(-1, n)
     a = (Ed_rows @ (B.T @ R).T + PEd_rows @ B).reshape(N + 1, p, model.m)
-    b = (PEd_rows @ A).reshape(N + 1, p, n) - np.multiply.outer(r_weight, Q @ r)
+    b = (PEd_rows @ A).reshape(N + 1, p, n) - r_weight[:, None] * (Q @ r)
     a, b = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
     C = np.swapaxes(riccati.M, 1, 2) @ riccati.Upsilon_inv
 
     h = np.zeros((N + 1, model.m, p))
     f = np.zeros((N + 2, n, p))
-    f[N + 1] = -np.multiply.outer(riccati.P[N + 1] @ r, r_weight)
+    f[N + 1] = -((riccati.P[N + 1] @ r)[:, None] * r_weight)
     dot = _dot_for(n)
     At, Bt = A.T, B.T
     f_next = f[N + 1]

@@ -12,7 +12,10 @@ one symmetric eigendecomposition Upsilon_k = V diag(w) V' (Golub & Van Loan,
 *Matrix Computations*, section 8.1), which gives the solvability test, the
 inverse V diag(1/w) V' and the consistency defect at once.  The
 decomposition is LAPACK's ``dsyevd`` on the upper triangle, through
-``np.linalg.eigh``; at m = 1 it is w = Upsilon, V = 1, formed directly.
+``np.linalg.eigh``.  At m = 1 it is w = Upsilon, V = 1: a ``_definite``
+scalar Upsilon is inverted as 1 / Upsilon directly, and every other step
+takes the decomposition.  A pass forms the step's constants and scratch
+buffers once.
 In strict mode each Upsilon_k must be positive definite, the solvability
 condition for a unique optimal controller, as ``_definite`` judges it:
 smallest eigenvalue above ``PINV_RCOND`` times the largest.  In non-strict
@@ -83,24 +86,15 @@ def spectral_radius(mat):
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
-#: The eigenvector matrix of every 1 x 1 matrix, shared read-only.
-_ONE = np.ones((1, 1))
-_ONE.setflags(write=False)
-
-
 def _eigh(Upsilon):
     """(w, V) with Upsilon = V diag(w) V', w ascending, for symmetric Upsilon.
 
     LAPACK's ``dsyevd`` through ``np.linalg.eigh``, reading the upper
     triangle (``UPLO="U"``, the triangle ``scipy.linalg.lapack.dsyevd``
-    reads by default; the lower one rounds differently).  At m = 1 the
-    result is formed directly, as ``dsyevd`` forms it: w = Upsilon[0, 0]
-    and V = 1, without the wrapper's cost.  NaN and inf entries give what
-    ``dsyevd`` gives, or ``np.linalg.LinAlgError`` where it does not
-    converge.
+    reads by default; the lower one rounds differently).  At m = 1 it is
+    w = Upsilon[0], V = 1.  NaN and inf entries give what ``dsyevd`` gives,
+    or ``np.linalg.LinAlgError`` where it does not converge.
     """
-    if Upsilon.shape[0] == 1:
-        return Upsilon[0].copy(), _ONE
     return np.linalg.eigh(Upsilon, UPLO="U")
 
 
@@ -129,54 +123,82 @@ def _step_constants(A, B, Q, R):
     W = np.zeros((n + m, n + m))
     W[:n, :n] = _sym(Q)
     W[n:, n:] = _sym(B.T @ R @ B)
-    return np.hstack([A, B]), W
+    return np.concatenate((A, B), axis=1), W
 
 
-def _backward_step(P_next, AB, W, strict, k=None, out=None):
+def _step_scratch(AB):
+    """What every step with the constants ``AB`` reuses, formed once.
+
+    In order: AB', the product ``model._dot_for(n)``, a buffer for
+    P_{k+1} AB, one for the Gram matrix G, G's views on its blocks A'PA
+    (later Q + A'PA), M and Upsilon, and a buffer for M'K.
+    """
+    n, nm = AB.shape
+    G = np.empty((nm, nm))
+    return (AB.T, _dot_for(n), np.empty((n, nm)), G, G[:n, :n], G[n:, :n], G[n:, n:],
+            np.empty((n, n)))
+
+
+def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
     """One step back from P_{k+1}: (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P, defect).
 
-    ``AB`` and ``W`` come from ``_step_constants``.  The Gram product
-    G = AB' P_{k+1} AB is symmetrized in place; its blocks are A'PA, M = B'PA
-    and B'PB.  W is then added into G, which holds Q + A'PA and
-    Upsilon = Rbar + B'PB.  Upsilon_eig holds the ascending eigenvalues of
-    Upsilon.  The verdict ``_definite`` is decided once: strict mode raises
-    ``SolvabilityError``, naming step ``k``, without it; otherwise
-    Upsilon_inv is the pseudo-inverse and ``defect`` the consistency defect
-    ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon is inverted whole.  P
-    is (Q + A'PA) - M'K symmetrized.
+    ``AB`` and ``W`` come from ``_step_constants``, and ``scratch``, when
+    given, from ``_step_scratch(AB)``: a pass forms it once for all its
+    steps.  The Gram product G = AB' P_{k+1} AB is symmetrized in place;
+    its blocks are A'PA, M = B'PA and B'PB.  W is then added into G, which
+    holds Q + A'PA and Upsilon = Rbar + B'PB.  Upsilon_eig holds the
+    ascending eigenvalues of Upsilon.  The verdict ``_definite`` is decided
+    once: strict mode raises ``SolvabilityError``, naming step ``k``,
+    without it; otherwise Upsilon_inv is the pseudo-inverse and ``defect``
+    the consistency defect ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon
+    is inverted whole.  K = Upsilon_inv M, and P is (Q + A'PA) - M'K
+    symmetrized.  At m = 1 Upsilon is the scalar u = G[n, n], whose
+    eigenpair is (u, 1): when u is ``_definite`` the step writes u as
+    Upsilon and Upsilon_eig and 1 / u as Upsilon_inv, the bytes of the
+    eigendecomposition path, which every other step takes.
 
     ``out``, when given, is six arrays of the result's shapes, the rows of
     step k in a pass's stacks, in the order above: the step fills them in
     place and returns them with the defect.  Without ``out`` it allocates
-    the six arrays it returns.  Beyond those it allocates only the products
-    P_{k+1} AB, G and M'K, the transpose copies that symmetrize, and the
+    the six arrays it returns.  Beyond those and ``scratch`` it allocates
+    only the transpose copies that symmetrize and, where it is taken, the
     eigendecomposition.
     """
-    n = P_next.shape[0]
-    dot = _dot_for(n)
+    if scratch is None:
+        scratch = _step_scratch(AB)
+    ABT, dot, PAB, G, G_QA, G_M, G_Upsilon, MtK = scratch
+    n, m = len(PAB), len(G_M)
     if out is None:
-        m = AB.shape[1] - n
         out = (np.empty((m, m)), np.empty((m, n)), np.empty(m), np.empty((m, m)),
                np.empty((m, n)), np.empty((n, n)))
     Upsilon, M, Upsilon_eig, Upsilon_inv, K, P = out
-    G = dot(AB.T, dot(P_next, AB))
+    dot(ABT, dot(P_next, AB, out=PAB), out=G)
     _sym(G, out=G)
-    M[...] = G[n:, :n]
+    M[...] = G_M
     # G becomes W + G, whose blocks hold Q + A'PA and Upsilon; M is read first,
     # since adding W's zero block would turn a -0.0 in it into +0.0
     np.add(W, G, out=G)
-    Upsilon[...] = G[n:, n:]
-    w, V = _eigh(Upsilon)
-    definite = _definite(w)
-    if strict and not definite:
-        raise SolvabilityError(
-            f"Upsilon_{k} is not positive definite (min eigenvalue {w[0]:.3e}, "
-            f"max {w[-1]:.3e}); no unique optimal input",
-            step=k, min_eigenvalue=float(w[0]))
-    Upsilon_eig[...] = w
-    defect = _eig_inverse(w, V, M, definite, out=Upsilon_inv)[1]
+    if m == 1 and (u := G[n, n]) > PINV_RCOND * u:
+        # _definite on the one eigenvalue; (V / w) V' is 1 / u
+        Upsilon[0, 0] = Upsilon_eig[0] = u
+        Upsilon_inv[0, 0] = 1.0 / u
+        defect = 0.0
+    else:
+        Upsilon[...] = G_Upsilon
+        w, V = _eigh(Upsilon)
+        definite = _definite(w)
+        if strict and not definite:
+            raise SolvabilityError(
+                f"Upsilon_{k} is not positive definite (min eigenvalue {w[0]:.3e}, "
+                f"max {w[-1]:.3e}); no unique optimal input",
+                step=k, min_eigenvalue=float(w[0]))
+        Upsilon_eig[...] = w
+        defect = _eig_inverse(w, V, M, definite, out=Upsilon_inv)[1]
+    # K is a BLAS product on both paths: a multiply by Upsilon_inv differs in
+    # the sign of zeros ([[-2.]].dot([[0., 3., -0.]]) is [0, -6, 0], the
+    # multiply [-0, -6, 0])
     dot(Upsilon_inv, M, out=K)
-    np.subtract(G[:n, :n], dot(M.T, K), out=P)
+    np.subtract(G_QA, dot(M.T, K, out=MtK), out=P)
     _sym(P, out=P)
     return (*out, defect)
 
@@ -270,6 +292,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
         raise ValueError("cost and model dimensions differ")
     _require_symmetric(cost, ("Q", "R", "P_terminal"))
     AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
+    scratch = _step_scratch(AB)
     n, m = model.n, model.m
 
     P = np.zeros((N + 2, n, n))
@@ -278,7 +301,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
     Upsilon_eig = np.zeros((N + 1, m))
     Upsilon_inv = np.zeros((N + 1, m, m))
     K = np.zeros((N + 1, m, n))
-    P[N + 1] = _sym(cost.P_terminal)
+    _sym(cost.P_terminal, out=P[N + 1])
 
     stacks = (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P)
     P_next = P[N + 1]
@@ -286,7 +309,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
     seen = {hash(P_next.tobytes()): N + 1}
     # the rows of step k in every stack, N down to 0
     for k, rows in zip(range(N, -1, -1), zip(*(arr[N::-1] for arr in stacks))):
-        defect = _backward_step(P_next, AB, W, strict, k, out=rows)[6]
+        defect = _backward_step(P_next, AB, W, strict, k, out=rows, scratch=scratch)[6]
         # the defect is exactly 0.0 unless an eigenvalue was dropped
         if defect and not defect <= REGULARITY_TOL * np.linalg.norm(rows[1]):
             raise RegularityError(
@@ -412,6 +435,7 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     A, B = model.A, model.B
     n = model.n
     AB, W = _step_constants(A, B, cost.Q, cost.R)
+    scratch = _step_scratch(AB)
     Q, Rbar = W[:n, :n], W[n:, n:]
     # the certificate is asked at most once, and only where the solve may refuse
     grows = functools.cache(lambda: _grows_without_bound(A, B, Q, Rbar))
@@ -440,7 +464,7 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
                 raise refusal(f"the solve of doubling step {iterations + 1} "
                               f"is singular") from None
         else:
-            P_next = _backward_step(P, AB, W, strict=False)[5]
+            P_next = _backward_step(P, AB, W, strict=False, scratch=scratch)[5]
         residual = float(np.max(np.abs(P_next - P)))
         P = P_next
         iterations += 1
@@ -453,7 +477,7 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
                       f"{'doublings' if doubling else 'iterations'} (tol {tol:g}, relative)")
 
     Upsilon, M, Upsilon_eig, Upsilon_inv, K, P_check, _ = \
-        _backward_step(P, AB, W, strict=False)
+        _backward_step(P, AB, W, strict=False, scratch=scratch)
     residual = float(np.max(np.abs(P_check - P)))
     eigs = np.linalg.eigvalsh(P)
     min_eig = float(eigs[0])

@@ -201,6 +201,19 @@ def test_pid_is_deterministic():
     assert outs[0] == outs[1]
 
 
+def test_built_pid_law_runs_the_same_in_every_rollout():
+    # the law clears its integral and last error at k = 0, so a second
+    # rollout of one built law repeats the first byte for byte
+    scenario = load_scenario(bundled_scenario_path("example_d"))
+    config = next(c for c in scenario.controllers if c.kind == "pid")
+    law = build_controller(config, scenario.model, scenario.cost, scenario.disturbance,
+                           scenario.steps)
+    first, second = (simulate(scenario.model, scenario.cost, law, scenario.x0, scenario.steps,
+                              scenario.disturbance) for _ in range(2))
+    assert first.u.tobytes() == second.u.tobytes()
+    assert first.x.tobytes() == second.x.tobytes()
+
+
 def test_pid_rejects_bad_sample_time():
     with pytest.raises(ValueError, match="sample time"):
         ControllerConfig(kind="pid", Ts=0.0)
@@ -518,6 +531,25 @@ def test_built_stationary_law_is_the_per_step_law_bit_for_bit(make_model, profil
                    x0, steps, profile)
     assert built.u.tobytes() == ref.u.tobytes()
     assert built.x.tobytes() == ref.x.tobytes()
+    assert law.closed_loop_radius == gare.closed_loop_radius
+
+
+@pytest.mark.parametrize("make_model", [uncontrollable_3state, two_state_bench,
+                                         aero_engine_discrete])
+def test_stationary_law_takes_the_radius_of_its_solve(make_model, monkeypatch):
+    # the stationary solve has rho(A - B K) of its gain already: the build
+    # passes it on and computes no spectral radius of its own
+    model = make_model()
+    cost = tracking_cost(model, r=np.full(model.n, 0.1))
+    gare = solve_gare(model, cost)
+    assert gare.closed_loop_radius == spectral_radius(model.A - model.B @ gare.K)
+
+    def forbidden(mat):
+        raise AssertionError("the stationary build computed a spectral radius")
+
+    monkeypatch.setattr(lqdr.control, "spectral_radius", forbidden)
+    law = build_controller(ControllerConfig(kind="Stationary"), model, cost,
+                           DisturbanceProfile.constant(0.05), 20)
     assert law.closed_loop_radius == gare.closed_loop_radius
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -836,6 +837,71 @@ def test_backward_step_is_the_bytes_of_the_gram_step_on_random_plants(seed):
                 assert g.tobytes() == i.tobytes() == r.tobytes()
     # the strict, dropped-eigenvalue, m = 1 and n = 1 paths are all taken
     assert dropped and shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+#: Upsilon of an m = 1 step, by kind; only the first three are ``_definite``
+SCALAR_UPSILON = {"positive": 1.5, "tiny": 1e-300, "subnormal": 5e-324, "zero": 0.0,
+                  "negative": -2.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+
+
+def recorded(step):
+    """(result, (error type, message) or None, warning categories) of ``step()``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return step(), None, [w.category for w in caught]
+        except (SolvabilityError, np.linalg.LinAlgError) as exc:
+            return None, (type(exc), str(exc)), [w.category for w in caught]
+
+
+def scalar_upsilon_step(u, rng):
+    """(P_next, AB, W) of an m = 1 step, n = 1..4, whose Upsilon has the kind of u.
+
+    Rbar = u - B'PB, with B scaled by 1e-170 when |u| < 1e-200 so that B'PB
+    underflows to zero and Upsilon is u exactly.  Columns of A are zero with
+    probability 0.3, which makes the same columns of M zero.
+    """
+    n = int(rng.integers(1, 5))
+    A, B, X = rng.standard_normal((n, n)), rng.standard_normal((n, 1)), rng.standard_normal((n, n))
+    A[:, rng.random(n) < 0.3] = 0.0
+    if abs(u) < 1e-200:
+        B *= 1e-170
+    P_next, AB, W = X @ X.T, np.hstack([A, B]), np.zeros((n + 1, n + 1))
+    W[:n, :n] = np.eye(n)
+    W[n, n] = u - reference_gram_step(P_next, AB, W, False)[0][0, 0]
+    return P_next, AB, W
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "pinv"])
+@pytest.mark.parametrize("u", SCALAR_UPSILON.values(), ids=SCALAR_UPSILON.keys())
+def test_scalar_upsilon_step_is_the_bytes_of_the_gram_step(u, strict):
+    # at m = 1 a _definite Upsilon takes the scalar case and any other the
+    # eigendecomposition: both return the reference's seven outputs byte for
+    # byte, with or without out, or raise its error, and warn as it does
+    rng = np.random.default_rng(25)
+    zero_in_M = 0
+    for _ in range(40):
+        P_next, AB, W = scalar_upsilon_step(u, rng)
+        want, want_error, want_warned = recorded(
+            lambda: reference_gram_step(P_next, AB, W, strict, 3))
+        if want:
+            got_u = want[0][0, 0]
+            assert np.isnan(got_u) if np.isnan(u) else \
+                (np.sign(got_u), abs(got_u) < 1e-200) == (np.sign(u), abs(u) < 1e-200)
+        scratch = lqdr.riccati._step_scratch(AB)
+        rows = [tuple(np.full_like(w, np.nan) for w in want[:6])] if want else []
+        for out in [None] + rows:
+            got, error, warned = recorded(
+                lambda: lqdr.riccati._backward_step(P_next, AB, W, strict, 3, out=out,
+                                                    scratch=scratch))
+            assert (error, warned) == (want_error, want_warned)
+            if want:
+                assert got[6] == want[6]
+                for g, w in zip(got, want[:6]):
+                    assert g.tobytes() == w.tobytes()
+                zero_in_M += not want[1].all()
+    # pseudo-inverse mode returns on every kind, and meets zeros in M
+    assert strict or zero_in_M
 
 
 @settings(max_examples=300, deadline=None)
