@@ -339,19 +339,41 @@ class ValidationReport:
         object.__setattr__(self, "messages", tuple(self.messages))
 
 
-def _rank(mat):
-    """Numerical rank with singular values below RANK_REL_TOL * sigma_max as zero."""
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > RANK_REL_TOL * sigma[0]))
+def _split(mat):
+    """(range, null): orthonormal bases of the range and null space of ``mat``.
+
+    One SVD, split at the singular values above RANK_REL_TOL times the largest.
+    """
+    u, s, vh = np.linalg.svd(mat)
+    rank = int(np.sum(s > RANK_REL_TOL * np.max(s, initial=0.0)))
+    return u[:, :rank], vh[rank:].conj().T
+
+
+def _pbh_defect(A, X):
+    """Whether rank [A - lambda I, X] < n at an eigenvalue lambda of A with |lambda| >= 1.
+
+    The PBH rank test (Hautus 1969) with ``_split``'s rank.  A computed
+    |lambda| counts as >= 1 down to 1 - n eps ||A||_F, a backward stable
+    eigensolver's rounding; only such a mode costs an SVD.  It may miss a
+    defective eigenvalue: in a Jordan block of size k it is computed only to
+    about eps^(1/k).
+    """
+    n = len(A)
+    unit = 1.0 - n * np.finfo(float).eps * np.linalg.norm(A)
+    return any(_split(np.hstack([A - lam * np.eye(n), X]))[0].shape[1] < n
+               for lam in np.linalg.eigvals(A) if abs(lam) >= unit)
+
+
+def _scaled(mat):
+    """``mat`` / max|mat|, or ``mat`` when it is all zero: a rank test's input at scale 1."""
+    return mat / (np.max(np.abs(mat)) or 1.0)
 
 
 def classify_disturbance(B, E):
     """MATCHED iff the columns of E lie in the column span of B."""
     B = _as_column_matrix(B, "B")
     E = _as_column_matrix(E, "E")
-    if _rank(np.hstack([B, E])) == _rank(B):
+    if _split(np.hstack([B, E]))[0].shape[1] == _split(B)[0].shape[1]:
         return MATCHED
     return MISMATCHED
 
@@ -398,18 +420,13 @@ def check_weights(cost, messages):
     return {name: _psd_check(name, getattr(cost, name), messages) for name in _WEIGHTS}
 
 
-def sqrtm_psd(mat):
-    """Symmetric square root of a (nearly) PSD matrix, negative modes clipped."""
-    w, V = np.linalg.eigh(_sym(mat))
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-
-
 def check_detectability(A, Q):
-    """Eigenvector test: every mode of A with |eig| >= 1 must be visible in Q^(1/2).
+    """PBH test: every mode of A with |eig| >= 1 must be seen by the weight Q.
 
-    Returns True iff rank([A - lambda I; Q^(1/2)]) = n for every eigenvalue
-    lambda of A on or outside the unit circle.  Rank uses a relative
-    singular-value cutoff of RANK_REL_TOL.
+    True iff rank([A - lambda I; Q]) = n at every eigenvalue lambda of A on
+    or outside the unit circle (``_pbh_defect`` on A' and Q / max|Q|, so any
+    positive multiple of Q gets the same verdict).  For a semidefinite Q
+    that is the rank with Q^(1/2), which has the same null space.
     """
     A = _as_matrix(A, "A")
     n = A.shape[0]
@@ -418,14 +435,7 @@ def check_detectability(A, Q):
     Q = _as_matrix(Q, "Q")
     if Q.shape != (n, n):
         raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
-    Qhalf = sqrtm_psd(Q)
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) < 1.0:
-            continue
-        pencil = np.vstack([A - lam * np.eye(n), Qhalf])
-        if _rank(pencil) < n:
-            return False
-    return True
+    return not _pbh_defect(A.T, _scaled(Q))
 
 
 def validate(model, cost):

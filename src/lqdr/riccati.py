@@ -59,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, RegularityError, SolvabilityError, StabilizationError
-from .model import (PSD_EIG_FLOOR, RANK_REL_TOL, _dot_for, _require_symmetric, _sym,
-                    check_detectability, freeze_fields)
+from .model import (PSD_EIG_FLOOR, _dot_for, _pbh_defect, _require_symmetric, _scaled,
+                    _split, _sym, check_detectability, freeze_fields)
 
 #: Relative eigenvalue cutoff of ``_definite`` and of the pseudo-inverse.
 PINV_RCOND = 1e-10
@@ -331,61 +331,48 @@ def solve_finite_horizon(model, cost, N, strict=True):
                            Upsilon_inv=Upsilon_inv, K=K)
 
 
-def _svd_rank(s, shape):
-    """Singular values above eps max(shape) s_max: ``scipy.linalg.orth``'s cutoff."""
-    return int(np.sum(s > np.finfo(float).eps * max(shape) * np.max(s, initial=0.0)))
-
-
-def _orth(M):
-    """Orthonormal basis of the range of M, the leading left singular vectors."""
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    return u[:, :_svd_rank(s, M.shape)]
-
-
-def _null_space(M):
-    """Orthonormal basis of the null space of M, the trailing right singular vectors."""
-    _, s, vh = np.linalg.svd(M)
-    return vh[_svd_rank(s, M.shape):].T
-
-
 def _grows_without_bound(A, B, Q, Rbar):
-    """Whether the k-step P_0 from P = 0 provably grows without bound in k.
+    """Whether the k-step P_0 from P = 0 grows without bound in k.
 
-    With U an orthonormal basis of the reachable subspace, the span of B,
-    AB, ..., A^(n-1) B (``_orth``, whose rank cutoff errs towards
-    reachable), and L one of its orthogonal complement, y = L' x
-    obeys y_{k+1} = S y_k with S = L' A L whatever the input.  Choosing the
-    reachable part of each state freely, an input can at best bring the
-    step cost down to y' Q_s y, Q_s the Schur complement of Q over U.  An
-    eigenvector v of S with |lambda| >= 1 and v* Q_s v above ``RANK_REL_TOL``
-    times max|Q| then makes the k-step cost from x = L v (its real or
-    imaginary part) grow at least like k.  A computed |lambda| counts as
-    >= 1 down to 1 - dim(S) eps ||S||_F, the rounding error of a backward
-    stable eigensolver, so a unit-circle mode computed just inside the
-    circle is certified too.  The bound needs Q and Rbar positive
-    semidefinite (down to ``model.PSD_EIG_FLOOR`` times their largest
+    V* is the weakly unobservable subspace: the largest subspace in ker Q
+    with A V* in V* + B ker(Rbar), kept in ker Q by inputs of zero cost.
+    The Basile-Marro recursion V_(i+1) = ker Q meet A^-1 (V_i + B ker Rbar)
+    from V_1 = ker Q reaches it within n passes.  Growth is certified iff
+    ``model._pbh_defect(A, [B / max|B|, V*])``: some |lambda| >= 1 has a left
+    eigenvector w with w* B = 0 and w* V* = 0 (Geerts & Hautus 1990).
+
+    Why.  With R the reachable and X_s the stable modal subspace of A, such
+    a w is orthogonal to R (w* A^j B = 0), X_s and V*; S = R + X_s + V* is
+    A-invariant, so when S is not R^n its complement holds such a w.
+    - S = R^n bounds P_k, by superposition: from x = r + s + v, steer r to
+      0 in n steps, let s decay and keep v in V* at zero cost; the sum
+      costs at most twice the first two, whatever k.
+    - S short of R^n makes P_k unbounded: a bounded P_k rises to a P with
+      x'Px = min over u of stage cost + (Ax + Bu)'P(Ax + Bu), at some
+      u = -K x.  Costs along F = A - B K then sum to at most x_0' P x_0, so
+      F is stable modulo the unobservable subspace N of (F, [Q; Rbar K]),
+      which is output-nulling, so inside V*.  But w* F = w* A = lambda w*
+      and w is orthogonal to N: F has |lambda| >= 1 on R^n / N.
+    The verdict is exact up to ``_split``'s rank rule and ``_pbh_defect``'s
+    unit-circle margin (which may miss a defective mode).  B, Q and A enter
+    at scale 1, so scaling Q and Rbar changes no verdict.  Q and Rbar must
+    be semidefinite (down to ``model.PSD_EIG_FLOOR`` times their largest
     eigenvalue modulus); otherwise there is no certificate.
     """
     if not all(eigs[0] >= PSD_EIG_FLOOR * np.max(np.abs(eigs))
                for eigs in map(np.linalg.eigvalsh, (Q, Rbar))):
         return False
-    U = _orth(B)
-    while U.shape[1] < A.shape[0]:
-        wider = _orth(np.hstack([U, A @ U]))
-        if wider.shape[1] == U.shape[1]:
+    B, Q, A_1 = _scaled(B), _scaled(Q), _scaled(A)
+    free = B @ _split(Rbar)[1]
+    V = _split(Q)[1]
+    while V.size:
+        # L spans the complement of V + B ker Rbar: the next V is ker [Q; L'A]
+        L = _split(np.hstack([V, free]).T)[1]
+        narrower = _split(np.vstack([Q, L.T @ A_1]))[1]
+        if narrower.shape[1] >= V.shape[1]:
             break
-        U = wider
-    L = _null_space(U.T)
-    if not L.size:
-        return False
-    LQU = L.T @ Q @ U
-    Q_s = L.T @ Q @ L - LQU @ np.linalg.pinv(U.T @ Q @ U) @ LQU.T
-    floor = RANK_REL_TOL * float(np.max(np.abs(Q)))
-    S = L.T @ A @ L
-    unit = 1.0 - S.shape[0] * np.finfo(float).eps * float(np.linalg.norm(S))
-    w, V = np.linalg.eig(S)
-    return any(abs(lam) >= unit and np.real(v.conj() @ Q_s @ v) > floor
-               for lam, v in zip(w, V.T))
+        V = narrower
+    return _pbh_defect(A, np.hstack([B, V]))
 
 
 def _doubling_step(A_k, G_k, H_k):
@@ -402,10 +389,10 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     from P = 0; otherwise iterate k is the backward step in pseudo-inverse
     mode applied k times, the P_0 of a k-step pass.  Both stop once
     max|P_next - P| <= tol * max|P_next|, doubling after ``MAX_DOUBLINGS``
-    iterates at the latest.  Warns when (A, Q^(1/2)) is not
-    detectable, since convergence is then not guaranteed.  A limit with
-    rho(A - B K) >= 1 is returned unless the plant is certified to have
-    none; ``solve_gare`` is the certified variant.
+    iterates at the latest.  Warns when ``model.check_detectability`` finds
+    a mode with |lambda| >= 1 that Q does not see, since a limit need not
+    stabilize then.  A limit with rho(A - B K) >= 1 is returned unless
+    ``_grows_without_bound`` holds; ``solve_gare`` is the certified variant.
 
     Raises:
         ValueError: ``tol`` is not positive, the cost and model dimensions
@@ -459,7 +446,9 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
     while iterations < limit:
         if doubling:
             try:
-                A_k, G_k, P_next = _doubling_step(A_k, G_k, P)
+                # an overflow leaves an iterate that is not finite, refused below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    A_k, G_k, P_next = _doubling_step(A_k, G_k, P)
             except np.linalg.LinAlgError:
                 raise refusal(f"the solve of doubling step {iterations + 1} "
                               f"is singular") from None
