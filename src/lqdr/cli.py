@@ -658,15 +658,42 @@ def gare_report(scenario):
     return "\n".join(lines)
 
 
+def _cross_check(inst, riccati, oracle):
+    """selftest's five measures on one instance, solved by ``riccati`` and ``oracle``.
+
+    The finite-horizon law is built from the Riccati pass and rolled out;
+    the measures are the input error against the brute-force minimizer
+    (relative to max(1, max|u_opt|)), the largest pairwise gap of the
+    simulated, predicted and oracle costs (relative to max(1, |J_sim|,
+    |J_opt|)), the two optimality residuals, and the largest gap between
+    the closed-form and recursive feedforward.
+    """
+    ff = solve_recursive(riccati, inst.model, inst.cost, inst.d)
+    law = _solved_law(inst.model, riccati, ff.h)
+    traj = simulate(inst.model, inst.cost, law, inst.x0, inst.N + 1, inst.d)
+    scale = max(1.0, float(np.max(np.abs(oracle.u_opt))))
+    J_sim = evaluate_cost(traj, inst.cost)
+    J_pred = predicted_optimal_cost(riccati, ff, inst.x0, inst.model, inst.cost, inst.d)
+    J_scale = max(1.0, abs(J_sim), abs(oracle.J_opt))
+    stat, link = costate_residuals(traj, riccati, ff, inst.model, inst.cost)
+    cf = solve_closed_form(riccati, inst.model, inst.cost, inst.d)
+    return {"input": float(np.max(np.abs(traj.u.reshape(-1) - oracle.u_opt))) / scale,
+            "cost": max(abs(J_sim - J_pred), abs(J_sim - oracle.J_opt),
+                        abs(J_pred - oracle.J_opt)) / J_scale,
+            "stationarity": stat, "link": link,
+            "closed_form": max(float(np.max(np.abs(cf.h - ff.h))),
+                               float(np.max(np.abs(cf.f - ff.f))))}
+
+
 def selftest(instances=40, seed=2024):
     """Cross-check the three cost oracles and the optimality system.
 
     Draws random strict instances and verifies, per instance, that the
     rolled-out optimal inputs match the brute-force minimizer, that the
     three cost values agree pairwise, that the optimality residuals vanish,
-    and that both feedforward evaluations coincide.  Each instance is solved
-    once: the finite-horizon law is built from the Riccati pass its draw was
-    accepted on.
+    and that both feedforward evaluations coincide (``_cross_check``).  Each
+    instance is solved once: the finite-horizon law is built from the
+    Riccati pass its draw was accepted on.
     """
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
@@ -683,28 +710,8 @@ def selftest(instances=40, seed=2024):
         if oracle.condition > 1e6:
             continue
         used += 1
-        ff = solve_recursive(riccati, inst.model, inst.cost, inst.d)
-        law = _solved_law(inst.model, riccati, ff.h)
-        traj = simulate(inst.model, inst.cost, law, inst.x0, inst.N + 1, inst.d)
-        u_flat = traj.u.reshape(-1)
-        scale = max(1.0, float(np.max(np.abs(oracle.u_opt))))
-        worst["input"] = max(worst["input"],
-                             float(np.max(np.abs(u_flat - oracle.u_opt))) / scale)
-        J_sim = evaluate_cost(traj, inst.cost)
-        J_pred = predicted_optimal_cost(riccati, ff, inst.x0, inst.model,
-                                        inst.cost, inst.d)
-        J_scale = max(1.0, abs(J_sim), abs(oracle.J_opt))
-        worst["cost"] = max(worst["cost"],
-                            abs(J_sim - J_pred) / J_scale,
-                            abs(J_sim - oracle.J_opt) / J_scale,
-                            abs(J_pred - oracle.J_opt) / J_scale)
-        stat, link = costate_residuals(traj, riccati, ff, inst.model, inst.cost)
-        worst["stationarity"] = max(worst["stationarity"], stat)
-        worst["link"] = max(worst["link"], link)
-        cf = solve_closed_form(riccati, inst.model, inst.cost, inst.d)
-        worst["closed_form"] = max(
-            worst["closed_form"],
-            float(np.max(np.abs(cf.h - ff.h))), float(np.max(np.abs(cf.f - ff.f))))
+        for key, value in _cross_check(inst, riccati, oracle).items():
+            worst[key] = max(worst[key], value)
 
     checks = [
         ("input sequence vs brute force", worst["input"], 1e-8),

@@ -65,19 +65,19 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
     Q, R, r = cost.Q, cost.R, cost.r
     N, n, p = riccati.horizon, model.n, len(r_weight)
 
+    dot = _dot_for(n)
     # R + P_{k+1} is split so that no (N+1) x n x n array is allocated
     PEd = riccati.P[1:] @ Ed
     Ed_rows = np.swapaxes(Ed, 1, 2).reshape(-1, n)
     PEd_rows = np.swapaxes(PEd, 1, 2).reshape(-1, n)
-    a = (Ed_rows @ (B.T @ R).T + PEd_rows @ B).reshape(N + 1, p, model.m)
-    b = (PEd_rows @ A).reshape(N + 1, p, n) - r_weight[:, None] * (Q @ r)
+    a = (dot(Ed_rows, dot(B.T, R).T) + dot(PEd_rows, B)).reshape(N + 1, p, model.m)
+    b = dot(PEd_rows, A).reshape(N + 1, p, n) - r_weight[:, None] * dot(Q, r)
     a, b = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
     C = np.swapaxes(riccati.M, 1, 2) @ riccati.Upsilon_inv
 
     h = np.zeros((N + 1, model.m, p))
     f = np.zeros((N + 2, n, p))
-    f[N + 1] = -((riccati.P[N + 1] @ r)[:, None] * r_weight)
-    dot = _dot_for(n)
+    f[N + 1] = -(dot(riccati.P[N + 1], r)[:, None] * r_weight)
     At, Bt = A.T, B.T
     f_next = f[N + 1]
     for a_k, b_k, C_k, h_k, f_k in zip(a[::-1], b[::-1], C[::-1], h[::-1], f[N::-1]):
@@ -95,7 +95,8 @@ def solve_recursive(riccati, model, cost, d):
     differently from a per-step evaluation, by about 1e-13 relative.
     """
     d_seq = disturbance_sequence(d, riccati.horizon + 1, dim=model.m)
-    h, f = backward_pass(riccati, model, cost, (d_seq @ model.E.T)[:, :, None], np.ones(1))
+    Ed = _dot_for(d_seq.size, model.E.size)(d_seq, model.E.T)
+    h, f = backward_pass(riccati, model, cost, Ed[:, :, None], np.ones(1))
     return FeedforwardSolution(h=h[:, :, 0], f=f[:, :, 0])
 
 
@@ -103,10 +104,12 @@ def solve_closed_form(riccati, model, cost, d):
     """Evaluate the unrolled feedforward sums instead of recursing.
 
     For each k, f_k = sum_{s=k}^{N+1} (Abar_k' ... Abar_{s-1}') G_s, with the
-    empty product read as the identity, G_s = F_s d_s - Q r for s <= N and the
-    terminal term G_{N+1} = f_{N+1} = -P_{N+1} r; h_k = H_k d_k + B' f_{k+1}.
-    Here H_k = B' (R + P_{k+1}) E and F_k = (Abar_k' P_{k+1} - M_k'
-    Upsilon_k^{-1} B' R) E.  The sums of all k are taken at once by
+    empty product read as the identity, the drivers
+    G_s = Abar_s' P_{s+1} E d_s - M_s' Upsilon_s^{-1} B' R E d_s - Q r for
+    s <= N and the terminal term G_{N+1} = f_{N+1} = -P_{N+1} r; then
+    h_k = B' ((R + P_{k+1}) E d_k + f_{k+1}).  The drivers are stacked
+    products with the vectors E d_s, and every 2-D product is
+    ``ndarray.dot``.  The sums of all k are taken at once by
     recursive doubling: the round with offset L = 1, 2, 4, ... adds to each
     partial sum S_k, which holds the terms j = s - k < L, the product
     Abar_k' ... Abar_{k+L-1}' times S_{k+L}, so S_k then holds the terms
@@ -116,17 +119,19 @@ def solve_closed_form(riccati, model, cost, d):
     added to, so f_{N+1} is exact.  Agrees with ``solve_recursive`` up to
     roundoff; the recursion is the arbiter.
     """
-    B, E, R, r = model.B, model.E, cost.R, cost.r
-    N = riccati.horizon
+    B, R, r = model.B, cost.R, cost.r
+    N, P = riccati.horizon, riccati.P
     d_seq = disturbance_sequence(d, N + 1, dim=model.m)
+    Ed = d_seq.dot(model.E.T)
+    PEd = P[1:] @ Ed[:, :, None]
     AbarT = np.swapaxes(model.A - B @ riccati.K, 1, 2)
-    F = (AbarT @ riccati.P[1:] @ E
-         - np.swapaxes(riccati.M, 1, 2) @ (riccati.Upsilon_inv @ (B.T @ R @ E)))
-    G = np.concatenate([np.einsum("knm,km->kn", F, d_seq) - cost.Q @ r,
-                        [-riccati.P[N + 1] @ r]])
-    # after the round with offset L, f[k] holds the terms j < 2L of its sum
-    # and prod[k] = Abar_k' ... Abar_{k+2L-1}'
-    f = G[:, :, None]
+    # f starts as the drivers G; after the round with offset L, f[k] holds
+    # the terms j < 2L of its sum and prod[k] = Abar_k' ... Abar_{k+2L-1}'
+    f = np.empty((N + 2, model.n, 1))
+    UBREd = riccati.Upsilon_inv @ Ed.dot(B.T.dot(R).T)[:, :, None]
+    np.subtract(AbarT @ PEd, np.swapaxes(riccati.M, 1, 2) @ UBREd, out=f[:N + 1])
+    f[:N + 1, :, 0] -= cost.Q.dot(r)
+    f[N + 1, :, 0] = -P[N + 1].dot(r)
     prod = AbarT
     L = 1
     while L < N + 2:
@@ -135,8 +140,7 @@ def solve_closed_form(riccati, model, cost, d):
             prod = prod[:-L] @ prod[L:]
         L *= 2
     f = f[:, :, 0]
-    H = B.T @ (R + riccati.P[1:]) @ E
-    return FeedforwardSolution(h=np.einsum("kmn,kn->km", H, d_seq) + f[1:] @ B, f=f)
+    return FeedforwardSolution(h=(Ed.dot(R.T) + PEd[:, :, 0] + f[1:]).dot(B), f=f)
 
 
 def solve_steady(gare, model, cost, d_limit):

@@ -29,19 +29,25 @@ PSD_EIG_FLOOR = -1e-10
 #: Singular values below this fraction of the largest one count as zero.
 RANK_REL_TOL = 1e-9
 
+#: The native float64 dtype, which numpy keeps as one object, so a dtype can
+#: be tested by identity against it.
+_FLOAT64 = np.dtype(np.float64)
+
 MATCHED = "Matched"
 MISMATCHED = "Mismatched"
 
 
-def _dot_for(n):
-    """The product of an n-state loop: ``ndarray.dot``, or ``np.matmul`` at n = 1.
+def _dot_for(*sizes):
+    """The product rule: ``ndarray.dot`` when every size given is above 1, else ``np.matmul``.
 
     ``ndarray.dot``, ``@``'s BLAS call without its ufunc dispatch, gives its
     bytes but for one-element operands: it keeps the sign of a zero product,
-    where ``@`` sums from +0.0 and returns +0.0.  For n > 1 a product with a
-    state is never -0.0, so it absorbs the sign of a zero term added to it.
+    where ``@`` sums from +0.0 and returns +0.0.  A per-call product passes
+    the sizes of its operands that can be one element.  A per-step loop
+    passes n: for n > 1 a product with a state is never -0.0, so it absorbs
+    the sign of a zero term added to it.
     """
-    return np.ndarray.dot if n > 1 else np.matmul
+    return np.ndarray.dot if min(sizes) > 1 else np.matmul
 
 
 def _sym(mat, out=None):
@@ -63,11 +69,16 @@ def _freeze(arr):
 
 
 def freeze_fields(obj, *names):
-    """Store the named fields of a frozen dataclass as read-only float arrays."""
+    """Store the named fields of a frozen dataclass as read-only float arrays.
+
+    A field that is already a float64 ndarray is only made read-only.
+    """
     for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr = getattr(obj, name)
+        if not (type(arr) is np.ndarray and arr.dtype is _FLOAT64):
+            arr = np.asarray(arr, dtype=float)
+            object.__setattr__(obj, name, arr)
         arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
 
 
 def _as_matrix(value, name):

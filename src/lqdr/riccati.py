@@ -120,9 +120,10 @@ def _eig_inverse(w, V, M, definite, out=None):
 def _step_constants(A, B, Q, R):
     """The backward step's step-independent products: [A B] and diag(sym(Q), sym(B'RB))."""
     n, m = B.shape
+    dot = _dot_for(n)
     W = np.zeros((n + m, n + m))
     W[:n, :n] = _sym(Q)
-    W[n:, n:] = _sym(B.T @ R @ B)
+    W[n:, n:] = _sym(dot(dot(B.T, R), B))
     return np.concatenate((A, B), axis=1), W
 
 
@@ -285,6 +286,9 @@ def solve_finite_horizon(model, cost, N, strict=True):
             definite (the failing step is reported).
         RegularityError: non-strict mode and the pseudo-inverse solve is
             inconsistent at some step.
+        Either, by mode, also when the pass diverges: some P_k is not finite,
+        or an eigendecomposition does not converge.  The pass runs with
+        overflow and invalid-value warnings silenced, and names the step.
     """
     if N < 0:
         raise ValueError("horizon N must be >= 0")
@@ -307,28 +311,51 @@ def solve_finite_horizon(model, cost, N, strict=True):
     P_next = P[N + 1]
     # the step of every P computed so far, by the hash of its bytes
     seen = {hash(P_next.tobytes()): N + 1}
-    # the rows of step k in every stack, N down to 0
-    for k, rows in zip(range(N, -1, -1), zip(*(arr[N::-1] for arr in stacks))):
-        defect = _backward_step(P_next, AB, W, strict, k, out=rows, scratch=scratch)[6]
-        # the defect is exactly 0.0 unless an eigenvalue was dropped
-        if defect and not defect <= REGULARITY_TOL * np.linalg.norm(rows[1]):
-            raise RegularityError(
-                f"pseudo-inverse solve inconsistent at step {k} "
-                f"(defect {defect:.3e}); the problem is unsolvable",
-                step=k, residual=defect)
-        P_next = rows[5]
-        P_bytes = P_next.tobytes()
-        # a hash shared by two different P keeps the first: the stop comes later
-        j = seen.setdefault(hash(P_bytes), k)
-        if j != k and P_bytes == P[j].tobytes():
-            # P_k == P_j: every earlier step repeats one of steps k..j-1 on
-            # the same input, so it would return the same arrays and verdict
-            for arr in stacks:
-                arr[:k] = arr[k + np.arange(-k, 0) % (j - k)]
-            break
+    # a pass that diverges overflows quietly: its P that is not finite is
+    # refused where a step fails on it, or after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            # the rows of step k in every stack, N down to 0
+            for k, rows in zip(range(N, -1, -1), zip(*(arr[N::-1] for arr in stacks))):
+                defect = _backward_step(P_next, AB, W, strict, k, out=rows,
+                                        scratch=scratch)[6]
+                # the defect is exactly 0.0 unless an eigenvalue was dropped
+                if defect and not defect <= REGULARITY_TOL * np.linalg.norm(rows[1]):
+                    raise RegularityError(
+                        f"pseudo-inverse solve inconsistent at step {k} "
+                        f"(defect {defect:.3e}); the problem is unsolvable",
+                        step=k, residual=defect)
+                P_next = rows[5]
+                P_bytes = P_next.tobytes()
+                # a hash shared by two different P keeps the first: the stop comes later
+                j = seen.setdefault(hash(P_bytes), k)
+                if j != k and P_bytes == P[j].tobytes():
+                    # P_k == P_j: every earlier step repeats one of steps k..j-1 on
+                    # the same input, so it would return the same arrays and verdict
+                    for arr in stacks:
+                        arr[:k] = arr[k + np.arange(-k, 0) % (j - k)]
+                    break
+        except (np.linalg.LinAlgError, SolvabilityError, RegularityError) as exc:
+            finite = bool(np.isfinite(P_next).all())
+            if finite and not isinstance(exc, np.linalg.LinAlgError):
+                raise
+            raise _diverged(strict, k, f"P_{k + 1} is not finite" if not finite else
+                            f"the eigendecomposition of Upsilon_{k} did not converge") from exc
+    if not np.isfinite(P).all():
+        k = int(np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))[-1])
+        raise _diverged(strict, k, f"P_{k} is not finite")
 
     return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,
                            Upsilon_inv=Upsilon_inv, K=K)
+
+
+def _diverged(strict, k, why):
+    """The refusal of a pass that diverged at step k, by mode.
+
+    ``SolvabilityError`` in strict mode, else ``RegularityError``.
+    """
+    error = SolvabilityError if strict else RegularityError
+    return error(f"the backward pass diverged at step {k}: {why}", step=k)
 
 
 def _grows_without_bound(A, B, Q, Rbar):

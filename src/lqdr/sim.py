@@ -8,25 +8,26 @@ optimality system along a trajectory: the input-channel stationarity
 condition and the affine relation between the adjoint sequence and the
 state.  ``predicted_optimal_cost`` evaluates the analytic optimal value, so
 simulated cost, predicted cost, and brute-force minimum can be compared
-pairwise.  Every loop here takes its product from ``model._dot_for``, and
-the oracle's normal matrix is symmetrized by ``model._sym``.
+pairwise.  Every loop and every 2-d product here takes its product from
+``model._dot_for`` or is ``ndarray.dot``, and the oracle's normal matrix
+is symmetrized by ``model._sym``.  ``simulate`` keeps the bytes of ``@``;
+the other functions here are judged by tolerance.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import LqdrError, SolvabilityError
-from .model import CostSpec, SystemModel, _dot_for, _sym, disturbance_sequence, freeze_fields
+from .model import (_FLOAT64, CostSpec, SystemModel, _dot_for, _sym, disturbance_sequence,
+                    freeze_fields)
 from .riccati import solve_finite_horizon
 
 #: Normal-equation condition number beyond which the oracle refuses to answer.
 ORACLE_COND_LIMIT = 1e14
 #: ``draw_instance``'s bounds on n, m (also at most n) and N, and on its draws.
 _N_STATES, _M_INPUTS, _HORIZON, _TRIES = 4, 2, 20, 200
-#: The native float64 dtype, which numpy keeps as one object: ``simulate``
-#: tests a controller output's dtype by identity against it.
-_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,10 @@ def simulate(model, cost, controller, x0, steps, d):
 
     E d_k is formed for all steps before the loop as one stacked product,
     ``np.matmul(E, d_seq[:, :, None])``, whose rows equal each per-step
-    E d_k byte for byte; ``d_seq @ E.T``, one gemm, rounds differently at
-    m >= 2 and is kept for the stage costs only.  The loop applies the
+    E d_k byte for byte; d_seq E', one gemm, rounds differently at m >= 2
+    and is kept for the stage costs only.  The 2-d products take
+    ``model._dot_for`` of the sizes of the operands that can be one
+    element, so they are the bytes of ``@``.  The loop applies the
     controller, writes u_k into its row of ``u`` and x_{k+1} into its row of
     ``x`` in place, as A x_k + (B u_k + E d_k); the stage costs are
     evaluated for all steps after it, so ``cost_cum`` is a cumulative sum of
@@ -124,23 +127,26 @@ def simulate(model, cost, controller, x0, steps, d):
         x_k = x_next
 
     err = x[:-1] - cost.r
-    w = u @ B.T + d_seq @ E.T
+    dot_u = _dot_for(u.size, B.size)
+    w = dot_u(u, B.T) + dot_u(d_seq, E.T)
     # one BLAS product per weight, then a row-wise sum: a three-operand
     # einsum takes its unoptimized path, about 20 times slower at n = 32
-    stage = np.einsum("ki,ki->k", err @ cost.Q, err) + np.einsum("ki,ki->k", w @ cost.R, w)
-    z = x @ model.c_o.T
+    stage = (np.einsum("ki,ki->k", dot(err, cost.Q), err)
+             + np.einsum("ki,ki->k", dot(w, cost.R), w))
+    z = _dot_for(model.c_o.size)(x, model.c_o.T)
     return Trajectory(model=model, steps=steps, x=x, u=u, d=d_seq, z=z,
                       cost_cum=np.cumsum(stage))
 
 
 def evaluate_cost(traj, cost):
     """Exact finite-horizon cost of a trajectory, terminal term included."""
+    model = traj.model
     err = traj.x[:-1] - cost.r
-    w = traj.u @ traj.model.B.T + traj.d @ traj.model.E.T
-    # one product per weight, then a two-operand sum, as in ``simulate``
-    stage = np.einsum("ki,ki->", err @ cost.Q, err) + np.einsum("ki,ki->", w @ cost.R, w)
+    w = traj.u.dot(model.B.T) + traj.d.dot(model.E.T)
     tail = traj.x[-1] - cost.r
-    return float(stage + tail @ cost.P_terminal @ tail)
+    # one product per weight, then a full contraction
+    return float(np.vdot(err.dot(cost.Q), err) + np.vdot(w.dot(cost.R), w)
+                 + tail.dot(cost.P_terminal).dot(tail))
 
 
 def predicted_optimal_cost(riccati, ff, x0, model, cost, d):
@@ -150,27 +156,24 @@ def predicted_optimal_cost(riccati, ff, x0, model, cost, d):
          + sum_k [ r' Q r + d_k' E'(R + P_{k+1}) E d_k
                    + 2 d_k' E' f_{k+1} - h_k' Upsilon_k^{-1} h_k ].
 
-    The sum is one stacked product per weight followed by two-operand
-    ``einsum`` sums over all k; the R and P_{k+1} parts are contracted
-    separately, and P_{k+1} and Upsilon_k^{-1} act on stacked vectors, so no
-    (N+1) x n x n array is allocated.
+    The sum is one stacked product per weight followed by full
+    contractions (``np.vdot``) over all k; the R and P_{k+1} parts are
+    contracted separately, and P_{k+1} and Upsilon_k^{-1} act on stacked
+    vectors, so no (N+1) x n x n array is allocated.
     """
     N = riccati.horizon
     d_seq = disturbance_sequence(d, N + 1, dim=model.m)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     r = cost.r
-    Ed = d_seq @ model.E.T
-
-    total = float(x0 @ riccati.P[0] @ x0 + 2 * x0 @ ff.f[0]
-                  + r @ riccati.P[N + 1] @ r)
-    total += (N + 1) * float(r @ cost.Q @ r)
-    PEd = (riccati.P[1:] @ Ed[:, :, None])[:, :, 0]
-    Uh = (riccati.Upsilon_inv @ ff.h[:, :, None])[:, :, 0]
-    total += float(np.einsum("ki,ki->", Ed @ cost.R, Ed)
-                   + np.einsum("ki,ki->", PEd, Ed)
-                   + 2 * np.einsum("ki,ki->", Ed, ff.f[1:])
-                   - np.einsum("ki,ki->", Uh, ff.h))
-    return total
+    P, f, h = riccati.P, ff.f, ff.h
+    Ed = d_seq.dot(model.E.T)
+    PEd = (P[1:] @ Ed[:, :, None])[:, :, 0]
+    Uh = (riccati.Upsilon_inv @ h[:, :, None])[:, :, 0]
+    total = (x0.dot(P[0]).dot(x0) + 2 * x0.dot(f[0]) + r.dot(P[N + 1]).dot(r)
+             + (N + 1) * r.dot(cost.Q).dot(r))
+    total += (np.vdot(Ed.dot(cost.R), Ed) + np.vdot(PEd, Ed) + 2 * np.vdot(Ed, f[1:])
+              - np.vdot(Uh, h))
+    return float(total)
 
 
 def brute_force_optimal(model, cost, x0, d, N):
@@ -183,8 +186,10 @@ def brute_force_optimal(model, cost, x0, d, N):
     The lifted matrix X, x_k = X[k] u + x_off[k], holds A^(k-1-j) B in
     block (k, j) for j < k and zeros elsewhere.  One loop of products by A
     builds the table T[p] = [A^p B | x_off[p]], p = 0..N+1, where x_off is
-    the free response x_off[p] = A x_off[p-1] + E d_{p-1} from x0; X is
-    filled from its powers in one indexed assignment.  With W_k = Q for
+    the free response x_off[p] = A x_off[p-1] + E d_{p-1} from x0.  T
+    sits below N + 1 zero blocks, so block (k, j) of X is row N + k - j of
+    that padded table: X is one copy of a strided Toeplitz view, with a
+    negative stride over j.  With W_k = Q for
     k <= N and W_{N+1} = P_terminal, H = sum_k X_k' W_k X_k and
     b = sum_k X_k' W_k (x_off[k] - r) are each one matrix product over the
     stacked (k, state) rows; the input part of the stage cost adds B'R B to
@@ -215,38 +220,42 @@ def brute_force_optimal(model, cost, x0, d, N):
     dim = (N + 1) * m
 
     dot = _dot_for(n)
-    Ed = d_seq @ E.T
-    # T[p] = [A^p B | x_off[p]]; powers that overflow are refused below, by
-    # the non-finite normal equations they leave
-    T = np.empty((N + 2, n, m + 1))
+    Ed = d_seq.dot(E.T)
+    # T[p] = [A^p B | x_off[p]], below N + 1 zero blocks in ``table``, which
+    # the lift reads for its zero blocks; powers that overflow are refused
+    # below, by the non-finite normal equations they leave
+    table = np.zeros((2 * N + 3, n, m + 1))
+    T = table[N + 1:]
     T[0, :, :m] = B
     T[0, :, m] = x0
     with np.errstate(all="ignore"):
         for p in range(1, N + 2):
             dot(A, T[p - 1], out=T[p])
             T[p, :, m] += Ed[p - 1]
-        # x_k = X[k] @ u_stacked + x_off[k]; (ks, js) index the strictly lower
-        # triangle, as np.tril_indices does at several times the cost
-        lifted = np.zeros((N + 2, n, N + 1, m))
-        ks, js = np.nonzero(np.tri(N + 2, k=-1, dtype=bool))
-        lifted[ks, :, js, :] = T[ks - 1 - js, :, :m]
-        X = lifted.reshape(N + 2, n, dim)
+        # x_k = X[k] @ u_stacked + x_off[k]: block (k, j) of X is
+        # table[N + k - j, :, :m], a Toeplitz view with a negative stride
+        # over j, which the constructor checks against the table's bounds
+        s0, s1, s2 = table.strides
+        X = np.ndarray((N + 2, n, N + 1, m), buffer=table, offset=N * s0,
+                       strides=(s0, s1, -s0, s2)).copy().reshape(N + 2, n, dim)
 
         g = T[:, :, m] - r
         WX = np.empty_like(X)
         np.matmul(Q, X[:N + 1], out=WX[:N + 1])
-        WX[N + 1] = P_T @ X[N + 1]
+        P_T.dot(X[N + 1], out=WX[N + 1])
         Wg = np.empty_like(g)
-        Wg[:N + 1] = g[:N + 1] @ Q.T
-        Wg[N + 1] = P_T @ g[N + 1]
+        g[:N + 1].dot(Q.T, out=Wg[:N + 1])
+        P_T.dot(g[N + 1], out=Wg[N + 1])
         X2 = X.reshape(-1, dim)
-        H = X2.T @ WX.reshape(-1, dim)
-        b = X2.T @ Wg.reshape(-1)
-        const = float(np.einsum("ki,ki->", g, Wg) + np.einsum("ki,ki->", Ed @ R, Ed))
-        # the input channel: B u_k enters the R term of step k only
-        steps = np.arange(N + 1)
-        H.reshape(N + 1, m, N + 1, m)[steps, :, steps, :] += B.T @ R @ B
-        b += (Ed @ (B.T @ R).T).reshape(-1)
+        H = X2.T.dot(WX.reshape(-1, dim))
+        b = X2.T.dot(Wg.reshape(-1))
+        const = float(np.vdot(g, Wg) + np.vdot(Ed.dot(R), Ed))
+        # the input channel: B u_k enters the R term of step k only, so B'R B
+        # adds to the diagonal blocks of H, a strided view of its rows
+        BtR = B.T.dot(R)
+        h0, h1 = H.strides
+        np.ndarray((N + 1, m, m), buffer=H, strides=(m * (h0 + h1), h0, h1))[...] += BtR.dot(B)
+        b += Ed.dot(BtR.T).reshape(-1)
         _sym(H, out=H)
     if not (np.isfinite(H).all() and np.isfinite(b).all() and np.isfinite(const)):
         raise SolvabilityError("normal equations are not finite: the lifted states "
@@ -260,7 +269,7 @@ def brute_force_optimal(model, cost, x0, d, N):
             f"normal equations have condition {condition:.3e}; "
             "the minimizer is not unique at working precision")
     u_opt = np.linalg.solve(H, -b)
-    J_opt = float(u_opt @ H @ u_opt + 2 * b @ u_opt + const)
+    J_opt = float(u_opt.dot(H).dot(u_opt) + 2 * b.dot(u_opt) + const)
     return OracleResult(u_opt=u_opt, J_opt=J_opt, condition=condition)
 
 
@@ -272,8 +281,8 @@ def costate_residuals(traj, riccati, ff, model, cost):
     lambda_{k-1} = Q (x_k - r) + A' lambda_k.  Returns the largest
     stationarity defect ||B'R B u_k + B' lambda_k + B'R E d_k|| and the
     largest defect of the affine link lambda_{k-1} = P_k x_k + f_k.
-    Only the adjoint recursion loops; both defects are row norms of
-    stacked arrays.
+    Only the adjoint recursion loops; each defect is the root of the
+    largest row sum of squares of a stacked array.
     """
     N = riccati.horizon
     if traj.steps != N + 1:
@@ -281,19 +290,20 @@ def costate_residuals(traj, riccati, ff, model, cost):
     A, B, E = model.A, model.B, model.E
     r = cost.r
     x = traj.x
-    Qe = (x[1:N + 1] - r) @ cost.Q.T
-    lam = np.zeros((N + 1, model.n))
-    lam[N] = riccati.P[N + 1] @ (x[N + 1] - r)
+    Qe = (x[1:N + 1] - r).dot(cost.Q.T)
+    lam = np.empty((N + 1, model.n))
+    riccati.P[N + 1].dot(x[N + 1] - r, out=lam[N])
     dot = _dot_for(model.n)
     At = A.T
     for k in range(N, 0, -1):
         np.add(Qe[k - 1], dot(At, lam[k]), out=lam[k - 1])
 
-    BtR = B.T @ cost.R
-    stat = (traj.u @ B.T) @ BtR.T + lam @ B + (traj.d @ E.T) @ BtR.T
+    BtR = B.T.dot(cost.R)
+    stat = (traj.u.dot(B.T) + traj.d.dot(E.T)).dot(BtR.T) + lam.dot(B)
     link = lam - (riccati.P[1:] @ x[1:, :, None])[:, :, 0] - ff.f[1:]
-    return (float(np.max(np.linalg.norm(stat, axis=1))),
-            float(np.max(np.linalg.norm(link, axis=1))))
+    # the largest row norm is the root of the largest row sum of squares
+    return (math.sqrt(np.max(np.einsum("ki,ki->k", stat, stat))),
+            math.sqrt(np.max(np.einsum("ki,ki->k", link, link))))
 
 
 @dataclass(frozen=True)

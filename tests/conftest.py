@@ -374,6 +374,18 @@ def reference_simulate(model, cost, controller, x0, d_seq):
     return x, u, x @ model.c_o.T, cost_cum
 
 
+def reference_evaluate_cost(traj, cost):
+    """evaluate_cost as a step-by-step sum of stage costs, plus the terminal term."""
+    model, r = traj.model, cost.r
+    total = 0.0
+    for k in range(traj.steps):
+        err = traj.x[k] - r
+        w = model.B @ traj.u[k] + model.E @ traj.d[k]
+        total += float(err @ cost.Q @ err + w @ cost.R @ w)
+    tail = traj.x[-1] - r
+    return total + float(tail @ cost.P_terminal @ tail)
+
+
 def reference_brute_force_optimal(model, cost, x0, d_seq, N):
     """(u_opt, J_opt, condition) from the lifted matrix built step by step.
 

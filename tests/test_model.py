@@ -7,7 +7,7 @@ import scipy.linalg
 
 from conftest import (aero_engine_continuous, sample_disturbance, scaled_weight_probes,
                       stable_dense_A_c, two_state_bench, uncontrollable_3state)
-from lqdr import (MATCHED, MISMATCHED, CostSpec, DisturbanceProfile,
+from lqdr import (MATCHED, MISMATCHED, CostSpec, DisturbanceProfile, FeedforwardSolution,
                   SystemModel, check_detectability, classify_disturbance,
                   discretize_zoh, disturbance_sequence, validate)
 from lqdr.model import RANK_REL_TOL, _PADE_THETA, _dot_for, _expm, _split, check_weights
@@ -60,6 +60,24 @@ def test_dot_for_gives_the_bytes_of_matmul_signed_zeros_included():
     # from two states on, the row sums of ndarray.dot start at +0.0 as @'s do
     A, x = np.eye(2), np.array([-0.0, -0.0])
     assert _dot_for(2)(A, x).tobytes() == (A @ x).tobytes()
+    # a per-call product passes its operands' sizes: one of 1 is @'s
+    assert _dot_for(2, 1) is _dot_for(1, 6) is np.matmul
+    assert _dot_for(2, 6) is np.ndarray.dot
+    rng = np.random.default_rng(0)
+    values = [-1.0, -0.0, 0.0, 1.0, 0.5]
+    for _ in range(500):
+        rows, inner, cols = rng.integers(1, 5, 3)
+        a = rng.choice(values, (rows, inner))
+        for b in (rng.choice(values, (inner, cols)), rng.standard_normal(inner)):
+            product = _dot_for(a.size, b.size)(a, b)
+            assert product.tobytes() == (a @ b).tobytes()
+
+
+def test_freeze_fields_makes_float_arrays_read_only_in_place():
+    f = np.zeros((2, 1))
+    ff = FeedforwardSolution(h=[[1, 2]], f=f)
+    assert ff.f is f and ff.h.dtype == np.float64
+    assert not (ff.f.flags.writeable or ff.h.flags.writeable)
 
 
 # ---------------------------------------------------------------------------

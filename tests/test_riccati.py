@@ -129,6 +129,41 @@ def test_non_strict_rejects_inconsistent_problem():
     assert info.value.step == 0
 
 
+def diverging_pass_cases():
+    # P_k[0, 0] = (4^(N + 2 - k) - 1) / 3 on the unreached mode at 2, weighted
+    # by Q: it overflows at P_89 from N = 600, and the next step judged NaNs
+    unreached = SystemModel(A=np.diag([2.0, 0.5]), B=[[0.0], [1.0]], E=np.zeros((2, 1)),
+                            c_o=np.eye(2))
+    unreached_cost = CostSpec(Q=np.eye(2), R=np.eye(2), P_terminal=np.eye(2), r=np.zeros(2))
+    # P_0 = Q at every horizon, yet rounding grows without bound in pseudo-inverse
+    # mode; at N = 599 an eigendecomposition failed to converge after overflows
+    c = np.array([[1.0, -0.5]])
+    rounding = SystemModel(A=np.diag([0.0, -2.0]), B=[[-2.0, 0.0, 2.0], [0.0, 0.0, 0.0]],
+                           E=np.zeros((2, 3)), c_o=np.eye(2))
+    rounding_cost = CostSpec(Q=c.T @ c, R=np.zeros((2, 2)), P_terminal=np.zeros((2, 2)),
+                             r=np.zeros(2))
+    # the last P computed overflows: only the check after the loop sees it
+    last = scalar_model(A=2.0, B=0.0)
+    return [pytest.param(unreached, unreached_cost, 600, True, 88, id="unreached_strict"),
+            pytest.param(unreached, unreached_cost, 600, False, 88, id="unreached_pinv"),
+            pytest.param(rounding, rounding_cost, 599, False, None, id="rounding_pinv"),
+            pytest.param(last, scalar_cost(), 512, False, 0, id="last_step_pinv")]
+
+
+@pytest.mark.parametrize("model, cost, N, strict, step", diverging_pass_cases())
+def test_a_diverging_pass_is_refused_by_its_mode_at_the_step(model, cost, N, strict, step):
+    error = SolvabilityError if strict else RegularityError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error) as info:
+            solve_finite_horizon(model, cost, N, strict=strict)
+    found = re.fullmatch(r"the backward pass diverged at step (\d+): P_(\d+) is not finite",
+                         str(info.value))
+    assert type(info.value) is error and found
+    assert info.value.step == int(found[1]) and int(found[2]) - int(found[1]) in (0, 1)
+    assert step is None or info.value.step == step
+
+
 def full_pass_cases():
     cases = []
     for name in ("example_a", "example_b", "example_c", "example_d"):
