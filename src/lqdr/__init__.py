@@ -23,8 +23,8 @@ from .model import (MATCHED, MISMATCHED, CostSpec, DisturbanceProfile,
                     SystemModel, ValidationReport, check_detectability,
                     classify_disturbance, discretize_zoh, disturbance_sequence,
                     validate)
-from .riccati import (GareSolution, RiccatiSolution, gare_fixed_point,
-                      solve_finite_horizon, solve_gare, spectral_radius)
+from .riccati import (GareSolution, RiccatiSolution, solve_finite_horizon, solve_gare,
+                      spectral_radius)
 from .feedforward import (FeedforwardSolution, solve_closed_form, solve_recursive,
                           solve_steady)
 from .control import ControllerConfig, build_controller, finite_horizon_control
@@ -41,7 +41,7 @@ __all__ = [
     "validate", "check_detectability", "classify_disturbance",
     "discretize_zoh", "disturbance_sequence",
     "RiccatiSolution", "GareSolution", "solve_finite_horizon", "solve_gare",
-    "spectral_radius", "gare_fixed_point",
+    "spectral_radius",
     "FeedforwardSolution", "solve_recursive", "solve_closed_form", "solve_steady",
     "ControllerConfig", "build_controller",
     "finite_horizon_control",

@@ -30,7 +30,7 @@ from .exceptions import LqdrError, ScenarioError, SolvabilityError
 from .feedforward import solve_closed_form, solve_recursive
 from .model import (CostSpec, DisturbanceProfile, SystemModel, _psd_check,
                     check_weights, classify_disturbance, discretize_zoh, validate)
-from .riccati import gare_fixed_point
+from .riccati import solve_gare
 from .sim import (_draw_solved_instance, brute_force_optimal, costate_residuals,
                   evaluate_cost, predicted_optimal_cost, simulate)
 
@@ -626,10 +626,11 @@ def compare_summaries(paths, out_dir=None):
 def gare_report(scenario):
     """Text report of the stationary solution for a scenario's plant.
 
-    A non-contracting closed loop is reported and flagged rather than
-    raised, so undetectable setups still get their diagnostic; every
-    refusal of ``gare_fixed_point`` does raise, a plant certified to grow
-    without bound among them.
+    ``solve_gare`` returns a limit whose closed loop does not contract, so
+    such a loop is reported and flagged NOT CERTIFIED rather than raised,
+    and undetectable setups still get their diagnostic; every refusal of
+    ``solve_gare`` does raise, a plant certified to grow without bound
+    among them.
     """
     if isinstance(scenario, (str, Path)):
         scenario = load_scenario(scenario)
@@ -642,7 +643,7 @@ def gare_report(scenario):
     import warnings as _warnings
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        gare = gare_fixed_point(scenario.model, scenario.cost)
+        gare = solve_gare(scenario.model, scenario.cost)
     with np.printoptions(precision=8, suppress=False):
         lines.append(f"iterations: {gare.iterations}")
         lines.append(f"horizon: {gare.horizon}")

@@ -151,10 +151,13 @@ def solve_steady(gare, model, cost, d_limit):
     which is solvable because the stationary closed loop is a contraction.
     The returned pair is the fixed point of the backward equations, i.e. the
     limit the finite-horizon sequences approach far from the terminal time.
+    This is the one place a stationary loop that does not contract is
+    refused: ``riccati.solve_gare`` returns such a limit, flagged by its
+    ``closed_loop_radius``, and every stationary law is built through here.
 
     Raises:
-        StabilizationError: the stationary closed loop is not a contraction,
-            so the fixed point may not exist.
+        StabilizationError: the stationary closed loop is not a contraction
+            (rho(A - B K) >= 1), so the fixed point may not exist.
     """
     if gare.closed_loop_radius >= 1.0:
         raise StabilizationError(

@@ -363,16 +363,39 @@ def _split(mat):
 def _pbh_defect(A, X):
     """Whether rank [A - lambda I, X] < n at an eigenvalue lambda of A with |lambda| >= 1.
 
-    The PBH rank test (Hautus 1969) with ``_split``'s rank.  A computed
-    |lambda| counts as >= 1 down to 1 - n eps ||A||_F, a backward stable
-    eigensolver's rounding; only such a mode costs an SVD.  It may miss a
-    defective eigenvalue: in a Jordan block of size k it is computed only to
-    about eps^(1/k).
+    The PBH rank test (Hautus 1969) with ``_split``'s rank, at each computed
+    eigenvalue and at the mean of each cluster of them.  A computed |lambda|
+    counts as >= 1 down to 1 - margin, margin = n eps ||A||_F, a backward
+    stable eigensolver's rounding.  A defective eigenvalue of a Jordan block
+    of size 2 is computed only to about sqrt(eps) ||A||, where the rank test
+    may no longer see it, but the mean of its pair is accurate to O(eps).
+    Clusters are single-linkage at distance 3 sqrt(eps) max(||A||_F, 1),
+    among the eigenvalues of modulus at least 1 - n margin - that distance;
+    a cluster of k >= 2 is tested at its mean when the mean's modulus is at
+    least 1 - k margin.  Only a tested value costs an SVD.  It may still
+    miss a defective eigenvalue of a block of size k >= 3, computed only to
+    about eps^(1/k), which is beyond the cluster distance.
     """
     n = len(A)
-    unit = 1.0 - n * np.finfo(float).eps * np.linalg.norm(A)
-    return any(_split(np.hstack([A - lam * np.eye(n), X]))[0].shape[1] < n
-               for lam in np.linalg.eigvals(A) if abs(lam) >= unit)
+    eps = np.finfo(float).eps
+    norm = np.linalg.norm(A)
+    margin = n * eps * norm
+    radius = 3.0 * np.sqrt(eps) * max(norm, 1.0)
+    lams = np.linalg.eigvals(A)
+    moduli = np.abs(lams)
+    tested = list(lams[moduli >= 1.0 - margin])
+    near = lams[moduli >= 1.0 - n * margin - radius]
+    if len(near) > 1:
+        # single linkage: the closure of the pairwise-distance mask, whose row
+        # i is the cluster of near[i]; each cluster is read at its first member
+        linked = np.abs(near[:, None] - near) <= radius
+        for _ in range(len(near).bit_length()):
+            linked = linked @ linked
+        for cluster in linked[linked.argmax(axis=1) == np.arange(len(near))]:
+            k = np.count_nonzero(cluster)
+            if k > 1 and abs(mean := near[cluster].mean()) >= 1.0 - k * margin:
+                tested.append(mean)
+    return any(_split(np.hstack([A - lam * np.eye(n), X]))[0].shape[1] < n for lam in tested)
 
 
 def _scaled(mat):

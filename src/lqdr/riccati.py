@@ -48,8 +48,10 @@ When Rbar is singular (free effort, or B = 0) the backward step itself is
 repeated in pseudo-inverse mode, one horizon step per iterate.  Either way
 the iteration stops on a change relative to the iterate's own size, so
 rescaling Q and R together changes neither the path nor the count.
-``gare_fixed_point`` refuses by one rule, which names unbounded growth
-whenever ``_grows_without_bound`` certifies it.
+``solve_gare`` refuses by one rule, which names unbounded growth
+whenever ``_grows_without_bound`` certifies it.  It returns any other limit,
+with rho(A - B K) as ``closed_loop_radius``; a loop that does not contract
+is refused where the stationary law is built, by ``feedforward.solve_steady``.
 """
 
 import functools
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, RegularityError, SolvabilityError, StabilizationError
+from .exceptions import ConvergenceError, RegularityError, SolvabilityError
 from .model import (PSD_EIG_FLOOR, _dot_for, _pbh_defect, _require_symmetric, _scaled,
                     _split, _sym, check_detectability, freeze_fields)
 
@@ -237,7 +239,8 @@ class GareSolution:
 
     ``Upsilon_inv`` is the pseudo-inverse of ``Upsilon``, K = Upsilon_inv M;
     ``residual`` is the elementwise-max defect of P under one more iteration
-    map application; ``closed_loop_radius`` is the spectral radius of A - B K.
+    map application; ``closed_loop_radius`` is the spectral radius of A - B K,
+    which may be >= 1: ``feedforward.solve_steady`` refuses such a solution.
     ``iterations`` counts doublings or backward steps, and ``horizon`` is
     the finite horizon whose P_0 (from P = 0) was returned: 2^iterations
     after doubling, ``iterations`` after value iteration.  ``Upsilon_eig``
@@ -381,10 +384,11 @@ def _grows_without_bound(A, B, Q, Rbar):
       which is output-nulling, so inside V*.  But w* F = w* A = lambda w*
       and w is orthogonal to N: F has |lambda| >= 1 on R^n / N.
     The verdict is exact up to ``_split``'s rank rule and ``_pbh_defect``'s
-    unit-circle margin (which may miss a defective mode).  B, Q and A enter
-    at scale 1, so scaling Q and Rbar changes no verdict.  Q and Rbar must
-    be semidefinite (down to ``model.PSD_EIG_FLOOR`` times their largest
-    eigenvalue modulus); otherwise there is no certificate.
+    unit-circle margin (which may miss a defective mode of a Jordan block of
+    size 3 or more).  B, Q and A enter at scale 1, so scaling Q and Rbar
+    changes no verdict.  Q and Rbar must be semidefinite (down to
+    ``model.PSD_EIG_FLOOR`` times their largest eigenvalue modulus);
+    otherwise there is no certificate.
     """
     if not all(eigs[0] >= PSD_EIG_FLOOR * np.max(np.abs(eigs))
                for eigs in map(np.linalg.eigvalsh, (Q, Rbar))):
@@ -409,17 +413,19 @@ def _doubling_step(A_k, G_k, H_k):
     return A_k @ WinvA, _sym(G_k + A_k @ WinvG @ A_k.T), _sym(H_k + A_k.T @ H_k @ WinvA)
 
 
-def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
+def solve_gare(model, cost, tol=1e-12, max_iters=100000):
     """Limit of the finite-horizon P_0 from P = 0, by doubling when it can.
 
     With Rbar = B' R B ``_definite`` iterate k is the P_0 of a 2^k-step pass
     from P = 0; otherwise iterate k is the backward step in pseudo-inverse
     mode applied k times, the P_0 of a k-step pass.  Both stop once
     max|P_next - P| <= tol * max|P_next|, doubling after ``MAX_DOUBLINGS``
-    iterates at the latest.  Warns when ``model.check_detectability`` finds
-    a mode with |lambda| >= 1 that Q does not see, since a limit need not
-    stabilize then.  A limit with rho(A - B K) >= 1 is returned unless
-    ``_grows_without_bound`` holds; ``solve_gare`` is the certified variant.
+    iterates at the latest.  Warns, from the caller's line, when
+    ``model.check_detectability`` finds a mode with |lambda| >= 1 that Q does
+    not see, since a limit need not stabilize then.  A limit with
+    rho(A - B K) >= 1 is returned, flagged by its ``closed_loop_radius``,
+    unless ``_grows_without_bound`` holds; ``feedforward.solve_steady``, and
+    with it the stationary law, refuses it.
 
     Raises:
         ValueError: ``tol`` is not positive, the cost and model dimensions
@@ -508,20 +514,3 @@ def gare_fixed_point(model, cost, tol=1e-12, max_iters=100000):
                         closed_loop_radius=radius, iterations=iterations,
                         residual=residual,
                         horizon=2 ** iterations if doubling else iterations)
-
-
-def solve_gare(model, cost, tol=1e-12, max_iters=100000):
-    """Certified stationary solve: fixed point plus a contraction check.
-
-    Raises:
-        ConvergenceError: as in ``gare_fixed_point``.
-        StabilizationError: the iteration converged but rho(A - B K) >= 1,
-            so the stationary law does not stabilize the plant.
-    """
-    solution = gare_fixed_point(model, cost, tol=tol, max_iters=max_iters)
-    if solution.closed_loop_radius >= 1.0:
-        raise StabilizationError(
-            f"stationary solution exists but rho(A - B K) = "
-            f"{solution.closed_loop_radius:.6f} >= 1",
-            spectral_radius=solution.closed_loop_radius)
-    return solution

@@ -91,6 +91,18 @@ def aero_engine_discrete(Ts=0.02):
     return discretize_zoh(A_c, B_c, E_c, Ts, c_o=c_o)
 
 
+def free_effort_plant():
+    """``aero_engine_discrete()`` with Q = I and R = 0, P_T = 0, r = 0.
+
+    B' R B is singular, so the stationary solve takes value iteration, not
+    doubling.
+    """
+    model = aero_engine_discrete()
+    n = model.n
+    return model, CostSpec(Q=np.eye(n), R=np.zeros((n, n)), P_terminal=np.zeros((n, n)),
+                           r=np.zeros(n))
+
+
 def stable_dense_A_c(n, rng):
     """Dense continuous-time A whose symmetric part is below -2 I."""
     S = rng.standard_normal((n, n))

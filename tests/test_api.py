@@ -78,7 +78,7 @@ def test_lqdr_runs_where_scipy_cannot_be_imported(tmp_path):
         import sys
         sys.modules["scipy"] = None
         import lqdr, lqdr.cli
-        from lqdr import ConvergenceError, CostSpec, SystemModel, gare_fixed_point
+        from lqdr import ConvergenceError, CostSpec, SystemModel, solve_gare
         from lqdr.cli import bundled_scenario_path, load_scenario, run_scenario, selftest
         for name in ("example_a", "example_b", "example_c", "example_d"):
             run_scenario(load_scenario(bundled_scenario_path(name)), sys.argv[1])
@@ -86,7 +86,7 @@ def test_lqdr_runs_where_scipy_cannot_be_imported(tmp_path):
         model = SystemModel(A=[[1.0]], B=[[0.0]], E=[[0.0]], c_o=[[1.0]])
         cost = CostSpec(Q=[[1.0]], R=[[1.0]], P_terminal=[[0.0]], r=[0.0])
         try:
-            gare_fixed_point(model, cost)
+            solve_gare(model, cost)
         except ConvergenceError as exc:
             print(exc)
     """)

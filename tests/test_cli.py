@@ -250,17 +250,22 @@ def test_summary_echo_keeps_table_values(tmp_path):
 
 
 _ENTRIES = st.floats(-1.5, 1.5)
+_NUMBERS = st.floats(-2.0, 2.0)
 
 
 @st.composite
-def _scenario_documents(draw):
+def _scenario_documents(draw, entries=_ENTRIES, number=_NUMBERS):
     """A scenario: a discrete or ZOH plant (n <= 3, m = l <= 2), any disturbance kind,
-    each controller kind at most once, optional fields present or absent."""
+    each controller kind at most once, optional fields present or absent.
+
+    Matrix entries (plant, x0, reference, table values, gains) are drawn from
+    ``entries``, the disturbance parameters and PID gains from ``number``.
+    """
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, min(n, 2)))
 
     def matrix(shape):
-        return draw(arrays(np.float64, shape, elements=_ENTRIES))
+        return draw(arrays(np.float64, shape, elements=entries))
 
     def halves(shape):
         return draw(arrays(np.float64, shape, elements=st.integers(-3, 3))) / 2
@@ -283,7 +288,6 @@ def _scenario_documents(draw):
     cost = {"R": (np.array(weight()) + np.eye(n)).tolist()}
     cost.update({key: weight() for key in ("Q", "P_terminal") if draw(st.booleans())})
     kind = draw(st.sampled_from(["constant", "sinusoid", "ramp", "table"]))
-    number = st.floats(-2.0, 2.0)
     disturbance = {"kind": kind, **{
         "constant": lambda: {"amplitude": draw(number)},
         "sinusoid": lambda: {"amplitude": draw(number), "rate": draw(number)},
@@ -553,12 +557,29 @@ def test_bundled_run_with_weights_scaled_by_a_power_of_two(name, e, bundled_runs
         assert csvs[label] == columns
 
 
+#: Smallest non-zero magnitude of a float in the scaled-weights property.
+_FLOOR = 2.0 ** -20
+
+
+def _floored(bound):
+    """Floats in [-bound, bound] that are 0 or at least ``_FLOOR`` in magnitude."""
+    return st.one_of(st.sampled_from([0.0, -0.0]), st.floats(_FLOOR, bound),
+                     st.floats(-bound, -_FLOOR))
+
+
 # a Stationary controller on a plant whose Q leaves a mode unseen warns, as it should
 @pytest.mark.filterwarnings("ignore:.*is not detectable:UserWarning")
 @settings(max_examples=15, deadline=None)
-@given(doc=_scenario_documents(), e=st.sampled_from([-40, 40]))
+@given(doc=_scenario_documents(_floored(1.5), _floored(2.0)), e=st.sampled_from([-40, 40]))
 def test_weights_scaled_by_a_power_of_two_keep_verdicts_and_u(doc, e, tmp_path_factory):
-    # 300 such draws (709 controller runs) kept every u byte for byte
+    # 300 such draws (709 controller runs) kept every u byte for byte.  The
+    # scaling is exact only while every product a run forms stays a normal
+    # float at both scales, so every float of the document is 0 or at least
+    # 2^-20 in magnitude: a product of a dozen such factors with a weight
+    # scaled by 2^-40 is still above 2^-300, far from the smallest normal
+    # 2^-1022.  A subnormal entry is outside that range and outside what
+    # the property claims: E = [[2.2e-313]], B = [[4]], Q = R = 1 and d = 1
+    # give u_0 = -5.6e-314 unscaled, where R E d underflows to 0 at 2^-40
     tmp = tmp_path_factory.mktemp("scaled")
     base, base_csvs, base_failures = _run_document(doc, tmp / "base")
     _, csvs, failures = _run_document(_weights_scaled(tmp / "base.json", e), tmp / "scaled")

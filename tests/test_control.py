@@ -448,8 +448,8 @@ def test_receding_law_solves_once_at_build(monkeypatch):
 
 def test_run_scenario_solves_nothing_after_simulate(monkeypatch, tmp_path):
     calls = []
-    solvers = ("solve_finite_horizon", "solve_gare", "gare_fixed_point",
-               "solve_recursive", "solve_steady", "solve_closed_form")
+    solvers = ("solve_finite_horizon", "solve_gare", "solve_recursive", "solve_steady",
+               "solve_closed_form")
     for module in (lqdr.control, lqdr.cli):
         for name in solvers:
             if hasattr(module, name):

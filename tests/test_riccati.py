@@ -1,6 +1,7 @@
 import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +14,15 @@ from scipy.linalg.lapack import dsyevd
 
 import lqdr.model
 import lqdr.riccati
-from conftest import (aero_engine_discrete, check_regularity, kalman_decomposed_plant,
+from conftest import (check_regularity, free_effort_plant, kalman_decomposed_plant,
                       long_horizon_cases, lqr_textbook_gains, reference_backward_step,
                       reference_finite_horizon, reference_gram_step, rel_close,
                       sampled_stable_plant, singular_doubling_plant, stationary_control,
                       tracking_cost, two_state_bench, uncontrollable_3state)
-from lqdr import (ConvergenceError, CostSpec, LqdrError, RegularityError,
-                  SolvabilityError, StabilizationError, SystemModel,
-                  draw_instance, finite_horizon_control, gare_fixed_point,
-                  solve_finite_horizon, solve_gare, solve_recursive, solve_steady,
-                  spectral_radius, validate)
+from lqdr import (ControllerConfig, ConvergenceError, CostSpec, DisturbanceProfile, LqdrError,
+                  RegularityError, SolvabilityError, StabilizationError, SystemModel,
+                  build_controller, draw_instance, finite_horizon_control, solve_finite_horizon,
+                  solve_gare, solve_recursive, solve_steady, spectral_radius, validate)
 from lqdr.cli import bundled_scenario_path, load_scenario
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -314,19 +314,13 @@ def zero_terminal_cost(model, Q, R):
     return CostSpec(Q=Q, R=R, P_terminal=np.zeros((n, n)), r=np.zeros(n))
 
 
-def free_effort_plant():
-    """Sampled plant with R = 0, so B' R B is singular and doubling is not used."""
-    model = aero_engine_discrete()
-    return model, zero_terminal_cost(model, np.eye(model.n), np.zeros((model.n, model.n)))
-
-
 @pytest.mark.parametrize("name", BUNDLED)
 def test_gare_is_the_finite_horizon_step_from_zero(name):
     # doubling returns P_0 of a pass of g.horizon steps from P = 0, in a
     # different order of operations than the backward recursion
     model, cost = bundled_model_and_cost(name)
     cost = zero_terminal_cost(model, cost.Q, cost.R)
-    g = gare_fixed_point(model, cost)
+    g = solve_gare(model, cost)
     assert g.horizon == 2 ** g.iterations
     sol = solve_finite_horizon(model, cost, N=g.horizon - 1, strict=False)
     assert np.max(np.abs(sol.P[0] - g.P)) <= 1e-12 * np.max(np.abs(g.P))
@@ -336,7 +330,7 @@ def test_gare_value_iteration_is_the_finite_horizon_step_from_zero():
     # with B' R B singular each iterate is one backward step in
     # pseudo-inverse mode, so P is bit-identical to P_0 of a j-step pass
     model, cost = free_effort_plant()
-    g = gare_fixed_point(model, cost)
+    g = solve_gare(model, cost)
     assert g.horizon == g.iterations > 1
     sol = solve_finite_horizon(model, cost, N=g.horizon - 1, strict=False)
     assert np.array_equal(sol.P[0], g.P)
@@ -371,10 +365,10 @@ def scale_cases():
 
 @pytest.mark.parametrize("model, cost", scale_cases())
 def test_gare_stop_rule_ignores_weight_scale(model, cost):
-    base = gare_fixed_point(model, cost)
+    base = solve_gare(model, cost)
     for c in (2.0 ** -20, 2.0 ** 20):
-        scaled = gare_fixed_point(model, CostSpec(Q=c * cost.Q, R=c * cost.R,
-                                                  P_terminal=c * cost.P_terminal, r=cost.r))
+        scaled = solve_gare(model, CostSpec(Q=c * cost.Q, R=c * cost.R,
+                                            P_terminal=c * cost.P_terminal, r=cost.r))
         assert (scaled.iterations, scaled.horizon) == (base.iterations, base.horizon)
         assert np.max(np.abs(scaled.P / c - base.P)) <= 1e-12 * np.max(np.abs(base.P))
         assert np.max(np.abs(scaled.K - base.K)) <= 1e-12 * max(1.0, np.max(np.abs(base.K)))
@@ -406,8 +400,8 @@ def test_gare_semidefinite_limit_is_accepted_at_every_weight_scale(seed):
     # at roundoff level of the largest; an absolute floor refused it at 2^40
     model, cost = rank_one_weight_plant(seed)
     for c in (2.0 ** -40, 1.0, 2.0 ** 40):
-        g = gare_fixed_point(model, CostSpec(Q=c * cost.Q, R=c * cost.R,
-                                             P_terminal=c * cost.P_terminal, r=cost.r))
+        g = solve_gare(model, CostSpec(Q=c * cost.Q, R=c * cost.R,
+                                       P_terminal=c * cost.P_terminal, r=cost.r))
         eigs = np.linalg.eigvalsh(g.P)
         assert eigs[0] >= -1e-10 * np.max(np.abs(eigs))
 
@@ -420,7 +414,7 @@ def test_gare_indefinite_limit_is_refused_at_every_weight_scale():
         cost = CostSpec(Q=c * np.diag([1.0, -1.0]), R=c * np.eye(2),
                         P_terminal=np.zeros((2, 2)), r=np.zeros(2))
         with pytest.raises(ConvergenceError, match="semidefiniteness"):
-            gare_fixed_point(model, cost)
+            solve_gare(model, cost)
 
 
 def test_stored_inverses_are_applied_without_pinv(monkeypatch):
@@ -478,7 +472,7 @@ def test_gare_refuses_unbounded_growth_in_doubling_mode():
     # grows like the horizon; it used to run all 100000 doublings
     model, cost = doubling_growth_plant()
     with pytest.raises(ConvergenceError, match=r"grows without bound \(still moving") as info:
-        gare_fixed_point(model, cost)
+        solve_gare(model, cost)
     assert info.value.iterations <= 100
     assert info.value.residual > 0
 
@@ -501,7 +495,7 @@ def test_gare_refuses_a_jordan_block_that_drives_a_weighted_state_at_once():
     with pytest.warns(UserWarning, match="not detectable"), \
             pytest.raises(ConvergenceError, match="^stationary iteration grows without bound "
                           r"\(before the first value-iteration step\)") as info:
-        gare_fixed_point(model, cost)
+        solve_gare(model, cost)
     assert info.value.iterations == 0
 
 
@@ -519,7 +513,27 @@ def test_gare_refuses_the_doubling_limit_of_a_linearly_growing_plant():
                     P_terminal=np.zeros((3, 3)), r=np.zeros(3))
     with pytest.raises(ConvergenceError, match=r"^stationary iteration grows without bound "
                        r"\(the limit's closed loop has rho\(A - B K\) = 1\.000000 >= 1\)"):
-        gare_fixed_point(model, cost)
+        solve_gare(model, cost)
+
+
+def test_a_jordan_block_is_certified_after_a_change_of_basis():
+    # jordan_plant's weighted block mapped by T: the computed pair lands
+    # 1.3e-9 to 1.0e-7 from 1, where the rank test at either value may pass,
+    # but the pair's mean is accurate to O(eps).  Tested at each computed
+    # eigenvalue alone, 87 of these were certified and 228 called detectable
+    rng = np.random.default_rng(0)
+    base, _ = jordan_plant(np.diag([0.0, 1.0, 0.0]))
+    verdicts = set()
+    for _ in range(300):
+        T = rng.standard_normal((3, 3))
+        while np.linalg.cond(T) > 50:
+            T = rng.standard_normal((3, 3))
+        T_inv = np.linalg.inv(T)
+        A, Q = T @ base.A @ T_inv, T_inv.T @ np.diag([0.0, 1.0, 0.0]) @ T_inv
+        verdicts.add((lqdr.model.check_detectability(A, Q),
+                      lqdr.riccati._grows_without_bound(A, np.zeros((3, 1)), Q,
+                                                        np.zeros((1, 1)))))
+    assert verdicts == {(False, True)}
 
 
 @pytest.mark.parametrize("model, cost", [
@@ -531,7 +545,7 @@ def test_gare_keeps_a_bounded_limit_with_a_unit_mode(model, cost):
     # a unit-circle mode that no input reaches, but that only unweighted
     # states carry (V*) or that the weight never sees: P_0 stays bounded
     with pytest.warns(UserWarning, match="not detectable"):
-        g = gare_fixed_point(model, cost)
+        g = solve_gare(model, cost)
     assert g.closed_loop_radius == 1.0
     assert np.isfinite(g.P).all()
 
@@ -581,7 +595,7 @@ def test_gare_certifies_a_unit_circle_mode_computed_inside_the_circle(a):
     model = SystemModel(A=A, B=np.zeros((2, 1)), E=np.zeros((2, 1)), c_o=np.eye(2))
     cost = CostSpec(Q=np.eye(2), R=np.eye(2), P_terminal=np.zeros((2, 2)), r=np.zeros(2))
     with pytest.raises(ConvergenceError, match="grows without bound") as info:
-        gare_fixed_point(model, cost)
+        solve_gare(model, cost)
     # value iteration asks the certificate before its first step
     assert info.value.iterations == 0
 
@@ -610,14 +624,14 @@ def test_gare_refuses_an_overflowing_doubling_without_a_floating_point_warning()
         warnings.simplefilter("ignore", UserWarning)
         with pytest.raises(ConvergenceError, match=r"^stationary iteration grows without "
                            r"bound \(iterate \d+ is not finite\)"):
-            gare_fixed_point(model, tracking_cost(model))
+            solve_gare(model, tracking_cost(model))
 
 
 def test_gare_refuses_a_singular_doubling_step_without_a_growth_certificate(monkeypatch):
     monkeypatch.setattr(lqdr.riccati, "_grows_without_bound", lambda *args: False)
     with pytest.raises(ConvergenceError, match="^stationary iteration stopped: the solve "
                        "of doubling step 8 is singular$"):
-        gare_fixed_point(*singular_doubling_plant())
+        solve_gare(*singular_doubling_plant())
 
 
 def test_gare_growth_check_keeps_a_slow_value_iteration(monkeypatch):
@@ -631,7 +645,7 @@ def test_gare_growth_check_keeps_a_slow_value_iteration(monkeypatch):
 
     monkeypatch.setattr(lqdr.riccati, "_grows_without_bound", counted)
     model = scalar_model(A=0.99, B=0.0)
-    g = gare_fixed_point(model, scalar_cost())
+    g = solve_gare(model, scalar_cost())
     assert verdicts == [False] and g.iterations > 1000
     sol = solve_finite_horizon(model, scalar_cost(), N=g.horizon - 1, strict=False)
     assert np.array_equal(sol.P[0], g.P)
@@ -659,23 +673,37 @@ def test_gare_accepts_exactly_the_plants_whose_uncontrollable_modes_are_stable(s
         assert sigma_min <= 4 * np.finfo(float).eps * cond * np.linalg.norm(closed, 2)
 
 
+def assert_returned_but_refused_by_the_law(model, cost, radius):
+    """``solve_gare`` returns a limit with rho(A - B K) = ``radius`` >= 1, and
+    ``solve_steady`` and the stationary law each refuse it."""
+    with pytest.warns(UserWarning, match="not detectable"):
+        g = solve_gare(model, cost)
+    assert g.closed_loop_radius == radius
+    with pytest.raises(StabilizationError) as info:
+        solve_steady(g, model, cost, np.ones(model.m))
+    assert info.value.spectral_radius == radius
+    with pytest.warns(UserWarning, match="not detectable"), pytest.raises(StabilizationError):
+        build_controller(ControllerConfig(kind="Stationary"), model, cost,
+                         DisturbanceProfile.constant(1.0, dim=model.m), 10)
+
+
 def test_gare_detects_non_stabilizing_solution():
     # unit-circle mode invisible to the cost: iteration settles at P = 0 but
     # the closed loop is not a contraction
-    model = scalar_model(A=1.0)
-    cost = scalar_cost(Q=0.0)
-    with pytest.warns(UserWarning):
-        with pytest.raises(StabilizationError):
-            solve_gare(model, cost)
+    assert_returned_but_refused_by_the_law(scalar_model(A=1.0), scalar_cost(Q=0.0), 1.0)
 
 
 def test_gare_warns_when_not_detectable():
     model = SystemModel(A=np.diag([2.0, 0.5]), B=np.eye(2), E=np.eye(2), c_o=np.eye(2))
     cost = CostSpec(Q=np.diag([0.0, 1.0]), R=np.eye(2),
                     P_terminal=np.zeros((2, 2)), r=np.zeros(2))
-    with pytest.warns(UserWarning, match="not detectable"):
-        with pytest.raises(StabilizationError):
-            solve_gare(model, cost)
+    assert_returned_but_refused_by_the_law(model, cost, 2.0)
+
+
+def test_gare_detectability_warning_names_the_calling_file():
+    with pytest.warns(UserWarning, match="not detectable") as record:
+        solve_gare(scalar_model(A=1.0), scalar_cost(Q=0.0))
+    assert [Path(w.filename) for w in record] == [Path(__file__)]
 
 
 def test_gare_rejects_bad_tol():
@@ -705,10 +733,10 @@ def test_solvers_refuse_an_asymmetric_weight_by_name(name, skew, scale):
         solve_finite_horizon(_SKEW_PLANT, cost, 5)
     if name == "P_terminal":
         # the stationary solve never reads the terminal weight
-        gare_fixed_point(_SKEW_PLANT, cost)
+        solve_gare(_SKEW_PLANT, cost)
     else:
         with pytest.raises(ValueError, match=f"^{name} is not symmetric"):
-            gare_fixed_point(_SKEW_PLANT, cost)
+            solve_gare(_SKEW_PLANT, cost)
 
 
 @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
@@ -717,7 +745,7 @@ def test_solvers_accept_a_weight_symmetric_to_the_tolerance(name, scale):
     cost = _skewed_cost(name, 1e-13, scale)
     assert validate(_SKEW_PLANT, cost).psd_flags[name] is True
     solve_finite_horizon(_SKEW_PLANT, cost, 5)
-    gare_fixed_point(_SKEW_PLANT, cost)
+    solve_gare(_SKEW_PLANT, cost)
 
 
 # ---------------------------------------------------------------------------
