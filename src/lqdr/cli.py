@@ -278,6 +278,17 @@ def load_scenario(path):
     steps = _number(raw["steps"], "steps", integer=True)
     if steps < 1:
         raise ScenarioError(f"steps must be >= 1, got {steps}")
+    # numpy forms no array of more than intp-max bytes, and every array a run
+    # forms over c steps has at most c + 2 rows of (n + m + l + 1)^2 floats
+    most_bytes = np.iinfo(np.intp).max
+    longest = most_bytes // (8 * (model.n + model.m + model.l + 1) ** 2) - 2
+    for what, count in [("steps", steps)] + [(f"controllers[{i}].T", config.T)
+                                             for i, config in enumerate(controllers)
+                                             if config.T is not None]:
+        if count > longest:
+            raise ScenarioError(f"{path} is too large to run: {what} = {count} needs an "
+                                f"array of more than {most_bytes} bytes, which numpy "
+                                f"cannot form")
     x0 = _array(raw["x0"], "x0", (model.n,))
     # a reference far from x0 (a tiny c_o maps a regulated one far out)
     # would overflow the cost of every run

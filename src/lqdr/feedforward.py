@@ -5,14 +5,17 @@ feedforward pair (h, f) is generated backward from the terminal condition
 f_{N+1} = -P_{N+1} r by
 
     h_k = B' (R + P_{k+1}) E d_k + B' f_{k+1}
-    f_k = A' P_{k+1} E d_k + A' f_{k+1} - M_k' Upsilon_k^{-1} h_k - Q r.
+    f_k = A' P_{k+1} E d_k + A' f_{k+1} - K_k' h_k - Q r,
+
+where K_k' = M_k' Upsilon_k^{-1} (Upsilon_k^{-1} is symmetric) is the
+transposed gain the law applies, the one coupling to the Riccati pass.
 
 (h, f) is linear in E d and r, so ``backward_pass``, the one backward loop
 here, solves p problems at once, one per column: each has its own channel
 E d_k and its own multiple of r.  It forms the products that do not involve f
 for all steps at once, a_k = B' (R + P_{k+1}) E d_k,
-b_k = A' P_{k+1} E d_k - Q r and C_k = M_k' Upsilon_k^{-1}, and its loop runs
-the two equations as h_k = a_k + B' f_{k+1} and f_k = b_k + A' f_{k+1} - C_k h_k.
+b_k = A' P_{k+1} E d_k - Q r, and its loop runs the two equations as
+h_k = a_k + B' f_{k+1} and f_k = b_k + A' f_{k+1} - K_k' h_k.
 ``solve_recursive`` is the pass with p = 1; the receding-horizon law of
 ``control`` is one pass over its lookahead with p = m + 1.
 
@@ -59,7 +62,7 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
     per problem and step, so at p = 1 every product is a single problem's.
     The loop walks the rows of step k from N down to 0 and writes h_k and f_k
     into their rows of the stacks in place, as a_k + B' f_{k+1} and
-    (b_k + A' f_{k+1}) - C_k h_k.
+    (b_k + A' f_{k+1}) - K_k' h_k.
     """
     A, B = model.A, model.B
     Q, R, r = cost.Q, cost.R, cost.r
@@ -73,16 +76,16 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
     a = (dot(Ed_rows, dot(B.T, R).T) + dot(PEd_rows, B)).reshape(N + 1, p, model.m)
     b = dot(PEd_rows, A).reshape(N + 1, p, n) - r_weight[:, None] * dot(Q, r)
     a, b = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
-    C = np.swapaxes(riccati.M, 1, 2) @ riccati.Upsilon_inv
 
     h = np.zeros((N + 1, model.m, p))
     f = np.zeros((N + 2, n, p))
     f[N + 1] = -(dot(riccati.P[N + 1], r)[:, None] * r_weight)
     At, Bt = A.T, B.T
     f_next = f[N + 1]
-    for a_k, b_k, C_k, h_k, f_k in zip(a[::-1], b[::-1], C[::-1], h[::-1], f[N::-1]):
+    KT = np.swapaxes(riccati.K, 1, 2)
+    for a_k, b_k, KT_k, h_k, f_k in zip(a[::-1], b[::-1], KT[::-1], h[::-1], f[N::-1]):
         np.add(a_k, dot(Bt, f_next), out=h_k)
-        np.subtract(b_k + dot(At, f_next), dot(C_k, h_k), out=f_k)
+        np.subtract(b_k + dot(At, f_next), dot(KT_k, h_k), out=f_k)
         f_next = f_k
     return h, f
 
@@ -105,7 +108,7 @@ def solve_closed_form(riccati, model, cost, d):
 
     For each k, f_k = sum_{s=k}^{N+1} (Abar_k' ... Abar_{s-1}') G_s, with the
     empty product read as the identity, the drivers
-    G_s = Abar_s' P_{s+1} E d_s - M_s' Upsilon_s^{-1} B' R E d_s - Q r for
+    G_s = Abar_s' P_{s+1} E d_s - K_s' B' R E d_s - Q r for
     s <= N and the terminal term G_{N+1} = f_{N+1} = -P_{N+1} r; then
     h_k = B' ((R + P_{k+1}) E d_k + f_{k+1}).  The drivers are stacked
     products with the vectors E d_s, and every 2-D product is
@@ -128,8 +131,8 @@ def solve_closed_form(riccati, model, cost, d):
     # f starts as the drivers G; after the round with offset L, f[k] holds
     # the terms j < 2L of its sum and prod[k] = Abar_k' ... Abar_{k+2L-1}'
     f = np.empty((N + 2, model.n, 1))
-    UBREd = riccati.Upsilon_inv @ Ed.dot(B.T.dot(R).T)[:, :, None]
-    np.subtract(AbarT @ PEd, np.swapaxes(riccati.M, 1, 2) @ UBREd, out=f[:N + 1])
+    BREd = Ed.dot(B.T.dot(R).T)[:, :, None]
+    np.subtract(AbarT @ PEd, np.swapaxes(riccati.K, 1, 2) @ BREd, out=f[:N + 1])
     f[:N + 1, :, 0] -= cost.Q.dot(r)
     f[N + 1, :, 0] = -P[N + 1].dot(r)
     prod = AbarT
@@ -170,7 +173,7 @@ def solve_steady(gare, model, cost, d_limit):
         raise ValueError(f"d_limit must have length {model.m}")
 
     Abar = A - B @ gare.K
-    F = (Abar.T @ gare.P - gare.M.T @ gare.Upsilon_inv @ B.T @ R) @ E
+    F = (Abar.T @ gare.P - gare.K.T @ B.T @ R) @ E
     f = np.linalg.solve(np.eye(model.n) - Abar.T, F @ d_limit - Q @ r)
     h = B.T @ (R + gare.P) @ (E @ d_limit) + B.T @ f
     return h, f

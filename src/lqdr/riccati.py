@@ -6,22 +6,25 @@ The finite-horizon solve iterates, from the terminal weight down to k = 0,
     M_k       = B' P_{k+1} A
     P_k       = Q + A' P_{k+1} A - M_k' Upsilon_k^{-1} M_k
 
-and stores the feedback gains K_k = Upsilon_k^{-1} M_k.  One step is one
-Gram product [A B]' P_{k+1} [A B], whose blocks are A'PA, M_k and B'PB, and
-one symmetric eigendecomposition Upsilon_k = V diag(w) V' (Golub & Van Loan,
-*Matrix Computations*, section 8.1), which gives the solvability test, the
-inverse V diag(1/w) V' and the consistency defect at once.  The
-decomposition is LAPACK's ``dsyevd`` on the upper triangle, through
-``np.linalg.eigh``.  At m = 1 it is w = Upsilon, V = 1: a ``_definite``
-scalar Upsilon is inverted as 1 / Upsilon directly, and every other step
-takes the decomposition.  A pass forms the step's constants and scratch
+and stores the feedback gains K_k = Upsilon_k^{-1} M_k; Upsilon_k and M_k
+are step scratch, read downstream only as K_k' = M_k' Upsilon_k^{-1}.  One
+step is one Gram product [A B]' P_{k+1} [A B], whose blocks are A'PA, M_k
+and B'PB, and one symmetric eigendecomposition Upsilon_k = V diag(w) V'
+(Golub & Van Loan, *Matrix Computations*, section 8.1), which gives the
+solvability test, the inverse V diag(1/w) V' and the consistency defect at
+once.  The decomposition is LAPACK's ``dsyevd`` on the upper triangle,
+through ``np.linalg.eigh``.  At m = 1 it is w = Upsilon, V = 1: a
+``_definite`` scalar Upsilon is inverted as 1 / Upsilon directly, and every
+other step takes the decomposition.  A pass forms the step's constants and scratch
 buffers once.
 In strict mode each Upsilon_k must be positive definite, the solvability
 condition for a unique optimal controller, as ``_definite`` judges it:
 smallest eigenvalue above ``PINV_RCOND`` times the largest.  In non-strict
-mode eigenvalues whose modulus is at most that bound are dropped, which is the
-Moore-Penrose pseudo-inverse with the cutoff ``np.linalg.pinv`` uses
-(section 5.5.4).  It is legitimate exactly when the consistency condition
+mode an indefinite Upsilon_k (smallest eigenvalue below -``PINV_RCOND``
+times the larger of its modulus and the largest), whose stage cost has no
+minimum in u, is refused as well; otherwise eigenvalues whose modulus is at
+most that bound are dropped, which is the Moore-Penrose pseudo-inverse with
+the cutoff ``np.linalg.pinv`` uses (section 5.5.4).  It is legitimate exactly when the consistency condition
 Upsilon_k Upsilon_k^+ M_k = M_k holds at every step; its defect is
 ||V_dropped' M_k||, accepted up to ``REGULARITY_TOL`` times ||M_k||.  Both
 tests are relative, so rescaling Q, R and P_T together changes no verdict.
@@ -134,47 +137,51 @@ def _step_scratch(AB):
 
     In order: AB', the product ``model._dot_for(n)``, a buffer for
     P_{k+1} AB, one for the Gram matrix G, G's views on its blocks A'PA
-    (later Q + A'PA), M and Upsilon, and a buffer for M'K.
+    (later Q + A'PA), B'PA and B'PB (later Upsilon), a buffer for
+    M = B'PA and one for M'K.
     """
     n, nm = AB.shape
     G = np.empty((nm, nm))
     return (AB.T, _dot_for(n), np.empty((n, nm)), G, G[:n, :n], G[n:, :n], G[n:, n:],
-            np.empty((n, n)))
+            np.empty((nm - n, n)), np.empty((n, n)))
 
 
 def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
-    """One step back from P_{k+1}: (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P, defect).
+    """One step back from P_{k+1}: (Upsilon_eig, Upsilon_inv, K, P, defect).
 
     ``AB`` and ``W`` come from ``_step_constants``, and ``scratch``, when
     given, from ``_step_scratch(AB)``: a pass forms it once for all its
     steps.  The Gram product G = AB' P_{k+1} AB is symmetrized in place;
     its blocks are A'PA, M = B'PA and B'PB.  W is then added into G, which
-    holds Q + A'PA and Upsilon = Rbar + B'PB.  Upsilon_eig holds the
-    ascending eigenvalues of Upsilon.  The verdict ``_definite`` is decided
-    once: strict mode raises ``SolvabilityError``, naming step ``k``,
-    without it; otherwise Upsilon_inv is the pseudo-inverse and ``defect``
-    the consistency defect ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon
-    is inverted whole.  K = Upsilon_inv M, and P is (Q + A'PA) - M'K
-    symmetrized.  At m = 1 Upsilon is the scalar u = G[n, n], whose
-    eigenpair is (u, 1): when u is ``_definite`` the step writes u as
-    Upsilon and Upsilon_eig and 1 / u as Upsilon_inv, the bytes of the
-    eigendecomposition path, which every other step takes.
+    holds Q + A'PA and Upsilon = Rbar + B'PB; M and Upsilon are scratch.
+    Upsilon_eig holds the ascending eigenvalues of Upsilon.  The verdict
+    ``_definite`` is decided once.  Without it, strict mode raises
+    ``SolvabilityError`` naming step ``k``, and so does non-strict mode
+    when Upsilon is indefinite: its smallest eigenvalue is below
+    -``PINV_RCOND`` times the larger of its modulus and the largest
+    eigenvalue, where the stage cost has no minimum in u.  Otherwise
+    Upsilon_inv is the pseudo-inverse and ``defect`` the consistency
+    defect ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon is inverted
+    whole.  K = Upsilon_inv M, and P is (Q + A'PA) - M'K symmetrized.  At
+    m = 1 Upsilon is the scalar u = G[n, n], whose eigenpair is (u, 1):
+    when u is ``_definite`` the step writes u as Upsilon_eig and 1 / u as
+    Upsilon_inv, the bytes of the eigendecomposition path, which every
+    other step takes.
 
-    ``out``, when given, is six arrays of the result's shapes, the rows of
+    ``out``, when given, is four arrays of the result's shapes, the rows of
     step k in a pass's stacks, in the order above: the step fills them in
     place and returns them with the defect.  Without ``out`` it allocates
-    the six arrays it returns.  Beyond those and ``scratch`` it allocates
+    the four arrays it returns.  Beyond those and ``scratch`` it allocates
     only the transpose copies that symmetrize and, where it is taken, the
-    eigendecomposition.
+    eigendecomposition.  A refused step writes none of its rows.
     """
     if scratch is None:
         scratch = _step_scratch(AB)
-    ABT, dot, PAB, G, G_QA, G_M, G_Upsilon, MtK = scratch
-    n, m = len(PAB), len(G_M)
+    ABT, dot, PAB, G, G_QA, G_M, Upsilon, M, MtK = scratch
+    m, n = M.shape
     if out is None:
-        out = (np.empty((m, m)), np.empty((m, n)), np.empty(m), np.empty((m, m)),
-               np.empty((m, n)), np.empty((n, n)))
-    Upsilon, M, Upsilon_eig, Upsilon_inv, K, P = out
+        out = (np.empty(m), np.empty((m, m)), np.empty((m, n)), np.empty((n, n)))
+    Upsilon_eig, Upsilon_inv, K, P = out
     dot(ABT, dot(P_next, AB, out=PAB), out=G)
     _sym(G, out=G)
     M[...] = G_M
@@ -183,18 +190,17 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
     np.add(W, G, out=G)
     if m == 1 and (u := G[n, n]) > PINV_RCOND * u:
         # _definite on the one eigenvalue; (V / w) V' is 1 / u
-        Upsilon[0, 0] = Upsilon_eig[0] = u
+        Upsilon_eig[0] = u
         Upsilon_inv[0, 0] = 1.0 / u
         defect = 0.0
     else:
-        Upsilon[...] = G_Upsilon
         w, V = _eigh(Upsilon)
         definite = _definite(w)
-        if strict and not definite:
-            raise SolvabilityError(
-                f"Upsilon_{k} is not positive definite (min eigenvalue {w[0]:.3e}, "
-                f"max {w[-1]:.3e}); no unique optimal input",
-                step=k, min_eigenvalue=float(w[0]))
+        if not definite and (strict or w[0] < -PINV_RCOND * max(-w[0], w[-1])):
+            what, why = (("not positive definite", "no unique optimal input") if strict
+                         else ("indefinite", "the stage cost has no minimum in u"))
+            raise SolvabilityError(f"Upsilon_{k} is {what} (min eigenvalue {w[0]:.3e}, "
+                                   f"max {w[-1]:.3e}); {why}", step=k, min_eigenvalue=float(w[0]))
         Upsilon_eig[...] = w
         defect = _eig_inverse(w, V, M, definite, out=Upsilon_inv)[1]
     # K is a BLAS product on both paths: a multiply by Upsilon_inv differs in
@@ -213,43 +219,40 @@ class RiccatiSolution:
     Attributes:
         horizon: N; controls exist for k = 0..N.
         P: (N+2, n, n) value matrices, P[N+1] is the terminal weight.
-        Upsilon: (N+1, m, m) input-channel Gram matrices.
-        M: (N+1, m, n) cross terms.
-        Upsilon_eig: (N+1, m) ascending eigenvalues of each Upsilon_k; column 0
-            is the solvability margin.
+        Upsilon_eig: (N+1, m) ascending eigenvalues of each
+            Upsilon_k = B' (R + P_{k+1}) B; column 0 is the solvability margin.
         Upsilon_inv: (N+1, m, m) Upsilon_k^{-1} (Upsilon_k^+ in non-strict mode).
-        K: (N+1, m, n) feedback gains, K_k = Upsilon_inv_k M_k.
+        K: (N+1, m, n) feedback gains, K_k = Upsilon_inv_k M_k with
+            M_k = B' P_{k+1} A; K_k' = M_k' Upsilon_k^{-1} couples the
+            feedforward to the pass.
     """
 
     horizon: int
     P: np.ndarray
-    Upsilon: np.ndarray
-    M: np.ndarray
     Upsilon_eig: np.ndarray
     Upsilon_inv: np.ndarray
     K: np.ndarray
 
     def __post_init__(self):
-        freeze_fields(self, "P", "Upsilon", "M", "Upsilon_eig", "Upsilon_inv", "K")
+        freeze_fields(self, "P", "Upsilon_eig", "Upsilon_inv", "K")
 
 
 @dataclass(frozen=True)
 class GareSolution:
     """Stationary solution with its feedback gain and convergence evidence.
 
-    ``Upsilon_inv`` is the pseudo-inverse of ``Upsilon``, K = Upsilon_inv M;
+    ``Upsilon_inv`` is the pseudo-inverse of Upsilon = B' (R + P) B, and
+    K = Upsilon_inv M with M = B' P A; neither Upsilon nor M is kept.
     ``residual`` is the elementwise-max defect of P under one more iteration
     map application; ``closed_loop_radius`` is the spectral radius of A - B K,
     which may be >= 1: ``feedforward.solve_steady`` refuses such a solution.
     ``iterations`` counts doublings or backward steps, and ``horizon`` is
     the finite horizon whose P_0 (from P = 0) was returned: 2^iterations
     after doubling, ``iterations`` after value iteration.  ``Upsilon_eig``
-    holds the ascending eigenvalues of ``Upsilon``.
+    holds the ascending eigenvalues of Upsilon.
     """
 
     P: np.ndarray
-    Upsilon: np.ndarray
-    M: np.ndarray
     Upsilon_eig: np.ndarray
     Upsilon_inv: np.ndarray
     K: np.ndarray
@@ -259,7 +262,7 @@ class GareSolution:
     horizon: int
 
     def __post_init__(self):
-        freeze_fields(self, "P", "Upsilon", "M", "Upsilon_eig", "Upsilon_inv", "K")
+        freeze_fields(self, "P", "Upsilon_eig", "Upsilon_inv", "K")
 
 
 def solve_finite_horizon(model, cost, N, strict=True):
@@ -273,7 +276,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
             pseudo-inverse is used and the per-step consistency condition is
             verified instead.
 
-    Each step writes its rows of the six stacks in place (the ``out`` of
+    Each step writes its rows of the four stacks in place (the ``out`` of
     ``_backward_step``).  The step of every P computed is kept by the hash
     of its bytes, P_{N+1} included.  The pass stops at the first k whose
     P_k equals a stored P_j bit for bit (a hash hit is confirmed on the
@@ -286,7 +289,8 @@ def solve_finite_horizon(model, cost, N, strict=True):
         ValueError: N < 0, the cost and model dimensions differ, or Q, R or
             P_terminal is not symmetric to ``model.SYMMETRY_TOL`` relative.
         SolvabilityError: strict mode and some Upsilon_k is not positive
-            definite (the failing step is reported).
+            definite, or either mode and some Upsilon_k is indefinite (the
+            failing step is reported).
         RegularityError: non-strict mode and the pseudo-inverse solve is
             inconsistent at some step.
         Either, by mode, also when the pass diverges: some P_k is not finite,
@@ -300,17 +304,17 @@ def solve_finite_horizon(model, cost, N, strict=True):
     _require_symmetric(cost, ("Q", "R", "P_terminal"))
     AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
     scratch = _step_scratch(AB)
+    # the step's M, which a defect is judged against
+    M = scratch[7]
     n, m = model.n, model.m
 
     P = np.zeros((N + 2, n, n))
-    Upsilon = np.zeros((N + 1, m, m))
-    M = np.zeros((N + 1, m, n))
     Upsilon_eig = np.zeros((N + 1, m))
     Upsilon_inv = np.zeros((N + 1, m, m))
     K = np.zeros((N + 1, m, n))
     _sym(cost.P_terminal, out=P[N + 1])
 
-    stacks = (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P)
+    stacks = (Upsilon_eig, Upsilon_inv, K, P)
     P_next = P[N + 1]
     # the step of every P computed so far, by the hash of its bytes
     seen = {hash(P_next.tobytes()): N + 1}
@@ -321,14 +325,14 @@ def solve_finite_horizon(model, cost, N, strict=True):
             # the rows of step k in every stack, N down to 0
             for k, rows in zip(range(N, -1, -1), zip(*(arr[N::-1] for arr in stacks))):
                 defect = _backward_step(P_next, AB, W, strict, k, out=rows,
-                                        scratch=scratch)[6]
+                                        scratch=scratch)[4]
                 # the defect is exactly 0.0 unless an eigenvalue was dropped
-                if defect and not defect <= REGULARITY_TOL * np.linalg.norm(rows[1]):
+                if defect and not defect <= REGULARITY_TOL * np.linalg.norm(M):
                     raise RegularityError(
                         f"pseudo-inverse solve inconsistent at step {k} "
                         f"(defect {defect:.3e}); the problem is unsolvable",
                         step=k, residual=defect)
-                P_next = rows[5]
+                P_next = rows[3]
                 P_bytes = P_next.tobytes()
                 # a hash shared by two different P keeps the first: the stop comes later
                 j = seen.setdefault(hash(P_bytes), k)
@@ -348,7 +352,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
         k = int(np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))[-1])
         raise _diverged(strict, k, f"P_{k} is not finite")
 
-    return RiccatiSolution(horizon=N, P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,
+    return RiccatiSolution(horizon=N, P=P, Upsilon_eig=Upsilon_eig,
                            Upsilon_inv=Upsilon_inv, K=K)
 
 
@@ -435,7 +439,8 @@ def solve_gare(model, cost, tol=1e-12, max_iters=100000):
             when ``_grows_without_bound`` holds, else "stopped: why".  The
             certificate is asked at most once: by value iteration before its
             first step, by doubling only where it refuses.  Why: a doubling
-            step's I + G_k H_k is singular, an iterate is not finite, the
+            step's I + G_k H_k is singular, an iterate is not finite, a
+            backward step from an iterate meets an indefinite Upsilon, the
             update never fell below ``tol`` within ``max_iters`` iterates or
             ``MAX_DOUBLINGS`` doublings, the limit lost semidefiniteness
             (smallest eigenvalue below ``model.PSD_EIG_FLOOR`` times the
@@ -468,6 +473,14 @@ def solve_gare(model, cost, tol=1e-12, max_iters=100000):
             else f"stationary iteration stopped: {why}",
             residual=residual, iterations=iterations)
 
+    def step(P):
+        """The backward step from P in pseudo-inverse mode, refused by ``refusal``."""
+        try:
+            return _backward_step(P, AB, W, strict=False, scratch=scratch)
+        except SolvabilityError as exc:
+            raise refusal(f"the step from iterate {iterations} meets an indefinite "
+                          f"Upsilon (min eigenvalue {exc.min_eigenvalue:.3e})") from None
+
     doubling = _definite(np.linalg.eigvalsh(Rbar))
     if doubling:
         A_k, G_k, P = A, _sym(B @ np.linalg.solve(Rbar, B.T)), Q
@@ -486,7 +499,7 @@ def solve_gare(model, cost, tol=1e-12, max_iters=100000):
                 raise refusal(f"the solve of doubling step {iterations + 1} "
                               f"is singular") from None
         else:
-            P_next = _backward_step(P, AB, W, strict=False, scratch=scratch)[5]
+            P_next = step(P)[3]
         residual = float(np.max(np.abs(P_next - P)))
         P = P_next
         iterations += 1
@@ -498,8 +511,7 @@ def solve_gare(model, cost, tol=1e-12, max_iters=100000):
         raise refusal(f"still moving by {residual:.3e} after {limit} "
                       f"{'doublings' if doubling else 'iterations'} (tol {tol:g}, relative)")
 
-    Upsilon, M, Upsilon_eig, Upsilon_inv, K, P_check, _ = \
-        _backward_step(P, AB, W, strict=False, scratch=scratch)
+    Upsilon_eig, Upsilon_inv, K, P_check, _ = step(P)
     residual = float(np.max(np.abs(P_check - P)))
     eigs = np.linalg.eigvalsh(P)
     min_eig = float(eigs[0])
@@ -509,8 +521,7 @@ def solve_gare(model, cost, tol=1e-12, max_iters=100000):
     radius = spectral_radius(A - B @ K)
     if radius >= 1.0 and grows():
         raise refusal(f"the limit's closed loop has rho(A - B K) = {radius:.6f} >= 1")
-    return GareSolution(P=P, Upsilon=Upsilon, M=M, Upsilon_eig=Upsilon_eig,
-                        Upsilon_inv=Upsilon_inv, K=K,
+    return GareSolution(P=P, Upsilon_eig=Upsilon_eig, Upsilon_inv=Upsilon_inv, K=K,
                         closed_loop_radius=radius, iterations=iterations,
                         residual=residual,
                         horizon=2 ** iterations if doubling else iterations)

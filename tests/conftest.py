@@ -258,40 +258,63 @@ def check_regularity(Upsilon, M, tol):
 # in the order the batched code in the package must reproduce
 # ---------------------------------------------------------------------------
 
-def reference_finite_horizon(model, cost, N, strict=True):
-    """The backward Riccati pass run for every step, with no early stop.
+def gram_blocks(P_next, AB, W):
+    """(Upsilon, M, H) of the step from P_{k+1} = ``P_next``, each product a fresh array.
 
-    Returns (P, Upsilon, M, Upsilon_inv, K, Upsilon_eig).
-    """
-    n, m = model.n, model.m
-    AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
-    P = np.zeros((N + 2, n, n))
-    Upsilon = np.zeros((N + 1, m, m))
-    M = np.zeros((N + 1, m, n))
-    Upsilon_eig = np.zeros((N + 1, m))
-    Upsilon_inv = np.zeros((N + 1, m, m))
-    K = np.zeros((N + 1, m, n))
-    P[N + 1] = _sym(cost.P_terminal)
-    for k in range(N, -1, -1):
-        Upsilon[k], M[k], Upsilon_eig[k], Upsilon_inv[k], K[k], P[k], defect = \
-            _backward_step(P[k + 1], AB, W, strict, k)
-        assert defect <= REGULARITY_TOL * np.linalg.norm(M[k])
-    return P, Upsilon, M, Upsilon_inv, K, Upsilon_eig
-
-
-def reference_gram_step(P_next, AB, W, strict, k=None):
-    """``_backward_step`` with a fresh array per sum and product, M a view of G.
-
-    Returns (Upsilon, M, Upsilon_eig, Upsilon_inv, K, P, defect): the bytes
-    the kernel, which writes into its output rows and adds W into G in
-    place, must reproduce.
+    H = W + G with the Gram product G = sym(AB' P_next AB); Upsilon =
+    B' (R + P_{k+1}) B is H's lower-right block, and M = B' P_{k+1} A is
+    G's lower-left one, read before W is added.  These are the bytes of the
+    Upsilon and M the backward step forms in its scratch.
     """
     n = P_next.shape[0]
     dot = np.ndarray.dot if n > 1 else np.matmul
     G = _sym(dot(AB.T, dot(P_next, AB)))
     H = W + G
-    M = G[n:, :n]
-    Upsilon = H[n:, n:]
+    return H[n:, n:], G[n:, :n], H
+
+
+def step_blocks(model, cost, P_next):
+    """(Upsilon, M) of the steps from ``P_next``, one P_{k+1} or a stack, rebuilt per step.
+
+    Upsilon_k = B' (R + P_{k+1}) B and M_k = B' P_{k+1} A, as ``gram_blocks``
+    forms them: a solution keeps neither, so a test rebuilds them from P.
+    """
+    AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
+    if np.ndim(P_next) == 2:
+        return gram_blocks(P_next, AB, W)[:2]
+    Upsilon, M = zip(*(gram_blocks(P, AB, W)[:2] for P in P_next))
+    return np.array(Upsilon), np.array(M)
+
+
+def reference_finite_horizon(model, cost, N, strict=True):
+    """The backward Riccati pass run for every step, with no early stop.
+
+    Returns (Upsilon_eig, Upsilon_inv, K, P), the order of the step's outputs.
+    """
+    n, m = model.n, model.m
+    AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
+    P = np.zeros((N + 2, n, n))
+    Upsilon_eig = np.zeros((N + 1, m))
+    Upsilon_inv = np.zeros((N + 1, m, m))
+    K = np.zeros((N + 1, m, n))
+    P[N + 1] = _sym(cost.P_terminal)
+    for k in range(N, -1, -1):
+        Upsilon_eig[k], Upsilon_inv[k], K[k], P[k], defect = \
+            _backward_step(P[k + 1], AB, W, strict, k)
+        assert defect <= REGULARITY_TOL * np.linalg.norm(gram_blocks(P[k + 1], AB, W)[1])
+    return Upsilon_eig, Upsilon_inv, K, P
+
+
+def reference_gram_step(P_next, AB, W, strict, k=None):
+    """``_backward_step`` with a fresh array per sum and product, M a view of G.
+
+    Returns (Upsilon_eig, Upsilon_inv, K, P, defect): the bytes the kernel,
+    which writes into its output rows and adds W into G in place, must
+    reproduce, or its ``SolvabilityError``.
+    """
+    Upsilon, M, H = gram_blocks(P_next, AB, W)
+    n = P_next.shape[0]
+    dot = np.ndarray.dot if n > 1 else np.matmul
     w, V = _eigh(Upsilon)
     definite = w[0] > PINV_RCOND * w[-1]
     if strict and not definite:
@@ -299,27 +322,37 @@ def reference_gram_step(P_next, AB, W, strict, k=None):
             f"Upsilon_{k} is not positive definite (min eigenvalue {w[0]:.3e}, "
             f"max {w[-1]:.3e}); no unique optimal input",
             step=k, min_eigenvalue=float(w[0]))
+    if not definite and w[0] < -PINV_RCOND * max(-w[0], w[-1]):
+        raise SolvabilityError(
+            f"Upsilon_{k} is indefinite (min eigenvalue {w[0]:.3e}, "
+            f"max {w[-1]:.3e}); the stage cost has no minimum in u",
+            step=k, min_eigenvalue=float(w[0]))
     Upsilon_inv, defect = _eig_inverse(w, V, M, definite)
     K = dot(Upsilon_inv, M)
-    return Upsilon, M, w, Upsilon_inv, K, _sym(H[:n, :n] - dot(M.T, K)), defect
+    return w, Upsilon_inv, K, _sym(H[:n, :n] - dot(M.T, K)), defect
 
 
 def reference_backward_step(P_next, A, B, Q, R, strict, k=None):
     """One backward step as separate products: (Upsilon, M, Upsilon_inv, K, P).
 
     Strict mode tests the smallest eigenvalue of Upsilon against an absolute
-    1e-10 and inverts it with ``np.linalg.inv``; otherwise Upsilon_inv is
-    ``np.linalg.pinv`` and the consistency defect is formed explicitly as
+    1e-10 and inverts it with ``np.linalg.inv``; otherwise an Upsilon whose
+    smallest eigenvalue is below -1e-10 times the larger of its modulus and
+    the largest is refused as indefinite, Upsilon_inv is ``np.linalg.pinv``
+    and the consistency defect is formed explicitly as
     ||Upsilon Upsilon^+ M - M||, accepted up to ``REGULARITY_TOL`` (1 + ||M||).
     """
     Upsilon = _sym(B.T @ (R + P_next) @ B)
     M = B.T @ P_next @ A
+    eigs = np.linalg.eigvalsh(Upsilon)
     if strict:
-        min_eig = float(np.min(np.linalg.eigvalsh(Upsilon)))
-        if min_eig <= 1e-10:
-            raise SolvabilityError("not positive definite", step=k, min_eigenvalue=min_eig)
+        if eigs[0] <= 1e-10:
+            raise SolvabilityError("not positive definite", step=k,
+                                   min_eigenvalue=float(eigs[0]))
         Upsilon_inv = np.linalg.inv(Upsilon)
     else:
+        if eigs[0] < -1e-10 * max(-eigs[0], eigs[-1]):
+            raise SolvabilityError("indefinite", step=k, min_eigenvalue=float(eigs[0]))
         Upsilon_inv = np.linalg.pinv(Upsilon, rcond=PINV_RCOND)
         defect = float(np.linalg.norm(Upsilon @ Upsilon_inv @ M - M))
         if defect > REGULARITY_TOL * (1 + np.linalg.norm(M)):
@@ -337,9 +370,10 @@ def reference_feedforward(riccati, model, cost, d_seq):
     f = np.zeros((N + 2, model.n))
     f[N + 1] = -riccati.P[N + 1] @ r
     for k in range(N, -1, -1):
+        M = B.T @ riccati.P[k + 1] @ A
         h[k] = B.T @ (R + riccati.P[k + 1]) @ (E @ d_seq[k]) + B.T @ f[k + 1]
         f[k] = (A.T @ (riccati.P[k + 1] @ (E @ d_seq[k])) + A.T @ f[k + 1]
-                - riccati.M[k].T @ (riccati.Upsilon_inv[k] @ h[k]) - Q @ r)
+                - M.T @ (riccati.Upsilon_inv[k] @ h[k]) - Q @ r)
     return h, f
 
 
@@ -453,7 +487,8 @@ def reference_closed_form(riccati, model, cost, d_seq):
     for k in range(N, -1, -1):
         H[k] = B.T @ (R + riccati.P[k + 1]) @ E
         Abar[k] = A - B @ riccati.K[k]
-        F[k] = Abar[k].T @ riccati.P[k + 1] @ E - riccati.M[k].T @ (riccati.Upsilon_inv[k] @ BtRE)
+        M = B.T @ riccati.P[k + 1] @ A
+        F[k] = Abar[k].T @ riccati.P[k + 1] @ E - M.T @ (riccati.Upsilon_inv[k] @ BtRE)
         Rscript[k] = Abar[k].T @ Rscript[k + 1] + Q
     f = np.zeros((N + 2, n))
     f[N + 1] = -riccati.P[N + 1] @ r

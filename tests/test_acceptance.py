@@ -13,8 +13,8 @@ lines as they print.
 import numpy as np
 import pytest
 
-from conftest import (lqr_textbook_gains, rel_gap, stationary_control, tracking_cost,
-                      two_state_bench)
+from conftest import (lqr_textbook_gains, rel_gap, stationary_control, step_blocks,
+                      tracking_cost, two_state_bench)
 from lqdr import (CostSpec, SolvabilityError, SystemModel,
                   MATCHED, brute_force_optimal, build_controller,
                   classify_disturbance, costate_residuals, draw_instance,
@@ -277,13 +277,14 @@ def test_criterion_11_bounded_operation():
     # infinite-horizon feedforward: backward pass with the stationary value
     # matrices, which is the limit the finite-horizon tail approaches
     A, B, E = model.A, model.B, model.E
-    pinv = np.linalg.pinv(gare.Upsilon, rcond=1e-10)
+    Upsilon, M = step_blocks(model, cost, gare.P)
+    pinv = np.linalg.pinv(Upsilon, rcond=1e-10)
     h_seq = np.zeros((steps + margin, 1))
     f = np.zeros(2)
     for k in range(steps + margin - 1, -1, -1):
         Ed = E @ d[k]
         h_seq[k] = B.T @ (cost.R + gare.P) @ Ed + B.T @ f
-        f = A.T @ gare.P @ Ed + A.T @ f - gare.M.T @ (pinv @ h_seq[k])
+        f = A.T @ gare.P @ Ed + A.T @ f - M.T @ (pinv @ h_seq[k])
     h_seq = h_seq[:steps]
 
     traj = simulate(model, cost,

@@ -993,6 +993,30 @@ def test_main_run_reports_a_horizon_too_large_to_allocate(tmp_path, capsys, muta
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("steps", 10 ** 20, "steps"),
+    ("steps", 2 ** 63 - 2, "steps"),
+    ("T", 10 ** 20, "controllers[0].T"),
+], ids=["steps_1e20", "steps_2^63-2", "lookahead_1e20"])
+def test_a_horizon_numpy_cannot_form_is_refused_at_load(tmp_path, capsys, key, value, what):
+    # these counts once ended as per-controller solver failures ("Maximum
+    # allowed dimension exceeded", "iterator is too large") with exit 2 and a
+    # summary written; they are refused as a horizon too large to allocate is
+    doc = json.loads(bundled_scenario_path("example_b").read_text())
+    (doc if key == "steps" else doc["controllers"][0])[key] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"{path} is too large to run: {what} = {value} needs an array of more than "
+            f"{np.iinfo(np.intp).max} bytes")):
+        load_scenario(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {path} is too large to run")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("case", ["run_out_is_a_file", "compare_out_is_a_file",
                                   "run_file_is_a_directory"])
 def test_main_reports_an_output_that_cannot_be_written(tmp_path, capsys, case):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,13 +11,13 @@ import lqdr.cli
 import lqdr.control
 
 from conftest import (aero_engine_discrete, long_horizon_cases, lqr_textbook_gains,
-                      receding_horizon_control, rel_gap, stationary_control,
-                      tracking_cost, two_state_bench, uncontrollable_3state)
-from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile, SolvabilityError,
-                  SystemModel, build_controller, brute_force_optimal, draw_instance,
-                  finite_horizon_control, simulate,
-                  solve_finite_horizon, solve_gare, solve_recursive, solve_steady,
-                  spectral_radius)
+                      receding_horizon_control, rel_close, rel_gap, sampled_stable_plant,
+                      stationary_control, step_blocks, tracking_cost, two_state_bench,
+                      uncontrollable_3state)
+from lqdr import (ControllerConfig, ConvergenceError, CostSpec, DisturbanceProfile, LqdrError,
+                  SolvabilityError, SystemModel, build_controller, brute_force_optimal,
+                  draw_instance, finite_horizon_control, simulate, solve_finite_horizon,
+                  solve_gare, solve_recursive, solve_steady, spectral_radius)
 from lqdr.cli import bundled_scenario_path, load_scenario, main, run_scenario
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -231,7 +232,7 @@ def test_stationary_loop_contracts_toward_fixed_point(make_model):
     x0 = np.full(model.n, 0.5)
     traj = simulate(model, cost, lambda k, x, dk: stationary_control(x, g, h),
                     x0, steps, np.tile(d, (steps, 1)))
-    pinv = np.linalg.pinv(g.Upsilon, rcond=1e-10)
+    pinv = np.linalg.pinv(step_blocks(model, cost, g.P)[0], rcond=1e-10)
     Abar = model.A - model.B @ g.K
     x_star = np.linalg.solve(np.eye(model.n) - Abar, model.E @ d - model.B @ (pinv @ h))
     gaps = np.linalg.norm(traj.x - x_star, axis=1)
@@ -815,3 +816,85 @@ def test_run_scenario_builds_then_simulates_each_controller_in_order(monkeypatch
             expected.append(("simulate", id(laws[config.label])))
     assert events == expected
     assert laws["rh_pinv"] is laws["rh_again"]
+
+
+def coordinate_change_cases():
+    """(model, cost, refusals) of the plants the coordinate-change test maps, m = 1, 2, 3.
+
+    The paper's uncontrollable bench with a reference; two sampled plants
+    with dense weights; and the bench with its unreached mode moved to
+    1.04 and weighted, where the stationary solve grows without bound.
+    ``refusals`` maps each law kind that is refused to its error type.
+    """
+    bench = uncontrollable_3state()
+    cases = [pytest.param(bench, tracking_cost(bench, r=[0.0, 0.5, 0.0]), {},
+                          id="uncontrollable_3state")]
+    for n, m, seed in ((4, 2, 1), (6, 3, 2)):
+        model = sampled_stable_plant(n, m, 0.05, seed=seed)
+        rng = np.random.default_rng(seed)
+        C = rng.standard_normal((n, n))
+        cases.append(pytest.param(model, CostSpec(Q=C.T @ C + np.eye(n), R=np.eye(n),
+                                                  P_terminal=np.eye(n), r=rng.standard_normal(n)),
+                                  {}, id=f"n{n}_m{m}"))
+    A = bench.A.copy()
+    A[0, 0] = 1.04
+    growing = SystemModel(A=A, B=bench.B, E=bench.E, c_o=bench.c_o)
+    cases.append(pytest.param(growing, CostSpec(Q=np.eye(3), R=np.eye(3),
+                                                P_terminal=np.zeros((3, 3)), r=np.zeros(3)),
+                              {"stationary": ConvergenceError}, id="growing_unreached_mode"))
+    return cases
+
+
+def in_coordinates(model, cost, T):
+    """The problem in the state x' = T x: every map and weight carried along."""
+    T_inv = np.linalg.inv(T)
+    return (SystemModel(A=T @ model.A @ T_inv, B=T @ model.B, E=T @ model.E,
+                        c_o=model.c_o @ T_inv),
+            CostSpec(Q=T_inv.T @ cost.Q @ T_inv, R=T_inv.T @ cost.R @ T_inv,
+                     P_terminal=T_inv.T @ cost.P_terminal @ T_inv, r=T @ cost.r))
+
+
+#: The largest deviation of u and z accepted under a change of coordinates T,
+#: relative and in units of eps cond(T).  The test's 16 draws per plant reach
+#: 2.6e3 and the first 150 draws 1.4e4, both on the growing plant's
+#: finite-horizon law
+COORDINATE_CHANGE_MULTIPLE = 5e4
+
+
+@pytest.mark.parametrize("model, cost, refusals", coordinate_change_cases())
+def test_laws_are_invariant_under_a_change_of_state_coordinates(model, cost, refusals):
+    # u = -K x - ... and z = c_o x do not depend on the state's coordinates:
+    # the feedback K' = K T^-1 and the feedforward, coupled to the pass by
+    # K', carry over, so each law's verdict holds and u and z move only by
+    # rounding, which grows with cond(T)
+    configs = [ControllerConfig(kind="finite_horizon"),
+               ControllerConfig(kind="receding_horizon", T=20),
+               ControllerConfig(kind="stationary")]
+    profile = DisturbanceProfile.constant(0.7, start_step=10, dim=model.m)
+    steps, eps = 60, np.finfo(float).eps
+
+    def run(model, cost, x0, config):
+        try:
+            law = build_controller(config, model, cost, profile, steps)
+        except LqdrError as exc:
+            return type(exc)
+        return simulate(model, cost, law, x0, steps, profile)
+
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        T = rng.standard_normal((model.n, model.n))
+        while np.linalg.cond(T) > 50:
+            T = rng.standard_normal((model.n, model.n))
+        x0 = rng.standard_normal(model.n)
+        mapped = in_coordinates(model, cost, T)
+        bound = COORDINATE_CHANGE_MULTIPLE * eps * np.linalg.cond(T)
+        with warnings.catch_warnings():
+            # the growing plant is not detectable in either coordinates
+            warnings.simplefilter("ignore", UserWarning)
+            for config in configs:
+                base, moved = run(model, cost, x0, config), run(*mapped, T @ x0, config)
+                if config.kind in refusals:
+                    assert base is moved is refusals[config.kind], (seed, config.kind)
+                    continue
+                assert rel_close(moved.u, base.u, bound), (seed, config.kind)
+                assert rel_close(moved.z, base.z, bound), (seed, config.kind)

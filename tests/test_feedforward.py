@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (long_horizon_cases, oracle_cases, reference_closed_form,
-                      reference_feedforward, rel_close, tracking_cost, two_state_bench,
-                      uncontrollable_3state)
+                      reference_feedforward, rel_close, step_blocks, tracking_cost,
+                      two_state_bench, uncontrollable_3state)
 from lqdr import (CostSpec, DisturbanceProfile, GareSolution, StabilizationError,
                   SystemModel, disturbance_sequence, draw_instance, solve_closed_form,
                   solve_finite_horizon, solve_gare, solve_recursive, solve_steady)
@@ -30,8 +30,9 @@ def test_scalar_backward_pass_hand_values():
     ff = solve_recursive(sol, model, cost, np.zeros((1, 1)))
     assert ff.f[1] == pytest.approx(-1.0)
     assert ff.h[0] == pytest.approx(-1.0)
-    assert sol.Upsilon[0] == pytest.approx(2.0)
-    assert sol.M[0] == pytest.approx(1.0)
+    Upsilon, M = step_blocks(model, cost, sol.P[1])
+    assert Upsilon == pytest.approx(2.0) and sol.Upsilon_inv[0] == pytest.approx(0.5)
+    assert M == pytest.approx(1.0)
     assert ff.f[0] == pytest.approx(-1.5)
 
 
@@ -234,9 +235,10 @@ def test_steady_is_fixed_point_of_backward_step():
     d = np.array([3.0])
     h, f = solve_steady(g, model, cost, d)
     A, B, E = model.A, model.B, model.E
-    pinv = np.linalg.pinv(g.Upsilon, rcond=1e-10)
+    Upsilon, M = step_blocks(model, cost, g.P)
+    pinv = np.linalg.pinv(Upsilon, rcond=1e-10)
     h_next = B.T @ (cost.R + g.P) @ (E @ d) + B.T @ f
-    f_next = A.T @ g.P @ (E @ d) + A.T @ f - g.M.T @ (pinv @ h_next) - cost.Q @ cost.r
+    f_next = A.T @ g.P @ (E @ d) + A.T @ f - M.T @ (pinv @ h_next) - cost.Q @ cost.r
     assert np.max(np.abs(h_next - h)) <= 1e-10
     assert np.max(np.abs(f_next - f)) <= 1e-10
 
@@ -257,9 +259,9 @@ def test_steady_rejects_expanding_loop():
     model = two_state_bench()
     cost = tracking_cost(model)
     g = solve_gare(model, cost)
-    broken = GareSolution(P=g.P, Upsilon=g.Upsilon, M=g.M, Upsilon_eig=g.Upsilon_eig,
-                          Upsilon_inv=g.Upsilon_inv, K=g.K, closed_loop_radius=1.2,
-                          iterations=g.iterations, residual=g.residual, horizon=g.horizon)
+    broken = GareSolution(P=g.P, Upsilon_eig=g.Upsilon_eig, Upsilon_inv=g.Upsilon_inv,
+                          K=g.K, closed_loop_radius=1.2, iterations=g.iterations,
+                          residual=g.residual, horizon=g.horizon)
     with pytest.raises(StabilizationError):
         solve_steady(broken, model, cost, [1.0])
 

@@ -12,7 +12,7 @@ from conftest import (long_horizon_cases, oracle_cases, reference_brute_force_op
                       reference_costate_residuals, reference_evaluate_cost,
                       reference_predicted_optimal_cost,
                       reference_simulate, rel_close, rel_gap, sampled_stable_plant,
-                      stationary_control, tracking_cost, two_state_bench,
+                      stationary_control, step_blocks, tracking_cost, two_state_bench,
                       uncontrollable_3state)
 from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile,
                   SolvabilityError, SystemModel, build_controller,
@@ -470,7 +470,7 @@ def test_stationary_loop_settles_on_fixed_point():
                     [1.0, 0.0], 10_000, profile)
     assert np.all(np.isfinite(traj.x))
     assert np.max(np.linalg.norm(traj.x, axis=1)) < 10.0
-    pinv = np.linalg.pinv(g.Upsilon, rcond=1e-10)
+    pinv = np.linalg.pinv(step_blocks(model, cost, g.P)[0], rcond=1e-10)
     Abar = model.A - model.B @ g.K
     x_star = np.linalg.solve(np.eye(2) - Abar,
                              model.E @ np.array([d]) - model.B @ (pinv @ h))
@@ -507,5 +507,6 @@ def test_draw_instance_respects_bounds():
         assert 1 <= inst.model.m <= 2
         assert 0 <= inst.N <= 20
         sol = solve_finite_horizon(inst.model, inst.cost, inst.N)
+        Upsilon = step_blocks(inst.model, inst.cost, sol.P[1:])[0]
         for k in range(inst.N + 1):
-            assert np.min(np.linalg.eigvalsh(sol.Upsilon[k])) >= 1e-6
+            assert np.min(np.linalg.eigvalsh(Upsilon[k])) >= 1e-6
