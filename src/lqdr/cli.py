@@ -504,8 +504,8 @@ def run_scenario(scenario, out_dir="."):
     csvs = []
     onset = scenario.disturbance.start_step
 
-    # every finite-horizon or receding-horizon problem is solved once: its
-    # law is shared by all the configs that pose it
+    # the scenario's first finite-horizon law serves its later non-strict
+    # finite-horizon configs
     laws = {}
     for config in scenario.controllers:
         entry = {"kind": config.kind, "error": None}

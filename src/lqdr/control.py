@@ -16,8 +16,8 @@ limit.  The receding-horizon law holds one gain too: its lookahead Riccati
 pass never changes between steps and its feedforward is linear in the
 frozen disturbance and the reference.
 
-A law is immutable, so ``build_controller`` can share one finite-horizon or
-receding-horizon law among the controllers that pose its problem.
+A law is immutable, so ``build_controller`` can hand a scenario's
+finite-horizon law to each of its later non-strict finite-horizon configs.
 """
 
 from dataclasses import dataclass, fields
@@ -26,7 +26,7 @@ import numpy as np
 
 from .feedforward import backward_pass, solve_recursive, solve_steady
 from .model import CostSpec, DisturbanceProfile, _dot_for, freeze_fields
-from .riccati import _definite, solve_finite_horizon, solve_gare, spectral_radius
+from .riccati import solve_finite_horizon, solve_gare, spectral_radius
 
 #: The fields each controller kind reads besides ``kind`` and ``label``, in
 #: field order; a config of a kind leaves every other field at its default.
@@ -231,14 +231,8 @@ def _solved_law(model, riccati, h):
                        (riccati.Upsilon_inv @ h[:, :, None])[:, :, 0])
 
 
-def _finite_horizon_law(config, model, cost, profile, steps):
-    """(law, riccati) of the finite-horizon problem over ``steps`` steps."""
-    riccati = solve_finite_horizon(model, cost, steps - 1, strict=config.strict)
-    return _solved_law(model, riccati, solve_recursive(riccati, model, cost, profile).h), riccati
-
-
 def _receding_horizon_law(config, model, cost, profile, steps):
-    """(law, riccati) of the receding-horizon problem with lookahead ``config.T``."""
+    """The receding-horizon law with lookahead ``config.T``."""
     inner_cost = cost if config.P_terminal is None else CostSpec(
         Q=cost.Q, R=cost.R, P_terminal=config.P_terminal, r=cost.r)
     riccati = solve_finite_horizon(model, inner_cost, config.T, strict=config.strict)
@@ -248,22 +242,7 @@ def _receding_horizon_law(config, model, cost, profile, steps):
     Ed = np.broadcast_to(np.hstack([model.E, np.zeros((n, 1))]), (config.T + 1, n, m + 1))
     h, _ = backward_pass(riccati, model, inner_cost, Ed, np.eye(m + 1)[m])
     gains = riccati.Upsilon_inv[0] @ h[0]
-    return _affine_law(model, steps, riccati.K[0], gains[:, :m], gains[:, m]), riccati
-
-
-def _problem_key(config):
-    """What a finite-horizon or receding-horizon config reads besides label and strict.
-
-    That is its kind, ``T`` and the bytes of ``P_terminal``; a finite-horizon
-    config holds neither, as ``ControllerConfig`` refuses them there.
-    """
-    P_T = config.P_terminal
-    return (config.kind, config.T,
-            None if P_T is None else (np.shape(P_T), np.asarray(P_T, dtype=float).tobytes()))
-
-
-_HORIZON_LAWS = {"finite_horizon": _finite_horizon_law,
-                 "receding_horizon": _receding_horizon_law}
+    return _affine_law(model, steps, riccati.K[0], gains[:, :m], gains[:, m])
 
 
 def build_controller(config, model, cost, profile, steps, laws=None):
@@ -274,24 +253,25 @@ def build_controller(config, model, cost, profile, steps, laws=None):
     PID is an AffineController over ``steps`` steps.
 
     ``laws``, when given, is a dict owned by the caller that must see only
-    calls with this ``model``, ``cost``, ``profile`` and ``steps``.  A
-    finite-horizon or receding-horizon law is stored there, with whether
-    every Upsilon_k of its pass is ``riccati._definite``, and handed back to a
-    later config posing the same problem: a non-strict one always, a strict
-    one when that verdict holds.  Both modes then run the same arithmetic,
-    so the shared law is the one a fresh build returns; any other request
-    builds, and a strict one raises as it would alone.  A failed build is
-    not stored.
+    calls with this ``model``, ``cost``, ``profile`` and ``steps``.  The
+    first finite-horizon law built is stored there, and a later non-strict
+    finite-horizon config gets it back: a strict pass that succeeds drops
+    no eigenvalue, so it runs the non-strict pass's arithmetic.  Every
+    other config solves its own problem, so a strict one raises as it
+    would alone.
     """
     kind = config.kind
-    if kind in _HORIZON_LAWS:
-        key = _problem_key(config)
-        law, every_step_passes = (laws or {}).get(key, (None, False))
-        if law is None or (config.strict and not every_step_passes):
-            law, riccati = _HORIZON_LAWS[kind](config, model, cost, profile, steps)
+    if kind == "finite_horizon":
+        law = None if laws is None or config.strict else laws.get(kind)
+        if law is None:
+            riccati = solve_finite_horizon(model, cost, steps - 1, strict=config.strict)
+            law = _solved_law(model, riccati, solve_recursive(riccati, model, cost, profile).h)
             if laws is not None:
-                laws[key] = (law, bool(np.all(_definite(riccati.Upsilon_eig))))
+                laws.setdefault(kind, law)
         return law
+
+    if kind == "receding_horizon":
+        return _receding_horizon_law(config, model, cost, profile, steps)
 
     if kind == "stationary":
         gare = solve_gare(model, cost)

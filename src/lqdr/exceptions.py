@@ -19,7 +19,11 @@ class SolvabilityError(LqdrError):
 
 
 class RegularityError(LqdrError):
-    """The pseudo-inverse solve is inconsistent: Upsilon Upsilon^+ M != M."""
+    """The pseudo-inverse solve is inconsistent: Upsilon Upsilon^+ M != M.
+
+    Also raised by the feedforward pass when Upsilon_k Upsilon_k^+ h_k != h_k:
+    the stage cost is then linear along an input Upsilon_k does not weight.
+    """
 
     def __init__(self, message, step=None, residual=None):
         super().__init__(message)

@@ -17,7 +17,10 @@ for all steps at once, a_k = B' (R + P_{k+1}) E d_k,
 b_k = A' P_{k+1} E d_k - Q r, and its loop runs the two equations as
 h_k = a_k + B' f_{k+1} and f_k = b_k + A' f_{k+1} - K_k' h_k.
 ``solve_recursive`` is the pass with p = 1; the receding-horizon law of
-``control`` is one pass over its lookahead with p = m + 1.
+``control`` is one pass over its lookahead with p = m + 1.  A pseudo-inverse
+input is a minimizer only when h_k lies in range(Upsilon_k), as M_k must
+(``riccati``): at each step of a non-strict pass whose Upsilon_k is not
+definite, ``backward_pass`` refuses every problem whose h_k does not.
 
 Eliminating h from the f-equation turns it into the compact recursion
 
@@ -37,6 +40,8 @@ import numpy as np
 
 from .exceptions import StabilizationError
 from .model import _dot_for, disturbance_sequence, freeze_fields
+from .riccati import (_definite, _eigh, _gram, _kept, _require_in_range, _step_constants,
+                      _step_scratch, _value_bound)
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,11 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
     per problem and step, so at p = 1 every product is a single problem's.
     The loop walks the rows of step k from N down to 0 and writes h_k and f_k
     into their rows of the stacks in place, as a_k + B' f_{k+1} and
-    (b_k + A' f_{k+1}) - K_k' h_k.
+    (b_k + A' f_{k+1}) - K_k' h_k.  Then ``_require_consistent`` judges the
+    steps whose ``Upsilon_eig`` row fails ``riccati._definite``, if any.
+
+    Raises:
+        RegularityError: some problem's h_k lies outside range(Upsilon_k).
     """
     A, B = model.A, model.B
     Q, R, r = cost.Q, cost.R, cost.r
@@ -87,7 +96,53 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
         np.add(a_k, dot(Bt, f_next), out=h_k)
         np.subtract(b_k + dot(At, f_next), dot(KT_k, h_k), out=f_k)
         f_next = f_k
+    undecided = ~_definite(riccati.Upsilon_eig)
+    if undecided.any():
+        _require_consistent(riccati, model, cost, Ed, r_weight, h, f, undecided)
     return h, f
+
+
+def _require_consistent(riccati, model, cost, Ed, r_weight, h, f, undecided):
+    """Refuse an h_k outside range(Upsilon_k) at the steps k with ``undecided[k]``.
+
+    These are the steps of a non-strict pass whose Upsilon_k is not
+    ``riccati._definite``.  There Upsilon_k is formed again from P_{k+1} by
+    the pass's own Gram product, the bytes it decomposed, and the defect
+    ||V_dropped' h_k|| of each problem is judged by
+    ``riccati._require_in_range`` against the largest s_j, j >= k, where
+    s_j = ||B|| ((||R|| + Pi_{j+1}) ||E d_j|| + phi_{j+1}) bounds the terms
+    that form h_j, in Frobenius norm.  Pi is the ``riccati`` bound on P,
+    and phi bounds the terms that form f: phi_{N+1} = Pi_{N+1} ||r_weight r||
+    and phi_j = ||A|| (Pi_{j+1} ||E d_j|| + ||f_{j+1}||) + ||Q|| ||r_weight r||
+    + ||K_j|| ||h_j||.  As for M_k, h_k is no scale, since h_k and the f
+    before it may cancel to rounding, and neither is a bound compounded over
+    the steps.
+
+    Raises:
+        RegularityError: some problem's defect exceeds that bound; the
+            stage cost is linear along an input Upsilon_k does not weight,
+            so it has no minimum.
+    """
+    A, B, Q, R, P = model.A, model.B, cost.Q, cost.R, riccati.P
+    norm = np.linalg.norm
+    A_n, B_n, Q_n = norm(A), norm(B), norm(Q)
+    P_n, K_n = norm(P, axis=(1, 2)), norm(riccati.K, axis=(1, 2))
+    Ed_n = norm(Ed, axis=1)
+    r_n = norm(cost.r) * np.abs(r_weight)
+    # a bound that overflows accepts: it can only grow past rounding
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi = np.append(_value_bound(Q_n, A_n, B_n, P_n[1:], K_n), P_n[-1])
+        Pi = np.maximum.accumulate(pi[::-1])[::-1, None]
+        phi = np.append(A_n * (Pi[1:] * Ed_n + norm(f[1:], axis=1)) + Q_n * r_n
+                        + K_n[:, None] * norm(h, axis=1), Pi[-1:] * r_n, axis=0)
+        scale = np.maximum.accumulate(B_n * ((norm(R) + Pi[1:]) * Ed_n + phi[1:])[::-1])[::-1]
+    AB, W = _step_constants(A, B, Q, R)
+    scratch = _step_scratch(AB)
+    for k in np.flatnonzero(undecided)[::-1].tolist():
+        _gram(P[k + 1], AB, W, scratch)
+        w, V = _eigh(scratch[6])
+        _require_in_range(k, norm(V[:, ~_kept(w)].T.dot(h[k]), axis=0), scale[k],
+                          f"feedforward h_{k} is outside the range of Upsilon_{k}")
 
 
 def solve_recursive(riccati, model, cost, d):

@@ -24,10 +24,19 @@ mode an indefinite Upsilon_k (smallest eigenvalue below -``PINV_RCOND``
 times the larger of its modulus and the largest), whose stage cost has no
 minimum in u, is refused as well; otherwise eigenvalues whose modulus is at
 most that bound are dropped, which is the Moore-Penrose pseudo-inverse with
-the cutoff ``np.linalg.pinv`` uses (section 5.5.4).  It is legitimate exactly when the consistency condition
+the cutoff ``np.linalg.pinv`` uses (section 5.5.4).  It is legitimate when the consistency condition
 Upsilon_k Upsilon_k^+ M_k = M_k holds at every step; its defect is
-||V_dropped' M_k||, accepted up to ``REGULARITY_TOL`` times ||M_k||.  Both
-tests are relative, so rescaling Q, R and P_T together changes no verdict.
+||V_dropped' M_k||, accepted up to ``REGULARITY_TOL`` times ||B|| ||A|| Pi_{k+1}
+(``_require_in_range``).  Pi_{k+1} is the largest pi_j, j > k, and pi_j
+bounds the terms that formed P_j, in Frobenius norm: pi_{N+1} = ||P_{N+1}||
+and, bounding ||M_j|| by ||B|| ||A|| ||P_{j+1}||,
+pi_j = ||Q|| + (||A||^2 + ||B|| ||A|| ||K_j||) ||P_{j+1}||.  ||M_k|| is no
+scale: P_{k+1}, and with it M_k, may cancel to rounding, and so may the
+P after it, whose rounding then stems from the size of the P before.  Nor
+is a bound compounded over the steps, which grows by at least ||A||^2 a
+step and, some steps back, accepts every defect.  The feedforward's h_k
+must lie in the same range (``feedforward.backward_pass``).  Both tests
+are relative, so rescaling Q, R and P_T together changes no verdict.
 Every step symmetrizes by ``model._sym`` and multiplies by ``model._dot_for``.
 In floating point the pass reaches its infinite-horizon limit exactly (P
 repeats bit for bit), and it stops there (``solve_finite_horizon``).
@@ -69,7 +78,8 @@ from .model import (PSD_EIG_FLOOR, _dot_for, _pbh_defect, _require_symmetric, _s
 
 #: Relative eigenvalue cutoff of ``_definite`` and of the pseudo-inverse.
 PINV_RCOND = 1e-10
-#: Largest accepted consistency defect, relative to ||M|| (Frobenius).
+#: Largest accepted consistency defect, relative to a bound on the terms that
+#: form the vector it tests (``_require_in_range``; Frobenius).
 REGULARITY_TOL = 1e-9
 #: Doublings after which a still-moving P is refused: its horizon, 2^64
 #: steps, is beyond any finite-horizon problem.
@@ -116,10 +126,39 @@ def _eig_inverse(w, V, M, definite, out=None):
     if definite:
         # nothing is dropped: the result below, without its indexing and norm
         return (V / w).dot(V.T, out=out), 0.0
-    keep = np.abs(w) > PINV_RCOND * np.max(np.abs(w))
+    keep = _kept(w)
     V_keep = V[:, keep]
     return ((V_keep / w[keep]).dot(V_keep.T, out=out),
             float(np.linalg.norm(V[:, ~keep].T.dot(M))))
+
+
+def _kept(w):
+    """The eigenvalues the pseudo-inverse keeps: modulus above ``PINV_RCOND`` times the largest."""
+    return np.abs(w) > PINV_RCOND * np.max(np.abs(w))
+
+
+def _require_in_range(k, defect, scale, what):
+    """Refuse step k when some ``defect`` exceeds ``REGULARITY_TOL`` times its ``scale``.
+
+    ``defect`` is ||V_dropped' v|| of a v that must lie in range(Upsilon_k),
+    one value or one per problem, and ``scale`` bounds the terms that form
+    v; the ``RegularityError`` names the step and the worst defect after
+    ``what``.  NaN fails, and an infinite scale accepts.
+    """
+    over = ~(np.asarray(defect) <= REGULARITY_TOL * scale)
+    if over.any():
+        worst = float(np.max(np.where(over, defect, -np.inf)))
+        raise RegularityError(f"{what} (defect {worst:.3e}); the problem is unsolvable",
+                              step=k, residual=worst)
+
+
+def _value_bound(Q_n, A_n, B_n, P_next_n, K_n):
+    """pi_k from ||Q||, ||A||, ||B||, ||P_{k+1}|| and ||K_k||, elementwise on stacks of norms.
+
+    ||Q|| + (||A||^2 + ||B|| ||A|| ||K_k||) ||P_{k+1}|| bounds the terms that
+    form P_k = Q + A'P_{k+1}A - M_k'K_k, with ||M_k|| <= ||B|| ||A|| ||P_{k+1}||.
+    """
+    return Q_n + (A_n * A_n + B_n * A_n * K_n) * P_next_n
 
 
 def _step_constants(A, B, Q, R):
@@ -144,6 +183,20 @@ def _step_scratch(AB):
     G = np.empty((nm, nm))
     return (AB.T, _dot_for(n), np.empty((n, nm)), G, G[:n, :n], G[n:, :n], G[n:, n:],
             np.empty((nm - n, n)), np.empty((n, n)))
+
+
+def _gram(P_next, AB, W, scratch):
+    """Fill ``scratch`` (``_step_scratch(AB)``) from P_{k+1}: M = B'PA, and G = W + sym(AB' P AB).
+
+    G's blocks then hold Q + A'PA and Upsilon_k, the bytes a step inverts.
+    """
+    ABT, dot, PAB, G, G_QA, G_M, Upsilon, M, MtK = scratch
+    dot(ABT, dot(P_next, AB, out=PAB), out=G)
+    _sym(G, out=G)
+    M[...] = G_M
+    # G becomes W + G, whose blocks hold Q + A'PA and Upsilon; M is read first,
+    # since adding W's zero block would turn a -0.0 in it into +0.0
+    np.add(W, G, out=G)
 
 
 def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
@@ -182,12 +235,7 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
     if out is None:
         out = (np.empty(m), np.empty((m, m)), np.empty((m, n)), np.empty((n, n)))
     Upsilon_eig, Upsilon_inv, K, P = out
-    dot(ABT, dot(P_next, AB, out=PAB), out=G)
-    _sym(G, out=G)
-    M[...] = G_M
-    # G becomes W + G, whose blocks hold Q + A'PA and Upsilon; M is read first,
-    # since adding W's zero block would turn a -0.0 in it into +0.0
-    np.add(W, G, out=G)
+    _gram(P_next, AB, W, scratch)
     if m == 1 and (u := G[n, n]) > PINV_RCOND * u:
         # _definite on the one eigenvalue; (V / w) V' is 1 / u
         Upsilon_eig[0] = u
@@ -304,9 +352,9 @@ def solve_finite_horizon(model, cost, N, strict=True):
     _require_symmetric(cost, ("Q", "R", "P_terminal"))
     AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
     scratch = _step_scratch(AB)
-    # the step's M, which a defect is judged against
-    M = scratch[7]
     n, m = model.n, model.m
+    norm = np.linalg.norm
+    Q_n, A_n, B_n = norm(cost.Q), norm(model.A), norm(model.B)
 
     P = np.zeros((N + 2, n, n))
     Upsilon_eig = np.zeros((N + 1, m))
@@ -316,6 +364,8 @@ def solve_finite_horizon(model, cost, N, strict=True):
 
     stacks = (Upsilon_eig, Upsilon_inv, K, P)
     P_next = P[N + 1]
+    # Pi_{k+1}, which scales M_k's defect
+    Pi_next = norm(P_next)
     # the step of every P computed so far, by the hash of its bytes
     seen = {hash(P_next.tobytes()): N + 1}
     # a pass that diverges overflows quietly: its P that is not finite is
@@ -326,12 +376,14 @@ def solve_finite_horizon(model, cost, N, strict=True):
             for k, rows in zip(range(N, -1, -1), zip(*(arr[N::-1] for arr in stacks))):
                 defect = _backward_step(P_next, AB, W, strict, k, out=rows,
                                         scratch=scratch)[4]
-                # the defect is exactly 0.0 unless an eigenvalue was dropped
-                if defect and not defect <= REGULARITY_TOL * np.linalg.norm(M):
-                    raise RegularityError(
-                        f"pseudo-inverse solve inconsistent at step {k} "
-                        f"(defect {defect:.3e}); the problem is unsolvable",
-                        step=k, residual=defect)
+                # the defect is exactly 0.0 unless an eigenvalue was dropped,
+                # which a strict step refuses
+                if not strict:
+                    if defect:
+                        _require_in_range(k, defect, B_n * A_n * Pi_next,
+                                          f"pseudo-inverse solve inconsistent at step {k}")
+                    Pi_next = max(Pi_next,
+                                  _value_bound(Q_n, A_n, B_n, norm(P_next), norm(rows[2])))
                 P_next = rows[3]
                 P_bytes = P_next.tobytes()
                 # a hash shared by two different P keeps the first: the stop comes later

@@ -93,8 +93,9 @@ def simulate(model, cost, controller, x0, steps, d):
     evaluated for all steps after it, so ``cost_cum`` is a cumulative sum of
     that array.  A controller output that is already a float64 array of
     shape (m,) is used as it is; any other is converted and its length
-    checked.  Solver errors raised by the controller are re-raised with the
-    failing step index prepended.
+    checked.  A solver error raised by the controller is re-raised itself,
+    with the failing step index prepended to its message, so its type,
+    fields and traceback survive.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -116,7 +117,8 @@ def simulate(model, cost, controller, x0, steps, d):
         try:
             u_k = controller(k, x_k, d_k)
         except LqdrError as exc:
-            raise type(exc)(f"controller failed at step {k}: {exc}") from exc
+            exc.args = (f"controller failed at step {k}: {exc}", *exc.args[1:])
+            raise
         if not (type(u_k) is np.ndarray and u_k.dtype is _FLOAT64 and u_k.shape == (m,)):
             u_k = np.asarray(u_k, dtype=float).reshape(-1)
             if u_k.shape[0] != m:

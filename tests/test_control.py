@@ -777,16 +777,23 @@ def test_strict_build_refuses_a_shared_singular_problem_as_alone(kind, fields, s
             build_controller(strict, model, cost, profile, 20, laws)
         assert (shared.value.step, shared.value.min_eigenvalue) == \
             (alone.value.step, alone.value.min_eigenvalue)
-    # only the pseudo-inverse law is stored, with its failed verdict, and it
-    # serves the next non-strict request
-    assert [entry[1] for entry in laws.values()] == [False]
-    assert build_controller(pinv, model, cost, profile, 20, laws) is law
+    again = build_controller(pinv, model, cost, profile, 20, laws)
+    if kind == "FiniteHorizon":
+        # only the pseudo-inverse law is stored, and it serves the next
+        # non-strict request
+        assert laws == {"finite_horizon": law} and again is law
+    else:
+        # a receding-horizon law is never stored: each request solves again
+        assert laws == {} and again is not law
+        for name in ("K", "K_d", "u_0"):
+            assert getattr(again, name).tobytes() == getattr(law, name).tobytes()
 
 
 def test_run_scenario_builds_then_simulates_each_controller_in_order(monkeypatch, tmp_path):
     model, cost = _singular_upsilon_plant()
     configs = [ControllerConfig(kind="FiniteHorizon", strict=False, label="fh_pinv"),
                ControllerConfig(kind="FiniteHorizon", label="fh_strict"),
+               ControllerConfig(kind="FiniteHorizon", strict=False, label="fh_again"),
                ControllerConfig(kind="RecedingHorizon", T=10, strict=False, label="rh_pinv"),
                ControllerConfig(kind="RecedingHorizon", T=10, strict=False, label="rh_again"),
                ControllerConfig(kind="Stationary"),
@@ -815,7 +822,10 @@ def test_run_scenario_builds_then_simulates_each_controller_in_order(monkeypatch
         if config.label in laws:
             expected.append(("simulate", id(laws[config.label])))
     assert events == expected
-    assert laws["rh_pinv"] is laws["rh_again"]
+    # the first finite-horizon law serves the later non-strict one; each
+    # receding-horizon config solves its own problem
+    assert laws["fh_pinv"] is laws["fh_again"]
+    assert laws["rh_pinv"] is not laws["rh_again"]
 
 
 def coordinate_change_cases():

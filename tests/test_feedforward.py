@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (long_horizon_cases, oracle_cases, reference_closed_form,
-                      reference_feedforward, rel_close, step_blocks, tracking_cost,
+from conftest import (_exact, exact_bounded_below, exact_lifted_quadratic, exact_minimum,
+                      exact_rank, long_horizon_cases, oracle_cases, reference_closed_form,
+                      reference_feedforward, rel_close, rel_gap, step_blocks, tracking_cost,
                       two_state_bench, uncontrollable_3state)
-from lqdr import (CostSpec, DisturbanceProfile, GareSolution, StabilizationError,
-                  SystemModel, disturbance_sequence, draw_instance, solve_closed_form,
-                  solve_finite_horizon, solve_gare, solve_recursive, solve_steady)
+from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile, GareSolution,
+                  RegularityError, SolvabilityError, StabilizationError, SystemModel,
+                  build_controller, disturbance_sequence, draw_instance, evaluate_cost,
+                  simulate, solve_closed_form, solve_finite_horizon, solve_gare,
+                  solve_recursive, solve_steady)
 
 
 def scalar_setup(P_terminal=1.0, r=1.0):
@@ -279,3 +284,150 @@ def test_compensation_stays_bounded_for_bounded_disturbance():
     assert np.isfinite(sups).all()
     # saturation: doubling the horizon no longer grows the peak
     assert sups[1] <= sups[0] * 1.01 + 1e-12
+
+
+def test_non_strict_refuses_a_feedforward_outside_the_range_of_upsilon():
+    # R + P_T = 0 makes Upsilon_2 and M_2 zero, so the Riccati pass accepts
+    # it; but f_3 = -P_T r = 1 gives h_2 = [-0.5, 0] outside range(Upsilon_2)
+    # = {0}, and the cost falls by t when u_2[0] = t
+    model = SystemModel(A=[[0.0]], B=[[-0.5, 0.0]], E=[[-0.5, 1.0]], c_o=[[1.0]])
+    cost = CostSpec(Q=[[0.0]], R=[[1.0]], P_terminal=[[-1.0]], r=[1.0])
+    d = np.zeros((3, 2))
+    H, L, b, _ = exact_lifted_quadratic(model, cost, np.zeros(1), d, 2)
+    assert not exact_bounded_below(H, L, b)
+    riccati = solve_finite_horizon(model, cost, 2, strict=False)
+    assert riccati.Upsilon_eig.tolist() == [[0.0, 0.25], [0.0, 0.25], [0.0, 0.0]]
+    with pytest.raises(RegularityError, match="^feedforward h_2 is outside the range "
+                                              "of Upsilon_2") as info:
+        solve_recursive(riccati, model, cost, d)
+    assert (info.value.step, info.value.residual) == (2, 0.5)
+    # the finite-horizon law, and the receding-horizon law's reference column
+    for config in (ControllerConfig(kind="FiniteHorizon", strict=False),
+                   ControllerConfig(kind="RecedingHorizon", T=2, strict=False)):
+        with pytest.raises(RegularityError, match="^feedforward h_2 ") as info:
+            build_controller(config, model, cost, d, 3)
+        assert info.value.step == 2
+
+
+def test_non_strict_refuses_a_receding_horizon_feedforward_thirty_steps_back():
+    # A shifts the 31 states down the chain; B and R act on x_1, and
+    # P_T = -e_31 e_31' with r = e_31.  Over the lookahead T = 30 the terminal
+    # weight walks back to x_1, so Upsilon_0 = R - 1 = 0, while M_0 = 0 (no
+    # state feeds x_1) and f_1 = e_1, so the reference column has h_0 = 1:
+    # u_0 enters the cost as 2 u_0 - 1.  A bound compounded over the steps,
+    # by ||A||_F = 5.5 a step, would accept it
+    L = 31
+    model = SystemModel(A=np.eye(L, k=-1), B=np.eye(L)[:, :1], E=np.zeros((L, 1)),
+                        c_o=np.eye(L)[:1])
+    cost = CostSpec(Q=np.zeros((L, L)), R=np.diag(np.eye(L)[0]),
+                    P_terminal=-np.diag(np.eye(L)[-1]), r=np.eye(L)[-1])
+    riccati = solve_finite_horizon(model, cost, L - 1, strict=False)
+    assert riccati.Upsilon_eig[0, 0] == 0.0 and (riccati.Upsilon_eig[1:] == 1.0).all()
+    config = ControllerConfig(kind="RecedingHorizon", T=L - 1, strict=False)
+    with pytest.raises(RegularityError, match="^feedforward h_0 is outside the range "
+                                              "of Upsilon_0") as info:
+        build_controller(config, model, cost, DisturbanceProfile.constant(0.0), 3)
+    assert (info.value.step, info.value.residual) == (0, 1.0)
+
+
+def test_non_strict_accepts_a_feedforward_whose_kept_eigenvalues_span_1e_9():
+    # B = [b, b + 2^-15 e, 2 b + 2^-15 e], exactly, with e = (0, 1, -1) and
+    # semidefinite weights: each Upsilon_k drops the eigenvalue of (1, 1, -1)
+    # and keeps two about 1e-9 apart, in directions no axis holds.  h_k is in
+    # the range; its defect is judged on the eigenvectors the pass dropped,
+    # not through Upsilon^+, whose 1e9 would magnify the rounding of any
+    # rebuilt Upsilon
+    b, e = np.array([1.0, 0.5, 0.25]), 2.0 ** -15 * np.array([0.0, 1.0, -1.0])
+    B = np.column_stack([b, b + e, 2 * b + e])
+    model = SystemModel(A=[[0.5, 0.25, 0.0], [-0.5, 0.0, 1.0], [0.0, 0.5, -0.25]], B=B,
+                        E=[[1.0, 0.0, -0.5], [0.5, 1.0, 0.0], [0.0, -1.0, 1.0]], c_o=np.eye(3)[:1])
+    cost = CostSpec(Q=np.eye(3), R=np.zeros((3, 3)), P_terminal=np.eye(3), r=[1.0, -0.5, 0.5])
+    x0, d = np.array([0.5, -1.0, 0.0]), np.array([[1.0, 0.5, -1.0], [0.0, 1.0, 0.5],
+                                                 [-0.5, 0.0, 1.0]])
+    riccati = solve_finite_horizon(model, cost, 2, strict=False)
+    w = riccati.Upsilon_eig
+    assert (np.abs(w[:, 0]) <= 1e-10 * w[:, 2]).all()
+    assert (w[:, 1] >= 1e-10 * w[:, 2]).all() and (w[:, 1] <= 1e-8 * w[:, 2]).all()
+    law = build_controller(ControllerConfig(kind="FiniteHorizon", strict=False),
+                           model, cost, d, 3)
+    H, L, b, c = exact_lifted_quadratic(model, cost, x0, d, 2)
+    assert exact_bounded_below(H, L, b)
+    J = evaluate_cost(simulate(model, cost, law, x0, 3, d), cost)
+    assert rel_gap([J], [float(exact_minimum(H, b, c))]) <= 1e-8
+
+
+@pytest.mark.parametrize("term, model, cost, x0, d", [
+    pytest.param("h_1", SystemModel(A=[[-0.5]], B=[[-1.0, 0.5]], E=[[-0.5, 1.0]], c_o=[[1.0]]),
+                 CostSpec(Q=[[0.0]], R=[[0.0]], P_terminal=[[0.5]], r=[-1.0]),
+                 [0.0], [[-0.5, -0.5], [-1.0, 0.0], [1.0, 1.0]], id="h_1"),
+    pytest.param("M_1", SystemModel(A=[[0.5, 0.0], [1.0, 0.5]], B=[[1.0, -0.5], [-1.0, 0.0]],
+                                    E=[[-0.5, -1.0], [-1.0, 0.0]], c_o=[[1.0, 0.0]]),
+                 CostSpec(Q=np.zeros((2, 2)), R=[[1.0, 0.5], [0.5, 0.25]],
+                          P_terminal=[[0.5, -0.5], [-0.5, 0.5]], r=[-1.0, 1.0]),
+                 [0.0, -1.0], [[0.5, -0.5], [-1.0, 0.0], [-0.5, 0.5]], id="M_1")])
+def test_non_strict_accepts_a_term_that_cancels_to_rounding(term, model, cost, x0, d):
+    # Q = 0 with semidefinite R and P_T: P_2 is zero and Upsilon_1 drops an
+    # eigenvalue.  h_1 = B' f_2 is computed as about 6e-17 in the first draw,
+    # M_1 = B' P_2 A as about 3e-17 in the second, neither in range(Upsilon_1):
+    # judged against a bound on the terms that formed it, not against its
+    # own norm, that rounding refuses nothing
+    d = np.array(d)
+    riccati = solve_finite_horizon(model, cost, 2, strict=False)
+    assert riccati.Upsilon_eig[1, 0] == 0.0
+    ff = solve_recursive(riccati, model, cost, d)
+    cancelled = ff.h[1] if term == "h_1" else step_blocks(model, cost, riccati.P[2])[1]
+    assert 0 < np.abs(cancelled).max() < 1e-15
+    law = build_controller(ControllerConfig(kind="FiniteHorizon", strict=False),
+                           model, cost, d, 3)
+    H, L, b, c = exact_lifted_quadratic(model, cost, x0, d, 2)
+    assert exact_bounded_below(H, L, b)
+    J = evaluate_cost(simulate(model, cost, law, x0, 3, d), cost)
+    assert rel_gap([J], [float(exact_minimum(H, b, c))]) <= 1e-8
+
+
+_ENTRIES = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0])
+
+
+@st.composite
+def _small_problems(draw):
+    """(model, cost, x0, d, N, semidefinite): n, m, N <= 2, entries in {0, +-0.5, +-1}.
+
+    Q, R and P_T are C'C of such a C; in a third of the draws R or P_T is
+    then shifted by -0.5 I or -I, which may leave it indefinite, and
+    ``semidefinite`` is False.
+    """
+    n, m, N = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+
+    def entries(rows, cols):
+        return np.array(draw(st.lists(_ENTRIES, min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+    A, B, E = entries(n, n), entries(n, m), entries(n, m)
+    weights = {name: C.T @ C for name, C in zip(("Q", "R", "P_terminal"),
+                                                (entries(n, n) for _ in range(3)))}
+    shifted = draw(st.sampled_from([None, None, None, None, "R", "P_terminal"]))
+    if shifted:
+        weights[shifted] = weights[shifted] - draw(st.sampled_from([0.5, 1.0])) * np.eye(n)
+    model = SystemModel(A=A, B=B, E=E, c_o=np.eye(n)[:1])
+    cost = CostSpec(**weights, r=entries(n, 1)[:, 0])
+    return model, cost, entries(n, 1)[:, 0], entries(N + 1, m), N, not shifted
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_small_problems())
+def test_non_strict_accepts_exactly_the_problems_bounded_below(problem):
+    model, cost, x0, d, N, semidefinite = problem
+    H, L, b, c = exact_lifted_quadratic(model, cost, x0, d, N)
+    bounded = exact_bounded_below(H, L, b)
+    try:
+        law = build_controller(ControllerConfig(kind="FiniteHorizon", strict=False),
+                               model, cost, d, N + 1)
+    except (SolvabilityError, RegularityError):
+        # the pass judges M_k on every state, so a singular A, which leaves
+        # some state unreachable at step k, may refuse a bounded problem;
+        # semidefinite weights are never refused
+        assert not semidefinite
+        assert not bounded or exact_rank(_exact(model.A)) < model.n
+        return
+    assert bounded
+    J = evaluate_cost(simulate(model, cost, law, x0, N + 1, d), cost)
+    assert rel_gap([J], [float(exact_minimum(H, b, c))]) <= 1e-8

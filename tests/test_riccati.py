@@ -134,6 +134,26 @@ def test_non_strict_rejects_inconsistent_problem():
     assert info.value.step == 0
 
 
+def test_non_strict_refuses_an_inconsistency_fifty_steps_from_the_terminal():
+    # A cycles the 51 states; B and R act on x_1, P_T = -e_51 e_51'.  The
+    # terminal weight walks one state back a step, so M_k = 0 and Upsilon_k = 1
+    # until it reaches x_1, 50 steps back: there Upsilon_k = R - 1 = 0 while
+    # M_k = -e_51', and u_k, linear in the cost, has no minimum.  A bound
+    # compounded over the steps, by ||A||_F^2 = 51 a step, would accept it
+    L, N = 51, 60
+    model = SystemModel(A=np.roll(np.eye(L), 1, axis=0), B=np.eye(L)[:, :1],
+                        E=np.zeros((L, 1)), c_o=np.eye(L)[:1])
+    cost = CostSpec(Q=np.zeros((L, L)), R=np.diag(np.eye(L)[0]),
+                    P_terminal=-np.diag(np.eye(L)[-1]), r=np.zeros(L))
+    with pytest.raises(RegularityError, match="^pseudo-inverse solve inconsistent at "
+                                              "step 10 ") as info:
+        solve_finite_horizon(model, cost, N, strict=False)
+    assert (info.value.step, info.value.residual) == (N + 1 - L, 1.0)
+    # one step fewer leaves the weight short of x_1: nothing is dropped
+    sol = solve_finite_horizon(model, cost, L - 2, strict=False)
+    assert (sol.Upsilon_eig == 1.0).all()
+
+
 def test_non_strict_refuses_an_indefinite_upsilon():
     # Upsilon_0 = R + P_T = -1: the stage cost 1.25 + u - u^2 is concave in u,
     # so the pseudo-inverse's input maximizes it; both modes refuse step 0

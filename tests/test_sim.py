@@ -120,12 +120,15 @@ def test_controller_failure_reports_step():
 
     def flaky(k, x, d):
         if k == 3:
-            raise SolvabilityError("inner solve went singular")
+            raise SolvabilityError("inner solve went singular", step=7, min_eigenvalue=-2.0)
         return np.zeros(1)
 
     with pytest.raises(SolvabilityError,
-                       match="^controller failed at step 3: inner solve went singular$"):
+                       match="^controller failed at step 3: inner solve went singular$") as info:
         simulate(model, cost, flaky, [1.0, 0.0], 10, np.zeros((10, 1)))
+    # the controller's own error, its fields and its frame kept
+    assert (info.value.step, info.value.min_eigenvalue) == (7, -2.0)
+    assert info.traceback[-1].name == "flaky"
 
 
 #: How a generated controller computes or returns its input.
