@@ -10,18 +10,21 @@ state.  ``predicted_optimal_cost`` evaluates the analytic optimal value, so
 simulated cost, predicted cost, and brute-force minimum can be compared
 pairwise.  Every loop and every 2-d product here takes its product from
 ``model._dot_for`` or is ``ndarray.dot``, and the oracle's normal matrix
-is symmetrized by ``model._sym``.  ``simulate`` keeps the bytes of ``@``;
-the other functions here are judged by tolerance.
+is symmetrized by ``model._sym``.  ``simulate`` keeps the bytes of ``@``
+and forms only the rollout; its ``Trajectory`` derives the regulated
+outputs and the running stage costs, with the same bytes, when they are
+first read.  The other functions here are judged by tolerance.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import LqdrError, SolvabilityError
-from .model import (_FLOAT64, CostSpec, SystemModel, _dot_for, _sym, disturbance_sequence,
-                    freeze_fields)
+from .model import (_FLOAT64, CostSpec, DisturbanceProfile, SystemModel, _dot_for, _sym,
+                    disturbance_sequence, freeze_fields)
 from .riccati import solve_finite_horizon
 
 #: Normal-equation condition number beyond which the oracle refuses to answer.
@@ -32,24 +35,54 @@ _N_STATES, _M_INPUTS, _HORIZON, _TRIES = 4, 2, 20, 200
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Closed-loop record: states, inputs, disturbances, regulated outputs.
+    """Closed-loop record: the rollout's states, inputs and disturbances.
 
-    ``x`` and ``z`` have ``steps + 1`` rows (they include the final state);
-    ``u``, ``d``, and the running stage-cost sums have ``steps`` rows.  The
-    running cost excludes the terminal weighting, which ``evaluate_cost``
-    adds.
+    ``x`` has ``steps + 1`` rows (it includes the final state); ``u`` and
+    ``d`` have ``steps`` rows.  ``cost`` is the CostSpec the rollout was
+    run under.  The regulated outputs ``z`` (``steps + 1`` rows) and the
+    running stage-cost sums ``cost_cum`` (``steps`` rows) are derived from
+    the record when first read, and kept: reading them again returns the
+    same read-only array.  The running cost excludes the terminal
+    weighting, which ``evaluate_cost`` adds.
     """
 
     model: SystemModel
+    cost: CostSpec
     steps: int
     x: np.ndarray
     u: np.ndarray
     d: np.ndarray
-    z: np.ndarray
-    cost_cum: np.ndarray
 
     def __post_init__(self):
-        freeze_fields(self, "x", "u", "d", "z", "cost_cum")
+        freeze_fields(self, "x", "u", "d")
+
+    @cached_property
+    def z(self):
+        """Regulated outputs c_o x_k, k = 0..steps."""
+        z = _dot_for(self.model.c_o.size)(self.x, self.model.c_o.T)
+        z.setflags(write=False)
+        return z
+
+    @cached_property
+    def cost_cum(self):
+        """Running sums of the stage costs, terminal weighting excluded.
+
+        The stage costs of all steps are one product per weight and a
+        row-wise sum, then ``np.cumsum``; (B u_k + E d_k) is formed as
+        u B' + d E', which rounds unlike the loop's B u_k + E d_k at m >= 2.
+        """
+        model, cost, x, u = self.model, self.cost, self.x, self.u
+        err = x[:-1] - cost.r
+        dot_u = _dot_for(u.size, model.B.size)
+        w = dot_u(u, model.B.T) + dot_u(self.d, model.E.T)
+        dot = _dot_for(model.n)
+        # one BLAS product per weight, then a row-wise sum: a three-operand
+        # einsum takes its unoptimized path, about 20 times slower at n = 32
+        stage = (np.einsum("ki,ki->k", dot(err, cost.Q), err)
+                 + np.einsum("ki,ki->k", dot(w, cost.R), w))
+        cost_cum = np.cumsum(stage)
+        cost_cum.setflags(write=False)
+        return cost_cum
 
     def dynamics_residual(self):
         """Max reconstruction defect of x[k+1] = A x[k] + B u[k] + E d[k]."""
@@ -75,7 +108,8 @@ def simulate(model, cost, controller, x0, steps, d):
 
     Args:
         model: SystemModel.
-        cost: CostSpec; its Q, R, r define the running stage cost.
+        cost: CostSpec of the model's dimension; the returned Trajectory
+            forms its running stage cost from it when ``cost_cum`` is read.
         controller: stepping function ``(k, x_k, d_k) -> u_k``; see
             ``control.build_controller``.
         x0: initial state.
@@ -89,20 +123,30 @@ def simulate(model, cost, controller, x0, steps, d):
     ``model._dot_for`` of the sizes of the operands that can be one
     element, so they are the bytes of ``@``.  The loop applies the
     controller, writes u_k into its row of ``u`` and x_{k+1} into its row of
-    ``x`` in place, as A x_k + (B u_k + E d_k); the stage costs are
-    evaluated for all steps after it, so ``cost_cum`` is a cumulative sum of
-    that array.  A controller output that is already a float64 array of
+    ``x`` in place, as A x_k + (B u_k + E d_k); the rollout ends there, and
+    ``z`` and ``cost_cum`` are formed at their first read.  A disturbance
+    array is copied, so a later write to the caller's array cannot reach
+    the record.  A controller output that is already a float64 array of
     shape (m,) is used as it is; any other is converted and its length
     checked.  A solver error raised by the controller is re-raised itself,
     with the failing step index prepended to its message, so its type,
     fields and traceback survive.
+
+    Raises:
+        ValueError: ``steps`` < 1, the cost and model dimensions differ,
+            x0 or the disturbance has the wrong shape, or the controller
+            returns an input of the wrong length.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if cost.n != model.n:
+        raise ValueError("cost and model dimensions differ")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != model.n:
         raise ValueError(f"x0 must have length {model.n}")
     d_seq = disturbance_sequence(d, steps, dim=model.m)
+    if not isinstance(d, DisturbanceProfile):
+        d_seq = d_seq.copy()
 
     n, m = model.n, model.m
     A, B, E = model.A, model.B, model.E
@@ -127,17 +171,7 @@ def simulate(model, cost, controller, x0, steps, d):
         u_row[...] = u_k
         np.add(dot(A, x_k), dot(B, u_k) + Ed_k, out=x_next)
         x_k = x_next
-
-    err = x[:-1] - cost.r
-    dot_u = _dot_for(u.size, B.size)
-    w = dot_u(u, B.T) + dot_u(d_seq, E.T)
-    # one BLAS product per weight, then a row-wise sum: a three-operand
-    # einsum takes its unoptimized path, about 20 times slower at n = 32
-    stage = (np.einsum("ki,ki->k", dot(err, cost.Q), err)
-             + np.einsum("ki,ki->k", dot(w, cost.R), w))
-    z = _dot_for(model.c_o.size)(x, model.c_o.T)
-    return Trajectory(model=model, steps=steps, x=x, u=u, d=d_seq, z=z,
-                      cost_cum=np.cumsum(stage))
+    return Trajectory(model=model, cost=cost, steps=steps, x=x, u=u, d=d_seq)
 
 
 def evaluate_cost(traj, cost):

@@ -480,6 +480,66 @@ def reference_brute_force_optimal(model, cost, x0, d_seq, N):
     return u_opt, float(u_opt @ H @ u_opt + 2 * b @ u_opt + const), float(np.linalg.cond(H))
 
 
+def _coo_blocks(row0, col0, blocks):
+    """(rows, cols, values) of the (p, q) ``blocks`` placed at offsets (row0[i], col0[i])."""
+    i, j = np.indices(blocks.shape[1:])
+    rows = np.asarray(row0)[:, None, None] + i
+    cols = np.asarray(col0)[:, None, None] + j
+    return rows.ravel(), cols.ravel(), blocks.ravel()
+
+
+def reference_kkt_optimal(model, cost, x0, d_seq, N):
+    """(u, x, J) of the finite-horizon problem from one sparse KKT solve.
+
+    The forward-backward equations, with no Riccati quantity.  The unknowns
+    are (u_0, x_1, u_1, x_2, ..., u_N, x_{N+1}) and one multiplier per
+    dynamics row.  The Hessian H is block-diagonal: 2 B'RB for each u_k,
+    2 Q for each x_k and 2 P_T for x_{N+1}.  The constraints C are
+    B u_0 - x_1 = -A x0 - E d_0 and A x_k + B u_k - x_{k+1} = -E d_k for
+    k >= 1.  [[H, C'], [C, 0]] is assembled from its blocks as one COO
+    matrix and solved once by ``scipy.sparse.linalg.spsolve``.  x has N + 2
+    rows, x0 included; J is the cost evaluated on (x, u).
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import spsolve
+
+    A, B, E = model.A, model.B, model.E
+    Q, R, P_T, r = cost.Q, cost.R, cost.P_terminal, cost.r
+    n, m = model.n, model.m
+    s = m + n  # the unknowns (u_k, x_{k+1}) of stage k
+    dim, rows_c = (N + 1) * s, (N + 1) * n
+    Ed = d_seq[:N + 1] @ E.T
+    stage = np.arange(N + 1) * s
+    W = np.repeat(Q[None], N + 1, axis=0)
+    W[N] = P_T
+    BC = np.repeat(np.hstack([B, -np.eye(n)])[None], N + 1, axis=0)
+    AC = np.repeat(A[None], N, axis=0)
+    row_c = dim + np.arange(N + 1) * n
+    parts = [
+        _coo_blocks(stage, stage, np.repeat((2 * B.T @ R @ B)[None], N + 1, axis=0)),
+        _coo_blocks(stage + m, stage + m, 2 * W),
+        _coo_blocks(row_c, stage, BC),
+        _coo_blocks(stage, row_c, BC.transpose(0, 2, 1)),
+        _coo_blocks(row_c[1:], stage[:-1] + m, AC),
+        _coo_blocks(stage[:-1] + m, row_c[1:], AC.transpose(0, 2, 1)),
+    ]
+    rows, cols, values = (np.concatenate(part) for part in zip(*parts))
+    kkt = coo_matrix((values, (rows, cols)), shape=(dim + rows_c,) * 2).tocsc()
+    grad = np.empty((N + 1, s))
+    grad[:, :m] = 2 * Ed @ R @ B
+    grad[:, m:] = -2 * (W @ r)
+    rhs = np.concatenate([-grad.ravel(), -Ed.ravel()])
+    rhs[dim:dim + n] -= A @ x0
+    sol = spsolve(kkt, rhs)[:dim].reshape(N + 1, s)
+    u = sol[:, :m]
+    x = np.vstack([x0, sol[:, m:]])
+    err = x[:-1] - r
+    w = u @ B.T + Ed
+    tail = x[-1] - r
+    J = float(np.sum((err @ Q) * err) + np.sum((w @ R) * w) + tail @ P_T @ tail)
+    return u, x, J
+
+
 def _exact(values):
     """``values`` as an object array of ``fractions.Fraction``, each float exactly."""
     return np.vectorize(Fraction, otypes=[object])(np.asarray(values, dtype=float))

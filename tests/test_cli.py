@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 import lqdr.cli as cli
 from conftest import (kalman_decomposed_plant, reference_settling_step, reference_write_csv,
-                      reference_write_svg, scaled_weight_probes, singular_doubling_plant)
+                      reference_write_svg, scaled_weight_probes, singular_doubling_plant,
+                      tracking_cost)
 from lqdr import (ScenarioError, SolvabilityError, SystemModel, Trajectory,
                   brute_force_optimal, build_controller, evaluate_cost, simulate,
                   solve_finite_horizon, solve_recursive)
@@ -633,9 +634,12 @@ def _trajectories(draw):
     steps = draw(st.integers(0, 6))
     model = SystemModel(A=np.eye(n), B=np.ones((n, m)), E=np.ones((n, m)),
                         c_o=np.ones((l, n)))
-    return Trajectory(model, steps, _array(draw, (steps + 1, n)), _array(draw, (steps, m)),
-                      _array(draw, (steps, m)), _array(draw, (steps + 1, l)),
-                      _array(draw, steps))
+    traj = Trajectory(model, tracking_cost(model), steps, _array(draw, (steps + 1, n)),
+                      _array(draw, (steps, m)), _array(draw, (steps, m)))
+    # drawn z and cost_cum, kept where cached_property keeps what it derives,
+    # so every special value reaches the writer
+    vars(traj).update(z=_array(draw, (steps + 1, l)), cost_cum=_array(draw, steps))
+    return traj
 
 
 @st.composite

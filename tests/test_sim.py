@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import lqdr.control
 from conftest import (long_horizon_cases, oracle_cases, reference_brute_force_optimal,
-                      reference_costate_residuals, reference_evaluate_cost,
+                      reference_costate_residuals, reference_evaluate_cost, reference_kkt_optimal,
                       reference_predicted_optimal_cost,
                       reference_simulate, rel_close, rel_gap, sampled_stable_plant,
                       stationary_control, step_blocks, tracking_cost, two_state_bench,
@@ -94,10 +95,18 @@ def test_simulate_matches_step_by_step_loop(model, cost, configs, x0, steps, d):
                         x0, steps, d)
         x, u, z, cost_cum = reference_simulate(
             model, cost, build_controller(config, model, cost, d, steps), x0, d_seq)
+        # z and cost_cum are derived at their first read, not by the rollout
+        assert "z" not in vars(traj) and "cost_cum" not in vars(traj)
         assert np.array_equal(traj.x, x)
         assert np.array_equal(traj.u, u)
         assert np.array_equal(traj.z, z)
         assert np.max(np.abs(traj.cost_cum - cost_cum)) <= 1e-12 * np.max(np.abs(cost_cum))
+        for name in ("z", "cost_cum"):
+            kept = getattr(traj, name)
+            assert getattr(traj, name) is kept
+            assert not kept.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(traj, name, kept.copy())
 
 
 def test_simulate_validates_inputs():
@@ -112,6 +121,22 @@ def test_simulate_validates_inputs():
     with pytest.raises(ValueError):
         simulate(model, cost, lambda k, x, d: np.zeros(2), [0.0, 0.0], 3,
                  np.zeros((3, 1)))
+    # the rollout does not read the weights, so it refuses their dimension at the call
+    with pytest.raises(ValueError, match="^cost and model dimensions differ$"):
+        simulate(model, tracking_cost(uncontrollable_3state()), lambda k, x, d: np.zeros(1),
+                 [0.0, 0.0], 3, np.zeros((3, 1)))
+
+
+def test_a_later_write_to_the_disturbance_does_not_reach_the_record():
+    # cost_cum is formed at its first read, from the record's own d
+    model = two_state_bench()
+    cost = tracking_cost(model)
+    d = np.ones((3, 1))
+    traj = simulate(model, cost, lambda k, x, dk: np.ones(1), [1.0, 0.0], 3, d)
+    d[:] = 7.0
+    want = simulate(model, cost, lambda k, x, dk: np.ones(1), [1.0, 0.0], 3, np.ones((3, 1)))
+    assert np.array_equal(traj.d, want.d)
+    assert np.array_equal(traj.cost_cum, want.cost_cum)
 
 
 def test_controller_failure_reports_step():
@@ -407,6 +432,44 @@ def test_oracles_match_step_by_step_loops_on_selftest_instances():
                          [pytest.param(*case[1:], id=case[0]) for case in oracle_cases()])
 def test_oracles_match_step_by_step_loops(model, cost, x0, d_seq, N):
     assert_oracles_match_step_by_step_loops(model, cost, x0, d_seq, N)
+
+
+@pytest.mark.parametrize("model, cost, x0, d_seq, N",
+                         [pytest.param(*case[1:], id=case[0]) for case in oracle_cases()])
+def test_kkt_reference_agrees_with_the_brute_force_oracle(model, cost, x0, d_seq, N):
+    # two oracles that share no formula: measured 2.5e-14 and 1.6e-13 in u,
+    # 3.9e-16 and 1.3e-16 in J
+    oracle = brute_force_optimal(model, cost, x0, d_seq, N)
+    u, _, J = reference_kkt_optimal(model, cost, x0, d_seq, N)
+    assert rel_close(u, oracle.u_opt.reshape(N + 1, model.m), 1e-12)
+    assert abs(J - oracle.J_opt) <= 1e-14 * abs(oracle.J_opt)
+
+
+def long_horizon_law_cases():
+    cases = [pytest.param(model, cost, np.random.default_rng(len(name)).standard_normal(model.n),
+                          steps, ramp, id=name)
+             for name, model, cost, steps, ramp in long_horizon_cases()]
+    model = uncontrollable_3state()
+    cases.append(pytest.param(model, tracking_cost(model, r=[0.0, 0.5, 0.0]),
+                              np.array([1.0, 0.5, -0.2]), 1001,
+                              DisturbanceProfile.constant(3.0, start_step=50),
+                              id="uncontrollable_3state_N1000"))
+    return cases
+
+
+@pytest.mark.parametrize("model, cost, x0, steps, d", long_horizon_law_cases())
+def test_long_horizon_law_is_the_sparse_kkt_optimum(model, cost, x0, steps, d):
+    # the strict finite-horizon law, rolled out, against the forward-backward
+    # equations at N up to 1999, beyond the brute-force oracle's reach;
+    # measured: u within 1.4e-15 to 3.2e-13 relative (largest at Ts = 1 ms),
+    # J within 1.8e-16 to 2.3e-14
+    law = build_controller(ControllerConfig(kind="FiniteHorizon"), model, cost, d, steps)
+    traj = simulate(model, cost, law, x0, steps, d)
+    u, x, J = reference_kkt_optimal(model, cost, x0, disturbance_sequence(d, steps, dim=model.m),
+                                    steps - 1)
+    assert rel_close(traj.u, u, 1e-12)
+    assert rel_close(traj.x, x, 1e-12)
+    assert abs(evaluate_cost(traj, cost) - J) <= 1e-13 * abs(J)
 
 
 def test_brute_force_reads_no_riccati_quantity(monkeypatch):
