@@ -5,8 +5,11 @@ Times ``solve_finite_horizon`` at (n, m, N) = (3, 1, 10), (3, 2, 10) and
 where P first repeats, as the long-horizon plants do.  Times
 ``solve_recursive``, the feedforward pass, on the passes of those four
 shapes, and ``solve_steady``, the stationary feedforward, on the
-stationary solutions of the same four plants.  The plants are
-``stable_plant``'s.  Run from the repository root:
+stationary solutions of the same four plants.  Times ``solve_recursive``
+once more on non-strict passes at (3, 2, 10) and (32, 4, 499) whose B
+repeats its first column, so that every Upsilon_k drops an eigenvalue and
+the feedforward tests each h_k on the dropped eigenvectors.  The plants
+are ``stable_plant``'s.  Run from the repository root:
 
     python -m pytest benchmarks/ --benchmark-only
 
@@ -16,7 +19,9 @@ nothing here asserts a time: each test checks only the shape of its result.
 
 import pytest
 
-from lqdr import solve_finite_horizon, solve_gare, solve_recursive, solve_steady
+import numpy as np
+
+from lqdr import SystemModel, solve_finite_horizon, solve_gare, solve_recursive, solve_steady
 from test_verification_layers import stable_plant
 
 SHAPES = pytest.mark.parametrize("n, m, N", [(3, 1, 10), (3, 2, 10), (2, 1, 1999), (32, 4, 499)],
@@ -36,6 +41,18 @@ def test_solve_recursive(benchmark, n, m, N):
     sol = solve_finite_horizon(model, cost, N)
     ff = benchmark(solve_recursive, sol, model, cost, rng.standard_normal((N + 1, m)))
     assert ff.h.shape == (N + 1, m) and ff.f.shape == (N + 2, n)
+
+
+@pytest.mark.parametrize("n, m, N", [(3, 2, 10), (32, 4, 499)],
+                         ids=["n3_m2_N10", "n32_m4_N499"])
+def test_solve_recursive_dropping(benchmark, n, m, N):
+    model, cost, rng = stable_plant(n, m, seed=n + m)
+    B = np.array(model.B)
+    B[:, -1] = B[:, 0]
+    model = SystemModel(A=model.A, B=B, E=model.E, c_o=model.c_o)
+    sol = solve_finite_horizon(model, cost, N, strict=False)
+    ff = benchmark(solve_recursive, sol, model, cost, rng.standard_normal((N + 1, m)))
+    assert ff.h.shape == (N + 1, m) and sol.Upsilon_dropped.shape == (N + 1, m, m)
 
 
 @pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (2, 1), (32, 4)],

@@ -340,13 +340,13 @@ def _settling_step(post, onset, settle_band):
     return onset + start if start < post.shape[0] else None
 
 
-def trajectory_metrics(traj, cost, model, onset, settle_band):
-    """Deterministic comparison metrics for one closed-loop run.
+def trajectory_metrics(traj, onset, settle_band):
+    """Deterministic comparison metrics for one closed-loop run, under its ``traj.cost``.
 
     J is the run's last running cost plus the terminal term, the value
-    ``sim.evaluate_cost`` recomputes from the whole trajectory up to
-    rounding.
+    ``sim.evaluate_cost(traj, traj.cost)`` recomputes up to rounding.
     """
+    model, cost = traj.model, traj.cost
     target = model.c_o @ cost.r
     err = np.max(np.abs(traj.z - target), axis=1)
     steps = traj.steps
@@ -514,8 +514,7 @@ def run_scenario(scenario, out_dir="."):
                                           scenario.disturbance, scenario.steps, laws)
             traj = simulate(scenario.model, scenario.cost, controller,
                             scenario.x0, scenario.steps, scenario.disturbance)
-            metrics = trajectory_metrics(traj, scenario.cost, scenario.model,
-                                         onset, scenario.settle_band)
+            metrics = trajectory_metrics(traj, onset, scenario.settle_band)
             if not _finite(traj, metrics):
                 raise LqdrError("closed loop diverged: the trajectory or its "
                                 "metrics are not finite")

@@ -20,7 +20,8 @@ h_k = a_k + B' f_{k+1} and f_k = b_k + A' f_{k+1} - K_k' h_k.
 ``control`` is one pass over its lookahead with p = m + 1.  A pseudo-inverse
 input is a minimizer only when h_k lies in range(Upsilon_k), as M_k must
 (``riccati``): at each step of a non-strict pass whose Upsilon_k is not
-definite, ``backward_pass`` refuses every problem whose h_k does not.
+definite, ``backward_pass`` refuses every problem whose h_k does not, on the
+eigenvectors the pass dropped (``RiccatiSolution.Upsilon_dropped``).
 
 Eliminating h from the f-equation turns it into the compact recursion
 
@@ -40,8 +41,7 @@ import numpy as np
 
 from .exceptions import StabilizationError
 from .model import _dot_for, disturbance_sequence, freeze_fields
-from .riccati import (_definite, _eigh, _gram, _kept, _require_in_range, _step_constants,
-                      _step_scratch, _value_bound)
+from .riccati import _definite, _require_in_range, _value_bound
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,9 @@ def _require_consistent(riccati, model, cost, Ed, r_weight, h, f, undecided):
     """Refuse an h_k outside range(Upsilon_k) at the steps k with ``undecided[k]``.
 
     These are the steps of a non-strict pass whose Upsilon_k is not
-    ``riccati._definite``.  There Upsilon_k is formed again from P_{k+1} by
-    the pass's own Gram product, the bytes it decomposed, and the defect
-    ||V_dropped' h_k|| of each problem is judged by
+    ``riccati._definite``.  There V_dropped is the non-zero columns of
+    ``riccati.Upsilon_dropped[k]``, the eigenvectors the pass dropped, and the
+    defect ||V_dropped' h_k|| of each problem is judged by
     ``riccati._require_in_range`` against the largest s_j, j >= k, where
     s_j = ||B|| ((||R|| + Pi_{j+1}) ||E d_j|| + phi_{j+1}) bounds the terms
     that form h_j, in Frobenius norm.  Pi is the ``riccati`` bound on P,
@@ -123,10 +123,9 @@ def _require_consistent(riccati, model, cost, Ed, r_weight, h, f, undecided):
             stage cost is linear along an input Upsilon_k does not weight,
             so it has no minimum.
     """
-    A, B, Q, R, P = model.A, model.B, cost.Q, cost.R, riccati.P
     norm = np.linalg.norm
-    A_n, B_n, Q_n = norm(A), norm(B), norm(Q)
-    P_n, K_n = norm(P, axis=(1, 2)), norm(riccati.K, axis=(1, 2))
+    A_n, B_n, Q_n = norm(model.A), norm(model.B), norm(cost.Q)
+    P_n, K_n = norm(riccati.P, axis=(1, 2)), norm(riccati.K, axis=(1, 2))
     Ed_n = norm(Ed, axis=1)
     r_n = norm(cost.r) * np.abs(r_weight)
     # a bound that overflows accepts: it can only grow past rounding
@@ -135,13 +134,11 @@ def _require_consistent(riccati, model, cost, Ed, r_weight, h, f, undecided):
         Pi = np.maximum.accumulate(pi[::-1])[::-1, None]
         phi = np.append(A_n * (Pi[1:] * Ed_n + norm(f[1:], axis=1)) + Q_n * r_n
                         + K_n[:, None] * norm(h, axis=1), Pi[-1:] * r_n, axis=0)
-        scale = np.maximum.accumulate(B_n * ((norm(R) + Pi[1:]) * Ed_n + phi[1:])[::-1])[::-1]
-    AB, W = _step_constants(A, B, Q, R)
-    scratch = _step_scratch(AB)
+        scale = np.maximum.accumulate(B_n * ((norm(cost.R) + Pi[1:]) * Ed_n + phi[1:])[::-1])[::-1]
     for k in np.flatnonzero(undecided)[::-1].tolist():
-        _gram(P[k + 1], AB, W, scratch)
-        w, V = _eigh(scratch[6])
-        _require_in_range(k, norm(V[:, ~_kept(w)].T.dot(h[k]), axis=0), scale[k],
+        # the dropped columns alone: a product with the zero ones rounds differently
+        D = riccati.Upsilon_dropped[k]
+        _require_in_range(k, norm(D[:, D.any(axis=0)].T.dot(h[k]), axis=0), scale[k],
                           f"feedforward h_{k} is outside the range of Upsilon_{k}")
 
 

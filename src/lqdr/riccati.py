@@ -11,11 +11,12 @@ are step scratch, read downstream only as K_k' = M_k' Upsilon_k^{-1}.  One
 step is one Gram product [A B]' P_{k+1} [A B], whose blocks are A'PA, M_k
 and B'PB, and one symmetric eigendecomposition Upsilon_k = V diag(w) V'
 (Golub & Van Loan, *Matrix Computations*, section 8.1), which gives the
-solvability test, the inverse V diag(1/w) V' and the consistency defect at
-once.  The decomposition is LAPACK's ``dsyevd`` on the upper triangle,
-through ``np.linalg.eigh``.  At m = 1 it is w = Upsilon, V = 1: a
-``_definite`` scalar Upsilon is inverted as 1 / Upsilon directly, and every
-other step takes the decomposition.  A pass forms the step's constants and scratch
+solvability test, the inverse V diag(1/w) V', the consistency defect and the
+dropped eigenvectors at once; no other code decomposes an Upsilon_k.  The
+decomposition is LAPACK's ``dsyevd`` on the upper triangle, through
+``np.linalg.eigh``.  At m = 1 it is w = Upsilon, V = 1: a ``_definite``
+scalar Upsilon is inverted as 1 / Upsilon directly, and every other step
+takes the decomposition.  A pass forms the step's constants and scratch
 buffers once.
 In strict mode each Upsilon_k must be positive definite, the solvability
 condition for a unique optimal controller, as ``_definite`` judges it:
@@ -35,7 +36,8 @@ scale: P_{k+1}, and with it M_k, may cancel to rounding, and so may the
 P after it, whose rounding then stems from the size of the P before.  Nor
 is a bound compounded over the steps, which grows by at least ||A||^2 a
 step and, some steps back, accepts every defect.  The feedforward's h_k
-must lie in the same range (``feedforward.backward_pass``).  Both tests
+must lie in the same range, tested on the kept ``Upsilon_dropped``
+(``feedforward.backward_pass``).  Both tests
 are relative, so rescaling Q, R and P_T together changes no verdict.
 Every step symmetrizes by ``model._sym`` and multiplies by ``model._dot_for``.
 In floating point the pass reaches its infinite-horizon limit exactly (P
@@ -185,22 +187,8 @@ def _step_scratch(AB):
             np.empty((nm - n, n)), np.empty((n, n)))
 
 
-def _gram(P_next, AB, W, scratch):
-    """Fill ``scratch`` (``_step_scratch(AB)``) from P_{k+1}: M = B'PA, and G = W + sym(AB' P AB).
-
-    G's blocks then hold Q + A'PA and Upsilon_k, the bytes a step inverts.
-    """
-    ABT, dot, PAB, G, G_QA, G_M, Upsilon, M, MtK = scratch
-    dot(ABT, dot(P_next, AB, out=PAB), out=G)
-    _sym(G, out=G)
-    M[...] = G_M
-    # G becomes W + G, whose blocks hold Q + A'PA and Upsilon; M is read first,
-    # since adding W's zero block would turn a -0.0 in it into +0.0
-    np.add(W, G, out=G)
-
-
 def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
-    """One step back from P_{k+1}: (Upsilon_eig, Upsilon_inv, K, P, defect).
+    """One step back from P_{k+1}: (Upsilon_eig, Upsilon_inv, K, P, Upsilon_dropped, defect).
 
     ``AB`` and ``W`` come from ``_step_constants``, and ``scratch``, when
     given, from ``_step_scratch(AB)``: a pass forms it once for all its
@@ -215,16 +203,17 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
     eigenvalue, where the stage cost has no minimum in u.  Otherwise
     Upsilon_inv is the pseudo-inverse and ``defect`` the consistency
     defect ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon is inverted
-    whole.  K = Upsilon_inv M, and P is (Q + A'PA) - M'K symmetrized.  At
-    m = 1 Upsilon is the scalar u = G[n, n], whose eigenpair is (u, 1):
-    when u is ``_definite`` the step writes u as Upsilon_eig and 1 / u as
-    Upsilon_inv, the bytes of the eigendecomposition path, which every
-    other step takes.
+    whole.  Upsilon_dropped's column j is eigenvector j of Upsilon when the
+    pseudo-inverse dropped it, else +0.0.  K = Upsilon_inv M, and P is
+    (Q + A'PA) - M'K symmetrized.  At m = 1 Upsilon is the scalar
+    u = G[n, n], whose eigenpair is (u, 1): when u is ``_definite`` the
+    step writes u as Upsilon_eig and 1 / u as Upsilon_inv, the bytes of the
+    eigendecomposition path, which every other step takes.
 
-    ``out``, when given, is four arrays of the result's shapes, the rows of
+    ``out``, when given, is five arrays of the result's shapes, the rows of
     step k in a pass's stacks, in the order above: the step fills them in
     place and returns them with the defect.  Without ``out`` it allocates
-    the four arrays it returns.  Beyond those and ``scratch`` it allocates
+    the five arrays it returns.  Beyond those and ``scratch`` it allocates
     only the transpose copies that symmetrize and, where it is taken, the
     eigendecomposition.  A refused step writes none of its rows.
     """
@@ -233,13 +222,19 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
     ABT, dot, PAB, G, G_QA, G_M, Upsilon, M, MtK = scratch
     m, n = M.shape
     if out is None:
-        out = (np.empty(m), np.empty((m, m)), np.empty((m, n)), np.empty((n, n)))
-    Upsilon_eig, Upsilon_inv, K, P = out
-    _gram(P_next, AB, W, scratch)
+        out = tuple(map(np.empty, ((m,), (m, m), (m, n), (n, n), (m, m))))
+    Upsilon_eig, Upsilon_inv, K, P, Upsilon_dropped = out
+    dot(ABT, dot(P_next, AB, out=PAB), out=G)
+    _sym(G, out=G)
+    M[...] = G_M
+    # G becomes W + G, whose blocks hold Q + A'PA and Upsilon; M is read first,
+    # since adding W's zero block would turn a -0.0 in it into +0.0
+    np.add(W, G, out=G)
     if m == 1 and (u := G[n, n]) > PINV_RCOND * u:
         # _definite on the one eigenvalue; (V / w) V' is 1 / u
         Upsilon_eig[0] = u
         Upsilon_inv[0, 0] = 1.0 / u
+        Upsilon_dropped[0, 0] = 0.0
         defect = 0.0
     else:
         w, V = _eigh(Upsilon)
@@ -251,6 +246,7 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
                                    f"max {w[-1]:.3e}); {why}", step=k, min_eigenvalue=float(w[0]))
         Upsilon_eig[...] = w
         defect = _eig_inverse(w, V, M, definite, out=Upsilon_inv)[1]
+        Upsilon_dropped[...] = 0.0 if definite else np.where(_kept(w), 0.0, V)
     # K is a BLAS product on both paths: a multiply by Upsilon_inv differs in
     # the sign of zeros ([[-2.]].dot([[0., 3., -0.]]) is [0, -6, 0], the
     # multiply [-0, -6, 0])
@@ -273,6 +269,8 @@ class RiccatiSolution:
         K: (N+1, m, n) feedback gains, K_k = Upsilon_inv_k M_k with
             M_k = B' P_{k+1} A; K_k' = M_k' Upsilon_k^{-1} couples the
             feedforward to the pass.
+        Upsilon_dropped: (N+1, m, m); column j of row k is the unit eigenvector
+            of ``Upsilon_eig[k, j]`` if the pseudo-inverse dropped it, else +0.0.
     """
 
     horizon: int
@@ -280,9 +278,10 @@ class RiccatiSolution:
     Upsilon_eig: np.ndarray
     Upsilon_inv: np.ndarray
     K: np.ndarray
+    Upsilon_dropped: np.ndarray
 
     def __post_init__(self):
-        freeze_fields(self, "P", "Upsilon_eig", "Upsilon_inv", "K")
+        freeze_fields(self, "P", "Upsilon_eig", "Upsilon_inv", "K", "Upsilon_dropped")
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
             pseudo-inverse is used and the per-step consistency condition is
             verified instead.
 
-    Each step writes its rows of the four stacks in place (the ``out`` of
+    Each step writes its rows of the five stacks in place (the ``out`` of
     ``_backward_step``).  The step of every P computed is kept by the hash
     of its bytes, P_{N+1} included.  The pass stops at the first k whose
     P_k equals a stored P_j bit for bit (a hash hit is confirmed on the
@@ -360,9 +359,10 @@ def solve_finite_horizon(model, cost, N, strict=True):
     Upsilon_eig = np.zeros((N + 1, m))
     Upsilon_inv = np.zeros((N + 1, m, m))
     K = np.zeros((N + 1, m, n))
+    Upsilon_dropped = np.zeros((N + 1, m, m))
     _sym(cost.P_terminal, out=P[N + 1])
 
-    stacks = (Upsilon_eig, Upsilon_inv, K, P)
+    stacks = (Upsilon_eig, Upsilon_inv, K, P, Upsilon_dropped)
     P_next = P[N + 1]
     # Pi_{k+1}, which scales M_k's defect
     Pi_next = norm(P_next)
@@ -375,7 +375,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
             # the rows of step k in every stack, N down to 0
             for k, rows in zip(range(N, -1, -1), zip(*(arr[N::-1] for arr in stacks))):
                 defect = _backward_step(P_next, AB, W, strict, k, out=rows,
-                                        scratch=scratch)[4]
+                                        scratch=scratch)[5]
                 # the defect is exactly 0.0 unless an eigenvalue was dropped,
                 # which a strict step refuses
                 if not strict:
@@ -405,7 +405,7 @@ def solve_finite_horizon(model, cost, N, strict=True):
         raise _diverged(strict, k, f"P_{k} is not finite")
 
     return RiccatiSolution(horizon=N, P=P, Upsilon_eig=Upsilon_eig,
-                           Upsilon_inv=Upsilon_inv, K=K)
+                           Upsilon_inv=Upsilon_inv, K=K, Upsilon_dropped=Upsilon_dropped)
 
 
 def _diverged(strict, k, why):
@@ -563,7 +563,7 @@ def solve_gare(model, cost, tol=1e-12, max_iters=100000):
         raise refusal(f"still moving by {residual:.3e} after {limit} "
                       f"{'doublings' if doubling else 'iterations'} (tol {tol:g}, relative)")
 
-    Upsilon_eig, Upsilon_inv, K, P_check, _ = step(P)
+    Upsilon_eig, Upsilon_inv, K, P_check, _, _ = step(P)
     residual = float(np.max(np.abs(P_check - P)))
     eigs = np.linalg.eigvalsh(P)
     min_eig = float(eigs[0])

@@ -175,7 +175,7 @@ def simulate(model, cost, controller, x0, steps, d):
 
 
 def evaluate_cost(traj, cost):
-    """Exact finite-horizon cost of a trajectory, terminal term included."""
+    """J of the trajectory under ``cost``, exact, terminal term included."""
     model = traj.model
     err = traj.x[:-1] - cost.r
     w = traj.u.dot(model.B.T) + traj.d.dot(model.E.T)

@@ -12,7 +12,7 @@ from lqdr import (CostSpec, DisturbanceProfile, RegularityError, SolvabilityErro
                   finite_horizon_control, solve_finite_horizon, solve_recursive)
 from lqdr.cli import _PALETTE
 from lqdr.riccati import (PINV_RCOND, REGULARITY_TOL, _backward_step, _eig_inverse, _eigh,
-                          _step_constants, _sym)
+                          _kept, _step_constants, _sym)
 
 # every run of one commit draws the same examples and replays no stored
 # failure, so it gives one verdict; ``--hypothesis-profile=default`` (with
@@ -109,6 +109,38 @@ def free_effort_plant():
     n = model.n
     return model, CostSpec(Q=np.eye(n), R=np.zeros((n, n)), P_terminal=np.zeros((n, n)),
                            r=np.zeros(n))
+
+
+def kept_span_problem():
+    """(model, cost, x0, d) of a non-strict N = 2 problem whose kept eigenvalues span 1e-9.
+
+    B = [b, b + 2^-15 e, 2 b + 2^-15 e], exactly, with e = (0, 1, -1) and
+    semidefinite weights: each Upsilon_k drops the eigenvalue of (1, 1, -1)
+    and keeps two about 1e-9 apart, in directions no axis holds.
+    """
+    b, e = np.array([1.0, 0.5, 0.25]), 2.0 ** -15 * np.array([0.0, 1.0, -1.0])
+    B = np.column_stack([b, b + e, 2 * b + e])
+    model = SystemModel(A=[[0.5, 0.25, 0.0], [-0.5, 0.0, 1.0], [0.0, 0.5, -0.25]], B=B,
+                        E=[[1.0, 0.0, -0.5], [0.5, 1.0, 0.0], [0.0, -1.0, 1.0]], c_o=np.eye(3)[:1])
+    cost = CostSpec(Q=np.eye(3), R=np.zeros((3, 3)), P_terminal=np.eye(3), r=[1.0, -0.5, 0.5])
+    x0, d = np.array([0.5, -1.0, 0.0]), np.array([[1.0, 0.5, -1.0], [0.0, 1.0, 0.5],
+                                                 [-0.5, 0.0, 1.0]])
+    return model, cost, x0, d
+
+
+def repeated_column_problem():
+    """(model, cost, d) of an n = 3 plant whose B repeats its first column, over N = 400.
+
+    Q = R = P_T = I.  Every Upsilon_k has rank 1, so a non-strict pass drops
+    one eigenvalue at every step; the pass stops where P first repeats,
+    before step 0.
+    """
+    base = sampled_stable_plant(3, 2, 0.02, seed=7)
+    B = np.array(base.B)
+    B[:, 1] = B[:, 0]
+    model = SystemModel(A=base.A, B=B, E=base.E, c_o=base.c_o)
+    cost = CostSpec(Q=np.eye(3), R=np.eye(3), P_terminal=np.eye(3), r=[1.0, -0.5, 0.25])
+    return model, cost, np.random.default_rng(7).standard_normal((401, 2))
 
 
 def stable_dense_A_c(n, rng):
@@ -297,7 +329,8 @@ def step_blocks(model, cost, P_next):
 def reference_finite_horizon(model, cost, N, strict=True):
     """The backward Riccati pass run for every step, with no early stop.
 
-    Returns (Upsilon_eig, Upsilon_inv, K, P), the order of the step's outputs.
+    Returns (Upsilon_eig, Upsilon_inv, K, P, Upsilon_dropped), the order of
+    the step's outputs.
     """
     n, m = model.n, model.m
     AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
@@ -305,20 +338,24 @@ def reference_finite_horizon(model, cost, N, strict=True):
     Upsilon_eig = np.zeros((N + 1, m))
     Upsilon_inv = np.zeros((N + 1, m, m))
     K = np.zeros((N + 1, m, n))
+    Upsilon_dropped = np.zeros((N + 1, m, m))
     P[N + 1] = _sym(cost.P_terminal)
     for k in range(N, -1, -1):
-        Upsilon_eig[k], Upsilon_inv[k], K[k], P[k], defect = \
+        Upsilon_eig[k], Upsilon_inv[k], K[k], P[k], Upsilon_dropped[k], defect = \
             _backward_step(P[k + 1], AB, W, strict, k)
         assert defect <= REGULARITY_TOL * np.linalg.norm(gram_blocks(P[k + 1], AB, W)[1])
-    return Upsilon_eig, Upsilon_inv, K, P
+    return Upsilon_eig, Upsilon_inv, K, P, Upsilon_dropped
 
 
 def reference_gram_step(P_next, AB, W, strict, k=None):
     """``_backward_step`` with a fresh array per sum and product, M a view of G.
 
-    Returns (Upsilon_eig, Upsilon_inv, K, P, defect): the bytes the kernel,
-    which writes into its output rows and adds W into G in place, must
-    reproduce, or its ``SolvabilityError``.
+    Returns (Upsilon_eig, Upsilon_inv, K, P, Upsilon_dropped, defect): the
+    bytes the kernel, which writes into its output rows and adds W into G in
+    place, must reproduce, or its ``SolvabilityError``.  Upsilon_dropped is
+    zero but for the columns of V whose eigenvalue's modulus is not above
+    ``PINV_RCOND`` times the largest (NaN included), on a step that is not
+    definite.
     """
     Upsilon, M, H = gram_blocks(P_next, AB, W)
     n = P_next.shape[0]
@@ -337,7 +374,23 @@ def reference_gram_step(P_next, AB, W, strict, k=None):
             step=k, min_eigenvalue=float(w[0]))
     Upsilon_inv, defect = _eig_inverse(w, V, M, definite)
     K = dot(Upsilon_inv, M)
-    return w, Upsilon_inv, K, _sym(H[:n, :n] - dot(M.T, K)), defect
+    dropped = np.zeros_like(Upsilon_inv)
+    if not definite:
+        drop = ~(np.abs(w) > PINV_RCOND * np.max(np.abs(w)))
+        dropped[:, drop] = V[:, drop]
+    return w, Upsilon_inv, K, _sym(H[:n, :n] - dot(M.T, K)), dropped, defect
+
+
+def reference_range_defect(model, cost, P_next, h):
+    """||V_dropped' h||, one per column of h, from Upsilon_k formed again and decomposed again.
+
+    Upsilon_k is ``step_blocks``' from P_{k+1} = ``P_next``, the bytes the
+    pass decomposed, and V_dropped the eigenvectors of ``_eigh``'s
+    decomposition of it that ``_kept`` drops: the feedforward's range test
+    as it was before the pass kept its dropped eigenvectors.
+    """
+    w, V = _eigh(step_blocks(model, cost, P_next)[0])
+    return np.linalg.norm(V[:, ~_kept(w)].T.dot(h), axis=0)
 
 
 def reference_backward_step(P_next, A, B, Q, R, strict, k=None):

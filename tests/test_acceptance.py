@@ -202,8 +202,7 @@ def test_criterion_8_constant_disturbance_comparison(bench_runs):
     trajs = bench_runs["example_b"]["traj"]
     prop = float(np.mean(np.abs(trajs["receding_horizon"].x[900:1001, 0])))
     base = float(np.mean(np.abs(trajs["sfc"].x[900:1001, 0])))
-    prop_m, base_m = (trajectory_metrics(trajs[label], scenario.cost, scenario.model,
-                                         onset=scenario.disturbance.start_step,
+    prop_m, base_m = (trajectory_metrics(trajs[label], onset=scenario.disturbance.start_step,
                                          settle_band=scenario.settle_band)
                       for label in ("receding_horizon", "sfc"))
     ok_level = prop <= 1e-3
@@ -250,8 +249,7 @@ def test_criterion_10_sampled_plant_vs_pid(bench_runs):
     ramp_end = 26  # nozzle area still moving through step 25
     peak = {label: float(np.max(np.abs(t.z[:ramp_end, 0])))
             for label, t in trajs.items()}
-    settle = {label: trajectory_metrics(t, scenario.cost, scenario.model,
-                                        onset=0, settle_band=scenario.settle_band)
+    settle = {label: trajectory_metrics(t, onset=0, settle_band=scenario.settle_band)
               ["settling_step"]
               for label, t in trajs.items()}
     ok_peak = peak["finite_horizon"] < peak["pid"]

@@ -730,7 +730,7 @@ def test_metric_J_is_the_independently_summed_cost(name):
     for config in scenario.controllers:
         controller = build_controller(config, model, cost, scenario.disturbance, steps)
         traj = simulate(model, cost, controller, scenario.x0, steps, scenario.disturbance)
-        J = trajectory_metrics(traj, cost, model, 0, scenario.settle_band)["J"]
+        J = trajectory_metrics(traj, 0, scenario.settle_band)["J"]
         assert type(J) is float
         assert J == pytest.approx(evaluate_cost(traj, cost), rel=1e-12, abs=0)
 
@@ -745,8 +745,7 @@ def test_settling_step_matches_the_loop_on_bundled_runs(name):
         err = np.max(np.abs(traj.z - model.c_o @ cost.r), axis=1)
         # the scenario's onset, then onsets at and past the end of the run
         for onset in (scenario.disturbance.start_step, steps, steps + 3):
-            got = trajectory_metrics(traj, cost, model, onset,
-                                     scenario.settle_band)["settling_step"]
+            got = trajectory_metrics(traj, onset, scenario.settle_band)["settling_step"]
             start = min(onset, steps)
             assert got == reference_settling_step(err[start:], start, scenario.settle_band)
 

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqdr.feedforward
+import lqdr.riccati
 from conftest import (_exact, exact_bounded_below, exact_lifted_quadratic, exact_minimum,
-                      exact_rank, long_horizon_cases, oracle_cases, reference_closed_form,
-                      reference_feedforward, rel_close, rel_gap, step_blocks, tracking_cost,
-                      two_state_bench, uncontrollable_3state)
+                      exact_rank, free_effort_plant, kept_span_problem, long_horizon_cases,
+                      oracle_cases, reference_closed_form, reference_feedforward,
+                      reference_range_defect, rel_close, rel_gap, repeated_column_problem,
+                      step_blocks, tracking_cost, two_state_bench, uncontrollable_3state)
 from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile, GareSolution,
                   RegularityError, SolvabilityError, StabilizationError, SystemModel,
                   build_controller, disturbance_sequence, draw_instance, evaluate_cost,
@@ -286,13 +289,18 @@ def test_compensation_stays_bounded_for_bounded_disturbance():
     assert sups[1] <= sups[0] * 1.01 + 1e-12
 
 
+def outside_range_problem():
+    """(model, cost, d) of an N = 2 problem whose h_2 lies outside range(Upsilon_2) = {0}."""
+    model = SystemModel(A=[[0.0]], B=[[-0.5, 0.0]], E=[[-0.5, 1.0]], c_o=[[1.0]])
+    cost = CostSpec(Q=[[0.0]], R=[[1.0]], P_terminal=[[-1.0]], r=[1.0])
+    return model, cost, np.zeros((3, 2))
+
+
 def test_non_strict_refuses_a_feedforward_outside_the_range_of_upsilon():
     # R + P_T = 0 makes Upsilon_2 and M_2 zero, so the Riccati pass accepts
     # it; but f_3 = -P_T r = 1 gives h_2 = [-0.5, 0] outside range(Upsilon_2)
     # = {0}, and the cost falls by t when u_2[0] = t
-    model = SystemModel(A=[[0.0]], B=[[-0.5, 0.0]], E=[[-0.5, 1.0]], c_o=[[1.0]])
-    cost = CostSpec(Q=[[0.0]], R=[[1.0]], P_terminal=[[-1.0]], r=[1.0])
-    d = np.zeros((3, 2))
+    model, cost, d = outside_range_problem()
     H, L, b, _ = exact_lifted_quadratic(model, cost, np.zeros(1), d, 2)
     assert not exact_bounded_below(H, L, b)
     riccati = solve_finite_horizon(model, cost, 2, strict=False)
@@ -309,6 +317,18 @@ def test_non_strict_refuses_a_feedforward_outside_the_range_of_upsilon():
         assert info.value.step == 2
 
 
+def chain_problem(L):
+    """(model, cost) of an L-state shift chain whose terminal weight walks back to x_1.
+
+    B and R act on x_1, Q = 0, P_T = -e_L e_L' and r = e_L.
+    """
+    model = SystemModel(A=np.eye(L, k=-1), B=np.eye(L)[:, :1], E=np.zeros((L, 1)),
+                        c_o=np.eye(L)[:1])
+    cost = CostSpec(Q=np.zeros((L, L)), R=np.diag(np.eye(L)[0]),
+                    P_terminal=-np.diag(np.eye(L)[-1]), r=np.eye(L)[-1])
+    return model, cost
+
+
 def test_non_strict_refuses_a_receding_horizon_feedforward_thirty_steps_back():
     # A shifts the 31 states down the chain; B and R act on x_1, and
     # P_T = -e_31 e_31' with r = e_31.  Over the lookahead T = 30 the terminal
@@ -317,10 +337,7 @@ def test_non_strict_refuses_a_receding_horizon_feedforward_thirty_steps_back():
     # u_0 enters the cost as 2 u_0 - 1.  A bound compounded over the steps,
     # by ||A||_F = 5.5 a step, would accept it
     L = 31
-    model = SystemModel(A=np.eye(L, k=-1), B=np.eye(L)[:, :1], E=np.zeros((L, 1)),
-                        c_o=np.eye(L)[:1])
-    cost = CostSpec(Q=np.zeros((L, L)), R=np.diag(np.eye(L)[0]),
-                    P_terminal=-np.diag(np.eye(L)[-1]), r=np.eye(L)[-1])
+    model, cost = chain_problem(L)
     riccati = solve_finite_horizon(model, cost, L - 1, strict=False)
     assert riccati.Upsilon_eig[0, 0] == 0.0 and (riccati.Upsilon_eig[1:] == 1.0).all()
     config = ControllerConfig(kind="RecedingHorizon", T=L - 1, strict=False)
@@ -331,19 +348,11 @@ def test_non_strict_refuses_a_receding_horizon_feedforward_thirty_steps_back():
 
 
 def test_non_strict_accepts_a_feedforward_whose_kept_eigenvalues_span_1e_9():
-    # B = [b, b + 2^-15 e, 2 b + 2^-15 e], exactly, with e = (0, 1, -1) and
-    # semidefinite weights: each Upsilon_k drops the eigenvalue of (1, 1, -1)
-    # and keeps two about 1e-9 apart, in directions no axis holds.  h_k is in
-    # the range; its defect is judged on the eigenvectors the pass dropped,
-    # not through Upsilon^+, whose 1e9 would magnify the rounding of any
-    # rebuilt Upsilon
-    b, e = np.array([1.0, 0.5, 0.25]), 2.0 ** -15 * np.array([0.0, 1.0, -1.0])
-    B = np.column_stack([b, b + e, 2 * b + e])
-    model = SystemModel(A=[[0.5, 0.25, 0.0], [-0.5, 0.0, 1.0], [0.0, 0.5, -0.25]], B=B,
-                        E=[[1.0, 0.0, -0.5], [0.5, 1.0, 0.0], [0.0, -1.0, 1.0]], c_o=np.eye(3)[:1])
-    cost = CostSpec(Q=np.eye(3), R=np.zeros((3, 3)), P_terminal=np.eye(3), r=[1.0, -0.5, 0.5])
-    x0, d = np.array([0.5, -1.0, 0.0]), np.array([[1.0, 0.5, -1.0], [0.0, 1.0, 0.5],
-                                                 [-0.5, 0.0, 1.0]])
+    # each Upsilon_k drops the eigenvalue of (1, 1, -1) and keeps two about
+    # 1e-9 apart (kept_span_problem).  h_k is in the range; its defect is
+    # judged on the eigenvectors the pass dropped, not through Upsilon^+,
+    # whose 1e9 would magnify the rounding of any rebuilt Upsilon
+    model, cost, x0, d = kept_span_problem()
     riccati = solve_finite_horizon(model, cost, 2, strict=False)
     w = riccati.Upsilon_eig
     assert (np.abs(w[:, 0]) <= 1e-10 * w[:, 2]).all()
@@ -356,7 +365,8 @@ def test_non_strict_accepts_a_feedforward_whose_kept_eigenvalues_span_1e_9():
     assert rel_gap([J], [float(exact_minimum(H, b, c))]) <= 1e-8
 
 
-@pytest.mark.parametrize("term, model, cost, x0, d", [
+#: Non-strict N = 2 problems whose h_1 or M_1 cancels to rounding outside range(Upsilon_1).
+CANCELLING = [
     pytest.param("h_1", SystemModel(A=[[-0.5]], B=[[-1.0, 0.5]], E=[[-0.5, 1.0]], c_o=[[1.0]]),
                  CostSpec(Q=[[0.0]], R=[[0.0]], P_terminal=[[0.5]], r=[-1.0]),
                  [0.0], [[-0.5, -0.5], [-1.0, 0.0], [1.0, 1.0]], id="h_1"),
@@ -364,7 +374,10 @@ def test_non_strict_accepts_a_feedforward_whose_kept_eigenvalues_span_1e_9():
                                     E=[[-0.5, -1.0], [-1.0, 0.0]], c_o=[[1.0, 0.0]]),
                  CostSpec(Q=np.zeros((2, 2)), R=[[1.0, 0.5], [0.5, 0.25]],
                           P_terminal=[[0.5, -0.5], [-0.5, 0.5]], r=[-1.0, 1.0]),
-                 [0.0, -1.0], [[0.5, -0.5], [-1.0, 0.0], [-0.5, 0.5]], id="M_1")])
+                 [0.0, -1.0], [[0.5, -0.5], [-1.0, 0.0], [-0.5, 0.5]], id="M_1")]
+
+
+@pytest.mark.parametrize("term, model, cost, x0, d", CANCELLING)
 def test_non_strict_accepts_a_term_that_cancels_to_rounding(term, model, cost, x0, d):
     # Q = 0 with semidefinite R and P_T: P_2 is zero and Upsilon_1 drops an
     # eigenvalue.  h_1 = B' f_2 is computed as about 6e-17 in the first draw,
@@ -431,3 +444,121 @@ def test_non_strict_accepts_exactly_the_problems_bounded_below(problem):
     assert bounded
     J = evaluate_cost(simulate(model, cost, law, x0, N + 1, d), cost)
     assert rel_gap([J], [float(exact_minimum(H, b, c))]) <= 1e-8
+
+
+def range_test_cases():
+    """(id, model, cost, d, N) of non-strict passes with steps whose Upsilon_k is not definite."""
+    span_model, span_cost, _, span_d = kept_span_problem()
+    cases = [("outside_range", *outside_range_problem(), 2),
+             ("chain_31", *chain_problem(31), np.zeros((31, 1)), 30),
+             ("kept_span_1e-9", span_model, span_cost, span_d, 2),
+             ("free_effort", *free_effort_plant(), np.linspace(-1.0, 1.0, 51)[:, None], 50),
+             ("repeated_column", *repeated_column_problem(), 400)]
+    cases += [(param.id, *param.values[1:3], np.array(param.values[4]), 2)
+              for param in CANCELLING]
+    return cases
+
+
+def rank_deficient_draws(count, seed):
+    """``count`` (model, cost, non-strict RiccatiSolution), each B of rank below m.
+
+    n 1..4, m 2..4, N <= 29; Q and P_T are C'C, R is 0 or rank 1.  Draws the
+    pass refuses are skipped.
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        n, m, N = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(0, 30))
+        G = rng.standard_normal((n, n))
+        A = G * (rng.uniform(0.5, 1.1) / max(np.max(np.abs(np.linalg.eigvals(G))), 1e-9))
+        rank = int(rng.integers(1, m))
+        B = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+        C, C_T = rng.standard_normal((2, n, n))
+        v = rng.standard_normal(n)
+        model = SystemModel(A=A, B=B, E=rng.standard_normal((n, m)), c_o=np.eye(n)[:1])
+        cost = CostSpec(Q=C.T @ C, R=np.outer(v, v) if rng.random() < 0.5 else np.zeros((n, n)),
+                        P_terminal=C_T.T @ C_T, r=rng.standard_normal(n))
+        try:
+            draws.append((model, cost, solve_finite_horizon(model, cost, N, strict=False)))
+        except (SolvabilityError, RegularityError):
+            continue
+    return draws
+
+
+def recorded_range_defects(monkeypatch, riccati, model, cost, Ed, r_weight):
+    """(h, {k: defect}) of ``backward_pass``, its range test recording each defect instead."""
+    defects = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(lqdr.feedforward, "_require_in_range",
+                      lambda k, defect, scale, what: defects.setdefault(k, defect))
+        h = lqdr.feedforward.backward_pass(riccati, model, cost, Ed, r_weight)[0]
+    return h, defects
+
+
+def assert_range_defects_are_the_reference_bytes(monkeypatch, riccati, model, cost, Ed,
+                                                 r_weight):
+    """Each undecided step's h_k defect against ``reference_range_defect``, byte for byte.
+
+    Returns the number of steps compared.
+    """
+    h, defects = recorded_range_defects(monkeypatch, riccati, model, cost, Ed, r_weight)
+    undecided = ~lqdr.riccati._definite(riccati.Upsilon_eig)
+    assert sorted(defects) == np.flatnonzero(undecided).tolist()
+    for k, defect in defects.items():
+        want = reference_range_defect(model, cost, riccati.P[k + 1], h[k])
+        assert defect.tobytes() == want.tobytes(), k
+    return len(defects)
+
+
+@pytest.mark.parametrize("model, cost, d, N",
+                         [pytest.param(*case[1:], id=case[0]) for case in range_test_cases()])
+def test_range_defect_is_the_bytes_of_the_upsilon_decomposed_again(monkeypatch, model, cost,
+                                                                   d, N):
+    # the feedforward reads the eigenvectors the pass dropped; its defect is
+    # what forming Upsilon_k again from P_{k+1} and decomposing it again
+    # gives, for the one problem solve_recursive runs and for the m + 1
+    # problems of the receding-horizon law
+    riccati = solve_finite_horizon(model, cost, N, strict=False)
+    Ed = disturbance_sequence(d, N + 1, dim=model.m).dot(model.E.T)[:, :, None]
+    assert assert_range_defects_are_the_reference_bytes(monkeypatch, riccati, model, cost, Ed,
+                                                        np.ones(1))
+    columns = np.concatenate([np.broadcast_to(model.E.T, (N + 1, model.m, model.n)),
+                              np.zeros((N + 1, 1, model.n))], axis=1)
+    assert assert_range_defects_are_the_reference_bytes(
+        monkeypatch, riccati, model, cost, np.swapaxes(columns, 1, 2),
+        np.append(np.zeros(model.m), 1.0))
+
+
+def test_range_defect_is_the_bytes_of_the_upsilon_decomposed_again_on_draws(monkeypatch):
+    rng = np.random.default_rng(32)
+    compared = 0
+    for model, cost, riccati in rank_deficient_draws(150, seed=32):
+        Ed = rng.standard_normal((riccati.horizon + 1, model.n, 2))
+        compared += assert_range_defects_are_the_reference_bytes(
+            monkeypatch, riccati, model, cost, Ed, np.array([1.0, rng.standard_normal()]))
+    assert compared >= 1000
+
+
+@pytest.mark.parametrize("model, cost, d, N",
+                         [pytest.param(*case[1:], id=case[0]) for case in range_test_cases()])
+def test_the_range_test_decomposes_no_upsilon_again(monkeypatch, model, cost, d, N):
+    # after the pass no eigendecomposition runs: solve_recursive gives the
+    # same bytes, or the same refusal, with eigh forbidden
+    riccati = solve_finite_horizon(model, cost, N, strict=False)
+    assert not lqdr.riccati._definite(riccati.Upsilon_eig).all()
+    try:
+        want = solve_recursive(riccati, model, cost, d)
+    except RegularityError as exc:
+        want = (exc.step, exc.residual, str(exc))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an Upsilon_k was decomposed after the pass")
+
+    monkeypatch.setattr(lqdr.riccati, "_eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    try:
+        got = solve_recursive(riccati, model, cost, d)
+    except RegularityError as exc:
+        assert (exc.step, exc.residual, str(exc)) == want
+        return
+    assert got.h.tobytes() == want.h.tobytes() and got.f.tobytes() == want.f.tobytes()

@@ -15,10 +15,11 @@ from scipy.linalg.lapack import dsyevd
 import lqdr.model
 import lqdr.riccati
 from conftest import (check_regularity, free_effort_plant, gram_blocks, kalman_decomposed_plant,
-                      long_horizon_cases, lqr_textbook_gains, reference_backward_step,
-                      reference_finite_horizon, reference_gram_step, rel_close,
-                      sampled_stable_plant, singular_doubling_plant, stationary_control,
-                      step_blocks, tracking_cost, two_state_bench, uncontrollable_3state)
+                      kept_span_problem, long_horizon_cases, lqr_textbook_gains,
+                      reference_backward_step, reference_finite_horizon, reference_gram_step,
+                      rel_close, repeated_column_problem, sampled_stable_plant,
+                      singular_doubling_plant, stationary_control, step_blocks, tracking_cost,
+                      two_state_bench, uncontrollable_3state)
 from lqdr import (ControllerConfig, ConvergenceError, CostSpec, DisturbanceProfile, LqdrError,
                   RegularityError, SolvabilityError, StabilizationError, SystemModel,
                   build_controller, draw_instance, finite_horizon_control, solve_finite_horizon,
@@ -240,9 +241,9 @@ def test_fixed_point_stop_equals_the_full_pass(model, cost, N, strict):
     # steps k..j-1, so every array must equal the pass that computes each step
     sol = solve_finite_horizon(model, cost, N, strict=strict)
     expected = reference_finite_horizon(model, cost, N, strict=strict)
-    for got, want in zip((sol.Upsilon_eig, sol.Upsilon_inv, sol.K, sol.P), expected,
-                         strict=True):
-        assert np.array_equal(got, want)
+    for got, want in zip((sol.Upsilon_eig, sol.Upsilon_inv, sol.K, sol.P, sol.Upsilon_dropped),
+                         expected, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def repeat_stop_cases():
@@ -259,7 +260,8 @@ def repeat_stop_cases():
 def test_backward_pass_stops_at_the_first_repeated_p(monkeypatch, model, cost, N, strict):
     # example_b reaches P_k == P_{k+1}; the two sampled plants settle into a
     # rounding cycle instead, and stop where P_k first equals a later P_j
-    P = reference_finite_horizon(model, cost, N, strict=strict)[3]
+    expected = reference_finite_horizon(model, cost, N, strict=strict)
+    P = expected[3]
     later = {}
     first = next(k for k in range(N + 1, -1, -1) if later.setdefault(P[k].tobytes(), k) != k)
     assert first > 0
@@ -274,6 +276,7 @@ def test_backward_pass_stops_at_the_first_repeated_p(monkeypatch, model, cost, N
     sol = solve_finite_horizon(model, cost, N, strict=strict)
     assert calls == list(range(N, first - 1, -1))
     assert np.array_equal(sol.P, P)
+    assert sol.Upsilon_dropped.tobytes() == expected[4].tobytes()
 
 
 def test_negative_horizon_rejected():
@@ -1009,7 +1012,8 @@ def test_backward_step_fills_its_out_rows_with_the_bytes_it_returns(model, cost,
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, n))
     for P_next in (lqdr.riccati._sym(cost.P_terminal), X @ X.T, np.zeros_like(X)):
-        stacks = [np.full((3, *shape), np.nan) for shape in ((m,), (m, m), (m, n), (n, n))]
+        stacks = [np.full((3, *shape), np.nan)
+                  for shape in ((m,), (m, m), (m, n), (n, n), (m, m))]
         rows = tuple(stack[1] for stack in stacks)
         if np.linalg.eigvalsh(step_blocks(model, cost, P_next)[0])[0] < 0:
             with pytest.raises(SolvabilityError, match="indefinite") as info:
@@ -1020,8 +1024,8 @@ def test_backward_step_fills_its_out_rows_with_the_bytes_it_returns(model, cost,
             continue
         want = lqdr.riccati._backward_step(P_next, AB, W, strict, 4)
         got = lqdr.riccati._backward_step(P_next, AB, W, strict, 4, out=rows)
-        assert len(got) == 5 and all(g is row for g, row in zip(got, rows))
-        assert got[4] == want[4]
+        assert len(got) == 6 and all(g is row for g, row in zip(got, rows))
+        assert got[5] == want[5]
         for g, w, stack in zip(got, want, stacks):
             assert g.tobytes() == np.asarray(w).tobytes()
             assert np.isnan(stack[[0, 2]]).all()
@@ -1034,10 +1038,10 @@ def test_every_step_of_a_pass_is_the_bytes_of_the_gram_step(model, cost, N, stri
     # arrays for its sums and products returns on that row's P_{k+1}
     sol = solve_finite_horizon(model, cost, N, strict=strict)
     AB, W = lqdr.riccati._step_constants(model.A, model.B, cost.Q, cost.R)
-    stacks = (sol.Upsilon_eig, sol.Upsilon_inv, sol.K, sol.P)
+    stacks = (sol.Upsilon_eig, sol.Upsilon_inv, sol.K, sol.P, sol.Upsilon_dropped)
     for k in range(N, -1, -1):
         want = reference_gram_step(sol.P[k + 1], AB, W, strict, k)
-        for arr, w in zip(stacks, want[:4], strict=True):
+        for arr, w in zip(stacks, want[:5], strict=True):
             assert arr[k].tobytes() == w.tobytes(), k
 
 
@@ -1074,10 +1078,10 @@ def test_backward_step_is_the_bytes_of_the_gram_step_on_random_plants(seed):
             w = want[0]
             dropped += not w[0] > lqdr.riccati.PINV_RCOND * w[-1]
             got = lqdr.riccati._backward_step(P_next, AB, W, strict, 3)
-            rows = tuple(np.full_like(w, np.nan) for w in want[:4])
+            rows = tuple(np.full_like(w, np.nan) for w in want[:5])
             into = lqdr.riccati._backward_step(P_next, AB, W, strict, 3, out=rows)
-            assert got[4] == into[4] == want[4]
-            for g, i, r in zip(got[:4], into[:4], want[:4], strict=True):
+            assert got[5] == into[5] == want[5]
+            for g, i, r in zip(got[:5], into[:5], want[:5], strict=True):
                 assert g.tobytes() == i.tobytes() == r.tobytes()
     # the strict, dropped-eigenvalue, m = 1 and n = 1 paths are all taken
     assert dropped and shapes == {(False, False), (False, True), (True, False), (True, True)}
@@ -1120,7 +1124,7 @@ def scalar_upsilon_step(u, rng):
 @pytest.mark.parametrize("u", SCALAR_UPSILON.values(), ids=SCALAR_UPSILON.keys())
 def test_scalar_upsilon_step_is_the_bytes_of_the_gram_step(u, strict):
     # at m = 1 a _definite Upsilon takes the scalar case and any other the
-    # eigendecomposition: both return the reference's five outputs byte for
+    # eigendecomposition: both return the reference's six outputs byte for
     # byte, with or without out, or raise its error, and warn as it does
     rng = np.random.default_rng(25)
     zero_in_M = refused = 0
@@ -1133,15 +1137,15 @@ def test_scalar_upsilon_step_is_the_bytes_of_the_gram_step(u, strict):
         assert np.isnan(got_u) if np.isnan(u) else \
             (np.sign(got_u), abs(got_u) < 1e-200) == (np.sign(u), abs(u) < 1e-200)
         scratch = lqdr.riccati._step_scratch(AB)
-        rows = [tuple(np.full_like(w, np.nan) for w in want[:4])] if want else []
+        rows = [tuple(np.full_like(w, np.nan) for w in want[:5])] if want else []
         for out in [None] + rows:
             got, error, warned = recorded(
                 lambda: lqdr.riccati._backward_step(P_next, AB, W, strict, 3, out=out,
                                                     scratch=scratch))
             assert (error, warned) == (want_error, want_warned)
             if want:
-                assert got[4] == want[4]
-                for g, w in zip(got[:4], want[:4], strict=True):
+                assert got[5] == want[5]
+                for g, w in zip(got[:5], want[:5], strict=True):
                     assert g.tobytes() == w.tobytes()
                 zero_in_M += not M.all()
         refused += bool(want_error) and "indefinite" in want_error[1]
@@ -1219,9 +1223,64 @@ def test_upsilon_eig_is_the_stored_ascending_spectrum(model, cost, N, strict):
     assert np.all(np.diff(sol.Upsilon_eig, axis=1) >= 0)
     Upsilon = step_blocks(model, cost, sol.P[1:])[0]
     assert rel_close(sol.Upsilon_eig, np.linalg.eigvalsh(Upsilon), 1e-12)
-    # copied across the stretch the pass does not compute, like the other arrays
-    assert np.array_equal(sol.Upsilon_eig,
-                          reference_finite_horizon(model, cost, N, strict=strict)[0])
+    # copied across the stretch the pass does not compute, like the other
+    # arrays, with the dropped eigenvectors of the same steps
+    expected = reference_finite_horizon(model, cost, N, strict=strict)
+    assert np.array_equal(sol.Upsilon_eig, expected[0])
+    assert sol.Upsilon_dropped.tobytes() == expected[4].tobytes()
+    # every Upsilon_k here is definite: nothing is dropped, and every entry is +0.0
+    assert sol.Upsilon_dropped.shape == (N + 1, model.m, model.m)
+    assert not sol.Upsilon_dropped.flags.writeable
+    assert sol.Upsilon_dropped.tobytes() == bytes(sol.Upsilon_dropped.nbytes)
+
+
+def dropping_cases():
+    """(model, cost, N, stops) of non-strict passes some of whose Upsilon_k drop an eigenvalue.
+
+    ``stops``: the pass stops where P repeats and copies the earlier rows.
+    """
+    return [pytest.param(*kept_span_problem()[:2], 2, False, id="kept_span_1e-9"),
+            pytest.param(*free_effort_plant(), 50, False, id="free_effort"),
+            pytest.param(*repeated_column_problem()[:2], 400, True, id="repeated_column")]
+
+
+@pytest.mark.parametrize("model, cost, N, stops", dropping_cases())
+def test_upsilon_dropped_holds_the_unit_eigenvectors_the_pass_dropped(monkeypatch, model, cost,
+                                                                      N, stops):
+    # column j of row k is the eigenvector of Upsilon_k's eigenvalue j,
+    # formed again from P_{k+1} and decomposed again, when _kept drops it,
+    # and +0.0 otherwise; the rows the repeat stop copies are the full pass's
+    calls = []
+    step = lqdr.riccati._backward_step
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(lqdr.riccati, "_backward_step", counted)
+    sol = solve_finite_horizon(model, cost, N, strict=False)
+    D, m = sol.Upsilon_dropped, model.m
+    assert D.shape == (N + 1, m, m) and not D.flags.writeable
+    Upsilon = step_blocks(model, cost, sol.P[1:])[0]
+    dropped = 0
+    for k in range(N + 1):
+        w = sol.Upsilon_eig[k]
+        drop = ~lqdr.riccati._kept(w)
+        assert D[k].any(axis=0).tolist() == drop.tolist(), k
+        assert D[k][:, ~drop].tobytes() == bytes(8 * m * int((~drop).sum())), k
+        V = lqdr.riccati._eigh(Upsilon[k])[1]
+        assert D[k][:, drop].tobytes() == V[:, drop].tobytes(), k
+        for j in np.flatnonzero(drop):
+            v = D[k][:, j]
+            assert abs(np.linalg.norm(v) - 1.0) <= 4 * np.finfo(float).eps
+            assert (np.linalg.norm(Upsilon[k] @ v - w[j] * v)
+                    <= 1e-12 * np.linalg.norm(Upsilon[k]))
+        dropped += int(drop.sum())
+    assert dropped
+    assert D.tobytes() == reference_finite_horizon(model, cost, N, strict=False)[4].tobytes()
+    # a pass that stops copies rows that hold dropped columns
+    assert (len(calls) < N + 1) == stops
+    assert D[:N + 1 - len(calls)].any(axis=(1, 2)).all()
 
 
 @pytest.mark.parametrize("model, cost", dare_cases())
