@@ -42,7 +42,7 @@ def test_first_read_of_cost_cum_and_z(benchmark):
     done = simulate(model, cost, law, x0, steps, d)
 
     def fresh():
-        return (Trajectory(model, cost, steps, done.x, done.u, done.d),), {}
+        return (Trajectory(model, cost, done.x, done.u, done.d),), {}
 
     def first_read(traj):
         return traj.cost_cum, traj.z

@@ -208,7 +208,7 @@ def _parse_disturbance(spec, model):
     return profile
 
 
-def _parse_controllers(specs, model):
+def _parse_controllers(specs, model, disturbance):
     if not isinstance(specs, list) or not specs:
         raise ScenarioError("'controllers' must be a non-empty list")
     n, m = model.n, model.m
@@ -235,6 +235,13 @@ def _parse_controllers(specs, model):
             config = ControllerConfig(**read)
         except ValueError as exc:
             raise ScenarioError(f"bad {where}: {exc}") from exc
+        if config.kind == "pid" and model.l != m:
+            raise ScenarioError(f"bad {where}: pid needs l = m, got l={model.l}, m={m}")
+        try:
+            if config.kind == "stationary":
+                disturbance.limit_value()
+        except ValueError as exc:
+            raise ScenarioError(f"bad {where}: stationary needs a limit value: {exc}") from exc
         _file_stem(config.label, f"{where}.label")
         if config.label in labels:
             raise ScenarioError(f"duplicate controller label {config.label!r}")
@@ -273,7 +280,7 @@ def load_scenario(path):
         raise ScenarioError("cost weights must be symmetric positive semidefinite: "
                             + "; ".join(messages))
     disturbance = _parse_disturbance(raw["disturbance"], model)
-    controllers = _parse_controllers(raw["controllers"], model)
+    controllers = _parse_controllers(raw["controllers"], model, disturbance)
 
     steps = _number(raw["steps"], "steps", integer=True)
     if steps < 1:

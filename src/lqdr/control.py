@@ -106,20 +106,20 @@ def _is_default(value, default):
 def finite_horizon_control(k, x, riccati, ff):
     """Optimal input at step k: u = -K_k x - Upsilon_k^{-1} h_k.
 
-    The pass's -K, read-only, and its product ``model._dot_for(n)`` are
-    formed at its first call and kept in its ``__dict__``, where
-    ``functools.cached_property`` would keep them, so a frozen
-    RiccatiSolution holds them too.  The negation is exact: a call gives
-    the bytes of -K[k] @ x - Upsilon_inv[k] @ h[k].
+    The pass's -K, read-only, its row count and its product
+    ``model._dot_for(n)`` are formed at its first call and kept in its
+    ``__dict__``, where ``functools.cached_property`` would keep them, so a
+    frozen RiccatiSolution holds them too.  The negation is exact: a call
+    gives the bytes of -K[k] @ x - Upsilon_inv[k] @ h[k].
     """
-    if not 0 <= k <= riccati.horizon:
-        raise IndexError(f"step {k} outside horizon 0..{riccati.horizon}")
     feedback = vars(riccati).get("_feedback")
     if feedback is None:
         neg_K = -riccati.K
         neg_K.setflags(write=False)
-        feedback = vars(riccati)["_feedback"] = (neg_K, _dot_for(riccati.K.shape[2]))
-    neg_K, dot = feedback
+        feedback = vars(riccati)["_feedback"] = (neg_K, len(neg_K), _dot_for(neg_K.shape[2]))
+    neg_K, steps, dot = feedback
+    if not 0 <= k < steps:
+        raise IndexError(f"step {k} outside horizon 0..{steps - 1}")
     return dot(neg_K[k], x) - dot(riccati.Upsilon_inv[k], ff.h[k])
 
 

@@ -19,9 +19,8 @@ h_k = a_k + B' f_{k+1} and f_k = b_k + A' f_{k+1} - K_k' h_k.
 ``solve_recursive`` is the pass with p = 1; the receding-horizon law of
 ``control`` is one pass over its lookahead with p = m + 1.  A pseudo-inverse
 input is a minimizer only when h_k lies in range(Upsilon_k), as M_k must
-(``riccati``): at each step of a non-strict pass whose Upsilon_k is not
-definite, ``backward_pass`` refuses every problem whose h_k does not, on the
-eigenvectors the pass dropped (``RiccatiSolution.Upsilon_dropped``).
+(``riccati``): ``backward_pass`` refuses every problem whose h_k does not,
+on the eigenvectors each step dropped (``RiccatiSolution.Upsilon_dropped``).
 
 Eliminating h from the f-equation turns it into the compact recursion
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from .exceptions import StabilizationError
 from .model import _dot_for, disturbance_sequence, freeze_fields
-from .riccati import _definite, _require_in_range, _value_bound
+from .riccati import _require_in_range, _value_bound
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
     The loop walks the rows of step k from N down to 0 and writes h_k and f_k
     into their rows of the stacks in place, as a_k + B' f_{k+1} and
     (b_k + A' f_{k+1}) - K_k' h_k.  Then ``_require_consistent`` judges the
-    steps whose ``Upsilon_eig`` row fails ``riccati._definite``, if any.
+    steps whose ``Upsilon_dropped`` row is not zero, if any.
 
     Raises:
         RegularityError: some problem's h_k lies outside range(Upsilon_k).
@@ -96,19 +95,17 @@ def backward_pass(riccati, model, cost, Ed, r_weight):
         np.add(a_k, dot(Bt, f_next), out=h_k)
         np.subtract(b_k + dot(At, f_next), dot(KT_k, h_k), out=f_k)
         f_next = f_k
-    undecided = ~_definite(riccati.Upsilon_eig)
-    if undecided.any():
-        _require_consistent(riccati, model, cost, Ed, r_weight, h, f, undecided)
+    if riccati.Upsilon_dropped.any():
+        _require_consistent(riccati, model, cost, Ed, r_weight, h, f)
     return h, f
 
 
-def _require_consistent(riccati, model, cost, Ed, r_weight, h, f, undecided):
-    """Refuse an h_k outside range(Upsilon_k) at the steps k with ``undecided[k]``.
+def _require_consistent(riccati, model, cost, Ed, r_weight, h, f):
+    """Refuse an h_k outside range(Upsilon_k) at the steps k the pass left undecided.
 
-    These are the steps of a non-strict pass whose Upsilon_k is not
-    ``riccati._definite``.  There V_dropped is the non-zero columns of
-    ``riccati.Upsilon_dropped[k]``, the eigenvectors the pass dropped, and the
-    defect ||V_dropped' h_k|| of each problem is judged by
+    These are the steps where a non-strict pass dropped an eigenvector, whose
+    ``riccati.Upsilon_dropped[k]`` is not zero; V_dropped is its non-zero
+    columns.  The defect ||V_dropped' h_k|| of each problem is judged by
     ``riccati._require_in_range`` against the largest s_j, j >= k, where
     s_j = ||B|| ((||R|| + Pi_{j+1}) ||E d_j|| + phi_{j+1}) bounds the terms
     that form h_j, in Frobenius norm.  Pi is the ``riccati`` bound on P,
@@ -135,7 +132,7 @@ def _require_consistent(riccati, model, cost, Ed, r_weight, h, f, undecided):
         phi = np.append(A_n * (Pi[1:] * Ed_n + norm(f[1:], axis=1)) + Q_n * r_n
                         + K_n[:, None] * norm(h, axis=1), Pi[-1:] * r_n, axis=0)
         scale = np.maximum.accumulate(B_n * ((norm(cost.R) + Pi[1:]) * Ed_n + phi[1:])[::-1])[::-1]
-    for k in np.flatnonzero(undecided)[::-1].tolist():
+    for k in np.flatnonzero(riccati.Upsilon_dropped.any(axis=(1, 2)))[::-1].tolist():
         # the dropped columns alone: a product with the zero ones rounds differently
         D = riccati.Upsilon_dropped[k]
         _require_in_range(k, norm(D[:, D.any(axis=0)].T.dot(h[k]), axis=0), scale[k],

@@ -8,16 +8,14 @@ The finite-horizon solve iterates, from the terminal weight down to k = 0,
 
 and stores the feedback gains K_k = Upsilon_k^{-1} M_k; Upsilon_k and M_k
 are step scratch, read downstream only as K_k' = M_k' Upsilon_k^{-1}.  One
-step is one Gram product [A B]' P_{k+1} [A B], whose blocks are A'PA, M_k
-and B'PB, and one symmetric eigendecomposition Upsilon_k = V diag(w) V'
-(Golub & Van Loan, *Matrix Computations*, section 8.1), which gives the
-solvability test, the inverse V diag(1/w) V', the consistency defect and the
-dropped eigenvectors at once; no other code decomposes an Upsilon_k.  The
-decomposition is LAPACK's ``dsyevd`` on the upper triangle, through
-``np.linalg.eigh``.  At m = 1 it is w = Upsilon, V = 1: a ``_definite``
-scalar Upsilon is inverted as 1 / Upsilon directly, and every other step
-takes the decomposition.  A pass forms the step's constants and scratch
-buffers once.
+step (``_backward_step``) is one Gram product [A B]' P_{k+1} [A B], whose
+blocks are A'PA, M_k and B'PB, and one symmetric eigendecomposition
+Upsilon_k = V diag(w) V' (``_eigh``; Golub & Van Loan, *Matrix
+Computations*, section 8.1), which gives the solvability test, the inverse
+V diag(1/w) V', the consistency defect and the dropped eigenvectors at
+once.  The step decides once which eigenvalues are dropped and records the
+decision in ``RiccatiSolution.Upsilon_dropped``; no other code decomposes
+an Upsilon_k or decides again.
 In strict mode each Upsilon_k must be positive definite, the solvability
 condition for a unique optimal controller, as ``_definite`` judges it:
 smallest eigenvalue above ``PINV_RCOND`` times the largest.  In non-strict
@@ -25,20 +23,20 @@ mode an indefinite Upsilon_k (smallest eigenvalue below -``PINV_RCOND``
 times the larger of its modulus and the largest), whose stage cost has no
 minimum in u, is refused as well; otherwise eigenvalues whose modulus is at
 most that bound are dropped, which is the Moore-Penrose pseudo-inverse with
-the cutoff ``np.linalg.pinv`` uses (section 5.5.4).  It is legitimate when the consistency condition
-Upsilon_k Upsilon_k^+ M_k = M_k holds at every step; its defect is
-||V_dropped' M_k||, accepted up to ``REGULARITY_TOL`` times ||B|| ||A|| Pi_{k+1}
-(``_require_in_range``).  Pi_{k+1} is the largest pi_j, j > k, and pi_j
-bounds the terms that formed P_j, in Frobenius norm: pi_{N+1} = ||P_{N+1}||
-and, bounding ||M_j|| by ||B|| ||A|| ||P_{j+1}||,
-pi_j = ||Q|| + (||A||^2 + ||B|| ||A|| ||K_j||) ||P_{j+1}||.  ||M_k|| is no
-scale: P_{k+1}, and with it M_k, may cancel to rounding, and so may the
-P after it, whose rounding then stems from the size of the P before.  Nor
-is a bound compounded over the steps, which grows by at least ||A||^2 a
-step and, some steps back, accepts every defect.  The feedforward's h_k
-must lie in the same range, tested on the kept ``Upsilon_dropped``
-(``feedforward.backward_pass``).  Both tests
-are relative, so rescaling Q, R and P_T together changes no verdict.
+the cutoff ``np.linalg.pinv`` uses (section 5.5.4).  It is legitimate when
+the consistency condition Upsilon_k Upsilon_k^+ M_k = M_k holds at every
+step; its defect is ||V_dropped' M_k||, accepted up to ``REGULARITY_TOL``
+times ||B|| ||A|| Pi_{k+1} (``_require_in_range``).  Pi_{k+1} is the
+largest pi_j, j > k, and pi_j bounds the terms that formed P_j, in
+Frobenius norm: pi_{N+1} = ||P_{N+1}|| and, bounding ||M_j|| by
+||B|| ||A|| ||P_{j+1}||, pi_j = ||Q|| + (||A||^2 + ||B|| ||A|| ||K_j||) ||P_{j+1}||.
+||M_k|| is no scale: P_{k+1}, and with it M_k, may cancel to rounding, and
+so may the P after it, whose rounding then stems from the size of the P
+before.  Nor is a bound compounded over the steps, which grows by at
+least ||A||^2 a step and, some steps back, accepts every defect.  The
+feedforward's h_k must lie in the same range, tested on the same dropped
+eigenvectors (``feedforward.backward_pass``).  Both tests are relative, so
+rescaling Q, R and P_T together changes no verdict.
 Every step symmetrizes by ``model._sym`` and multiplies by ``model._dot_for``.
 In floating point the pass reaches its infinite-horizon limit exactly (P
 repeats bit for bit), and it stops there (``solve_finite_horizon``).
@@ -115,25 +113,6 @@ def _eigh(Upsilon):
     return np.linalg.eigh(Upsilon, UPLO="U")
 
 
-def _eig_inverse(w, V, M, definite, out=None):
-    """(Upsilon^+, ||Upsilon Upsilon^+ M - M||) from Upsilon = V diag(w) V', w ascending.
-
-    ``definite`` is ``_definite(w)``: then Upsilon is inverted whole and the
-    defect is 0.0.  Otherwise eigenvalues of modulus at most ``PINV_RCOND``
-    times the largest are dropped, the cutoff of ``np.linalg.pinv``, and the
-    defect is ||V_dropped' M|| (Frobenius), 0.0 when none is.  The inverse is
-    written into ``out`` when given.
-    """
-    # ndarray.dot even at m = 1, where (v / w) v is not zero: no sign to keep
-    if definite:
-        # nothing is dropped: the result below, without its indexing and norm
-        return (V / w).dot(V.T, out=out), 0.0
-    keep = _kept(w)
-    V_keep = V[:, keep]
-    return ((V_keep / w[keep]).dot(V_keep.T, out=out),
-            float(np.linalg.norm(V[:, ~keep].T.dot(M))))
-
-
 def _kept(w):
     """The eigenvalues the pseudo-inverse keeps: modulus above ``PINV_RCOND`` times the largest."""
     return np.abs(w) > PINV_RCOND * np.max(np.abs(w))
@@ -187,28 +166,28 @@ def _step_scratch(AB):
             np.empty((nm - n, n)), np.empty((n, n)))
 
 
-def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
+def _backward_step(P_next, AB, W, strict, k=None, out=None, *, scratch):
     """One step back from P_{k+1}: (Upsilon_eig, Upsilon_inv, K, P, Upsilon_dropped, defect).
 
-    ``AB`` and ``W`` come from ``_step_constants``, and ``scratch``, when
-    given, from ``_step_scratch(AB)``: a pass forms it once for all its
-    steps.  The Gram product G = AB' P_{k+1} AB is symmetrized in place;
-    its blocks are A'PA, M = B'PA and B'PB.  W is then added into G, which
-    holds Q + A'PA and Upsilon = Rbar + B'PB; M and Upsilon are scratch.
-    Upsilon_eig holds the ascending eigenvalues of Upsilon.  The verdict
-    ``_definite`` is decided once.  Without it, strict mode raises
-    ``SolvabilityError`` naming step ``k``, and so does non-strict mode
-    when Upsilon is indefinite: its smallest eigenvalue is below
-    -``PINV_RCOND`` times the larger of its modulus and the largest
-    eigenvalue, where the stage cost has no minimum in u.  Otherwise
-    Upsilon_inv is the pseudo-inverse and ``defect`` the consistency
-    defect ||Upsilon Upsilon_inv M - M||, 0.0 when Upsilon is inverted
-    whole.  Upsilon_dropped's column j is eigenvector j of Upsilon when the
-    pseudo-inverse dropped it, else +0.0.  K = Upsilon_inv M, and P is
-    (Q + A'PA) - M'K symmetrized.  At m = 1 Upsilon is the scalar
-    u = G[n, n], whose eigenpair is (u, 1): when u is ``_definite`` the
-    step writes u as Upsilon_eig and 1 / u as Upsilon_inv, the bytes of the
-    eigendecomposition path, which every other step takes.
+    ``AB`` and ``W`` come from ``_step_constants`` and ``scratch`` from
+    ``_step_scratch(AB)``: a pass forms both once for all its steps.  The
+    Gram product G = AB' P_{k+1} AB is symmetrized in place; its blocks are
+    A'PA, M = B'PA and B'PB.  W is then added into G, which holds Q + A'PA
+    and Upsilon = Rbar + B'PB; M and Upsilon are scratch.  Upsilon_eig
+    holds the ascending eigenvalues of Upsilon.  A ``_definite`` Upsilon is
+    inverted whole, with a zero Upsilon_dropped and a defect of 0.0.
+    Otherwise strict mode raises ``SolvabilityError`` naming step ``k``, and
+    so does non-strict mode when Upsilon is indefinite: its smallest
+    eigenvalue is below -``PINV_RCOND`` times the larger of its modulus and
+    the largest eigenvalue, where the stage cost has no minimum in u.  Else
+    one ``_kept`` mask gives the pseudo-inverse Upsilon_inv, Upsilon_dropped
+    (column j is eigenvector j if it was dropped, else +0.0) and the
+    consistency defect ||V_dropped' M|| = ||Upsilon Upsilon_inv M - M||.
+    K = Upsilon_inv M, and P is (Q + A'PA) - M'K symmetrized.  At m = 1
+    Upsilon is the scalar u = G[n, n], whose eigenpair is (u, 1): when u is
+    ``_definite`` the step writes u as Upsilon_eig and 1 / u as
+    Upsilon_inv, the bytes of the eigendecomposition path, which every
+    other step takes.
 
     ``out``, when given, is five arrays of the result's shapes, the rows of
     step k in a pass's stacks, in the order above: the step fills them in
@@ -217,8 +196,6 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
     only the transpose copies that symmetrize and, where it is taken, the
     eigendecomposition.  A refused step writes none of its rows.
     """
-    if scratch is None:
-        scratch = _step_scratch(AB)
     ABT, dot, PAB, G, G_QA, G_M, Upsilon, M, MtK = scratch
     m, n = M.shape
     if out is None:
@@ -230,12 +207,12 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
     # G becomes W + G, whose blocks hold Q + A'PA and Upsilon; M is read first,
     # since adding W's zero block would turn a -0.0 in it into +0.0
     np.add(W, G, out=G)
+    defect = 0.0
     if m == 1 and (u := G[n, n]) > PINV_RCOND * u:
         # _definite on the one eigenvalue; (V / w) V' is 1 / u
         Upsilon_eig[0] = u
         Upsilon_inv[0, 0] = 1.0 / u
         Upsilon_dropped[0, 0] = 0.0
-        defect = 0.0
     else:
         w, V = _eigh(Upsilon)
         definite = _definite(w)
@@ -245,8 +222,17 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
             raise SolvabilityError(f"Upsilon_{k} is {what} (min eigenvalue {w[0]:.3e}, "
                                    f"max {w[-1]:.3e}); {why}", step=k, min_eigenvalue=float(w[0]))
         Upsilon_eig[...] = w
-        defect = _eig_inverse(w, V, M, definite, out=Upsilon_inv)[1]
-        Upsilon_dropped[...] = 0.0 if definite else np.where(_kept(w), 0.0, V)
+        # ndarray.dot even at m = 1, where (v / w) v is not zero: no sign to keep
+        if definite:
+            # nothing is dropped: the products below without their indexing
+            (V / w).dot(V.T, out=Upsilon_inv)
+            Upsilon_dropped[...] = 0.0
+        else:
+            keep = _kept(w)
+            V_keep = V[:, keep]
+            (V_keep / w[keep]).dot(V_keep.T, out=Upsilon_inv)
+            Upsilon_dropped[...] = np.where(keep, 0.0, V)
+            defect = float(np.linalg.norm(V[:, ~keep].T.dot(M)))
     # K is a BLAS product on both paths: a multiply by Upsilon_inv differs in
     # the sign of zeros ([[-2.]].dot([[0., 3., -0.]]) is [0, -6, 0], the
     # multiply [-0, -6, 0])
@@ -258,10 +244,9 @@ def _backward_step(P_next, AB, W, strict, k=None, out=None, scratch=None):
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Backward-recursion output over a horizon of N + 1 control steps.
+    """Backward-recursion output over control steps k = 0..N; ``horizon`` is N = len(K) - 1.
 
     Attributes:
-        horizon: N; controls exist for k = 0..N.
         P: (N+2, n, n) value matrices, P[N+1] is the terminal weight.
         Upsilon_eig: (N+1, m) ascending eigenvalues of each
             Upsilon_k = B' (R + P_{k+1}) B; column 0 is the solvability margin.
@@ -271,9 +256,9 @@ class RiccatiSolution:
             feedforward to the pass.
         Upsilon_dropped: (N+1, m, m); column j of row k is the unit eigenvector
             of ``Upsilon_eig[k, j]`` if the pseudo-inverse dropped it, else +0.0.
+            Row k is non-zero exactly where step k dropped one.
     """
 
-    horizon: int
     P: np.ndarray
     Upsilon_eig: np.ndarray
     Upsilon_inv: np.ndarray
@@ -282,6 +267,10 @@ class RiccatiSolution:
 
     def __post_init__(self):
         freeze_fields(self, "P", "Upsilon_eig", "Upsilon_inv", "K", "Upsilon_dropped")
+
+    @property
+    def horizon(self):
+        return len(self.K) - 1
 
 
 @dataclass(frozen=True)
@@ -404,8 +393,8 @@ def solve_finite_horizon(model, cost, N, strict=True):
         k = int(np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))[-1])
         raise _diverged(strict, k, f"P_{k} is not finite")
 
-    return RiccatiSolution(horizon=N, P=P, Upsilon_eig=Upsilon_eig,
-                           Upsilon_inv=Upsilon_inv, K=K, Upsilon_dropped=Upsilon_dropped)
+    return RiccatiSolution(P=P, Upsilon_eig=Upsilon_eig, Upsilon_inv=Upsilon_inv, K=K,
+                           Upsilon_dropped=Upsilon_dropped)
 
 
 def _diverged(strict, k, why):

@@ -48,13 +48,16 @@ class Trajectory:
 
     model: SystemModel
     cost: CostSpec
-    steps: int
     x: np.ndarray
     u: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
         freeze_fields(self, "x", "u", "d")
+
+    @property
+    def steps(self):
+        return len(self.u)
 
     @cached_property
     def z(self):
@@ -171,7 +174,7 @@ def simulate(model, cost, controller, x0, steps, d):
         u_row[...] = u_k
         np.add(dot(A, x_k), dot(B, u_k) + Ed_k, out=x_next)
         x_k = x_next
-    return Trajectory(model=model, cost=cost, steps=steps, x=x, u=u, d=d_seq)
+    return Trajectory(model=model, cost=cost, x=x, u=u, d=d_seq)
 
 
 def evaluate_cost(traj, cost):
@@ -344,13 +347,16 @@ def costate_residuals(traj, riccati, ff, model, cost):
 
 @dataclass(frozen=True)
 class RandomInstance:
-    """One randomly drawn solvable problem for the verification suite."""
+    """One randomly drawn solvable problem for the verification suite; N = len(d) - 1."""
 
     model: SystemModel
     cost: CostSpec
     x0: np.ndarray
     d: np.ndarray
-    N: int
+
+    @property
+    def N(self):
+        return len(self.d) - 1
 
 
 def draw_instance(rng):
@@ -388,7 +394,6 @@ def _draw_solved_instance(rng):
             continue
         if float(np.min(riccati.Upsilon_eig[:, 0])) < 1e-6:
             continue
-        return RandomInstance(model=model, cost=cost,
-                              x0=rng.standard_normal(n),
-                              d=rng.standard_normal((N + 1, m)), N=N), riccati
+        return RandomInstance(model=model, cost=cost, x0=rng.standard_normal(n),
+                              d=rng.standard_normal((N + 1, m))), riccati
     raise RuntimeError(f"no well-posed instance in {_TRIES} draws")

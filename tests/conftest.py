@@ -11,8 +11,8 @@ from lqdr import (CostSpec, DisturbanceProfile, RegularityError, SolvabilityErro
                   SystemModel, discretize_zoh, disturbance_sequence,
                   finite_horizon_control, solve_finite_horizon, solve_recursive)
 from lqdr.cli import _PALETTE
-from lqdr.riccati import (PINV_RCOND, REGULARITY_TOL, _backward_step, _eig_inverse, _eigh,
-                          _kept, _step_constants, _sym)
+from lqdr.riccati import (PINV_RCOND, REGULARITY_TOL, _backward_step, _definite, _eigh,
+                          _step_constants, _step_scratch, _sym)
 
 # every run of one commit draws the same examples and replays no stored
 # failure, so it gives one verdict; ``--hypothesis-profile=default`` (with
@@ -289,8 +289,28 @@ def check_regularity(Upsilon, M, tol):
     if not np.array_equal(Upsilon, Upsilon.T):
         raise ValueError("Upsilon must be symmetric")
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    w, V = _eigh(Upsilon)
-    return bool(_eig_inverse(w, V, M, w[0] > PINV_RCOND * w[-1])[1] <= tol * np.linalg.norm(M))
+    return bool(reference_pseudo_inverse(*_eigh(Upsilon), M)[1] <= tol * np.linalg.norm(M))
+
+
+def reference_kept(w):
+    """The eigenvalues the pseudo-inverse keeps: |w_j| > ``PINV_RCOND`` max|w|, NaN dropped."""
+    return np.abs(w) > PINV_RCOND * np.max(np.abs(w))
+
+
+def reference_pseudo_inverse(w, V, M):
+    """(Upsilon^+, ||V_dropped' M||) from Upsilon = V diag(w) V', w ascending, written out.
+
+    A definite Upsilon (w[0] > ``PINV_RCOND`` w[-1]) is inverted whole as
+    (V / w) V', with defect 0.0; otherwise the columns of V that
+    ``reference_kept`` keeps form (V_kept / w_kept) V_kept', and the
+    dropped ones the defect (Frobenius).  These are the products the
+    backward step must reproduce byte for byte.
+    """
+    if w[0] > PINV_RCOND * w[-1]:
+        return (V / w).dot(V.T), 0.0
+    kept = reference_kept(w)
+    V_kept, V_dropped = V[:, kept], V[:, ~kept]
+    return (V_kept / w[kept]).dot(V_kept.T), float(np.linalg.norm(V_dropped.T.dot(M)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +346,28 @@ def step_blocks(model, cost, P_next):
     return np.array(Upsilon), np.array(M)
 
 
+def assert_one_decision(model, cost, riccati):
+    """Check that each step of a non-strict pass decided its pseudo-inverse once; count drops.
+
+    Row k of ``Upsilon_dropped`` is non-zero exactly where ``Upsilon_eig[k]``
+    fails ``_definite``.  The step run again on P_{k+1} writes that row, and
+    its M_k defect is byte for byte ||D' M_k|| for the non-zero columns D of
+    the row, with M_k rebuilt by ``step_blocks``.  Returns the number of
+    steps that dropped an eigenvector.
+    """
+    dropped = riccati.Upsilon_dropped.any(axis=(1, 2))
+    assert dropped.tolist() == (~_definite(riccati.Upsilon_eig)).tolist()
+    AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
+    scratch = _step_scratch(AB)
+    M = step_blocks(model, cost, riccati.P[1:])[1]
+    for k, D in enumerate(riccati.Upsilon_dropped):
+        step = _backward_step(riccati.P[k + 1], AB, W, False, k, scratch=scratch)
+        assert step[4].tobytes() == D.tobytes(), k
+        want = np.linalg.norm(D[:, D.any(axis=0)].T.dot(M[k]))
+        assert np.float64(step[5]).tobytes() == want.tobytes(), k
+    return int(dropped.sum())
+
+
 def reference_finite_horizon(model, cost, N, strict=True):
     """The backward Riccati pass run for every step, with no early stop.
 
@@ -334,6 +376,7 @@ def reference_finite_horizon(model, cost, N, strict=True):
     """
     n, m = model.n, model.m
     AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
+    scratch = _step_scratch(AB)
     P = np.zeros((N + 2, n, n))
     Upsilon_eig = np.zeros((N + 1, m))
     Upsilon_inv = np.zeros((N + 1, m, m))
@@ -342,7 +385,7 @@ def reference_finite_horizon(model, cost, N, strict=True):
     P[N + 1] = _sym(cost.P_terminal)
     for k in range(N, -1, -1):
         Upsilon_eig[k], Upsilon_inv[k], K[k], P[k], Upsilon_dropped[k], defect = \
-            _backward_step(P[k + 1], AB, W, strict, k)
+            _backward_step(P[k + 1], AB, W, strict, k, scratch=scratch)
         assert defect <= REGULARITY_TOL * np.linalg.norm(gram_blocks(P[k + 1], AB, W)[1])
     return Upsilon_eig, Upsilon_inv, K, P, Upsilon_dropped
 
@@ -372,11 +415,11 @@ def reference_gram_step(P_next, AB, W, strict, k=None):
             f"Upsilon_{k} is indefinite (min eigenvalue {w[0]:.3e}, "
             f"max {w[-1]:.3e}); the stage cost has no minimum in u",
             step=k, min_eigenvalue=float(w[0]))
-    Upsilon_inv, defect = _eig_inverse(w, V, M, definite)
+    Upsilon_inv, defect = reference_pseudo_inverse(w, V, M)
     K = dot(Upsilon_inv, M)
     dropped = np.zeros_like(Upsilon_inv)
     if not definite:
-        drop = ~(np.abs(w) > PINV_RCOND * np.max(np.abs(w)))
+        drop = ~reference_kept(w)
         dropped[:, drop] = V[:, drop]
     return w, Upsilon_inv, K, _sym(H[:n, :n] - dot(M.T, K)), dropped, defect
 
@@ -386,11 +429,11 @@ def reference_range_defect(model, cost, P_next, h):
 
     Upsilon_k is ``step_blocks``' from P_{k+1} = ``P_next``, the bytes the
     pass decomposed, and V_dropped the eigenvectors of ``_eigh``'s
-    decomposition of it that ``_kept`` drops: the feedforward's range test
-    as it was before the pass kept its dropped eigenvectors.
+    decomposition of it that ``reference_kept`` drops: the feedforward's
+    range test as it was before the pass kept its dropped eigenvectors.
     """
     w, V = _eigh(step_blocks(model, cost, P_next)[0])
-    return np.linalg.norm(V[:, ~_kept(w)].T.dot(h), axis=0)
+    return np.linalg.norm(V[:, ~reference_kept(w)].T.dot(h), axis=0)
 
 
 def reference_backward_step(P_next, A, B, Q, R, strict, k=None):

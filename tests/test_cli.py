@@ -308,7 +308,11 @@ def _scenario_documents(draw, entries=_ENTRIES, number=_NUMBERS):
         "PID": {"kp": draw(number), "ki": draw(number), "kd": draw(number),
                 "Ts": draw(st.floats(0.05, 1.0))},
     }
-    kinds = draw(st.lists(st.sampled_from(sorted(controllers)), min_size=1, unique=True))
+    kinds = sorted(controllers)
+    if kind == "sinusoid" and disturbance["amplitude"] != 0:
+        # a stationary law needs the disturbance's limit, which this one lacks
+        kinds.remove("Stationary")
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True))
     doc = {"name": "trip", "system": system, "cost": cost,
            "x0": matrix((n,)).tolist(), "steps": draw(st.integers(1, 12)),
            "disturbance": disturbance,
@@ -634,7 +638,7 @@ def _trajectories(draw):
     steps = draw(st.integers(0, 6))
     model = SystemModel(A=np.eye(n), B=np.ones((n, m)), E=np.ones((n, m)),
                         c_o=np.ones((l, n)))
-    traj = Trajectory(model, tracking_cost(model), steps, _array(draw, (steps + 1, n)),
+    traj = Trajectory(model, tracking_cost(model), _array(draw, (steps + 1, n)),
                       _array(draw, (steps, m)), _array(draw, (steps, m)))
     # drawn z and cost_cum, kept where cached_property keeps what it derives,
     # so every special value reaches the writer
@@ -952,6 +956,9 @@ def test_main_run_scenario_error(tmp_path, capsys):
     lambda d: d.update(system={**d["system"], "c_o": [[4.69e-303, 0.0]]},
                        reference={"regulated": [1.0]},
                        cost={**d["cost"], "P_terminal": [[0.25, 0.0], [0.0, 0.25]]}),
+    lambda d: (d["system"].update(c_o=[[1.0, 0.0], [0.0, 1.0]]),
+               d["controllers"][0].update(kind="PID", kp=1.0, Ts=0.1)),
+    lambda d: d.update(disturbance={"kind": "sinusoid", "amplitude": 1.0, "rate": 0.5}),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
         "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
         "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero",
@@ -960,7 +967,8 @@ def test_main_run_scenario_error(tmp_path, capsys):
         "zoh_exp_overflows", "zoh_A_Ts_overflows", "controller_P_terminal_negative_definite",
         "controller_P_terminal_asymmetric", "settle_band_negative", "settle_band_zero",
         "not_utf8", "display_not_object", "continuous_with_discrete_A", "discrete_with_Ts",
-        "constant_with_rate", "reference_cost_overflows"])
+        "constant_with_rate", "reference_cost_overflows", "pid_outputs_unpaired",
+        "stationary_without_limit"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1

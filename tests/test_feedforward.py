@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 import lqdr.feedforward
 import lqdr.riccati
-from conftest import (_exact, exact_bounded_below, exact_lifted_quadratic, exact_minimum,
-                      exact_rank, free_effort_plant, kept_span_problem, long_horizon_cases,
-                      oracle_cases, reference_closed_form, reference_feedforward,
-                      reference_range_defect, rel_close, rel_gap, repeated_column_problem,
-                      step_blocks, tracking_cost, two_state_bench, uncontrollable_3state)
+from conftest import (_exact, assert_one_decision, exact_bounded_below, exact_lifted_quadratic,
+                      exact_minimum, exact_rank, free_effort_plant, kept_span_problem,
+                      long_horizon_cases, oracle_cases, reference_closed_form,
+                      reference_feedforward, reference_range_defect, rel_close, rel_gap,
+                      repeated_column_problem, step_blocks, tracking_cost, two_state_bench,
+                      uncontrollable_3state)
 from lqdr import (ControllerConfig, CostSpec, DisturbanceProfile, GareSolution,
                   RegularityError, SolvabilityError, StabilizationError, SystemModel,
                   build_controller, disturbance_sequence, draw_instance, evaluate_cost,
@@ -530,13 +531,16 @@ def test_range_defect_is_the_bytes_of_the_upsilon_decomposed_again(monkeypatch, 
 
 
 def test_range_defect_is_the_bytes_of_the_upsilon_decomposed_again_on_draws(monkeypatch):
+    # each accepted pass also records one decision per step, which the
+    # feedforward's steps and the M_k defect both read
     rng = np.random.default_rng(32)
-    compared = 0
+    compared = decided = 0
     for model, cost, riccati in rank_deficient_draws(150, seed=32):
+        decided += assert_one_decision(model, cost, riccati)
         Ed = rng.standard_normal((riccati.horizon + 1, model.n, 2))
         compared += assert_range_defects_are_the_reference_bytes(
             monkeypatch, riccati, model, cost, Ed, np.array([1.0, rng.standard_normal()]))
-    assert compared >= 1000
+    assert compared >= 1000 and decided == compared
 
 
 @pytest.mark.parametrize("model, cost, d, N",

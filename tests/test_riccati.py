@@ -14,12 +14,12 @@ from scipy.linalg.lapack import dsyevd
 
 import lqdr.model
 import lqdr.riccati
-from conftest import (check_regularity, free_effort_plant, gram_blocks, kalman_decomposed_plant,
-                      kept_span_problem, long_horizon_cases, lqr_textbook_gains,
-                      reference_backward_step, reference_finite_horizon, reference_gram_step,
-                      rel_close, repeated_column_problem, sampled_stable_plant,
-                      singular_doubling_plant, stationary_control, step_blocks, tracking_cost,
-                      two_state_bench, uncontrollable_3state)
+from conftest import (assert_one_decision, check_regularity, free_effort_plant, gram_blocks,
+                      kalman_decomposed_plant, kept_span_problem, long_horizon_cases,
+                      lqr_textbook_gains, reference_backward_step, reference_finite_horizon,
+                      reference_gram_step, reference_kept, rel_close, repeated_column_problem,
+                      sampled_stable_plant, singular_doubling_plant, stationary_control,
+                      step_blocks, tracking_cost, two_state_bench, uncontrollable_3state)
 from lqdr import (ControllerConfig, ConvergenceError, CostSpec, DisturbanceProfile, LqdrError,
                   RegularityError, SolvabilityError, StabilizationError, SystemModel,
                   build_controller, draw_instance, finite_horizon_control, solve_finite_horizon,
@@ -1008,6 +1008,7 @@ def test_backward_step_fills_its_out_rows_with_the_bytes_it_returns(model, cost,
     # there, or refuse an indefinite Upsilon as it does without out and
     # write nothing
     AB, W = lqdr.riccati._step_constants(model.A, model.B, cost.Q, cost.R)
+    scratch = lqdr.riccati._step_scratch(AB)
     n, m = model.n, model.m
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, n))
@@ -1017,13 +1018,14 @@ def test_backward_step_fills_its_out_rows_with_the_bytes_it_returns(model, cost,
         rows = tuple(stack[1] for stack in stacks)
         if np.linalg.eigvalsh(step_blocks(model, cost, P_next)[0])[0] < 0:
             with pytest.raises(SolvabilityError, match="indefinite") as info:
-                lqdr.riccati._backward_step(P_next, AB, W, strict, 4)
+                lqdr.riccati._backward_step(P_next, AB, W, strict, 4, scratch=scratch)
             with pytest.raises(SolvabilityError, match=re.escape(str(info.value))):
-                lqdr.riccati._backward_step(P_next, AB, W, strict, 4, out=rows)
+                lqdr.riccati._backward_step(P_next, AB, W, strict, 4, out=rows,
+                                            scratch=scratch)
             assert all(np.isnan(stack).all() for stack in stacks)
             continue
-        want = lqdr.riccati._backward_step(P_next, AB, W, strict, 4)
-        got = lqdr.riccati._backward_step(P_next, AB, W, strict, 4, out=rows)
+        want = lqdr.riccati._backward_step(P_next, AB, W, strict, 4, scratch=scratch)
+        got = lqdr.riccati._backward_step(P_next, AB, W, strict, 4, out=rows, scratch=scratch)
         assert len(got) == 6 and all(g is row for g, row in zip(got, rows))
         assert got[5] == want[5]
         for g, w, stack in zip(got, want, stacks):
@@ -1066,6 +1068,7 @@ def test_backward_step_is_the_bytes_of_the_gram_step_on_random_plants(seed):
     shapes, dropped = set(), 0
     for _ in range(100):
         P_next, AB, W = random_step_problem(rng)
+        scratch = lqdr.riccati._step_scratch(AB)
         n = P_next.shape[0]
         shapes.add((n == 1, AB.shape[1] - n == 1))
         for strict in (True, False):
@@ -1073,13 +1076,14 @@ def test_backward_step_is_the_bytes_of_the_gram_step_on_random_plants(seed):
                 want = reference_gram_step(P_next, AB, W, strict, 3)
             except SolvabilityError as exc:
                 with pytest.raises(SolvabilityError, match=re.escape(str(exc))):
-                    lqdr.riccati._backward_step(P_next, AB, W, strict, 3)
+                    lqdr.riccati._backward_step(P_next, AB, W, strict, 3, scratch=scratch)
                 continue
             w = want[0]
             dropped += not w[0] > lqdr.riccati.PINV_RCOND * w[-1]
-            got = lqdr.riccati._backward_step(P_next, AB, W, strict, 3)
+            got = lqdr.riccati._backward_step(P_next, AB, W, strict, 3, scratch=scratch)
             rows = tuple(np.full_like(w, np.nan) for w in want[:5])
-            into = lqdr.riccati._backward_step(P_next, AB, W, strict, 3, out=rows)
+            into = lqdr.riccati._backward_step(P_next, AB, W, strict, 3, out=rows,
+                                               scratch=scratch)
             assert got[5] == into[5] == want[5]
             for g, i, r in zip(got[:5], into[:5], want[:5], strict=True):
                 assert g.tobytes() == i.tobytes() == r.tobytes()
@@ -1248,8 +1252,10 @@ def dropping_cases():
 def test_upsilon_dropped_holds_the_unit_eigenvectors_the_pass_dropped(monkeypatch, model, cost,
                                                                       N, stops):
     # column j of row k is the eigenvector of Upsilon_k's eigenvalue j,
-    # formed again from P_{k+1} and decomposed again, when _kept drops it,
-    # and +0.0 otherwise; the rows the repeat stop copies are the full pass's
+    # formed again from P_{k+1} and decomposed again, when the pseudo-inverse
+    # drops it, and +0.0 otherwise; the rows the repeat stop copies are the
+    # full pass's; a row is non-zero exactly where the step is not definite,
+    # and the step's M_k defect is read off it
     calls = []
     step = lqdr.riccati._backward_step
 
@@ -1265,7 +1271,7 @@ def test_upsilon_dropped_holds_the_unit_eigenvectors_the_pass_dropped(monkeypatc
     dropped = 0
     for k in range(N + 1):
         w = sol.Upsilon_eig[k]
-        drop = ~lqdr.riccati._kept(w)
+        drop = ~reference_kept(w)
         assert D[k].any(axis=0).tolist() == drop.tolist(), k
         assert D[k][:, ~drop].tobytes() == bytes(8 * m * int((~drop).sum())), k
         V = lqdr.riccati._eigh(Upsilon[k])[1]
@@ -1277,6 +1283,7 @@ def test_upsilon_dropped_holds_the_unit_eigenvectors_the_pass_dropped(monkeypatc
                     <= 1e-12 * np.linalg.norm(Upsilon[k]))
         dropped += int(drop.sum())
     assert dropped
+    assert assert_one_decision(model, cost, sol)
     assert D.tobytes() == reference_finite_horizon(model, cost, N, strict=False)[4].tobytes()
     # a pass that stops copies rows that hold dropped columns
     assert (len(calls) < N + 1) == stops
