@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .control import _READS, ControllerConfig, _solved_law, build_controller
+from .control import _READS, ControllerConfig, _require_fits, _solved_law, build_controller
 from .exceptions import LqdrError, ScenarioError, SolvabilityError
 from .feedforward import solve_closed_form, solve_recursive
 from .model import (CostSpec, DisturbanceProfile, SystemModel, _psd_check,
@@ -233,15 +233,9 @@ def _parse_controllers(specs, model, disturbance):
                                 + messages[0])
         try:
             config = ControllerConfig(**read)
+            _require_fits(config, model, disturbance)
         except ValueError as exc:
             raise ScenarioError(f"bad {where}: {exc}") from exc
-        if config.kind == "pid" and model.l != m:
-            raise ScenarioError(f"bad {where}: pid needs l = m, got l={model.l}, m={m}")
-        try:
-            if config.kind == "stationary":
-                disturbance.limit_value()
-        except ValueError as exc:
-            raise ScenarioError(f"bad {where}: stationary needs a limit value: {exc}") from exc
         _file_stem(config.label, f"{where}.label")
         if config.label in labels:
             raise ScenarioError(f"duplicate controller label {config.label!r}")

@@ -52,13 +52,14 @@ class ControllerConfig:
 
     Fields are kind-specific: ``T``/``P_terminal``/``strict`` for the
     optimal laws, ``k_x``/``K_d`` for state-feedback compensation, and the
-    three gains plus ``Ts`` for PID.  Construction is the one place a
-    config is judged: it maps CamelCase, snake_case and ``sfc`` onto the
+    three gains plus ``Ts`` for PID.  Construction is the one place a config
+    is judged on its own: it maps CamelCase, snake_case and ``sfc`` onto the
     canonical kind and raises ValueError for an unknown kind, a label that
     is not a string, a ``strict`` that is not a boolean, a missing field of
     the kind, a field the kind does not read (set, or for ``kp``/``ki``/``kd``
     non-zero, or ``strict=False``), a lookahead ``T`` below 1 or a sample
-    time ``Ts`` that is not positive.
+    time ``Ts`` that is not positive.  ``_require_fits`` judges it against
+    a plant and a disturbance.
     """
 
     kind: str
@@ -101,6 +102,18 @@ class ControllerConfig:
 def _is_default(value, default):
     """Whether ``value`` is the field default: None, or the scalar 0.0 or True."""
     return value is None if default is None else bool(np.ndim(value) == 0 and value == default)
+
+
+def _require_fits(config, model, profile):
+    """Refuse with ValueError a config whose law the plant or the disturbance cannot serve.
+
+    PID pairs each regulated output with one input, and a stationary law
+    needs the limit value of a DisturbanceProfile (an array has a last row).
+    """
+    if config.kind == "pid" and model.l != model.m:
+        raise ValueError(f"pid needs l = m, got l={model.l}, m={model.m}")
+    if config.kind == "stationary" and isinstance(profile, DisturbanceProfile):
+        profile.limit_value()
 
 
 def finite_horizon_control(k, x, riccati, ff):
@@ -231,7 +244,7 @@ def _solved_law(model, riccati, h):
                        (riccati.Upsilon_inv @ h[:, :, None])[:, :, 0])
 
 
-def _receding_horizon_law(config, model, cost, profile, steps):
+def _receding_horizon_law(config, model, cost, steps):
     """The receding-horizon law with lookahead ``config.T``."""
     inner_cost = cost if config.P_terminal is None else CostSpec(
         Q=cost.Q, R=cost.R, P_terminal=config.P_terminal, r=cost.r)
@@ -249,8 +262,8 @@ def build_controller(config, model, cost, profile, steps, laws=None):
     """Build the controller of one configuration, callable as ``(k, x, d_k) -> u``.
 
     All solver work (Riccati, stationary equation, feedforward) happens
-    here, so errors surface before the simulation starts.  Every kind but
-    PID is an AffineController over ``steps`` steps.
+    here, after ``_require_fits``, so errors surface before the simulation
+    starts.  Every kind but PID is an AffineController over ``steps`` steps.
 
     ``laws``, when given, is a dict owned by the caller that must see only
     calls with this ``model``, ``cost``, ``profile`` and ``steps``.  The
@@ -260,6 +273,7 @@ def build_controller(config, model, cost, profile, steps, laws=None):
     other config solves its own problem, so a strict one raises as it
     would alone.
     """
+    _require_fits(config, model, profile)
     kind = config.kind
     if kind == "finite_horizon":
         law = None if laws is None or config.strict else laws.get(kind)
@@ -271,7 +285,7 @@ def build_controller(config, model, cost, profile, steps, laws=None):
         return law
 
     if kind == "receding_horizon":
-        return _receding_horizon_law(config, model, cost, profile, steps)
+        return _receding_horizon_law(config, model, cost, steps)
 
     if kind == "stationary":
         gare = solve_gare(model, cost)
@@ -290,9 +304,6 @@ def build_controller(config, model, cost, profile, steps, laws=None):
                            np.zeros(model.m))
 
     # pid
-    if model.l != model.m:
-        raise ValueError("pid pairs each regulated output with one input; "
-                         f"got l={model.l}, m={model.m}")
     return PidController(c_o=model.c_o, target=model.c_o @ cost.r, Ts=config.Ts,
                          kp=config.kp, ki=config.ki, kd=config.kd,
                          integral=np.zeros(model.l), prev_error=np.zeros(model.l))

@@ -281,7 +281,8 @@ class DisturbanceProfile:
         if self.kind == "constant":
             return np.full(self.dim, self.amplitude)
         if self.kind == "ramp":
-            return np.full(self.dim, self.limit)
+            # a zero rate holds its own signed zero, clipped at a negative limit
+            return np.full(self.dim, self.limit if self.rate or self.limit < 0 else self.rate)
         if self.kind == "table":
             return self.values[-1].copy()
         if self.amplitude == 0.0:

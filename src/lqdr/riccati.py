@@ -91,9 +91,9 @@ _GROWTH = "a mode no input reaches has |eigenvalue| >= 1 and is weighted by Q"
 def _definite(w):
     """The solvability verdict on ascending eigenvalues w: w[0] > ``PINV_RCOND`` w[-1].
 
-    ``w`` is one row, or a stack of rows with one verdict each; NaN fails.
+    ``w`` is one row, with one verdict; NaN fails.
     """
-    return w.T[0] > PINV_RCOND * w.T[-1]
+    return w[0] > PINV_RCOND * w[-1]
 
 
 def spectral_radius(mat):
@@ -342,7 +342,6 @@ def solve_finite_horizon(model, cost, N, strict=True):
     scratch = _step_scratch(AB)
     n, m = model.n, model.m
     norm = np.linalg.norm
-    Q_n, A_n, B_n = norm(cost.Q), norm(model.A), norm(model.B)
 
     P = np.zeros((N + 2, n, n))
     Upsilon_eig = np.zeros((N + 1, m))
@@ -353,8 +352,9 @@ def solve_finite_horizon(model, cost, N, strict=True):
 
     stacks = (Upsilon_eig, Upsilon_inv, K, P, Upsilon_dropped)
     P_next = P[N + 1]
-    # Pi_{k+1}, which scales M_k's defect
-    Pi_next = norm(P_next)
+    if not strict:
+        # Pi_{k+1}, which scales M_k's defect, and the norms that bound it
+        Q_n, A_n, B_n, Pi_next = norm(cost.Q), norm(model.A), norm(model.B), norm(P_next)
     # the step of every P computed so far, by the hash of its bytes
     seen = {hash(P_next.tobytes()): N + 1}
     # a pass that diverges overflows quietly: its P that is not finite is

@@ -11,7 +11,7 @@ from lqdr import (CostSpec, DisturbanceProfile, RegularityError, SolvabilityErro
                   SystemModel, discretize_zoh, disturbance_sequence,
                   finite_horizon_control, solve_finite_horizon, solve_recursive)
 from lqdr.cli import _PALETTE
-from lqdr.riccati import (PINV_RCOND, REGULARITY_TOL, _backward_step, _definite, _eigh,
+from lqdr.riccati import (PINV_RCOND, REGULARITY_TOL, _backward_step, _eigh,
                           _step_constants, _step_scratch, _sym)
 
 # every run of one commit draws the same examples and replays no stored
@@ -292,6 +292,14 @@ def check_regularity(Upsilon, M, tol):
     return bool(reference_pseudo_inverse(*_eigh(Upsilon), M)[1] <= tol * np.linalg.norm(M))
 
 
+def definite_rows(Upsilon_eig):
+    """The solvability verdict of each row of a stack of ascending eigenvalues, NaN failing.
+
+    Row k is definite when Upsilon_eig[k, 0] > ``PINV_RCOND`` Upsilon_eig[k, -1].
+    """
+    return Upsilon_eig[:, 0] > PINV_RCOND * Upsilon_eig[:, -1]
+
+
 def reference_kept(w):
     """The eigenvalues the pseudo-inverse keeps: |w_j| > ``PINV_RCOND`` max|w|, NaN dropped."""
     return np.abs(w) > PINV_RCOND * np.max(np.abs(w))
@@ -350,13 +358,13 @@ def assert_one_decision(model, cost, riccati):
     """Check that each step of a non-strict pass decided its pseudo-inverse once; count drops.
 
     Row k of ``Upsilon_dropped`` is non-zero exactly where ``Upsilon_eig[k]``
-    fails ``_definite``.  The step run again on P_{k+1} writes that row, and
+    fails ``definite_rows``.  The step run again on P_{k+1} writes that row, and
     its M_k defect is byte for byte ||D' M_k|| for the non-zero columns D of
     the row, with M_k rebuilt by ``step_blocks``.  Returns the number of
     steps that dropped an eigenvector.
     """
     dropped = riccati.Upsilon_dropped.any(axis=(1, 2))
-    assert dropped.tolist() == (~_definite(riccati.Upsilon_eig)).tolist()
+    assert dropped.tolist() == (~definite_rows(riccati.Upsilon_eig)).tolist()
     AB, W = _step_constants(model.A, model.B, cost.Q, cost.R)
     scratch = _step_scratch(AB)
     M = step_blocks(model, cost, riccati.P[1:])[1]

@@ -14,7 +14,7 @@ import lqdr.cli as cli
 from conftest import (kalman_decomposed_plant, reference_settling_step, reference_write_csv,
                       reference_write_svg, scaled_weight_probes, singular_doubling_plant,
                       tracking_cost)
-from lqdr import (ScenarioError, SolvabilityError, SystemModel, Trajectory,
+from lqdr import (ControllerConfig, ScenarioError, SolvabilityError, SystemModel, Trajectory,
                   brute_force_optimal, build_controller, evaluate_cost, simulate,
                   solve_finite_horizon, solve_recursive)
 from lqdr.cli import (_settling_step, bundled_scenario_path, compare_summaries, gare_report,
@@ -959,6 +959,21 @@ def test_main_run_scenario_error(tmp_path, capsys):
     lambda d: (d["system"].update(c_o=[[1.0, 0.0], [0.0, 1.0]]),
                d["controllers"][0].update(kind="PID", kp=1.0, Ts=0.1)),
     lambda d: d.update(disturbance={"kind": "sinusoid", "amplitude": 1.0, "rate": 0.5}),
+    # json reads the token 1e999 as inf, which json.dumps cannot write
+    lambda d: json.dumps(d).replace('"x0": [1.0, 0.0]', '"x0": [1e999, 0.0]').encode(),
+    lambda d: d.update(x0=[1.0]),
+    lambda d: d["system"].pop("E"),
+    lambda d: d["cost"].pop("R"),
+    lambda d: d["cost"].update(Q=np.eye(3).tolist()),
+    lambda d: d.update(disturbance=[3.0]),
+    lambda d: d["disturbance"].update(kind="step"),
+    lambda d: d["disturbance"].pop("amplitude"),
+    lambda d: d["disturbance"].update(start_step=-1),
+    lambda d: d.update(controllers=[]),
+    lambda d: d["controllers"][0].pop("kind"),
+    lambda d: d["controllers"][1].update(label="stationary"),
+    lambda d: d.pop("steps"),
+    lambda d: d.update(outputs=["pdf"]),
 ], ids=["controller_not_object", "steps_text", "settle_band_text", "x0_text",
         "x0_nan", "table_width", "lookahead_zero", "lookahead_missing",
         "sfc_without_k_x", "sfc_without_K_d", "pid_without_Ts", "pid_Ts_zero",
@@ -968,13 +983,50 @@ def test_main_run_scenario_error(tmp_path, capsys):
         "controller_P_terminal_asymmetric", "settle_band_negative", "settle_band_zero",
         "not_utf8", "display_not_object", "continuous_with_discrete_A", "discrete_with_Ts",
         "constant_with_rate", "reference_cost_overflows", "pid_outputs_unpaired",
-        "stationary_without_limit"])
+        "stationary_without_limit", "x0_overflows", "x0_length", "system_without_E",
+        "cost_without_R", "cost_Q_3x3", "disturbance_not_object", "disturbance_kind_unknown",
+        "constant_without_amplitude", "start_step_negative", "controllers_empty",
+        "controller_without_kind", "label_duplicate", "steps_missing", "outputs_pdf"])
 def test_main_run_rejects_bad_input_as_scenario_error(tmp_path, capsys, mutate):
     path = write_mini(tmp_path, mutate)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["mini.json"]
+
+
+def test_main_run_refuses_a_missing_scenario_file(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: cannot read {path}: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mutate, spec", [
+    (lambda d: d["system"].update(c_o=[[1.0, 0.0], [0.0, 1.0]]),
+     {"kind": "PID", "kp": 1.0, "Ts": 0.1}),
+    (lambda d: d.update(disturbance={"kind": "sinusoid", "amplitude": 1.0, "rate": 0.5}),
+     {"kind": "Stationary"}),
+], ids=["pid_outputs_unpaired", "stationary_without_limit"])
+def test_load_scenario_refuses_a_config_as_build_controller_does(tmp_path, mutate, spec):
+    # each rule that needs the plant or the disturbance has one statement:
+    # the loader's refusal is the library's message, naming the controller
+    def without(d):
+        mutate(d)
+        d["controllers"] = d["controllers"][1:]
+
+    def with_spec(d):
+        mutate(d)
+        d["controllers"][0] = spec
+
+    scenario = load_scenario(write_mini(tmp_path, without))
+    with pytest.raises(ValueError) as library:
+        build_controller(ControllerConfig(**spec), scenario.model, scenario.cost,
+                         scenario.disturbance, scenario.steps)
+    with pytest.raises(ScenarioError) as loader:
+        load_scenario(write_mini(tmp_path, with_spec, name="refused.json"))
+    assert str(loader.value) == f"bad controllers[0]: {library.value}"
 
 
 def test_main_gare_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
@@ -1049,6 +1101,15 @@ def test_main_reports_an_output_that_cannot_be_written(tmp_path, capsys, case):
     assert err.startswith("output error: ") and str(blocked) in err
     assert err.count("\n") == 1
     assert out.is_dir() if case == "run_file_is_a_directory" else out.read_text() == "a file"
+
+
+def test_main_compare_writes_an_integer_settling_step(tmp_path, capsys):
+    path = tmp_path / "s.summary.json"
+    path.write_text(json.dumps({"scenario": {"name": "mini"}, "controllers": {"opt": _METRICS}}))
+    assert main(["compare", str(path), "--out", str(tmp_path)]) == 0
+    row = "opt,1.500000e+00,1.000000e-01,2.000000e-01,3"
+    assert (tmp_path / "mini.comparison.csv").read_text().splitlines()[1] == row
+    assert capsys.readouterr().out.splitlines()[3].split() == row.split(",")
 
 
 def test_main_compare_makes_its_output_directory(tmp_path):

@@ -269,7 +269,7 @@ def test_build_controller_kinds():
         assert np.asarray(u).shape == (1,)
 
 
-def test_build_controller_rejects_bad_configs():
+def test_build_controller_rejects_bad_configs(monkeypatch):
     model = two_state_bench()
     cost = tracking_cost(model)
     profile = DisturbanceProfile.constant(1.0)
@@ -279,8 +279,18 @@ def test_build_controller_rejects_bad_configs():
         build_controller(ControllerConfig(kind="RecedingHorizon"), model, cost, profile, 10)
     with pytest.raises(ValueError):
         build_controller(ControllerConfig(kind="pid", kp=1.0), model, cost, profile, 10)
+    pid = ControllerConfig(kind="pid", kp=1.0, Ts=0.1)
+    unpaired = SystemModel(A=model.A, B=model.B, E=model.E, c_o=np.eye(2))
+    with pytest.raises(ValueError, match=r"^pid needs l = m, got l=2, m=1$"):
+        build_controller(pid, unpaired, tracking_cost(unpaired), profile, 10)
+
+    # a config the disturbance cannot serve is refused before any solve
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused config reached the stationary solve")
+
+    monkeypatch.setattr(lqdr.control, "solve_gare", forbidden)
     sinus = DisturbanceProfile.sinusoid(1.0, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a sinusoid has no limit value$"):
         build_controller(ControllerConfig(kind="Stationary"), model, cost, sinus, 10)
 
 
@@ -552,6 +562,19 @@ def test_stationary_law_takes_the_radius_of_its_solve(make_model, monkeypatch):
     law = build_controller(ControllerConfig(kind="Stationary"), model, cost,
                            DisturbanceProfile.constant(0.05), 20)
     assert law.closed_loop_radius == gare.closed_loop_radius
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stationary_law_on_a_zero_rate_ramp_compensates_its_zero(sign):
+    # ramp(0, 0.5) samples a signed zero at every step, never its limit, so
+    # its stationary law is the one built on that constant zero
+    model = uncontrollable_3state()
+    cost = tracking_cost(model, r=np.full(model.n, 0.1))
+    config = ControllerConfig(kind="Stationary")
+    ramp = build_controller(config, model, cost,
+                            DisturbanceProfile.ramp(sign * 0.0, 0.5, start_step=4), 20)
+    zero = build_controller(config, model, cost, DisturbanceProfile.constant(sign * 0.0), 20)
+    assert ramp.u_0.tobytes() == zero.u_0.tobytes()
 
 
 def test_built_sfc_law_is_the_baseline_bit_for_bit():

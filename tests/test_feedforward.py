@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import lqdr.feedforward
 import lqdr.riccati
-from conftest import (_exact, assert_one_decision, exact_bounded_below, exact_lifted_quadratic,
-                      exact_minimum, exact_rank, free_effort_plant, kept_span_problem,
-                      long_horizon_cases, oracle_cases, reference_closed_form,
+from conftest import (_exact, assert_one_decision, definite_rows, exact_bounded_below,
+                      exact_lifted_quadratic, exact_minimum, exact_rank, free_effort_plant,
+                      kept_span_problem, long_horizon_cases, oracle_cases, reference_closed_form,
                       reference_feedforward, reference_range_defect, rel_close, rel_gap,
                       repeated_column_problem, step_blocks, tracking_cost, two_state_bench,
                       uncontrollable_3state)
@@ -503,7 +503,7 @@ def assert_range_defects_are_the_reference_bytes(monkeypatch, riccati, model, co
     Returns the number of steps compared.
     """
     h, defects = recorded_range_defects(monkeypatch, riccati, model, cost, Ed, r_weight)
-    undecided = ~lqdr.riccati._definite(riccati.Upsilon_eig)
+    undecided = ~definite_rows(riccati.Upsilon_eig)
     assert sorted(defects) == np.flatnonzero(undecided).tolist()
     for k, defect in defects.items():
         want = reference_range_defect(model, cost, riccati.P[k + 1], h[k])
@@ -549,7 +549,7 @@ def test_the_range_test_decomposes_no_upsilon_again(monkeypatch, model, cost, d,
     # after the pass no eigendecomposition runs: solve_recursive gives the
     # same bytes, or the same refusal, with eigh forbidden
     riccati = solve_finite_horizon(model, cost, N, strict=False)
-    assert not lqdr.riccati._definite(riccati.Upsilon_eig).all()
+    assert not definite_rows(riccati.Upsilon_eig).all()
     try:
         want = solve_recursive(riccati, model, cost, d)
     except RegularityError as exc:

@@ -390,6 +390,14 @@ def test_limit_values():
         DisturbanceProfile.sinusoid(1.0, 1.0).limit_value()
 
 
+@pytest.mark.parametrize("rate", [1e-3, -1e-3, 0.0, -0.0])
+@pytest.mark.parametrize("limit", [0.5, -0.5])
+def test_ramp_limit_value_is_what_its_samples_hold(rate, limit):
+    # a zero rate holds its own signed zero, or a negative limit, at every step
+    profile = DisturbanceProfile.ramp(rate, limit, start_step=3, dim=2)
+    assert profile.limit_value().tobytes() == disturbance_sequence(profile, 10_000)[-1].tobytes()
+
+
 def test_disturbance_sequence_matches_samples():
     profile = DisturbanceProfile.sinusoid(2.0, rate=0.3, start_step=4, dim=2)
     seq = disturbance_sequence(profile, 12)
